@@ -14,7 +14,6 @@ from .curvature import (
     curvature_all_edges,
     lly_curvature,
     ollivier_kappa_p,
-    plan_cost,
 )
 from .graph import (
     AmplyViolation,
@@ -33,7 +32,7 @@ from .report import (
     verify_graph,
 )
 from .search import search_amply
-from .spectral import SpectralError, adjacency_spectrum
+from .spectral import DEFAULT_SPECTRUM_CAP, SpectralError, adjacency_spectrum
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -75,6 +74,15 @@ def _read_graph(path: str) -> Graph:
         return load_edge_list(fh.read())
 
 
+def _edge(g: Graph, edge: list[int]) -> tuple[int, int]:
+    """The ``--edge`` vertices, rejected unless both lie in 0..n-1."""
+    for v in edge:
+        if not 0 <= v < g.n:
+            raise GraphError(f"--edge vertex {v} out of range for n={g.n}")
+    u, v = edge
+    return u, v
+
+
 def _cmd_gen(args) -> int:
     arity = _FAMILY_ARITIES.get(args.family)
     if arity is None:
@@ -86,7 +94,7 @@ def _cmd_gen(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    g = _build_family(args.family, args.args, args.size_cap)
+    g = _build_family(args.family, args.args, args.size_cap or gen.DEFAULT_SIZE_CAP)
     sys.stdout.write(dump_edge_list(g))
     return EXIT_OK
 
@@ -124,12 +132,12 @@ def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
         p = Fraction(args.p)
         if args.all:
             return [(u, v, ollivier_kappa_p(g, u, v, p)) for u, v in g.edges()]
-        u, v = args.edge
+        u, v = _edge(g, args.edge)
         return [(u, v, ollivier_kappa_p(g, u, v, p))]
     if args.all:
-        table = curvature_all_edges(g, threads=args.threads)
+        table = curvature_all_edges(g)
         return [(u, v, k) for u, v, k in table.rows]
-    u, v = args.edge
+    u, v = _edge(g, args.edge)
     return [(u, v, lly_curvature(g, u, v))]
 
 
@@ -155,12 +163,12 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.file)
-    report = verify_graph(g, graph_id=args.file, threads=args.threads)
+    report = verify_graph(g, graph_id=args.file)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), sort_keys=True))
     elif args.format == "csv":
         print("u,v,kappa,passed")
-        for row in report.edge_rows:
+        for row in report.edges:
             print(f"{row.u},{row.v},{frac_str(row.kappa)},{row.passed}")
     else:
         sys.stdout.write(render_text(report))
@@ -200,7 +208,7 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
 
 def _cmd_hgraph(args) -> int:
     g = _read_graph(args.file)
-    x, y = args.edge
+    x, y = _edge(g, args.edge)
     payload = _hgraph_payload(g, x, y)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -223,7 +231,7 @@ def _cmd_hgraph(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _read_graph(args.file)
-    spec = adjacency_spectrum(g, cap=args.size_cap if args.size_cap else 4096)
+    spec = adjacency_spectrum(g, cap=args.size_cap or DEFAULT_SPECTRUM_CAP)
     if args.format == "json":
         print(json.dumps({
             "eigenvalues": list(spec.eigenvalues),
@@ -258,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact curvature, matching-witness, and spectral verification of amply regular graphs.",
     )
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="reserved; affects nothing mathematical")
     parser.add_argument("--size-cap", type=int, default=0, help="override generator/spectrum size caps")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -309,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.size_cap == 0:
-        args.size_cap = gen.DEFAULT_SIZE_CAP
     try:
         return args.func(args)
     except (GraphError, CurvatureError, MatchingError, wit.WitnessError,

@@ -12,12 +12,11 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 Rational = Fraction
 
@@ -304,7 +303,7 @@ class CurvatureTable:
     kappa_max: Fraction
 
 
-def curvature_all_edges(g: Graph, threads: int = 1) -> CurvatureTable:
+def curvature_all_edges(g: Graph) -> CurvatureTable:
     """Lin-Lu-Yau curvature of every edge of a connected regular graph."""
     if not g.is_connected():
         raise CurvatureError("curvature_all_edges requires a connected graph")
@@ -313,13 +312,6 @@ def curvature_all_edges(g: Graph, threads: int = 1) -> CurvatureTable:
     edges = g.edges()
     if not edges:
         raise CurvatureError("graph has no edges")
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        g.warm_distance_cache()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            kappas = list(pool.map(lambda e: lly_curvature(g, *e), edges))
-    else:
-        kappas = [lly_curvature(g, u, v) for u, v in edges]
+    kappas = [lly_curvature(g, u, v) for u, v in edges]
     rows = tuple((u, v, k) for (u, v), k in zip(edges, kappas))
     return CurvatureTable(rows=rows, kappa_min=min(kappas), kappa_max=max(kappas))

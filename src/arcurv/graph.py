@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -16,12 +15,14 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
     Adjacency is stored as sorted tuples. BFS distances are computed lazily
-    per source and cached under a lock, so a shared instance is safe for
-    concurrent readers. ``labels`` is an optional side table of original
-    vertex labels (e.g. Hamming tuples) used only for reporting.
+    per source and cached. The cache needs no lock: it is read by one
+    ``dict.get`` and written by one item assignment, each atomic on its own,
+    so concurrent readers at worst compute the same BFS row twice, with the
+    same result. ``labels`` is an optional side table of original vertex
+    labels (e.g. Hamming tuples) used only for reporting.
     """
 
-    __slots__ = ("n", "_adj", "labels", "_dist_cache", "_lock", "_connected")
+    __slots__ = ("n", "_adj", "labels", "_dist_cache", "_connected")
 
     def __init__(
         self,
@@ -45,7 +46,6 @@ class Graph:
             raise GraphError("label table size does not match vertex count")
         self.labels = tuple(labels) if labels is not None else None
         self._dist_cache: dict[int, tuple[int, ...]] = {}
-        self._lock = threading.Lock()
         self._connected: Optional[bool] = None
 
     @property
@@ -79,8 +79,7 @@ class Graph:
         """BFS distance vector from ``source``; -1 marks unreachable vertices."""
         if not (0 <= source < self.n):
             raise GraphError(f"vertex {source} out of range")
-        with self._lock:
-            cached = self._dist_cache.get(source)
+        cached = self._dist_cache.get(source)
         if cached is not None:
             return cached
         dist = [-1] * self.n
@@ -93,8 +92,7 @@ class Graph:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         result = tuple(dist)
-        with self._lock:
-            self._dist_cache[source] = result
+        self._dist_cache[source] = result
         return result
 
     def distance(self, u: int, v: int) -> Optional[int]:
@@ -108,11 +106,6 @@ class Graph:
                 d >= 0 for d in self.distances_from(0)
             )
         return self._connected
-
-    def warm_distance_cache(self) -> None:
-        """Pre-populate all BFS rows; useful before fanning out parallel readers."""
-        for v in range(self.n):
-            self.distances_from(v)
 
     def diameter(self) -> int:
         if not self.is_connected():
@@ -285,11 +278,10 @@ def detect_amply_params(g: Graph) -> DetectResult:
         if g.degree(v) != d:
             return AmplyViolation("not-regular", (0, v), g.degree(v), d)
     alpha: Optional[int] = None
-    alpha_pair: Optional[tuple[int, int]] = None
     for u, v in g.edges():
         c = len(g.common_neighbors(u, v))
         if alpha is None:
-            alpha, alpha_pair = c, (u, v)
+            alpha = c
         elif c != alpha:
             return AmplyViolation("alpha", (u, v), c, alpha)
     beta: Optional[int] = None
@@ -303,7 +295,6 @@ def detect_amply_params(g: Graph) -> DetectResult:
                 beta = c
             elif c != beta:
                 return AmplyViolation("beta", (u, v), c, beta)
-    del alpha_pair
     return AmplyParams(
         n=g.n,
         d=d,

@@ -1,12 +1,10 @@
-"""Bipartite matching: Hopcroft-Karp, Hall certificates, Konig decomposition."""
+"""Bipartite matching: augmenting paths, Hall certificates, Konig decomposition."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
-
-_INF = float("inf")
 
 
 class MatchingError(ValueError):
@@ -87,45 +85,28 @@ class Matching:
 
 
 def max_matching(b: Bipartite) -> Matching:
-    """Maximum-cardinality matching via Hopcroft-Karp; deterministic in input order."""
-    match_l = [-1] * b.left_n
+    """Maximum-cardinality matching by Kuhn's augmenting-path search.
+
+    Left vertices and their neighbor lists are scanned in stored (ascending)
+    order, so the result is deterministic. A left vertex that fails to
+    augment is skipped, not fatal: the result is maximum, not just maximal.
+    """
     match_r = [-1] * b.right_n
-    dist = [0.0] * b.left_n
+    match_l = [-1] * b.left_n
 
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(b.left_n):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for w in b.adj[u]:
-                nxt = match_r[w]
-                if nxt < 0:
-                    found = True
-                elif dist[nxt] == _INF:
-                    dist[nxt] = dist[u] + 1
-                    queue.append(nxt)
-        return found
-
-    def dfs(u: int) -> bool:
+    def try_augment(u: int, visited: list[bool]) -> bool:
         for w in b.adj[u]:
-            nxt = match_r[w]
-            if nxt < 0 or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                match_l[u] = w
+            if visited[w]:
+                continue
+            visited[w] = True
+            if match_r[w] < 0 or try_augment(match_r[w], visited):
                 match_r[w] = u
+                match_l[u] = w
                 return True
-        dist[u] = _INF
         return False
 
-    while bfs():
-        for u in range(b.left_n):
-            if match_l[u] < 0:
-                dfs(u)
+    for u in range(b.left_n):
+        try_augment(u, [False] * b.right_n)
     m = Matching({u: w for u, w in enumerate(match_l) if w >= 0})
     m.validate(b)
     return m
@@ -165,34 +146,11 @@ def hall_violator(b: Bipartite) -> Optional[set[int]]:
     return seen_left
 
 
-def _kuhn_perfect_matching(adj: list[list[int]], n: int) -> Optional[list[int]]:
-    # deterministic augmenting search, scanning left vertices and neighbor
-    # lists in ascending order
-    match_r = [-1] * n
-    match_l = [-1] * n
-
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        for w in adj[u]:
-            if visited[w]:
-                continue
-            visited[w] = True
-            if match_r[w] < 0 or try_augment(match_r[w], visited):
-                match_r[w] = u
-                match_l[u] = w
-                return True
-        return False
-
-    for u in range(n):
-        if not try_augment(u, [False] * n):
-            return None
-    return match_l
-
-
 def konig_decomposition(b: Bipartite) -> list[Matching]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
-    Each round extracts the perfect matching found by the deterministic
-    augmenting search and removes it, leaving a (k-1)-regular graph. The
+    Each round extracts the perfect matching that ``max_matching`` finds in
+    the remaining graph and removes it, leaving a (k-1)-regular graph. The
     output is self-checked: classes are perfect, pairwise edge-disjoint, and
     their union is exactly the edge set.
     """
@@ -203,10 +161,9 @@ def konig_decomposition(b: Bipartite) -> list[Matching]:
     adj = [sorted(nbrs) for nbrs in b.adj]
     classes: list[Matching] = []
     for _ in range(k):
-        match_l = _kuhn_perfect_matching(adj, n)
-        if match_l is None:
+        m = max_matching(Bipartite(n, n, tuple(tuple(a) for a in adj)))
+        if not m.is_perfect(b):
             raise MatchingError("internal error: regular graph lost a perfect matching")
-        m = Matching({u: w for u, w in enumerate(match_l)})
         for u, w in m.pairs.items():
             adj[u].remove(w)
         classes.append(m)

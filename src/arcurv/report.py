@@ -7,14 +7,13 @@ columns for the literature bounds that are reported but never asserted.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from . import witness as wit
 from .curvature import CurvatureTable, curvature_all_edges
-from .graph import AmplyParams, AmplyViolation, Graph, GraphError, detect_amply_params
+from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
 from .matching import konig_decomposition
 from .spectral import COMPARISON_TOL, lambda1, second_largest
 
@@ -27,10 +26,6 @@ def frac_str(f: Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ class ConferenceNote:
 class VerificationReport:
     graph_id: str
     params: AmplyParams
-    edge_rows: tuple[EdgeRow, ...]
+    edges: tuple[EdgeRow, ...]
     diameter: DiameterRow
     spectral: SpectralRow
     witness: Optional[WitnessSummary]
@@ -259,7 +254,7 @@ def _conference_note(params: AmplyParams, table: CurvatureTable) -> Optional[Con
     )
 
 
-def verify_graph(g: Graph, graph_id: str, threads: int = 1) -> VerificationReport:
+def verify_graph(g: Graph, graph_id: str) -> VerificationReport:
     """Run every applicable check against a connected amply regular graph."""
     if not g.is_connected():
         raise ReportError("verification requires a connected graph")
@@ -269,7 +264,7 @@ def verify_graph(g: Graph, graph_id: str, threads: int = 1) -> VerificationRepor
             f"not amply regular: {params.kind} violation at pair {params.pair} "
             f"(found {params.found}, expected {params.expected})"
         )
-    table = curvature_all_edges(g, threads=threads)
+    table = curvature_all_edges(g)
     edge_rows = []
     for u, v, kappa in table.rows:
         checks = _edge_checks(kappa, params)
@@ -330,7 +325,7 @@ def verify_graph(g: Graph, graph_id: str, threads: int = 1) -> VerificationRepor
     return VerificationReport(
         graph_id=graph_id,
         params=params,
-        edge_rows=tuple(edge_rows),
+        edges=tuple(edge_rows),
         diameter=diameter_row,
         spectral=spectral_row,
         witness=witness_summary,
@@ -343,177 +338,39 @@ def verify_graph(g: Graph, graph_id: str, threads: int = 1) -> VerificationRepor
 # --- serialization ---------------------------------------------------------
 
 
+def _encode(value):
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(tp, value):
+    if type(None) in get_args(tp):  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        return tuple(_decode(get_args(tp)[0], v) for v in value)
+    if tp is Fraction:
+        return Fraction(value)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(tp)})
+    return value
+
+
 def report_to_dict(r: VerificationReport) -> dict:
-    return {
-        "graph_id": r.graph_id,
-        "params": {
-            "n": r.params.n,
-            "d": r.params.d,
-            "alpha": r.params.alpha,
-            "beta": r.params.beta,
-            "girth": r.params.girth,
-            "connected": r.params.connected,
-        },
-        "edges": [
-            {
-                "u": row.u,
-                "v": row.v,
-                "kappa": frac_str(row.kappa),
-                "checks": [
-                    {
-                        "name": c.name,
-                        "relation": c.relation,
-                        "bound": frac_str(c.bound),
-                        "passed": c.passed,
-                    }
-                    for c in row.checks
-                ],
-                "passed": row.passed,
-            }
-            for row in r.edge_rows
-        ],
-        "diameter": {
-            "value": r.diameter.value,
-            "bound_general": r.diameter.bound_general,
-            "bound_strict": r.diameter.bound_strict,
-            "passed": r.diameter.passed,
-            "comparisons": [
-                {"name": c.name, "applicable": c.applicable, "detail": c.detail}
-                for c in r.diameter.comparisons
-            ],
-        },
-        "spectral": {
-            "sigma_second": r.spectral.sigma_second,
-            "bound": r.spectral.bound,
-            "bound_passed": r.spectral.bound_passed,
-            "lambda_one": r.spectral.lambda_one,
-            "kappa_min": frac_str(r.spectral.kappa_min),
-            "lichnerowicz_passed": r.spectral.lichnerowicz_passed,
-            "passed": r.spectral.passed,
-        },
-        "witness": None
-        if r.witness is None
-        else {
-            "edges_checked": r.witness.edges_checked,
-            "regular_pass": r.witness.regular_pass,
-            "class_count_pass": r.witness.class_count_pass,
-            "bijection_pass": r.witness.bijection_pass,
-            "chain_bound_pass": r.witness.chain_bound_pass,
-            "pi0_bound_pass": r.witness.pi0_bound_pass,
-            "lower_bound_pass": r.witness.lower_bound_pass,
-            "passed": r.witness.passed,
-        },
-        "dense_match": None
-        if r.dense_match is None
-        else {
-            "kappa": frac_str(r.dense_match.kappa),
-            "edges_certified": r.dense_match.edges_certified,
-            "passed": r.dense_match.passed,
-        },
-        "conference": None
-        if r.conference is None
-        else {
-            "gamma": r.conference.gamma,
-            "conjectured": frac_str(r.conference.conjectured),
-            "computed_min": frac_str(r.conference.computed_min),
-            "computed_max": frac_str(r.conference.computed_max),
-        },
-        "overall_pass": r.overall_pass,
-    }
+    """JSON-ready dict: field names as keys, Fractions as "p/q", tuples as lists."""
+    return _encode(r)
 
 
 def report_from_dict(data: dict) -> VerificationReport:
-    p = data["params"]
-    params = AmplyParams(
-        n=p["n"], d=p["d"], alpha=p["alpha"], beta=p["beta"],
-        girth=p["girth"], connected=p["connected"],
-    )
-    edge_rows = tuple(
-        EdgeRow(
-            u=row["u"],
-            v=row["v"],
-            kappa=parse_frac(row["kappa"]),
-            checks=tuple(
-                EdgeCheck(
-                    name=c["name"],
-                    relation=c["relation"],
-                    bound=parse_frac(c["bound"]),
-                    passed=c["passed"],
-                )
-                for c in row["checks"]
-            ),
-            passed=row["passed"],
-        )
-        for row in data["edges"]
-    )
-    dd = data["diameter"]
-    diameter = DiameterRow(
-        value=dd["value"],
-        bound_general=dd["bound_general"],
-        bound_strict=dd["bound_strict"],
-        passed=dd["passed"],
-        comparisons=tuple(
-            CompareColumn(name=c["name"], applicable=c["applicable"], detail=c["detail"])
-            for c in dd["comparisons"]
-        ),
-    )
-    sd = data["spectral"]
-    spectral = SpectralRow(
-        sigma_second=sd["sigma_second"],
-        bound=sd["bound"],
-        bound_passed=sd["bound_passed"],
-        lambda_one=sd["lambda_one"],
-        kappa_min=parse_frac(sd["kappa_min"]),
-        lichnerowicz_passed=sd["lichnerowicz_passed"],
-        passed=sd["passed"],
-    )
-    wd = data["witness"]
-    witness = (
-        None
-        if wd is None
-        else WitnessSummary(
-            edges_checked=wd["edges_checked"],
-            regular_pass=wd["regular_pass"],
-            class_count_pass=wd["class_count_pass"],
-            bijection_pass=wd["bijection_pass"],
-            chain_bound_pass=wd["chain_bound_pass"],
-            pi0_bound_pass=wd["pi0_bound_pass"],
-            lower_bound_pass=wd["lower_bound_pass"],
-            passed=wd["passed"],
-        )
-    )
-    md = data["dense_match"]
-    dense = (
-        None
-        if md is None
-        else DenseMatchSummary(
-            kappa=parse_frac(md["kappa"]),
-            edges_certified=md["edges_certified"],
-            passed=md["passed"],
-        )
-    )
-    cd = data["conference"]
-    conference = (
-        None
-        if cd is None
-        else ConferenceNote(
-            gamma=cd["gamma"],
-            conjectured=parse_frac(cd["conjectured"]),
-            computed_min=parse_frac(cd["computed_min"]),
-            computed_max=parse_frac(cd["computed_max"]),
-        )
-    )
-    return VerificationReport(
-        graph_id=data["graph_id"],
-        params=params,
-        edge_rows=edge_rows,
-        diameter=diameter,
-        spectral=spectral,
-        witness=witness,
-        dense_match=dense,
-        conference=conference,
-        overall_pass=data["overall_pass"],
-    )
+    """Inverse of ``report_to_dict``, driven by the dataclasses' type hints."""
+    return _decode(VerificationReport, data)
 
 
 def render_text(r: VerificationReport) -> str:
@@ -525,7 +382,7 @@ def render_text(r: VerificationReport) -> str:
         "",
         "edge curvature:",
     ]
-    for row in r.edge_rows:
+    for row in r.edges:
         mark = "ok" if row.passed else "FAIL"
         checks = "; ".join(
             f"{c.name} {'=' if c.relation == 'eq' else ('>=' if c.relation == 'ge' else '<=')} "

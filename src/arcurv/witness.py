@@ -20,7 +20,6 @@ from .matching import (
     Bipartite,
     Matching,
     dense_perfect_matching,
-    konig_decomposition,
     matching_through_edge,
 )
 

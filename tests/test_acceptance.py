@@ -188,7 +188,6 @@ def test_criterion_08_oracle_equivalence():
     for g in fixed + randoms:
         d = g.regular_degree()
         p = Fraction(1, d + 1)
-        g.warm_distance_cache()
         for x, y in g.edges():
             flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
             assign_value, _ = assignment_wasserstein(g, x, y)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from arcurv import dump_edge_list, gen_cocktail, gen_hamming, gen_paley, load_edge_list
+from arcurv import dump_edge_list, gen_cocktail, gen_cycle, gen_hamming, gen_paley, load_edge_list
 from arcurv.cli import EXIT_ASSERTION, EXIT_INPUT, EXIT_OK, main
 from arcurv.report import report_from_dict, report_to_dict, verify_graph
 
@@ -101,11 +101,6 @@ class TestCurvature:
         code, _, err = run(capsys, "curvature", h23_file, "--edge", "0", "4")
         assert code == EXIT_INPUT and err.startswith("error:")
 
-    def test_threads_flag(self, capsys, h23_file):
-        code1, out1, _ = run(capsys, "curvature", h23_file, "--all")
-        code4, out4, _ = run(capsys, "--threads", "4", "curvature", h23_file, "--all")
-        assert code1 == code4 == EXIT_OK and out1 == out4
-
 
 class TestVerify:
     def test_h23_passes(self, capsys, h23_file):
@@ -120,6 +115,11 @@ class TestVerify:
         assert payload["overall_pass"] is True
         report = verify_graph(gen_hamming(2, 3), graph_id=h23_file)
         assert report_from_dict(report_to_dict(report)) == report
+        assert report_from_dict(payload) == report
+        # cocktail(3) carries a dense-match summary, paley13 a conference note
+        for g in (gen_cocktail(3), gen_paley(13)):
+            report = verify_graph(g, graph_id="g")
+            assert report_from_dict(json.loads(json.dumps(report_to_dict(report)))) == report
 
     def test_csv(self, capsys, h23_file):
         code, out, _ = run(capsys, "--format", "csv", "verify", h23_file)
@@ -157,6 +157,14 @@ class TestHgraph:
         assert code == EXIT_INPUT and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["curvature", "hgraph"])
+@pytest.mark.parametrize("edge", [("99", "0"), ("-1", "2")])
+def test_edge_out_of_range(capsys, h23_file, command, edge):
+    code, out, err = run(capsys, command, h23_file, "--edge", *edge)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: --edge vertex {edge[0]} out of range")
+
+
 class TestSpectrumDiameterSearch:
     def test_spectrum_text(self, capsys, h23_file):
         code, out, _ = run(capsys, "spectrum", h23_file)
@@ -168,6 +176,16 @@ class TestSpectrumDiameterSearch:
         code, out, _ = run(capsys, "--format", "json", "spectrum", h23_file)
         payload = json.loads(out)
         assert code == EXIT_OK and len(payload["eigenvalues"]) == 9
+
+    def test_spectrum_cap(self, capsys, tmp_path, monkeypatch):
+        def no_solve(matrix):
+            raise AssertionError("eigensolver started past the spectrum cap")
+
+        monkeypatch.setattr("arcurv.spectral.jacobi_eigenvalues", no_solve)
+        path = tmp_path / "c4097.txt"
+        path.write_text(dump_edge_list(gen_cycle(4097)))
+        code, _, err = run(capsys, "spectrum", str(path))
+        assert code == EXIT_INPUT and "cap" in err
 
     def test_diameter(self, capsys, h23_file):
         code, out, _ = run(capsys, "diameter", h23_file)

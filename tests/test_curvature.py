@@ -217,10 +217,6 @@ class TestCurvatureTable:
         table = curvature_all_edges(gen_cycle(6))
         assert {k for _, _, k in table.rows} == {Fraction(0)}
 
-    def test_threaded_matches_sequential(self):
-        g = gen_hamming(2, 3)
-        assert curvature_all_edges(g, threads=4) == curvature_all_edges(g)
-
 
 class TestLinearityAndBounds:
     def test_final_segment_linearity(self):

@@ -1,0 +1,121 @@
+"""Golden outputs: `verify`, `hgraph` and `curvature --all` stay byte-identical.
+
+Each file under ``tests/golden/`` is the CLI's stdout for one case;
+``MANIFEST.json`` holds each case's argv, exit code and stderr. The inputs
+are written from the in-repo generators, and the CLI runs in their
+directory, so the file name that `verify` prints as the graph id is fixed.
+Regenerate the files only for an intended output change, with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from arcurv import dump_edge_list, gen_cocktail, gen_hamming, gen_paley, gen_shrikhande
+from arcurv.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+GRAPHS = {
+    "h23": lambda: gen_hamming(2, 3),
+    "cocktail3": lambda: gen_cocktail(3),
+    "paley13": lambda: gen_paley(13),
+    "shrikhande": gen_shrikhande,
+}
+
+# Floating-point Jacobi values in the verify JSON, compared within this
+# tolerance so that the test holds across BLAS builds.
+FLOAT_KEYS = ("sigma_second", "lambda_one")
+FLOAT_TOL = 1e-12
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name, make in GRAPHS.items():
+        path = f"{name}.txt"
+        u, v = (str(i) for i in make().edges()[0])
+        cases[f"{name}-verify.txt"] = ["verify", path]
+        cases[f"{name}-verify.json"] = ["--format", "json", "verify", path]
+        cases[f"{name}-verify.csv"] = ["--format", "csv", "verify", path]
+        cases[f"{name}-hgraph.txt"] = ["hgraph", path, "--edge", u, v]
+        cases[f"{name}-hgraph.json"] = ["--format", "json", "hgraph", path, "--edge", u, v]
+        cases[f"{name}-curvature.json"] = ["--format", "json", "curvature", path, "--all"]
+        cases[f"{name}-curvature-p1_2.json"] = [
+            "--format", "json", "curvature", path, "--all", "--p", "1/2",
+        ]
+    return cases
+
+
+def _write_inputs(directory: Path) -> None:
+    for name, make in GRAPHS.items():
+        (directory / f"{name}.txt").write_text(dump_edge_list(make()))
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _float_tokens(text: str) -> dict[str, str]:
+    tokens = {}
+    for key in FLOAT_KEYS:
+        found = re.findall(rf'"{key}": ([^,}}]+)', text)
+        assert len(found) == 1, f"{key} appears {len(found)} times"
+        tokens[key] = found[0]
+    return tokens
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden-inputs")
+    _write_inputs(directory)
+    return directory
+
+
+@pytest.mark.parametrize("case", sorted(_cases()))
+def test_golden_output(case, inputs, monkeypatch):
+    expected = json.loads((GOLDEN / "MANIFEST.json").read_text())[case]
+    argv = _cases()[case]
+    assert expected["argv"] == argv
+    monkeypatch.chdir(inputs)
+    code, out, err = _run(argv)
+    assert (code, err) == (expected["exit"], expected["stderr"])
+    golden = (GOLDEN / case).read_text()
+    if case.endswith("-verify.json"):
+        got, want = _float_tokens(out), _float_tokens(golden)
+        for key in FLOAT_KEYS:
+            assert abs(float(got[key]) - float(want[key])) <= FLOAT_TOL, key
+            out = out.replace(f'"{key}": {got[key]}', f'"{key}": {want[key]}')
+    assert out == golden
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    manifest = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(Path(tmp))
+        os.chdir(tmp)
+        try:
+            for case, argv in sorted(_cases().items()):
+                code, out, err = _run(argv)
+                (GOLDEN / case).write_text(out)
+                manifest[case] = {"argv": argv, "exit": code, "stderr": err}
+        finally:
+            os.chdir(cwd)
+    (GOLDEN / "MANIFEST.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()
