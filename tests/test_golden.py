@@ -30,6 +30,20 @@ GRAPHS = {
     "cocktail3": lambda: gen_cocktail(3),
     "paley13": lambda: gen_paley(13),
     "shrikhande": gen_shrikhande,
+    "h33": lambda: gen_hamming(3, 3),
+    "cocktail8": lambda: gen_cocktail(8),
+    "paley29": lambda: gen_paley(29),
+}
+
+ALL_KINDS = (
+    "verify.txt", "verify.json", "verify.csv", "hgraph.txt", "hgraph.json",
+    "curvature.json", "curvature-p1_2.json",
+)
+# The larger graphs pin only the outputs that rest on the exact LLY transport.
+KINDS = {
+    "h33": ("verify.txt", "verify.json"),
+    "cocktail8": ("verify.txt", "verify.json"),
+    "paley29": ("verify.txt", "verify.json", "curvature.json"),
 }
 
 # Floating-point Jacobi values in the verify JSON, compared within this
@@ -43,15 +57,19 @@ def _cases() -> dict[str, list[str]]:
     for name, make in GRAPHS.items():
         path = f"{name}.txt"
         u, v = (str(i) for i in make().edges()[0])
-        cases[f"{name}-verify.txt"] = ["verify", path]
-        cases[f"{name}-verify.json"] = ["--format", "json", "verify", path]
-        cases[f"{name}-verify.csv"] = ["--format", "csv", "verify", path]
-        cases[f"{name}-hgraph.txt"] = ["hgraph", path, "--edge", u, v]
-        cases[f"{name}-hgraph.json"] = ["--format", "json", "hgraph", path, "--edge", u, v]
-        cases[f"{name}-curvature.json"] = ["--format", "json", "curvature", path, "--all"]
-        cases[f"{name}-curvature-p1_2.json"] = [
-            "--format", "json", "curvature", path, "--all", "--p", "1/2",
-        ]
+        argvs = {
+            "verify.txt": ["verify", path],
+            "verify.json": ["--format", "json", "verify", path],
+            "verify.csv": ["--format", "csv", "verify", path],
+            "hgraph.txt": ["hgraph", path, "--edge", u, v],
+            "hgraph.json": ["--format", "json", "hgraph", path, "--edge", u, v],
+            "curvature.json": ["--format", "json", "curvature", path, "--all"],
+            "curvature-p1_2.json": [
+                "--format", "json", "curvature", path, "--all", "--p", "1/2",
+            ],
+        }
+        for kind in KINDS.get(name, ALL_KINDS):
+            cases[f"{name}-{kind}"] = argvs[kind]
     return cases
 
 
