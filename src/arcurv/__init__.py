@@ -8,6 +8,7 @@ from .curvature import (
     TransportPlan,
     assignment_wasserstein,
     curvature_all_edges,
+    kantorovich_potential,
     lly_curvature,
     mu_p,
     ollivier_kappa_p,
@@ -45,7 +46,7 @@ from .matching import (
     max_matching,
 )
 from .report import VerificationReport, verify_graph
-from .search import search_amply
+from .search import infeasibility_reason, search_amply
 from .spectral import (
     SpectralError,
     Spectrum,

@@ -31,12 +31,25 @@ from .report import (
     report_to_dict,
     verify_graph,
 )
-from .search import search_amply
+from .search import infeasibility_reason, search_amply
 from .spectral import DEFAULT_SPECTRUM_CAP, SpectralError, adjacency_spectrum
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INPUT = 2
+
+# Output formats each command renders. `gen` and `search` print an edge list
+# (or "none") in every format.
+_FORMATS = {
+    "gen": ("text", "json", "csv"),
+    "params": ("text", "json"),
+    "curvature": ("text", "json", "csv"),
+    "verify": ("text", "json", "csv"),
+    "hgraph": ("text", "json"),
+    "spectrum": ("text", "json"),
+    "diameter": ("text",),
+    "search": ("text", "json", "csv"),
+}
 
 _FAMILY_ARITIES = {
     "hamming": 2,
@@ -144,6 +157,9 @@ def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
 def _cmd_curvature(args) -> int:
     if not args.all and args.edge is None:
         print("error: pass --all or --edge u v", file=sys.stderr)
+        return EXIT_INPUT
+    if args.all and args.edge is not None:
+        print("error: pass --all or --edge u v, not both", file=sys.stderr)
         return EXIT_INPUT
     g = _read_graph(args.file)
     rows = _curvature_rows(g, args)
@@ -255,6 +271,9 @@ def _cmd_search(args) -> int:
     found = search_amply(args.n, args.d, args.alpha, beta)
     if found is None:
         print("none")
+        reason = infeasibility_reason(args.n, args.d, args.alpha)
+        if reason is not None:
+            print(f"none: {reason}", file=sys.stderr)
         return EXIT_OK
     sys.stdout.write(dump_edge_list(found))
     return EXIT_OK
@@ -315,6 +334,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    formats = _FORMATS[args.command]
+    if args.format not in formats:
+        print(
+            f"error: {args.command} does not render --format {args.format}; "
+            f"it renders {', '.join(formats)}",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (GraphError, CurvatureError, MatchingError, wit.WitnessError,

@@ -1,9 +1,11 @@
 """Exact measures, Wasserstein distance, and edge curvature of regular graphs.
 
-All masses, costs, and curvature values are `fractions.Fraction`; nothing in
-this module touches floating point. Two independent exact routes exist for the
-regular-edge Wasserstein value: a min-cost-flow transportation solve and an
-integer assignment solve over closed neighborhoods.
+All masses, costs, and curvature values are `fractions.Fraction` or integers;
+nothing in this module touches floating point. The regular-edge Wasserstein
+value behind Lin-Lu-Yau curvature comes from one integer assignment solve over
+the closed neighborhoods, proven optimal by an integer 1-Lipschitz Kantorovich
+potential of equal value. The min-cost-flow transportation solve serves general
+idleness p.
 """
 
 from __future__ import annotations
@@ -235,6 +237,47 @@ def _regular_edge_degree(g: Graph, x: int, y: int) -> int:
     return d
 
 
+def kantorovich_potential(
+    dist: np.ndarray, src: np.ndarray, dst: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """Integer potential proving that the assignment ``sigma`` is optimal.
+
+    ``dist`` is the integer distance matrix on a vertex set Z, ``src`` and
+    ``dst`` index two equal-size supports in Z, and ``sigma`` sends ``src[i]``
+    to ``dst[sigma[i]]``. Column potentials v come from Bellman-Ford on the
+    residual graph (arc sigma(i) -> j of weight C[i,j] - C[i,sigma(i)]), and
+    u_i = C[i,sigma(i)] - v_sigma(i). The returned f(z) = min_j (d(z, dst_j) - v_j)
+    on Z is checked exactly to be 1-Lipschitz on Z (McShane extends it to the
+    graph) with sum f[src] - sum f[dst] equal to the cost of ``sigma``; by
+    Kantorovich duality no assignment is cheaper. Raises CurvatureError if any
+    check fails.
+    """
+    k = len(src)
+    if sorted(sigma.tolist()) != list(range(k)):
+        raise CurvatureError("assignment is not a permutation")
+    cost = dist[np.ix_(src, dst)]
+    matched = cost[np.arange(k), sigma]
+    c_total = int(matched.sum())
+    reduced = cost - matched[:, None]
+    v = np.zeros(k, dtype=np.int64)
+    for _ in range(k):
+        relaxed = (v[sigma][:, None] + reduced).min(axis=0)
+        if np.array_equal(relaxed, v):
+            break
+        v = relaxed
+    u = matched - v[sigma]
+    if (u[:, None] + v[None, :] > cost).any():
+        raise CurvatureError("assignment is not optimal: dual potentials infeasible")
+    if int(u.sum()) + int(v.sum()) != c_total:
+        raise CurvatureError("dual value differs from the assignment cost")
+    f = (dist[:, dst] - v[None, :]).min(axis=1)
+    if (np.abs(f[:, None] - f[None, :]) > dist).any():
+        raise CurvatureError("Kantorovich potential is not 1-Lipschitz")
+    if int(f[src].sum()) - int(f[dst].sum()) != c_total:
+        raise CurvatureError("Kantorovich potential value differs from the assignment cost")
+    return f
+
+
 def assignment_wasserstein(
     g: Graph, x: int, y: int
 ) -> tuple[Fraction, TransportPlan]:
@@ -242,28 +285,33 @@ def assignment_wasserstein(
 
     Both measures are uniform on the closed neighborhoods B(x), B(y) of size
     d+1, so W = C/(d+1) where C is the minimum total distance over bijections
-    B(x) -> B(y).
+    B(x) -> B(y). The value is certified: the plan's marginals and cost are
+    checked exactly, and `kantorovich_potential` proves it optimal.
     """
     d = _regular_edge_degree(g, x, y)
     bx = sorted((x,) + g.neighbors(x))
     by = sorted((y,) + g.neighbors(y))
-    cost = np.empty((d + 1, d + 1), dtype=np.int64)
-    for i, v in enumerate(bx):
-        drow = g.distances_from(v)
-        for j, w in enumerate(by):
-            if drow[w] < 0:
-                raise CurvatureError("closed neighborhoods in different components")
-            cost[i, j] = drow[w]
-    rows, cols = linear_sum_assignment(cost)
-    c_total = int(cost[rows, cols].sum())
+    zone = sorted(set(bx) | set(by))
+    at = {z: i for i, z in enumerate(zone)}
+    dist = np.array(
+        [[row[z] for z in zone] for row in map(g.distances_from, zone)], dtype=np.int64
+    )
+    if (dist < 0).any():
+        raise CurvatureError("closed neighborhoods in different components")
+    src = np.array([at[v] for v in bx])
+    dst = np.array([at[w] for w in by])
+    rows, cols = linear_sum_assignment(dist[np.ix_(src, dst)])
+    sigma = np.full(d + 1, -1, dtype=np.int64)
+    sigma[rows] = cols
+    kantorovich_potential(dist, src, dst, sigma)
+    c_total = int(dist[src, dst[sigma]].sum())
     unit = Fraction(1, d + 1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i, j in zip(rows, cols):
-        key = (bx[i], by[j])
-        entries[key] = entries.get(key, Fraction(0)) + unit
-    plan = TransportPlan.from_dict(entries)
+    plan = TransportPlan.from_dict({(v, by[j]): unit for v, j in zip(bx, sigma.tolist())})
     plan.validate_marginals(mu_p(g, x, unit), mu_p(g, y, unit))
-    return Fraction(c_total, d + 1), plan
+    value = Fraction(c_total, d + 1)
+    if plan_cost(g, plan) != value:
+        raise CurvatureError("internal error: plan cost disagrees with assignment value")
+    return value, plan
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
@@ -278,20 +326,13 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
 
 
 def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
-    """Lin-Lu-Yau curvature of a regular edge, (d+1)/d * kappa at idleness 1/(d+1).
+    """Lin-Lu-Yau curvature of a regular edge, (d+1)/d * (1 - W) at idleness 1/(d+1).
 
-    Computed along both exact routes (min-cost flow and assignment) and
-    asserted equal before returning.
+    W is the certified assignment value of `assignment_wasserstein`: an exact
+    primal plan plus an integer 1-Lipschitz potential of equal value.
     """
     d = _regular_edge_degree(g, x, y)
-    via_flow = Fraction(d + 1, d) * ollivier_kappa_p(g, x, y, Fraction(1, d + 1))
-    w_assign, _ = assignment_wasserstein(g, x, y)
-    via_assign = Fraction(d + 1, d) * (1 - w_assign)
-    if via_flow != via_assign:
-        raise CurvatureError(
-            f"internal error: flow route {via_flow} != assignment route {via_assign}"
-        )
-    return via_flow
+    return Fraction(d + 1, d) * (1 - assignment_wasserstein(g, x, y)[0])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,25 @@ from .graph import AmplyParams, Graph, GraphError, detect_amply_params
 SEARCH_VERTEX_CAP = 10
 
 
+def infeasibility_reason(n: int, d: int, alpha: int) -> Optional[str]:
+    """Why no d-regular graph on n vertices has every edge in alpha triangles.
+
+    Exact counting conditions: the degree sum n*d is even; each neighborhood
+    induces an alpha-regular graph on d vertices, so d*alpha is even; and the
+    graph has n*d*alpha/6 triangles, an integer. None when all three hold.
+    """
+    if (n * d) % 2:
+        return f"n*d = {n * d} is odd, so no {d}-regular graph on {n} vertices exists"
+    if (d * alpha) % 2:
+        return (
+            f"d*alpha = {d * alpha} is odd, but each neighborhood would induce "
+            f"a graph on {d} vertices, regular of degree {alpha}"
+        )
+    if (n * d * alpha) % 6:
+        return f"the triangle count n*d*alpha/6 = {n * d * alpha}/6 is not an integer"
+    return None
+
+
 def search_amply(
     n: int, d: int, alpha: int, beta: Optional[int]
 ) -> Optional[Graph]:
@@ -23,7 +42,7 @@ def search_amply(
     """
     if n > SEARCH_VERTEX_CAP:
         raise GraphError(f"search limited to n <= {SEARCH_VERTEX_CAP}, got {n}")
-    if n < 1 or d < 0 or d >= n or (n * d) % 2 == 1:
+    if n < 1 or d < 0 or d >= n or infeasibility_reason(n, d, alpha) is not None:
         return None
     adj = [[False] * n for _ in range(n)]
     deg = [0] * n

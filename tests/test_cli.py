@@ -101,6 +101,12 @@ class TestCurvature:
         code, _, err = run(capsys, "curvature", h23_file, "--edge", "0", "4")
         assert code == EXIT_INPUT and err.startswith("error:")
 
+    @pytest.mark.parametrize("edge", [("0", "1"), ("99", "0")])
+    def test_all_with_edge_rejected(self, capsys, h23_file, edge):
+        code, out, err = run(capsys, "curvature", h23_file, "--all", "--edge", *edge)
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: pass --all or --edge u v, not both\n"
+
 
 class TestVerify:
     def test_h23_passes(self, capsys, h23_file):
@@ -165,6 +171,22 @@ def test_edge_out_of_range(capsys, h23_file, command, edge):
     assert err.startswith(f"error: --edge vertex {edge[0]} out of range")
 
 
+@pytest.mark.parametrize(
+    "fmt, command, rest",
+    [
+        ("csv", "hgraph", ("--edge", "0", "1")),
+        ("csv", "params", ()),
+        ("csv", "spectrum", ()),
+        ("csv", "diameter", ()),
+        ("json", "diameter", ()),
+    ],
+)
+def test_unrendered_format_rejected(capsys, h23_file, fmt, command, rest):
+    code, out, err = run(capsys, "--format", fmt, command, h23_file, *rest)
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(f"error: {command} does not render --format {fmt}")
+
+
 class TestSpectrumDiameterSearch:
     def test_spectrum_text(self, capsys, h23_file):
         code, out, _ = run(capsys, "spectrum", h23_file)
@@ -200,8 +222,25 @@ class TestSpectrumDiameterSearch:
         assert detect_amply_params(g).as_tuple() == (8, 3, 0, 2)
 
     def test_search_none(self, capsys):
-        code, out, _ = run(capsys, "search", "5", "3", "0", "2")
+        code, out, err = run(capsys, "search", "5", "3", "0", "2")
         assert code == EXIT_OK and out.strip() == "none"
+        assert err == "none: n*d = 15 is odd, so no 3-regular graph on 5 vertices exists\n"
+
+    @pytest.mark.parametrize(
+        "params, reason",
+        [
+            (("8", "5", "2", "4"), "the triangle count n*d*alpha/6 = 80/6 is not an integer"),
+            (("6", "3", "1", "2"), "d*alpha = 3 is odd"),
+        ],
+    )
+    def test_search_infeasible_reason(self, capsys, params, reason):
+        code, out, err = run(capsys, "search", *params)
+        assert code == EXIT_OK and out == "none\n"
+        assert err.startswith(f"none: {reason}")
+
+    def test_search_exhausted_without_reason(self, capsys):
+        code, out, err = run(capsys, "search", "6", "3", "0", "2")
+        assert code == EXIT_OK and out == "none\n" and err == ""
 
     def test_search_beta_none(self, capsys):
         code, out, _ = run(capsys, "search", "4", "3", "2", "none")

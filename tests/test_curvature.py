@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from arcurv import (
     CurvatureError,
@@ -17,6 +19,7 @@ from arcurv import (
     gen_hypercube,
     gen_paley,
     gen_shrikhande,
+    kantorovich_potential,
     lly_curvature,
     mu_p,
     ollivier_kappa_p,
@@ -24,7 +27,11 @@ from arcurv import (
     wasserstein,
 )
 
-from conftest import brute_regular_wasserstein, random_connected_graph
+from conftest import (
+    brute_regular_wasserstein,
+    random_connected_graph,
+    random_connected_regular_graph,
+)
 
 
 class TestMuP:
@@ -168,6 +175,65 @@ class TestAssignmentWasserstein:
                 flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
                 assign_value, _ = assignment_wasserstein(g, x, y)
                 assert flow_value == assign_value
+
+
+def _edge_zone(g, x, y):
+    """Distance matrix on B(x) u B(y) and the index arrays of B(x) and B(y) in it."""
+    bx = sorted((x,) + g.neighbors(x))
+    by = sorted((y,) + g.neighbors(y))
+    zone = sorted(set(bx) | set(by))
+    dist = np.array([[g.distance(a, b) for b in zone] for a in zone], dtype=np.int64)
+    return dist, np.array([zone.index(v) for v in bx]), np.array([zone.index(w) for w in by])
+
+
+class TestKantorovichCertificate:
+    def test_certifies_optimal_assignment(self):
+        g = gen_paley(13)
+        x, y = g.edges()[0]
+        dist, src, dst = _edge_zone(g, x, y)
+        cost = dist[np.ix_(src, dst)]
+        sigma = linear_sum_assignment(cost)[1]
+        f = kantorovich_potential(dist, src, dst, sigma)
+        c_total = int(cost[np.arange(len(src)), sigma].sum())
+        assert int(f[src].sum() - f[dst].sum()) == c_total
+        assert (np.abs(f[:, None] - f[None, :]) <= dist).all()
+        assert Fraction(c_total, len(src)) == assignment_wasserstein(g, x, y)[0]
+
+    def test_rejects_non_optimal_assignment(self):
+        g = gen_paley(13)
+        x, y = g.edges()[0]
+        dist, src, dst = _edge_zone(g, x, y)
+        # a cyclic shift of the sorted order, dearer than the optimum (asserted)
+        sigma = np.roll(np.arange(len(dst)), 1)
+        optimum = assignment_wasserstein(g, x, y)[0] * len(src)
+        assert dist[src, dst[sigma]].sum() > optimum
+        with pytest.raises(CurvatureError, match="not optimal"):
+            kantorovich_potential(dist, src, dst, sigma)
+
+    def test_rejects_non_permutation(self):
+        g = gen_paley(13)
+        dist, src, dst = _edge_zone(g, *g.edges()[0])
+        with pytest.raises(CurvatureError, match="permutation"):
+            kantorovich_potential(dist, src, dst, np.zeros(len(src), dtype=np.int64))
+
+    def test_assignment_wasserstein_rejects_bad_solver(self, monkeypatch):
+        def worst_assignment(cost):
+            return linear_sum_assignment(-cost)
+
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", worst_assignment)
+        g = gen_paley(13)
+        with pytest.raises(CurvatureError, match="not optimal"):
+            assignment_wasserstein(g, *g.edges()[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_lly_matches_brute_force_on_random_regular_graphs(seed):
+    g = random_connected_regular_graph(seed, max_n=10)
+    d = g.regular_degree()
+    for x, y in g.edges():
+        expected = Fraction(d + 1, d) * (1 - brute_regular_wasserstein(g, x, y))
+        assert lly_curvature(g, x, y) == expected
 
 
 class TestKappa:
