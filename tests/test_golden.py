@@ -1,4 +1,4 @@
-"""Golden outputs: `verify`, `hgraph` and `curvature --all` stay byte-identical.
+"""Golden outputs: `verify`, `hgraph`, `curvature --all` and `search` stay byte-identical.
 
 Each file under ``tests/golden/`` is the CLI's stdout for one case;
 ``MANIFEST.json`` holds each case's argv, exit code and stderr. The inputs
@@ -46,6 +46,16 @@ KINDS = {
     "paley29": ("verify.txt", "verify.json", "curvature.json"),
 }
 
+# `search` tuples (n, d, alpha, beta): seven hits, among them the Petersen
+# graph (10,3,0,1), then three exhausted tuples and the infeasible (8,5,2,4).
+SEARCHES = (
+    ("10", "3", "0", "1"), ("8", "3", "0", "2"), ("6", "4", "2", "4"),
+    ("9", "6", "3", "6"), ("9", "4", "1", "2"), ("10", "8", "6", "8"),
+    ("4", "3", "2", "none"),
+    ("10", "3", "0", "2"), ("9", "4", "2", "2"), ("10", "6", "3", "3"),
+    ("8", "5", "2", "4"),
+)
+
 # Floating-point Jacobi values in the verify JSON, compared within this
 # tolerance so that the test holds across BLAS builds.
 FLOAT_KEYS = ("sigma_second", "lambda_one")
@@ -70,6 +80,8 @@ def _cases() -> dict[str, list[str]]:
         }
         for kind in KINDS.get(name, ALL_KINDS):
             cases[f"{name}-{kind}"] = argvs[kind]
+    for params in SEARCHES:
+        cases[f"search-{'-'.join(params)}.txt"] = ["search", *params]
     return cases
 
 
