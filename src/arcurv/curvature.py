@@ -285,8 +285,9 @@ def assignment_wasserstein(
 
     Both measures are uniform on the closed neighborhoods B(x), B(y) of size
     d+1, so W = C/(d+1) where C is the minimum total distance over bijections
-    B(x) -> B(y). The value is certified: the plan's marginals and cost are
-    checked exactly, and `kantorovich_potential` proves it optimal.
+    B(x) -> B(y). The value is certified: the plan's marginals (one unit out of
+    each vertex of B(x), one into each of B(y)) and its total BFS distance are
+    checked in integers, and `kantorovich_potential` proves it optimal.
     """
     d = _regular_edge_degree(g, x, y)
     bx = sorted((x,) + g.neighbors(x))
@@ -307,11 +308,18 @@ def assignment_wasserstein(
     c_total = int(dist[src, dst[sigma]].sum())
     unit = Fraction(1, d + 1)
     plan = TransportPlan.from_dict({(v, by[j]): unit for v, j in zip(bx, sigma.tolist())})
-    plan.validate_marginals(mu_p(g, x, unit), mu_p(g, y, unit))
-    value = Fraction(c_total, d + 1)
-    if plan_cost(g, plan) != value:
+    # Both measures are uniform, so the marginals are integer counts: each
+    # vertex of B(x) sends one unit and each vertex of B(y) receives one.
+    pairs = [pair for pair, _ in plan.entries]
+    if (
+        len(pairs) != d + 1
+        or sorted(v for v, _ in pairs) != bx
+        or sorted(w for _, w in pairs) != by
+    ):
+        raise CurvatureError("plan marginals are not uniform on B(x) and B(y)")
+    if sum(g.distance(v, w) for v, w in pairs) != c_total:
         raise CurvatureError("internal error: plan cost disagrees with assignment value")
-    return value, plan
+    return Fraction(c_total, d + 1), plan
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:

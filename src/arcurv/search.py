@@ -33,47 +33,78 @@ def search_amply(
 ) -> Optional[Graph]:
     """First d-regular graph on n vertices that is amply regular with (alpha, beta).
 
-    Exhaustive backtracking over edge slots in lexicographic pair order,
-    pruned by degree feasibility and partial common-neighbor counts. Vertex 0
-    is pinned to neighbors 1..d (every candidate has such a relabeling), so
-    one representative per orbit of that pinning is enough. ``beta=None``
-    asks for a graph with no distance-2 pair. Deterministic first hit;
-    absence is returned as None.
+    Exhaustive backtracking over edge slots in lexicographic pair order, edge
+    present first, then absent. Vertex 0 is pinned to neighbors 1..d (every
+    candidate has such a relabeling), so one representative per orbit of that
+    pinning is enough. Neighborhoods are int bitmasks. No prune cuts a graph
+    that passes the final ``detect_amply_params`` check, so the first hit is
+    the first such leaf in this order:
+
+    - degree: no vertex goes past d, and each keeps enough undecided slots
+      to reach d;
+    - partial alpha: adding an edge only grows common-neighbor counts, so no
+      adjacent pair may already be past alpha;
+    - completed vertex: after slot (u, n-1) all slots at u and at every
+      a < u are decided, so the pair (a, u) is final. An adjacent pair must
+      have exactly alpha common neighbors; a non-adjacent pair with a common
+      neighbor is at distance 2, so it must have exactly beta (and
+      ``beta=None``, which asks for no distance-2 pair, ends the branch).
+
+    Absence is returned as None. Negative parameters raise ``GraphError``.
     """
     if n > SEARCH_VERTEX_CAP:
         raise GraphError(f"search limited to n <= {SEARCH_VERTEX_CAP}, got {n}")
-    if n < 1 or d < 0 or d >= n or infeasibility_reason(n, d, alpha) is not None:
+    if min(n, d, alpha, 0 if beta is None else beta) < 0:
+        raise GraphError(
+            f"search parameters must be nonnegative, got n={n}, d={d}, "
+            f"alpha={alpha}, beta={beta}"
+        )
+    if n < 1 or d >= n or infeasibility_reason(n, d, alpha) is not None:
         return None
-    adj = [[False] * n for _ in range(n)]
-    deg = [0] * n
-    for v in range(1, d + 1):
-        adj[0][v] = adj[v][0] = True
-        deg[0] += 1
-        deg[v] += 1
-    slots = [(u, v) for u in range(1, n) for v in range(u + 1, n)]
-
-    def common_count(u: int, v: int) -> int:
-        return sum(1 for w in range(n) if adj[u][w] and adj[v][w])
+    # neighborhood bitmasks, vertex 0 pinned to 1..d
+    nb = [(1 << d + 1) - 2] + [1] * d + [0] * (n - 1 - d)
+    # (u, v, undecided slots at u after this one, undecided slots at v after it)
+    slots = []
+    left = [0] * n
+    for u, v in reversed([(u, v) for u in range(1, n) for v in range(u + 1, n)]):
+        slots.append((u, v, left[u], left[v]))
+        left[u] += 1
+        left[v] += 1
+    slots.reverse()
 
     def alpha_ok_after(u: int, v: int) -> bool:
         # adding uv can only grow counts; reject any adjacent pair already past alpha
-        if common_count(u, v) > alpha:
+        common = nb[u] & nb[v]
+        if common.bit_count() > alpha:
             return False
-        for w in range(n):
-            if adj[u][w] and adj[v][w]:
-                if common_count(u, w) > alpha or common_count(v, w) > alpha:
-                    return False
+        while common:
+            bit = common & -common
+            w = bit.bit_length() - 1
+            if (nb[u] & nb[w]).bit_count() > alpha or (nb[v] & nb[w]).bit_count() > alpha:
+                return False
+            common ^= bit
         return True
 
-    def remaining(u: int, idx: int) -> int:
-        # undecided slots incident to u at or after position idx
-        return sum(1 for s, t in slots[idx:] if s == u or t == u)
+    def completed_ok(u: int) -> bool:
+        for a in range(u):
+            c = (nb[a] & nb[u]).bit_count()
+            if nb[u] >> a & 1:
+                if c != alpha:
+                    return False
+            elif c and (beta is None or c != beta):
+                return False
+        return True
+
+    def descend(idx: int, u: int, v: int) -> Optional[Graph]:
+        if v == n - 1 and not completed_ok(u):
+            return None
+        return backtrack(idx + 1)
 
     def backtrack(idx: int) -> Optional[Graph]:
         if idx == len(slots):
-            if any(deg[v] != d for v in range(n)):
+            if any(mask.bit_count() != d for mask in nb):
                 return None
-            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u][v]])
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if nb[u] >> v & 1])
             if not g.is_connected():
                 return None
             params = detect_amply_params(g)
@@ -85,21 +116,20 @@ def search_amply(
             ):
                 return g
             return None
-        u, v = slots[idx]
+        u, v, left_u, left_v = slots[idx]
+        deg_u, deg_v = nb[u].bit_count(), nb[v].bit_count()
         # try edge present first, then absent
-        if deg[u] < d and deg[v] < d:
-            adj[u][v] = adj[v][u] = True
-            deg[u] += 1
-            deg[v] += 1
+        if deg_u < d and deg_v < d:
+            nb[u] |= 1 << v
+            nb[v] |= 1 << u
             if alpha_ok_after(u, v):
-                found = backtrack(idx + 1)
+                found = descend(idx, u, v)
                 if found is not None:
                     return found
-            adj[u][v] = adj[v][u] = False
-            deg[u] -= 1
-            deg[v] -= 1
-        if deg[u] + remaining(u, idx + 1) >= d and deg[v] + remaining(v, idx + 1) >= d:
-            return backtrack(idx + 1)
+            nb[u] ^= 1 << v
+            nb[v] ^= 1 << u
+        if deg_u + left_u >= d and deg_v + left_v >= d:
+            return descend(idx, u, v)
         return None
 
     return backtrack(0)

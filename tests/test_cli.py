@@ -242,6 +242,15 @@ class TestSpectrumDiameterSearch:
         code, out, err = run(capsys, "search", "6", "3", "0", "2")
         assert code == EXIT_OK and out == "none\n" and err == ""
 
+    @pytest.mark.parametrize(
+        "params",
+        [("-1", "2", "0", "1"), ("5", "-1", "0", "1"), ("5", "2", "-1", "1"), ("5", "2", "0", "-1")],
+    )
+    def test_search_negative_parameter(self, capsys, params):
+        code, out, err = run(capsys, "search", *params)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: search parameters must be nonnegative")
+
     def test_search_beta_none(self, capsys):
         code, out, _ = run(capsys, "search", "4", "3", "2", "none")
         assert code == EXIT_OK
