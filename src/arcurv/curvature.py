@@ -308,8 +308,6 @@ def assignment_wasserstein(
     c_total = int(dist[src, dst[sigma]].sum())
     unit = Fraction(1, d + 1)
     plan = TransportPlan.from_dict({(v, by[j]): unit for v, j in zip(bx, sigma.tolist())})
-    # Both measures are uniform, so the marginals are integer counts: each
-    # vertex of B(x) sends one unit and each vertex of B(y) receives one.
     pairs = [pair for pair, _ in plan.entries]
     if (
         len(pairs) != d + 1
