@@ -37,10 +37,13 @@ GRAPHS = {
 
 ALL_KINDS = (
     "verify.txt", "verify.json", "verify.csv", "hgraph.txt", "hgraph.json",
-    "curvature.json", "curvature-p1_2.json",
+    "curvature.json", "curvature-p1_2.json", "curvature-p0.json", "curvature-pknee.json",
 )
 # The larger graphs pin only the outputs that rest on the exact LLY transport.
+# H(2,3) (d = 4) also pins CSV at p = 1/10, inside (0, 1/(d+1)), where kappa_p
+# is interpolated between the idleness-0 and the LLY assignments.
 KINDS = {
+    "h23": ALL_KINDS + ("curvature-p1_10.csv",),
     "h33": ("verify.txt", "verify.json"),
     "cocktail8": ("verify.txt", "verify.json"),
     "paley29": ("verify.txt", "verify.json", "curvature.json"),
@@ -66,7 +69,9 @@ def _cases() -> dict[str, list[str]]:
     cases = {}
     for name, make in GRAPHS.items():
         path = f"{name}.txt"
-        u, v = (str(i) for i in make().edges()[0])
+        g = make()
+        u, v = (str(i) for i in g.edges()[0])
+        knee = f"1/{g.regular_degree() + 1}"
         argvs = {
             "verify.txt": ["verify", path],
             "verify.json": ["--format", "json", "verify", path],
@@ -76,6 +81,16 @@ def _cases() -> dict[str, list[str]]:
             "curvature.json": ["--format", "json", "curvature", path, "--all"],
             "curvature-p1_2.json": [
                 "--format", "json", "curvature", path, "--all", "--p", "1/2",
+            ],
+            "curvature-p0.json": [
+                "--format", "json", "curvature", path, "--all", "--p", "0",
+            ],
+            # p = 1/(d+1), where the idleness function of a regular edge bends
+            "curvature-pknee.json": [
+                "--format", "json", "curvature", path, "--all", "--p", knee,
+            ],
+            "curvature-p1_10.csv": [
+                "--format", "csv", "curvature", path, "--all", "--p", "1/10",
             ],
         }
         for kind in KINDS.get(name, ALL_KINDS):
