@@ -7,6 +7,7 @@ from .curvature import (
     Rational,
     TransportPlan,
     assignment_wasserstein,
+    check_uniform_plan,
     curvature_all_edges,
     kantorovich_potential,
     lly_curvature,

@@ -142,7 +142,10 @@ def _cmd_params(args) -> int:
 
 def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
     if args.p is not None:
-        p = Fraction(args.p)
+        try:
+            p = Fraction(args.p)
+        except ZeroDivisionError:
+            raise ValueError(f"idleness {args.p} has a zero denominator") from None
         if args.all:
             return [(u, v, ollivier_kappa_p(g, u, v, p)) for u, v in g.edges()]
         u, v = _edge(g, args.edge)

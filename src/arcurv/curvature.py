@@ -4,8 +4,11 @@ All masses, costs, and curvature values are `fractions.Fraction` or integers;
 nothing in this module touches floating point. The regular-edge Wasserstein
 value behind Lin-Lu-Yau curvature comes from one integer assignment solve over
 the closed neighborhoods, proven optimal by an integer 1-Lipschitz Kantorovich
-potential of equal value. The min-cost-flow transportation solve serves general
-idleness p.
+potential of equal value. Idleness-p curvature of a regular edge rests on that
+assignment for p >= 1/(d+1) and on the same certified assignment over the open
+neighborhoods for p = 0; in between, the linearity theorem of Bourne et al.
+(SIAM J. Discrete Math. 32, 2018) interpolates. The min-cost-flow
+transportation solve serves only irregular graphs and non-adjacent pairs.
 """
 
 from __future__ import annotations
@@ -278,57 +281,101 @@ def kantorovich_potential(
     return f
 
 
-def assignment_wasserstein(
-    g: Graph, x: int, y: int
-) -> tuple[Fraction, TransportPlan]:
-    """W at idleness 1/(d+1) on a regular edge, via exact integer assignment.
+def check_uniform_plan(plan: TransportPlan, sources, targets) -> None:
+    """Check in integers that ``plan`` is a bijection ``sources`` -> ``targets``.
 
-    Both measures are uniform on the closed neighborhoods B(x), B(y) of size
-    d+1, so W = C/(d+1) where C is the minimum total distance over bijections
-    B(x) -> B(y). The value is certified: the plan's marginals (one unit out of
-    each vertex of B(x), one into each of B(y)) and its total BFS distance are
-    checked in integers, and `kantorovich_potential` proves it optimal.
+    The plan must have one entry per source, each of mass 1/k for k sources,
+    with its sorted sources equal to ``sources`` and its sorted targets equal
+    to ``targets``: exactly the marginals of the two uniform measures.
     """
-    d = _regular_edge_degree(g, x, y)
-    bx = sorted((x,) + g.neighbors(x))
-    by = sorted((y,) + g.neighbors(y))
-    zone = sorted(set(bx) | set(by))
+    k = len(sources)
+    unit = Fraction(1, k)
+    pairs = [pair for pair, _ in plan.entries]
+    if (
+        len(pairs) != k
+        or any(m != unit for _, m in plan.entries)
+        or sorted(v for v, _ in pairs) != sorted(sources)
+        or sorted(w for _, w in pairs) != sorted(targets)
+    ):
+        raise CurvatureError("plan marginals are not uniform on the two supports")
+
+
+def assignment_wasserstein(
+    g: Graph, sources, targets
+) -> tuple[Fraction, TransportPlan]:
+    """Exact W between uniform measures on two equal-size vertex sets.
+
+    Serves a regular edge xy twice: the closed neighborhoods B(x), B(y) carry
+    the idleness-1/(d+1) measures, the open neighborhoods N(x), N(y) the
+    idleness-0 ones. With k vertices on each side an optimal plan is a
+    bijection (Birkhoff), so W = C/k where C is the minimum total distance
+    over bijections, found by one integer assignment solve. The value is
+    certified: the plan's marginals (one unit out of each source, one into
+    each target) and its total BFS distance are checked in integers, and
+    `kantorovich_potential` proves it optimal.
+    """
+    k = len(sources)
+    if k == 0 or k != len(targets):
+        raise CurvatureError("assignment needs two vertex sets of equal positive size")
+    zone = sorted(set(sources) | set(targets))
     at = {z: i for i, z in enumerate(zone)}
     dist = np.array(
         [[row[z] for z in zone] for row in map(g.distances_from, zone)], dtype=np.int64
     )
     if (dist < 0).any():
-        raise CurvatureError("closed neighborhoods in different components")
-    src = np.array([at[v] for v in bx])
-    dst = np.array([at[w] for w in by])
+        raise CurvatureError("supports lie in different components")
+    src = np.array([at[v] for v in sources])
+    dst = np.array([at[w] for w in targets])
     rows, cols = linear_sum_assignment(dist[np.ix_(src, dst)])
-    sigma = np.full(d + 1, -1, dtype=np.int64)
+    sigma = np.full(k, -1, dtype=np.int64)
     sigma[rows] = cols
     kantorovich_potential(dist, src, dst, sigma)
     c_total = int(dist[src, dst[sigma]].sum())
-    unit = Fraction(1, d + 1)
-    plan = TransportPlan.from_dict({(v, by[j]): unit for v, j in zip(bx, sigma.tolist())})
-    pairs = [pair for pair, _ in plan.entries]
-    if (
-        len(pairs) != d + 1
-        or sorted(v for v, _ in pairs) != bx
-        or sorted(w for _, w in pairs) != by
-    ):
-        raise CurvatureError("plan marginals are not uniform on B(x) and B(y)")
-    if sum(g.distance(v, w) for v, w in pairs) != c_total:
+    unit = Fraction(1, k)
+    plan = TransportPlan.from_dict(
+        {(v, targets[j]): unit for v, j in zip(sources, sigma.tolist())}
+    )
+    check_uniform_plan(plan, sources, targets)
+    if sum(g.distance(v, w) for (v, w), _ in plan.entries) != c_total:
         raise CurvatureError("internal error: plan cost disagrees with assignment value")
-    return Fraction(c_total, d + 1), plan
+    return Fraction(c_total, k), plan
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
-    """p-idleness Ollivier curvature: 1 - W(mu_x^p, mu_y^p) / d(x, y)."""
+    """p-idleness Ollivier curvature: 1 - W(mu_x^p, mu_y^p) / d(x, y).
+
+    On an edge of a d-regular graph, p -> kappa_p is linear on [0, 1/(d+1)]
+    and on [1/(d+1), 1] (Bourne, Cushing, Liu, Muench & Peyerimhoff, SIAM J.
+    Discrete Math. 32, 2018), and kappa_1 = 0. So kappa_p rests on two
+    certified assignments of `assignment_wasserstein`, solving only those p
+    needs:
+
+    - p >= 1/(d+1): (1-p) kappa_LLY, from the B(x) -> B(y) assignment;
+    - p = 0: 1 - W(unif N(x), unif N(y)), from the N(x) -> N(y) assignment;
+    - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY.
+
+    Irregular graphs and non-adjacent pairs go through the min-cost flow.
+    """
     if x == y:
         raise CurvatureError("curvature requires distinct vertices")
     dxy = g.distance(x, y)
     if dxy is None:
         raise CurvatureError("vertices lie in different components")
-    w, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
-    return 1 - w / dxy
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise CurvatureError(f"idleness {p} outside [0, 1]")
+    d = g.regular_degree()
+    if d is None or dxy != 1:
+        w, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
+        return 1 - w / dxy
+    knee = Fraction(1, d + 1)
+    if p >= knee:
+        return (1 - p) * lly_curvature(g, x, y)
+    kappa_0 = 1 - assignment_wasserstein(g, g.neighbors(x), g.neighbors(y))[0]
+    if p == 0:
+        return kappa_0
+    kappa_knee = (1 - knee) * lly_curvature(g, x, y)
+    return kappa_0 + (kappa_knee - kappa_0) * p / knee
 
 
 def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
@@ -338,7 +385,9 @@ def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
     primal plan plus an integer 1-Lipschitz potential of equal value.
     """
     d = _regular_edge_degree(g, x, y)
-    return Fraction(d + 1, d) * (1 - assignment_wasserstein(g, x, y)[0])
+    bx = sorted((x,) + g.neighbors(x))
+    by = sorted((y,) + g.neighbors(y))
+    return Fraction(d + 1, d) * (1 - assignment_wasserstein(g, bx, by)[0])
 
 
 @dataclass(frozen=True)

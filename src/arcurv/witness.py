@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .curvature import TransportPlan, lly_curvature, mu_p, plan_cost
+from .curvature import TransportPlan, check_uniform_plan, lly_curvature, plan_cost
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params, edge_partition
 from .matching import (
     Bipartite,
@@ -284,8 +284,9 @@ def build_pi0(
     """The explicit transport plan induced by a matching covering z_1 z_1'.
 
     Mass 1/(d+1) stays put on every common neighbor and on x and y; each
-    N_x vertex ships its mass to its chain partner in N_y. Marginals are
-    validated exactly against the idleness-1/(d+1) measures.
+    N_x vertex ships its mass to its chain partner in N_y. The marginals are
+    checked in integers to be the idleness-1/(d+1) measures, uniform on B(x)
+    and B(y).
     """
     z1l, z1r = h.z1_edge()
     if m.pairs.get(z1l) != z1r:
@@ -298,7 +299,7 @@ def build_pi0(
     for c in reachable_map(h, m):
         entries[(c.v0, c.w0)] = unit
     plan = TransportPlan.from_dict(entries)
-    plan.validate_marginals(mu_p(g, h.x, unit), mu_p(g, h.y, unit))
+    check_uniform_plan(plan, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
     return plan
 
 

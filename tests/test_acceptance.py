@@ -190,11 +190,12 @@ def test_criterion_08_oracle_equivalence():
         p = Fraction(1, d + 1)
         for x, y in g.edges():
             flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
-            assign_value, _ = assignment_wasserstein(g, x, y)
+            bx, by = ((v,) + g.neighbors(v) for v in (x, y))
+            assign_value, _ = assignment_wasserstein(g, bx, by)
             assert flow_value == assign_value
 
 
-@criterion(9, "kappa_p = (1-p) kappa at both segment endpoints on every edge", 10.0)
+@criterion(9, "kappa_p = (1-p) kappa at both segment endpoints on every edge, by the flow", 10.0)
 def test_criterion_09_linearity():
     for g in (gen_hamming(2, 3), gen_shrikhande(), gen_cocktail(3)):
         d = g.regular_degree()
@@ -202,6 +203,8 @@ def test_criterion_09_linearity():
             kappa = lly_curvature(g, x, y)
             for p in (Fraction(1, d + 1), Fraction(d, d + 1)):
                 assert ollivier_kappa_p(g, x, y, p) == (1 - p) * kappa
+                # ollivier_kappa_p rests on this linearity; the flow does not
+                assert 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))[0] == (1 - p) * kappa
 
 
 @criterion(10, "conference graphs: kappa >= 3/(2 gamma) on every edge", 10.0)

@@ -93,6 +93,12 @@ class TestCurvature:
         code, out, _ = run(capsys, "curvature", h23_file, "--edge", "0", "1", "--p", "1")
         assert code == EXIT_OK and out.strip() == "0 1 0"
 
+    @pytest.mark.parametrize("p", ["1/0", "abc"])
+    def test_bad_idleness(self, capsys, h23_file, p):
+        code, out, err = run(capsys, "curvature", h23_file, "--edge", "0", "1", "--p", p)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_requires_edge_or_all(self, capsys, h23_file):
         code, _, err = run(capsys, "curvature", h23_file)
         assert code == EXIT_INPUT and "--all" in err

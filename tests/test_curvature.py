@@ -11,6 +11,7 @@ from arcurv import (
     ProbMeasure,
     TransportPlan,
     assignment_wasserstein,
+    check_uniform_plan,
     curvature_all_edges,
     gen_complete,
     gen_cocktail,
@@ -32,6 +33,16 @@ from conftest import (
     random_connected_graph,
     random_connected_regular_graph,
 )
+
+
+def _balls(g, x, y):
+    """The closed neighborhoods B(x) and B(y), sorted."""
+    return sorted((x,) + g.neighbors(x)), sorted((y,) + g.neighbors(y))
+
+
+def _flow_kappa(g, x, y, p):
+    """kappa_p by the min-cost flow, the reference for the regular-edge formula."""
+    return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))[0] / g.distance(x, y)
 
 
 class TestMuP:
@@ -74,6 +85,20 @@ class TestPlanCost:
         plan = TransportPlan((((0, 1), Fraction(-1)), ((0, 2), Fraction(2))))
         with pytest.raises(CurvatureError):
             plan_cost(g, plan)
+
+    def test_uniform_plan_check(self):
+        half = Fraction(1, 2)
+        good = TransportPlan.from_dict({(0, 1): half, (2, 3): half})
+        check_uniform_plan(good, (2, 0), (1, 3))
+        bad = [
+            {(0, 1): half, (0, 3): half},  # source 2 ships nothing, 0 ships twice
+            {(0, 1): half, (2, 1): half},  # target 3 receives nothing
+            {(0, 1): Fraction(1, 3), (2, 3): Fraction(2, 3)},  # masses not uniform
+            {(0, 1): half},  # too few entries
+        ]
+        for entries in bad:
+            with pytest.raises(CurvatureError, match="not uniform"):
+                check_uniform_plan(TransportPlan.from_dict(entries), (0, 2), (1, 3))
 
     def test_marginal_validation(self):
         g = gen_cycle(6)
@@ -149,23 +174,37 @@ class TestWasserstein:
 class TestAssignmentWasserstein:
     def test_complete_graph_zero(self):
         g = gen_complete(4)
-        value, _ = assignment_wasserstein(g, 0, 1)
+        value, _ = assignment_wasserstein(g, *_balls(g, 0, 1))
         assert value == 0
 
     def test_shrikhande(self):
         g = gen_shrikhande()
-        value, _ = assignment_wasserstein(g, *g.edges()[0])
+        value, _ = assignment_wasserstein(g, *_balls(g, *g.edges()[0]))
         assert value == Fraction(5, 7)  # kappa = (7/6)(1 - 5/7) = 1/3
 
     def test_rook_4x4(self):
         g = gen_hamming(2, 4)
-        value, _ = assignment_wasserstein(g, *g.edges()[0])
+        value, _ = assignment_wasserstein(g, *_balls(g, *g.edges()[0]))
         assert value == Fraction(3, 7)  # kappa = (7/6)(1 - 3/7) = 2/3
 
     def test_requires_edge(self):
         g = gen_cycle(6)
-        with pytest.raises(CurvatureError):
-            assignment_wasserstein(g, 0, 3)
+        with pytest.raises(CurvatureError, match="not an edge"):
+            lly_curvature(g, 0, 3)
+
+    def test_requires_equal_supports(self):
+        g = gen_cycle(6)
+        for sources, targets in (([0, 1], [3]), ([], [])):
+            with pytest.raises(CurvatureError, match="equal positive size"):
+                assignment_wasserstein(g, sources, targets)
+
+    def test_idleness_zero_supports(self):
+        # N(0) = {1, 5} -> N(1) = {0, 2} on C6: 1 -> 2, 5 -> 0 costs 1 + 1,
+        # the other bijection 1 + 3, so W = 2/2
+        g = gen_cycle(6)
+        value, plan = assignment_wasserstein(g, g.neighbors(0), g.neighbors(1))
+        assert value == 1 and plan_cost(g, plan) == 1
+        assert plan.as_dict() == {(1, 2): Fraction(1, 2), (5, 0): Fraction(1, 2)}
 
     def test_oracle_equivalence_with_flow(self):
         for g in (gen_cycle(7), gen_paley(13), gen_cocktail(4)):
@@ -173,7 +212,7 @@ class TestAssignmentWasserstein:
             p = Fraction(1, d + 1)
             for x, y in g.edges()[:10]:
                 flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
-                assign_value, _ = assignment_wasserstein(g, x, y)
+                assign_value, _ = assignment_wasserstein(g, *_balls(g, x, y))
                 assert flow_value == assign_value
 
 
@@ -197,7 +236,7 @@ class TestKantorovichCertificate:
         c_total = int(cost[np.arange(len(src)), sigma].sum())
         assert int(f[src].sum() - f[dst].sum()) == c_total
         assert (np.abs(f[:, None] - f[None, :]) <= dist).all()
-        assert Fraction(c_total, len(src)) == assignment_wasserstein(g, x, y)[0]
+        assert Fraction(c_total, len(src)) == assignment_wasserstein(g, *_balls(g, x, y))[0]
 
     def test_rejects_non_optimal_assignment(self):
         g = gen_paley(13)
@@ -205,7 +244,7 @@ class TestKantorovichCertificate:
         dist, src, dst = _edge_zone(g, x, y)
         # a cyclic shift of the sorted order, dearer than the optimum (asserted)
         sigma = np.roll(np.arange(len(dst)), 1)
-        optimum = assignment_wasserstein(g, x, y)[0] * len(src)
+        optimum = assignment_wasserstein(g, *_balls(g, x, y))[0] * len(src)
         assert dist[src, dst[sigma]].sum() > optimum
         with pytest.raises(CurvatureError, match="not optimal"):
             kantorovich_potential(dist, src, dst, sigma)
@@ -223,7 +262,16 @@ class TestKantorovichCertificate:
         monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", worst_assignment)
         g = gen_paley(13)
         with pytest.raises(CurvatureError, match="not optimal"):
-            assignment_wasserstein(g, *g.edges()[0])
+            assignment_wasserstein(g, *_balls(g, *g.edges()[0]))
+
+    def test_idleness_zero_rejects_bad_solver(self, monkeypatch):
+        def worst_assignment(cost):
+            return linear_sum_assignment(-cost)
+
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", worst_assignment)
+        g = gen_paley(13)
+        with pytest.raises(CurvatureError, match="not optimal"):
+            ollivier_kappa_p(g, *g.edges()[0], Fraction(0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -268,6 +316,29 @@ class TestKappa:
         # kappa_p stays available on irregular graphs
         assert ollivier_kappa_p(g, 0, 1, Fraction(1, 2)) is not None
 
+    def test_flow_serves_irregular_edges_and_non_adjacent_pairs(self):
+        from arcurv import Graph
+
+        irregular = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)])
+        cases = [(irregular, x, y) for x, y in irregular.edges()]
+        cases += [(gen_cycle(7), 0, 2), (gen_cycle(7), 0, 3), (gen_paley(13), 0, 2)]
+        for g, x, y in cases:
+            assert not (g.regular_degree() and g.is_edge(x, y))
+            for p in (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1)):
+                assert ollivier_kappa_p(g, x, y, p) == _flow_kappa(g, x, y, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_idleness_formula_matches_flow_on_random_regular_graphs(seed):
+    g = random_connected_regular_graph(seed, max_n=10)
+    d = g.regular_degree()
+    ps = {Fraction(0), Fraction(1, 2 * d + 1), Fraction(1, d + 2), Fraction(1, d + 1),
+          Fraction(1, 2), Fraction(d, d + 1), Fraction(1)}
+    for x, y in g.edges():
+        for p in sorted(ps):
+            assert ollivier_kappa_p(g, x, y, p) == _flow_kappa(g, x, y, p)
+
 
 class TestCurvatureTable:
     def test_shrikhande_all_third(self):
@@ -293,6 +364,7 @@ class TestLinearityAndBounds:
             for p in (Fraction(1, d + 1), Fraction(1, 2), Fraction(d, d + 1), Fraction(1)):
                 if p >= Fraction(1, d + 1):
                     assert ollivier_kappa_p(g, x, y, p) == (1 - p) * kappa
+                    assert _flow_kappa(g, x, y, p) == (1 - p) * kappa
 
     def test_upper_bound_amply_regular(self):
         from arcurv import detect_amply_params
