@@ -49,12 +49,14 @@ from .matching import (
 from .report import VerificationReport, verify_graph
 from .search import infeasibility_reason, search_amply
 from .spectral import (
+    PsdCertificate,
+    PsdFailure,
     SpectralError,
     Spectrum,
     adjacency_spectrum,
-    jacobi_eigenvalues,
     lambda1,
     second_largest,
+    sigma2_at_most,
 )
 from .witness import (
     ReachableChain,

@@ -84,18 +84,19 @@ class Matching:
         return set(self.pairs.items())
 
 
-def max_matching(b: Bipartite) -> Matching:
-    """Maximum-cardinality matching by Kuhn's augmenting-path search.
+def _kuhn(adj, right_n: int) -> list[int]:
+    """Kuhn's augmenting-path search over plain adjacency lists.
 
-    Left vertices and their neighbor lists are scanned in stored (ascending)
-    order, so the result is deterministic. A left vertex that fails to
-    augment is skipped, not fatal: the result is maximum, not just maximal.
+    Left vertices and their neighbor lists are scanned in stored order, so
+    the result is deterministic. A left vertex that fails to augment is
+    skipped, not fatal: the result is maximum, not just maximal. Returns the
+    right partner of each left vertex, -1 where unmatched.
     """
-    match_r = [-1] * b.right_n
-    match_l = [-1] * b.left_n
+    match_r = [-1] * right_n
+    match_l = [-1] * len(adj)
 
     def try_augment(u: int, visited: list[bool]) -> bool:
-        for w in b.adj[u]:
+        for w in adj[u]:
             if visited[w]:
                 continue
             visited[w] = True
@@ -105,9 +106,14 @@ def max_matching(b: Bipartite) -> Matching:
                 return True
         return False
 
-    for u in range(b.left_n):
-        try_augment(u, [False] * b.right_n)
-    m = Matching({u: w for u, w in enumerate(match_l) if w >= 0})
+    for u in range(len(adj)):
+        try_augment(u, [False] * right_n)
+    return match_l
+
+
+def max_matching(b: Bipartite) -> Matching:
+    """Maximum-cardinality matching by Kuhn's search, in ascending order (see ``_kuhn``)."""
+    m = Matching({u: w for u, w in enumerate(_kuhn(b.adj, b.right_n)) if w >= 0})
     m.validate(b)
     return m
 
@@ -149,10 +155,10 @@ def hall_violator(b: Bipartite) -> Optional[set[int]]:
 def konig_decomposition(b: Bipartite) -> list[Matching]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
-    Each round extracts the perfect matching that ``max_matching`` finds in
-    the remaining graph and removes it, leaving a (k-1)-regular graph. The
-    output is self-checked: classes are perfect, pairwise edge-disjoint, and
-    their union is exactly the edge set.
+    Each round extracts the perfect matching that Kuhn's search finds in the
+    remaining graph and removes it, leaving a (k-1)-regular graph. The output
+    is self-checked once, at the end: classes are valid and perfect, pairwise
+    edge-disjoint, and their union is exactly the edge set.
     """
     k = b.regular_degree()
     if k is None or k < 1:
@@ -161,12 +167,12 @@ def konig_decomposition(b: Bipartite) -> list[Matching]:
     adj = [sorted(nbrs) for nbrs in b.adj]
     classes: list[Matching] = []
     for _ in range(k):
-        m = max_matching(Bipartite(n, n, tuple(tuple(a) for a in adj)))
-        if not m.is_perfect(b):
+        match_l = _kuhn(adj, n)
+        if min(match_l) < 0:
             raise MatchingError("internal error: regular graph lost a perfect matching")
-        for u, w in m.pairs.items():
+        for u, w in enumerate(match_l):
             adj[u].remove(w)
-        classes.append(m)
+        classes.append(Matching(dict(enumerate(match_l))))
     if any(adj[u] for u in range(n)):
         raise MatchingError("internal error: leftover edges after decomposition")
     seen: set[tuple[int, int]] = set()

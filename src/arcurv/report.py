@@ -15,7 +15,13 @@ from . import witness as wit
 from .curvature import CurvatureTable, curvature_all_edges
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
 from .matching import konig_decomposition
-from .spectral import COMPARISON_TOL, lambda1, second_largest
+from .spectral import (
+    PsdCertificate,
+    check_spectrum_cap,
+    lambda1,
+    second_largest,
+    sigma2_at_most,
+)
 
 
 class ReportError(ValueError):
@@ -65,12 +71,15 @@ class DiameterRow:
 
 @dataclass(frozen=True)
 class SpectralRow:
+    """Displayed eigenvalues (floats) and the exact verdicts, which rest on ``certificates``."""
+
     sigma_second: float
     bound: Optional[int]
     bound_passed: Optional[bool]
     lambda_one: float
     kappa_min: Fraction
     lichnerowicz_passed: bool
+    certificates: tuple[PsdCertificate, ...]  # one per t tested, smallest t first
     passed: bool
 
 
@@ -217,6 +226,12 @@ def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
 
 
 def _spectral_row(g: Graph, params: AmplyParams, kappa_min: Fraction) -> SpectralRow:
+    """Decide sigma_2 <= bound and Lichnerowicz, lambda_1 >= kappa_min, exactly.
+
+    On a d-regular graph lambda_1 = 1 - sigma_2/d, so Lichnerowicz is
+    sigma_2 <= d(1 - kappa_min). The smaller t is tested first; if it holds,
+    both claims hold and the larger t needs no test.
+    """
     sigma = second_largest(g)
     lam = lambda1(g)
     d, a, b = params.d, params.alpha, params.beta
@@ -225,9 +240,17 @@ def _spectral_row(g: Graph, params: AmplyParams, kappa_min: Fraction) -> Spectra
         bound = d - 3
     elif b is not None and b != 1 and b >= a:
         bound = d - 2
-    bound_passed = None if bound is None else sigma <= bound + COMPARISON_TOL
-    lich = lam >= float(kappa_min) - COMPARISON_TOL
-    passed = (bound_passed is not False) and lich
+    lich_t = d * (1 - kappa_min)
+    targets = sorted({lich_t} if bound is None else {lich_t, Fraction(bound)})
+    certificates = [sigma2_at_most(g, targets[0])]
+    if not certificates[0].psd and len(targets) > 1:
+        certificates.append(sigma2_at_most(g, targets[1]))
+
+    def holds(t: Fraction) -> bool:
+        return any(c.psd for c in certificates if c.t <= t)
+
+    bound_passed = None if bound is None else holds(Fraction(bound))
+    lich = holds(lich_t)
     return SpectralRow(
         sigma_second=sigma,
         bound=bound,
@@ -235,7 +258,8 @@ def _spectral_row(g: Graph, params: AmplyParams, kappa_min: Fraction) -> Spectra
         lambda_one=lam,
         kappa_min=kappa_min,
         lichnerowicz_passed=lich,
-        passed=passed,
+        certificates=tuple(certificates),
+        passed=(bound_passed is not False) and lich,
     )
 
 
@@ -258,6 +282,7 @@ def verify_graph(g: Graph, graph_id: str) -> VerificationReport:
     """Run every applicable check against a connected amply regular graph."""
     if not g.is_connected():
         raise ReportError("verification requires a connected graph")
+    check_spectrum_cap(g.n)  # before any per-edge or all-pairs work
     params = detect_amply_params(g)
     if isinstance(params, AmplyViolation):
         raise ReportError(
@@ -373,6 +398,11 @@ def report_from_dict(data: dict) -> VerificationReport:
     return _decode(VerificationReport, data)
 
 
+def _display(x: float) -> str:
+    """A displayed eigenvalue: rounding to 12 places keeps solver noise out of the text."""
+    return f"{round(x, 12) + 0.0:.12g}"
+
+
 def render_text(r: VerificationReport) -> str:
     p = r.params
     beta = "-" if p.beta is None else p.beta
@@ -404,11 +434,11 @@ def render_text(r: VerificationReport) -> str:
     s = r.spectral
     lines.append("")
     lines.append(
-        f"sigma_(n-1): {s.sigma_second:.12g}"
+        f"sigma_(n-1): {_display(s.sigma_second)}"
         + (f"  bound {s.bound}  [{'ok' if s.bound_passed else 'FAIL'}]" if s.bound is not None else "  (no bound applicable)")
     )
     lines.append(
-        f"lambda_1: {s.lambda_one:.12g}  >= kappa_min = {frac_str(s.kappa_min)}"
+        f"lambda_1: {_display(s.lambda_one)}  >= kappa_min = {frac_str(s.kappa_min)}"
         f"  [{'ok' if s.lichnerowicz_passed else 'FAIL'}]"
     )
     if r.witness is not None:

@@ -23,6 +23,7 @@ from arcurv import (
     wasserstein,
 )
 from arcurv.matching import konig_decomposition
+from arcurv.report import verify_graph
 from arcurv.witness import (
     build_transport_bipartite,
     check_h_regular,
@@ -220,3 +221,17 @@ def test_criterion_10_conference_bound():
             f"  paley({q}): kappa_min={table.kappa_min} "
             f"conjectured={conjectured} match={table.kappa_min == conjectured}"
         )
+
+
+def test_verify_sharp_spectral_bounds_rest_on_exact_certificates():
+    # sigma_2 = d - 2 = 5 on Q7 and d - 3 = 5 on H(4,3): both bounds hold with
+    # equality, and Lichnerowicz gives the same t = d(1 - kappa_min) = 5.
+    for g, kappa_min, multiplicity in ((gen_hypercube(7), Fraction(2, 7), 7),
+                                       (gen_hamming(4, 3), Fraction(3, 8), 8)):
+        report = verify_graph(g, graph_id="g")
+        assert report.overall_pass
+        s = report.spectral
+        assert (s.bound, s.kappa_min) == (5, kappa_min)
+        assert s.bound_passed and s.lichnerowicz_passed and s.passed
+        (cert,) = s.certificates
+        assert (cert.t, cert.psd, cert.zero_pivots, cert.failure) == (5, True, multiplicity, None)

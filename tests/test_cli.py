@@ -209,11 +209,23 @@ class TestSpectrumDiameterSearch:
         def no_solve(matrix):
             raise AssertionError("eigensolver started past the spectrum cap")
 
-        monkeypatch.setattr("arcurv.spectral.jacobi_eigenvalues", no_solve)
+        monkeypatch.setattr("arcurv.spectral.eigvalsh", no_solve)
         path = tmp_path / "c4097.txt"
         path.write_text(dump_edge_list(gen_cycle(4097)))
         code, _, err = run(capsys, "spectrum", str(path))
         assert code == EXIT_INPUT and "cap" in err
+
+    def test_verify_checks_spectrum_cap_before_edge_work(self, capsys, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify started edge work past the spectrum cap")
+
+        monkeypatch.setattr("arcurv.report.curvature_all_edges", no_work)
+        monkeypatch.setattr("arcurv.report.detect_amply_params", no_work)
+        path = tmp_path / "c4097.txt"
+        path.write_text(dump_edge_list(gen_cycle(4097)))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: graph size 4097 exceeds spectrum cap 4096\n"
 
     def test_diameter(self, capsys, h23_file):
         code, out, _ = run(capsys, "diameter", h23_file)

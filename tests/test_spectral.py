@@ -1,54 +1,33 @@
 import math
 import random
+from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from arcurv import (
     Graph,
+    PsdFailure,
     SpectralError,
     adjacency_spectrum,
+    detect_amply_params,
+    gen_cocktail,
     gen_complete,
     gen_cycle,
     gen_hamming,
     gen_hypercube,
     gen_paley,
     gen_shrikhande,
-    jacobi_eigenvalues,
     lambda1,
     second_largest,
+    sigma2_at_most,
 )
+from arcurv.report import _spectral_row
 
-from conftest import srg_eigenvalues
+from conftest import random_connected_regular_graph, srg_eigenvalues, to_networkx
 
 TOL = 1e-9
-
-
-class TestJacobi:
-    def test_diagonal_passthrough(self):
-        eigs, residual = jacobi_eigenvalues(np.diag([3.0, -1.0, 2.0]))
-        assert residual == 0.0
-        assert np.allclose(eigs, [-1.0, 2.0, 3.0])
-
-    def test_two_by_two(self):
-        eigs, _ = jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(eigs, [-1.0, 1.0])
-
-    def test_random_symmetric_vs_numpy(self):
-        rng = np.random.default_rng(7)
-        for n in (3, 5, 10, 25):
-            m = rng.standard_normal((n, n))
-            sym = (m + m.T) / 2
-            eigs, _ = jacobi_eigenvalues(sym)
-            assert np.allclose(eigs, np.sort(np.linalg.eigvalsh(sym)), atol=1e-8)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(SpectralError):
-            jacobi_eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_empty(self):
-        eigs, residual = jacobi_eigenvalues(np.empty((0, 0)))
-        assert len(eigs) == 0 and residual == 0.0
 
 
 class TestAdjacencySpectrum:
@@ -139,9 +118,6 @@ class TestLambda1:
             assert lambda1(g) > 0
 
     def test_random_graphs_match_numpy(self):
-        from conftest import random_connected_regular_graph, to_networkx
-        import networkx as nx
-
         for seed in range(10):
             g = random_connected_regular_graph(seed, max_n=12)
             d = g.regular_degree()
@@ -153,3 +129,95 @@ class TestLambda1:
 def test_spectrum_residual_reported():
     spec = adjacency_spectrum(gen_shrikhande())
     assert spec.residual < 1e-10 * spec.n
+
+
+def test_spectrum_residual_is_the_trace_residual():
+    g = gen_paley(13)
+    spec = adjacency_spectrum(g)
+    eigs = np.array(spec.eigenvalues)
+    expected = max(abs(eigs.sum()), abs(eigs @ eigs - 2 * g.num_edges()))
+    assert spec.residual == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda e: e + 1e-6, "sum drifted"),  # trace 0 broken
+    (lambda e: e * (1 + 1e-6), "square sum drifted"),  # trace 0 kept, trace(A^2) broken
+])
+def test_spectrum_drift_is_rejected(monkeypatch, fault, message):
+    monkeypatch.setattr("arcurv.spectral.eigvalsh", lambda m: fault(np.linalg.eigvalsh(m)))
+    with pytest.raises(SpectralError, match=message):
+        adjacency_spectrum(gen_paley(13))
+
+
+# Sharp cases: (graph, t = sigma_2, multiplicity of sigma_2).
+SHARP = {
+    "H(2,3)": (lambda: gen_hamming(2, 3), 1, 4),
+    "H(3,3)": (lambda: gen_hamming(3, 3), 3, 6),
+    "H(4,3)": (lambda: gen_hamming(4, 3), 5, 8),
+    "Q7": (lambda: gen_hypercube(7), 5, 7),
+    "cocktail(8)": (lambda: gen_cocktail(8), 0, 8),
+}
+
+
+class TestSigma2AtMost:
+    @pytest.mark.parametrize("name", sorted(SHARP))
+    def test_zero_pivots_are_the_multiplicity_of_t(self, name):
+        make, t, multiplicity = SHARP[name]
+        cert = sigma2_at_most(make(), Fraction(t))
+        assert (cert.t, cert.psd, cert.zero_pivots, cert.failure) == (t, True, multiplicity, None)
+
+    @pytest.mark.parametrize("name", sorted(SHARP))
+    def test_just_below_a_sharp_bound_is_not_psd(self, name):
+        make, t, _ = SHARP[name]
+        cert = sigma2_at_most(make(), t - Fraction(1, 100))
+        assert not cert.psd
+        assert cert.failure is not None and cert.failure.kind == "negative-pivot"
+
+    def test_strict_bound_has_no_zero_pivots(self):
+        cert = sigma2_at_most(gen_paley(13), Fraction(2))
+        assert cert.psd and cert.zero_pivots == 0
+
+    def test_zero_pivot_with_nonzero_row(self):
+        # C5 at t = -3/4: the scaled diagonal n*p + (d+1)*q - p is 0, while
+        # each neighbor entry is (d+1)*q - p - n*q = -5.
+        cert = sigma2_at_most(gen_cycle(5), Fraction(-3, 4))
+        assert not cert.psd
+        assert cert.failure == PsdFailure(0, "zero-pivot-nonzero-row")
+
+    def test_agrees_with_eigvalsh_around_sigma2(self):
+        for seed in range(20):
+            g = random_connected_regular_graph(seed, max_n=14)
+            sigma = np.sort(np.linalg.eigvalsh(nx.to_numpy_array(to_networkx(g))))[-2]
+            mid = round(sigma * 1000)
+            above = sigma2_at_most(g, Fraction(mid + 1, 1000))
+            below = sigma2_at_most(g, Fraction(mid - 1, 1000))
+            assert above.psd and above.zero_pivots == 0, seed
+            assert not below.psd, seed
+
+    def test_preconditions(self):
+        with pytest.raises(SpectralError, match="regular"):
+            sigma2_at_most(Graph(3, [(0, 1), (1, 2)]), Fraction(1))
+        with pytest.raises(SpectralError, match="connected"):
+            sigma2_at_most(Graph(4, [(0, 1), (2, 3)]), Fraction(1))
+
+
+class TestSpectralRow:
+    def test_one_certificate_when_the_smaller_t_holds(self):
+        g = gen_paley(29)  # bound d - 3 = 11, Lichnerowicz t = 14 (1 - 4/7) = 6
+        row = _spectral_row(g, detect_amply_params(g), Fraction(4, 7))
+        assert [(c.t, c.psd) for c in row.certificates] == [(6, True)]
+        assert row.bound_passed and row.lichnerowicz_passed and row.passed
+
+    def test_larger_t_is_tested_after_the_smaller_fails(self):
+        # An overstated kappa_min moves the Lichnerowicz t to 3/2, below
+        # sigma_2 = 3 = d - 3 of H(3,3), so the bound needs its own test.
+        g = gen_hamming(3, 3)
+        row = _spectral_row(g, detect_amply_params(g), Fraction(3, 4))
+        assert [(c.t, c.psd) for c in row.certificates] == [(Fraction(3, 2), False), (3, True)]
+        assert row.bound_passed and not row.lichnerowicz_passed and not row.passed
+
+    def test_lichnerowicz_alone_without_a_bound(self):
+        g = gen_cycle(7)  # (7,2,0,1): beta = 1, so no sigma_2 bound applies
+        row = _spectral_row(g, detect_amply_params(g), Fraction(0))
+        assert row.bound is None and row.bound_passed is None
+        assert [(c.t, c.psd, c.zero_pivots) for c in row.certificates] == [(2, True, 0)]
