@@ -246,19 +246,19 @@ def kantorovich_potential(
     """Integer potential proving that the assignment ``sigma`` is optimal.
 
     ``dist`` is the integer distance matrix on a vertex set Z, ``src`` and
-    ``dst`` index two equal-size supports in Z, and ``sigma`` sends ``src[i]``
-    to ``dst[sigma[i]]``. Column potentials v come from Bellman-Ford on the
-    residual graph (arc sigma(i) -> j of weight C[i,j] - C[i,sigma(i)]), and
-    u_i = C[i,sigma(i)] - v_sigma(i). The returned f(z) = min_j (d(z, dst_j) - v_j)
+    ``dst`` (index arrays or slices) pick two equal-size supports in Z, and
+    ``sigma`` sends ``src[i]`` to ``dst[sigma[i]]``. Column potentials v come
+    from Bellman-Ford on the residual graph (arc sigma(i) -> j of weight
+    C[i,j] - C[i,sigma(i)]), and u_i = C[i,sigma(i)] - v_sigma(i). The returned f(z) = min_j (d(z, dst_j) - v_j)
     on Z is checked exactly to be 1-Lipschitz on Z (McShane extends it to the
     graph) with sum f[src] - sum f[dst] equal to the cost of ``sigma``; by
     Kantorovich duality no assignment is cheaper. Raises CurvatureError if any
     check fails.
     """
-    k = len(src)
+    cost = dist[src][:, dst]
+    k = len(cost)
     if sorted(sigma.tolist()) != list(range(k)):
         raise CurvatureError("assignment is not a permutation")
-    cost = dist[np.ix_(src, dst)]
     matched = cost[np.arange(k), sigma]
     c_total = int(matched.sum())
     reduced = cost - matched[:, None]
@@ -284,18 +284,17 @@ def kantorovich_potential(
 def check_uniform_plan(plan: TransportPlan, sources, targets) -> None:
     """Check in integers that ``plan`` is a bijection ``sources`` -> ``targets``.
 
-    The plan must have one entry per source, each of mass 1/k for k sources,
+    The plan must have one entry per source, each of mass 1/k for k sources
+    (numerator 1 and denominator k, as a `Fraction` is kept in lowest terms),
     with its sorted sources equal to ``sources`` and its sorted targets equal
     to ``targets``: exactly the marginals of the two uniform measures.
     """
     k = len(sources)
-    unit = Fraction(1, k)
-    pairs = [pair for pair, _ in plan.entries]
     if (
-        len(pairs) != k
-        or any(m != unit for _, m in plan.entries)
-        or sorted(v for v, _ in pairs) != sorted(sources)
-        or sorted(w for _, w in pairs) != sorted(targets)
+        len(plan.entries) != k
+        or any(m.numerator != 1 or m.denominator != k for _, m in plan.entries)
+        or sorted(v for (v, _), _ in plan.entries) != sorted(sources)
+        or sorted(w for (_, w), _ in plan.entries) != sorted(targets)
     ):
         raise CurvatureError("plan marginals are not uniform on the two supports")
 
@@ -313,28 +312,27 @@ def assignment_wasserstein(
     certified: the plan's marginals (one unit out of each source, one into
     each target) and its total BFS distance are checked in integers, and
     `kantorovich_potential` proves it optimal.
+
+    The zone is ``sources`` followed by ``targets``, read as one block from
+    the graph's cached BFS rows; a vertex in both lists appears twice, which
+    the 1-Lipschitz test allows (its two rows are equal, at distance 0).
     """
     k = len(sources)
     if k == 0 or k != len(targets):
         raise CurvatureError("assignment needs two vertex sets of equal positive size")
-    zone = sorted(set(sources) | set(targets))
-    at = {z: i for i, z in enumerate(zone)}
-    dist = np.array(
-        [[row[z] for z in zone] for row in map(g.distances_from, zone)], dtype=np.int64
-    )
+    dist = g.distance_block([*sources, *targets])
     if (dist < 0).any():
         raise CurvatureError("supports lie in different components")
-    src = np.array([at[v] for v in sources])
-    dst = np.array([at[w] for w in targets])
-    rows, cols = linear_sum_assignment(dist[np.ix_(src, dst)])
+    src, dst = slice(0, k), slice(k, 2 * k)
+    cost = dist[src, dst]
+    rows, cols = linear_sum_assignment(cost)
     sigma = np.full(k, -1, dtype=np.int64)
     sigma[rows] = cols
     kantorovich_potential(dist, src, dst, sigma)
-    c_total = int(dist[src, dst[sigma]].sum())
+    c_total = int(cost[np.arange(k), sigma].sum())
     unit = Fraction(1, k)
-    plan = TransportPlan.from_dict(
-        {(v, targets[j]): unit for v, j in zip(sources, sigma.tolist())}
-    )
+    pairs = sorted(zip(sources, [targets[j] for j in sigma.tolist()]))
+    plan = TransportPlan(tuple((pair, unit) for pair in pairs))
     check_uniform_plan(plan, sources, targets)
     if sum(g.distance(v, w) for (v, w), _ in plan.entries) != c_total:
         raise CurvatureError("internal error: plan cost disagrees with assignment value")

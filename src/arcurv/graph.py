@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -14,15 +16,15 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
-    Adjacency is stored as sorted tuples. BFS distances are computed lazily
-    per source and cached. The cache needs no lock: it is read by one
-    ``dict.get`` and written by one item assignment, each atomic on its own,
-    so concurrent readers at worst compute the same BFS row twice, with the
-    same result. ``labels`` is an optional side table of original vertex
-    labels (e.g. Hamming tuples) used only for reporting.
+    Adjacency is stored as sorted tuples. Two facts are cached, because the
+    graph never changes: the common degree (None if irregular), found once at
+    construction, and one BFS distance row per source, computed on first use
+    as a read-only int32 numpy array, so that `distance_block` slices it
+    without a Python loop. ``labels`` is an optional side table of original
+    vertex labels (e.g. Hamming tuples) used only for reporting.
     """
 
-    __slots__ = ("n", "_adj", "labels", "_dist_cache", "_connected")
+    __slots__ = ("n", "_adj", "labels", "_dist_cache", "_connected", "_degree")
 
     def __init__(
         self,
@@ -45,7 +47,9 @@ class Graph:
         if labels is not None and len(labels) != n:
             raise GraphError("label table size does not match vertex count")
         self.labels = tuple(labels) if labels is not None else None
-        self._dist_cache: dict[int, tuple[int, ...]] = {}
+        degrees = {len(a) for a in self._adj}
+        self._degree: Optional[int] = degrees.pop() if len(degrees) == 1 else None
+        self._dist_cache: dict[int, np.ndarray] = {}
         self._connected: Optional[bool] = None
 
     @property
@@ -70,18 +74,15 @@ class Graph:
 
     def regular_degree(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
-        if self.n == 0:
-            return None
-        degs = {len(a) for a in self._adj}
-        return degs.pop() if len(degs) == 1 else None
+        return self._degree
 
-    def distances_from(self, source: int) -> tuple[int, ...]:
-        """BFS distance vector from ``source``; -1 marks unreachable vertices."""
-        if not (0 <= source < self.n):
-            raise GraphError(f"vertex {source} out of range")
+    def distances_from(self, source: int) -> np.ndarray:
+        """BFS distance row from ``source``; -1 marks unreachable vertices."""
         cached = self._dist_cache.get(source)
         if cached is not None:
             return cached
+        if not (0 <= source < self.n):
+            raise GraphError(f"vertex {source} out of range")
         dist = [-1] * self.n
         dist[source] = 0
         queue = deque([source])
@@ -91,26 +92,34 @@ class Graph:
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        result = tuple(dist)
-        self._dist_cache[source] = result
-        return result
+        row = np.array(dist, dtype=np.int32)
+        row.flags.writeable = False
+        self._dist_cache[source] = row
+        return row
+
+    def distance_block(self, vertices: Sequence[int]) -> np.ndarray:
+        """Distance matrix on ``vertices`` (repeats allowed), in their order.
+
+        Row i is the cached BFS row of ``vertices[i]`` read at ``vertices``.
+        """
+        cache = self._dist_cache
+        rows = [cache[v] if v in cache else self.distances_from(v) for v in vertices]
+        return np.array(rows)[:, vertices]
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path length, or None if u and v are in different components."""
-        d = self.distances_from(u)[v]
+        d = int(self.distances_from(u)[v])
         return None if d < 0 else d
 
     def is_connected(self) -> bool:
         if self._connected is None:
-            self._connected = self.n <= 1 or all(
-                d >= 0 for d in self.distances_from(0)
-            )
+            self._connected = self.n <= 1 or bool((self.distances_from(0) >= 0).all())
         return self._connected
 
     def diameter(self) -> int:
         if not self.is_connected():
             raise GraphError("diameter undefined for disconnected graph")
-        return max(max(self.distances_from(v)) for v in range(self.n))
+        return max(int(self.distances_from(v).max()) for v in range(self.n))
 
     def girth(self) -> Optional[int]:
         """Length of a shortest cycle, or None for forests."""
@@ -284,13 +293,16 @@ def detect_amply_params(g: Graph) -> DetectResult:
             alpha = c
         elif c != alpha:
             return AmplyViolation("alpha", (u, v), c, alpha)
+    # The pairs at distance 2 from u are N(N(u)) minus B(u), and the number of
+    # walks u - w - v counts their common neighbors: O(n d^2) in all, scanned
+    # in the order u ascending, then v ascending.
     beta: Optional[int] = None
+    adj = g.adjacency
     for u in range(g.n):
-        dist = g.distances_from(u)
-        for v in range(u + 1, g.n):
-            if dist[v] != 2:
-                continue
-            c = len(g.common_neighbors(u, v))
+        ball = {u, *adj[u]}
+        common = Counter(v for w in adj[u] for v in adj[w] if v > u and v not in ball)
+        for v in sorted(common):
+            c = common[v]
             if beta is None:
                 beta = c
             elif c != beta:

@@ -100,6 +100,21 @@ class TestPlanCost:
             with pytest.raises(CurvatureError, match="not uniform"):
                 check_uniform_plan(TransportPlan.from_dict(entries), (0, 2), (1, 3))
 
+    def test_uniform_plan_check_rejects_each_broken_marginal(self):
+        third, quarter = Fraction(1, 3), Fraction(1, 4)
+        sources, targets = (0, 2, 4), (1, 3, 5)
+        check_uniform_plan(
+            TransportPlan.from_dict({(0, 3): third, (2, 5): third, (4, 1): third}), sources, targets
+        )
+        bad = [
+            {(0, 3): quarter, (2, 5): quarter, (4, 1): quarter},  # mass 1/(k+1)
+            {(0, 3): third, (0, 5): third, (4, 1): third},  # source 0 twice, 2 never
+            {(0, 3): third, (2, 5): third, (4, 7): third},  # 7 is not a target
+        ]
+        for entries in bad:
+            with pytest.raises(CurvatureError, match="not uniform"):
+                check_uniform_plan(TransportPlan.from_dict(entries), sources, targets)
+
     def test_marginal_validation(self):
         g = gen_cycle(6)
         mu1 = mu_p(g, 0, Fraction(1, 2))
@@ -198,6 +213,12 @@ class TestAssignmentWasserstein:
             with pytest.raises(CurvatureError, match="equal positive size"):
                 assignment_wasserstein(g, sources, targets)
 
+    def test_reads_bfs_rows_of_the_two_balls_only(self):
+        cases = ((gen_cycle(10**5), 500, 501, 0), (gen_hypercube(10), 0, 1, Fraction(1, 5)))
+        for g, x, y, kappa in cases:
+            assert lly_curvature(g, x, y) == kappa
+            assert set(g._dist_cache) == {x, y, *g.neighbors(x), *g.neighbors(y)}
+
     def test_idleness_zero_supports(self):
         # N(0) = {1, 5} -> N(1) = {0, 2} on C6: 1 -> 2, 5 -> 0 costs 1 + 1,
         # the other bijection 1 + 3, so W = 2/2
@@ -254,6 +275,14 @@ class TestKantorovichCertificate:
         dist, src, dst = _edge_zone(g, *g.edges()[0])
         with pytest.raises(CurvatureError, match="permutation"):
             kantorovich_potential(dist, src, dst, np.zeros(len(src), dtype=np.int64))
+
+    def test_rejects_potential_that_is_not_1_lipschitz(self):
+        # Not a metric: d(0,1) = 3 > d(0,2) + d(2,1). The one-point assignment
+        # 0 -> 1 passes the dual and value checks, but its potential
+        # f = d(., 1) = (3, 0, 1) moves by 2 between 0 and 2, at distance 1.
+        dist = np.array([[0, 3, 1], [3, 0, 1], [1, 1, 0]])
+        with pytest.raises(CurvatureError, match="1-Lipschitz"):
+            kantorovich_potential(dist, np.array([0]), np.array([1]), np.array([0]))
 
     def test_assignment_wasserstein_rejects_bad_solver(self, monkeypatch):
         def worst_assignment(cost):

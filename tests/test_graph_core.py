@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,17 @@ from arcurv import (
     gen_cycle,
     gen_hamming,
     gen_hypercube,
+    gen_paley,
     gen_shrikhande,
     load_edge_list,
 )
 
-from conftest import random_connected_graph, to_networkx
+from conftest import (
+    from_networkx,
+    random_connected_graph,
+    random_connected_regular_graph,
+    to_networkx,
+)
 
 
 class TestLoadEdgeList:
@@ -105,6 +113,72 @@ class TestMetrics:
         u, v = sh.edges()[0]
         assert len(sh.common_neighbors(u, v)) == 2
 
+    def test_regular_degree(self):
+        assert Graph(0, []).regular_degree() is None
+        assert Graph(3, []).regular_degree() == 0
+        assert Graph(3, [(0, 1), (1, 2)]).regular_degree() is None
+        assert Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]).regular_degree() is None
+        assert gen_cycle(7).regular_degree() == 2
+        assert gen_hamming(2, 3).regular_degree() == 4
+
+    def test_distance_block_matches_networkx(self):
+        # gnp graphs are often disconnected: -1 marks an unreachable pair
+        for seed in range(25):
+            rng = random.Random(seed)
+            n = rng.randint(1, 30)
+            g = from_networkx(nx.gnp_random_graph(n, rng.uniform(0.05, 0.3), seed=seed))
+            lengths = dict(nx.shortest_path_length(to_networkx(g)))
+            zone = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats too
+            block = g.distance_block(zone)
+            assert block.shape == (len(zone), len(zone))
+            assert block.tolist() == [[lengths[a].get(b, -1) for b in zone] for a in zone]
+
+    def test_distance_rows_are_read_only(self):
+        g = gen_cycle(6)
+        with pytest.raises(ValueError):
+            g.distances_from(0)[3] = 1
+        assert g.distance(0, 3) == 3
+
+
+def _detect_by_pair_scan(g):
+    """Amply-regular detection by the definition, with networkx distances.
+
+    Scans edges, then every pair u < v at distance 2, in the order u
+    ascending, then v ascending; the first count that differs is the violation.
+    """
+    d = g.degree(0)
+    for v in range(1, g.n):
+        if g.degree(v) != d:
+            return AmplyViolation("not-regular", (0, v), g.degree(v), d)
+    lengths = dict(nx.shortest_path_length(to_networkx(g)))
+    counts = {"alpha": None, "beta": None}
+    pairs = [("alpha", u, v) for u, v in g.edges()]
+    pairs += [("beta", u, v) for u in range(g.n) for v in range(u + 1, g.n) if lengths[u][v] == 2]
+    for kind, u, v in pairs:
+        c = len(set(g.neighbors(u)) & set(g.neighbors(v)))
+        if counts[kind] is None:
+            counts[kind] = c
+        elif c != counts[kind]:
+            return AmplyViolation(kind, (u, v), c, counts[kind])
+    return AmplyParams(g.n, d, counts["alpha"] or 0, counts["beta"], girth=g.girth())
+
+
+def _two_switch(g, rng):
+    """g with edges ab, cd replaced by ad, cb: same degrees; a bipartite g stays bipartite."""
+    h = to_networkx(g)
+    side = nx.bipartite.color(h) if nx.is_bipartite(h) else None
+    edges = g.edges()
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if (side[a] != side[c]) if side else rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) < 4 or g.is_edge(a, d) or g.is_edge(c, b):
+            continue
+        removed = {frozenset((a, b)), frozenset((c, d))}
+        switched = Graph(g.n, [e for e in edges if frozenset(e) not in removed] + [(a, d), (c, b)])
+        if switched.is_connected():
+            return switched
+
 
 class TestDetect:
     def test_q3(self):
@@ -142,6 +216,21 @@ class TestDetect:
                 assert params == AmplyParams(
                     q**p, (q - 1) * p, q - 2, 2, girth=3 if q >= 3 else 4
                 )
+
+    def test_neighbors_of_neighbors_scan_matches_pair_scan(self):
+        rng = random.Random(7)
+        graphs = [random_connected_regular_graph(seed, max_n=30) for seed in range(30)]
+        for g in (gen_hypercube(4), gen_hypercube(5), gen_cycle(12), gen_hamming(2, 3),
+                  gen_hamming(3, 3), gen_paley(13), gen_shrikhande(), gen_cocktail(4)):
+            graphs.append(g)
+            graphs.append(_two_switch(g, rng))
+            graphs.append(_two_switch(_two_switch(g, rng), rng))
+        kinds = set()
+        for g in graphs:
+            result = detect_amply_params(g)
+            assert result == _detect_by_pair_scan(g)
+            kinds.add(getattr(result, "kind", "params"))
+        assert kinds == {"alpha", "beta", "params"}
 
     def test_girth3_iff_common_neighbor(self):
         for seed in range(15):
