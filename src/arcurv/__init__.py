@@ -64,6 +64,7 @@ from .witness import (
     WitnessError,
     build_pi0,
     build_transport_bipartite,
+    certify_witness,
     check_h_regular,
     prop_3_1_certificate,
     reachable_map,

@@ -196,8 +196,9 @@ def _cmd_verify(args) -> int:
 
 def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
     h = wit.build_transport_bipartite(g, x, y)
+    b = h.to_bipartite()
     reg = wit.check_h_regular(h)
-    classes = konig_decomposition(h.to_bipartite())
+    classes = konig_decomposition(b)
     class_dumps = []
     for m in classes:
         chains = wit.reachable_map(h, m)
@@ -207,7 +208,7 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
                 {"v0": c.v0, "w0": c.w0, "rho": c.rho, "k": c.k} for c in chains
             ],
         })
-    cert = wit.witness_curvature_bound(g, x, y)
+    cert = wit.certify_witness(g, h, b, reg)
     return {
         "edge": [x, y],
         "left": [h.left_name(i) for i in range(h.side_size)],

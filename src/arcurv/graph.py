@@ -122,19 +122,47 @@ class Graph:
         return max(int(self.distances_from(v).max()) for v in range(self.n))
 
     def girth(self) -> Optional[int]:
-        """Length of a shortest cycle, or None for forests."""
+        """Length of a shortest cycle, or None for forests.
+
+        A BFS from each root in turn, over the vertices still alive. After a
+        root's BFS the root is deleted, and vertices of degree <= 1, which lie
+        on no cycle, are peeled away; a shortest cycle is still found by the
+        BFS from the first of its vertices to be processed, since the whole
+        cycle is alive then. On a cycle graph the first root peels the rest.
+        """
+        alive = [True] * self.n
+        degree = [len(a) for a in self._adj]
         best: Optional[int] = None
+
+        def delete(v: int) -> None:
+            stack = [v]
+            alive[v] = False
+            while stack:
+                u = stack.pop()
+                for w in self._adj[u]:
+                    if alive[w]:
+                        degree[w] -= 1
+                        if degree[w] <= 1:
+                            alive[w] = False
+                            stack.append(w)
+
+        for v in range(self.n):
+            if alive[v] and degree[v] <= 1:
+                delete(v)
         for root in range(self.n):
-            dist = [-1] * self.n
-            parent = [-1] * self.n
-            dist[root] = 0
+            if not alive[root]:
+                continue
+            dist = {root: 0}
+            parent = {root: -1}
             queue = deque([root])
             while queue:
                 u = queue.popleft()
                 if best is not None and 2 * dist[u] >= best:
                     continue
                 for w in self._adj[u]:
-                    if dist[w] < 0:
+                    if not alive[w]:
+                        continue
+                    if w not in dist:
                         dist[w] = dist[u] + 1
                         parent[w] = u
                         queue.append(w)
@@ -142,6 +170,7 @@ class Graph:
                         cycle = dist[u] + dist[w] + 1
                         if best is None or cycle < best:
                             best = cycle
+            delete(root)
         return best
 
     def common_neighbors(self, u: int, v: int) -> list[int]:

@@ -154,8 +154,10 @@ def _witness_edge_ok(g: Graph, u: int, v: int, params: AmplyParams) -> dict[str,
         "lower_bound": False,
     }
     h = wit.build_transport_bipartite(g, u, v, params)
-    result["regular"] = wit.check_h_regular(h).ok
-    classes = konig_decomposition(h.to_bipartite())
+    b = h.to_bipartite()
+    reg = wit.check_h_regular(h)
+    result["regular"] = reg.ok
+    classes = konig_decomposition(b)
     result["class_count"] = len(classes) == params.beta - 1
     bijective = True
     chains_ok = True
@@ -170,7 +172,7 @@ def _witness_edge_ok(g: Graph, u: int, v: int, params: AmplyParams) -> dict[str,
     result["bijection"] = bijective
     result["chain_bound"] = chains_ok
     try:
-        cert = wit.witness_curvature_bound(g, u, v, params)
+        cert = wit.certify_witness(g, h, b, reg)
     except wit.WitnessError:
         return result
     result["pi0_bound"] = cert.pi0_cost <= Fraction(params.d - 2, params.d + 1)

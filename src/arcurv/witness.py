@@ -161,22 +161,24 @@ def build_transport_bipartite(
     a = params.alpha
     copies = params.beta - params.alpha - 1
     assert len(part.delta) == a and len(part.ny) == p
+    # One scan of each sorted adjacency row against index maps of N_y and
+    # Delta: the indices come out ascending, so each class is in (i, j) order.
+    ny_index = {w: j for j, w in enumerate(part.ny)}
+    delta_index = {z: j for j, z in enumerate(part.delta)}
     classes: list[list[tuple[int, int]]] = [[] for _ in range(8)]
     for i, v in enumerate(part.nx):
-        for j, w in enumerate(part.ny):
-            if g.is_edge(v, w):
-                classes[0].append((i, j))  # E1
-        for j, z in enumerate(part.delta):
-            if g.is_edge(v, z):
-                classes[1].append((i, p + j))  # E2
+        for w in g.neighbors(v):
+            if w in ny_index:
+                classes[0].append((i, ny_index[w]))  # E1
+            elif w in delta_index:
+                classes[1].append((i, p + delta_index[w]))  # E2
     for i, z in enumerate(part.delta):
-        for j, w in enumerate(part.ny):
-            if g.is_edge(z, w):
-                classes[2].append((p + i, j))  # E3
         classes[3].append((p + i, p + i))  # E4
-        for j, z2 in enumerate(part.delta):
-            if i != j and g.is_edge(z, z2):
-                classes[4].append((p + i, p + j))  # E5
+        for w in g.neighbors(z):
+            if w in ny_index:
+                classes[2].append((p + i, ny_index[w]))  # E3
+            elif w in delta_index:
+                classes[4].append((p + i, p + delta_index[w]))  # E5
     for i in range(copies):
         for j in range(a):
             classes[5].append((p + a + i, p + j))  # E6
@@ -260,12 +262,9 @@ def reachable_map(h: TransportBipartite, m: Matching) -> list[ReachableChain]:
     return chains
 
 
-def verify_lemma_3_3(
-    g: Graph, h: TransportBipartite, m: Matching
-) -> list[ChainRecord]:
-    """Compare host distance against rho - k for every chain of ``m``."""
+def _chain_records(g: Graph, chains: list[ReachableChain]) -> list[ChainRecord]:
     records = []
-    for c in reachable_map(h, m):
+    for c in chains:
         dist = g.distance(c.v0, c.w0)
         if dist is None:
             raise WitnessError("internal error: chain endpoints disconnected")
@@ -278,6 +277,33 @@ def verify_lemma_3_3(
     return records
 
 
+def verify_lemma_3_3(
+    g: Graph, h: TransportBipartite, m: Matching
+) -> list[ChainRecord]:
+    """Compare host distance against rho - k for every chain of ``m``."""
+    return _chain_records(g, reachable_map(h, m))
+
+
+def _require_z1(h: TransportBipartite, m: Matching) -> None:
+    z1l, z1r = h.z1_edge()
+    if m.pairs.get(z1l) != z1r:
+        raise WitnessError("matching does not contain the z1 z1' edge")
+
+
+def _pi0_from_chains(
+    g: Graph, h: TransportBipartite, chains: list[ReachableChain]
+) -> TransportPlan:
+    unit = Fraction(1, h.d + 1)
+    entries: dict[tuple[int, int], Fraction] = {}
+    for v in list(h.delta) + [h.x, h.y]:
+        entries[(v, v)] = unit
+    for c in chains:
+        entries[(c.v0, c.w0)] = unit
+    plan = TransportPlan.from_dict(entries)
+    check_uniform_plan(plan, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
+    return plan
+
+
 def build_pi0(
     g: Graph, h: TransportBipartite, m: Matching
 ) -> TransportPlan:
@@ -288,19 +314,8 @@ def build_pi0(
     checked in integers to be the idleness-1/(d+1) measures, uniform on B(x)
     and B(y).
     """
-    z1l, z1r = h.z1_edge()
-    if m.pairs.get(z1l) != z1r:
-        raise WitnessError("matching does not contain the z1 z1' edge")
-    d = h.d
-    unit = Fraction(1, d + 1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for v in list(h.delta) + [h.x, h.y]:
-        entries[(v, v)] = unit
-    for c in reachable_map(h, m):
-        entries[(c.v0, c.w0)] = unit
-    plan = TransportPlan.from_dict(entries)
-    check_uniform_plan(plan, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
-    return plan
+    _require_z1(h, m)
+    return _pi0_from_chains(g, h, reachable_map(h, m))
 
 
 @dataclass(frozen=True)
@@ -324,41 +339,53 @@ def witness_curvature_bound(
 ) -> WitnessCertificate:
     """Curvature lower bound (d+1)/d * (1 - cost(pi0)), certified end to end.
 
-    Builds the auxiliary graph, picks the decomposition class through
-    z_1 z_1', and checks the whole chain of inequalities: regularity, chain
-    distance bounds, the sum bound on chain lengths, the plan cost bound
-    (d-2)/(d+1), kappa_lb >= 3/d, and kappa_lb <= the exact curvature.
+    Builds the auxiliary graph and its regularity check, then runs
+    ``certify_witness`` on them.
     """
-    params = _require_params(g, params)
-    h = build_transport_bipartite(g, x, y, params)
-    reg = check_h_regular(h)
+    h = build_transport_bipartite(g, x, y, _require_params(g, params))
+    return certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
+
+
+def certify_witness(
+    g: Graph, h: TransportBipartite, b: Bipartite, reg: RegularityCheck
+) -> WitnessCertificate:
+    """The lower-bound certificate on an already built H of edge xy.
+
+    ``b`` is ``h.to_bipartite()`` and ``reg`` is ``check_h_regular(h)``.
+    Picks the decomposition class through z_1 z_1', walks its chains once,
+    and checks the whole chain of inequalities on that one walk: regularity,
+    the chain bijection, chain distance bounds, the sum bound on chain
+    lengths, the z_1 z_1' membership and marginals of pi0, the plan cost
+    bound (d-2)/(d+1), kappa_lb >= 3/d, and kappa_lb <= the exact curvature.
+    """
     if not reg.ok:
         raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {reg.offender}")
-    m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-    chains = tuple(reachable_map(h, m))
-    records = tuple(verify_lemma_3_3(g, h, m))
+    m = matching_through_edge(b, h.z1_edge())
+    chains = reachable_map(h, m)
+    records = tuple(_chain_records(g, chains))
     if not all(r.ok for r in records):
         bad = next(r for r in records if not r.ok)
         raise WitnessError(f"chain distance bound failed: {bad}")
-    d = params.d
+    d = h.d
     sum_rho = sum(c.rho for c in chains)
     k_total = sum(c.k for c in chains)
     if sum_rho > d + k_total - 2:
         raise WitnessError(
             f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}"
         )
-    pi0 = build_pi0(g, h, m)
+    _require_z1(h, m)
+    pi0 = _pi0_from_chains(g, h, chains)
     cost = plan_cost(g, pi0)
     if cost > Fraction(d - 2, d + 1):
         raise WitnessError(f"plan cost {cost} exceeds (d-2)/(d+1)")
     kappa_lb = Fraction(d + 1, d) * (1 - cost)
     if kappa_lb < Fraction(3, d):
         raise WitnessError(f"lower bound {kappa_lb} fell below 3/d")
-    kappa = lly_curvature(g, x, y)
+    kappa = lly_curvature(g, h.x, h.y)
     if kappa_lb > kappa:
         raise WitnessError(f"lower bound {kappa_lb} exceeds exact curvature {kappa}")
     return WitnessCertificate(
-        x=x, y=y, h=h, matching=m, chains=chains, chain_records=records,
+        x=h.x, y=h.y, h=h, matching=m, chains=tuple(chains), chain_records=records,
         pi0=pi0, pi0_cost=cost, kappa_lb=kappa_lb, kappa=kappa,
     )
 

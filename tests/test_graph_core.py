@@ -104,6 +104,29 @@ class TestMetrics:
         assert Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).girth() is None
         assert gen_cycle(9).girth() == 9
 
+    def test_girth_matches_networkx(self):
+        densities = (0.06, 0.12, 0.25, 0.5)
+        graphs = [
+            from_networkx(nx.gnp_random_graph(4 + seed % 23, densities[seed % 4], seed=seed))
+            for seed in range(160)
+        ]
+        trees = [from_networkx(nx.random_labeled_tree(n, seed=n)) for n in range(1, 30, 4)]
+        graphs += trees
+        # forests, and trees hanging off a cycle, which peeling must not eat into
+        graphs += [Graph(2 * t.n, t.edges() + [(u + t.n, v + t.n) for u, v in t.edges()]) for t in trees]
+        graphs += [Graph(t.n + 7, t.edges() + [(t.n + i, t.n + (i + 1) % 7) for i in range(7)] + [(0, t.n)])
+                   for t in trees]
+        graphs += [Graph(0, []), Graph(3, [])]
+        graphs += [gen_cycle(n) for n in (3, 4, 5, 8, 13, 64)]
+        graphs += [gen_hamming(2, 3), gen_hamming(3, 3), gen_hamming(4, 3), gen_shrikhande(),
+                   gen_paley(13), gen_paley(17), gen_paley(29), gen_cocktail(3), gen_cocktail(8),
+                   gen_complete(2), gen_complete(5), from_networkx(nx.petersen_graph())]
+        graphs += [gen_hypercube(k) for k in range(1, 8)]
+        for g in graphs:
+            expected = nx.girth(to_networkx(g))
+            assert g.girth() == (None if expected == float("inf") else expected)
+        assert gen_cycle(2049).girth() == 2049
+
     def test_common_neighbors(self):
         k4 = gen_complete(4)
         assert k4.common_neighbors(0, 1) == [2, 3]

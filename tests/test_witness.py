@@ -1,9 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+import arcurv.witness as witness_module
 from arcurv import (
+    CurvatureError,
     detect_amply_params,
+    edge_partition,
     gen_cocktail,
     gen_hamming,
     gen_hypercube,
@@ -11,12 +15,17 @@ from arcurv import (
     lly_curvature,
     plan_cost,
 )
+from arcurv.cli import _hgraph_payload
 from arcurv.matching import konig_decomposition, matching_through_edge
+from arcurv.report import verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
+    TransportBipartite,
+    WitnessCertificate,
     WitnessError,
     build_pi0,
     build_transport_bipartite,
+    certify_witness,
     check_h_regular,
     prop_3_1_certificate,
     reachable_map,
@@ -27,6 +36,38 @@ from arcurv.witness import (
 
 def h23():
     return gen_hamming(2, 3)
+
+
+def _classes_by_definition(g, x, y, params):
+    """E1-E8 of H from is_edge probes over N_x, Delta and N_y in sorted host order."""
+    part = edge_partition(g, x, y)
+    nx, delta, ny = part.nx, part.delta, part.ny
+    p, a, copies = len(nx), params.alpha, params.beta - params.alpha - 1
+    return (
+        tuple((i, j) for i, v in enumerate(nx) for j, w in enumerate(ny) if g.is_edge(v, w)),
+        tuple((i, p + j) for i, v in enumerate(nx) for j, z in enumerate(delta) if g.is_edge(v, z)),
+        tuple((p + i, j) for i, z in enumerate(delta) for j, w in enumerate(ny) if g.is_edge(z, w)),
+        tuple((p + i, p + i) for i in range(a)),
+        tuple((p + i, p + j) for i, z in enumerate(delta) for j, z2 in enumerate(delta)
+              if g.is_edge(z, z2)),
+        tuple((p + a + i, p + j) for i in range(copies) for j in range(a)),
+        tuple((p + j, p + a + i) for i in range(copies) for j in range(a)),
+        tuple((p + a + i, p + a + j) for i in range(copies) for j in range(copies)),
+    )
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap ``owner.<name>`` for each (owner, name); the returned dict counts the calls."""
+    counts = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 class TestConstruction:
@@ -51,6 +92,19 @@ class TestConstruction:
         # d=4, alpha=2, beta=4: one exclusive pair, one synthetic copy
         assert (len(h.nx), len(h.delta), h.num_copies) == (1, 2, 1)
         assert h.side_size == 4
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_paley(13), lambda: gen_paley(17), h23, lambda: gen_hamming(3, 3),
+         lambda: gen_cocktail(4)],
+        ids=["paley13", "paley17", "h23", "h33", "cocktail4"],
+    )
+    def test_classes_equal_definition_in_order(self, make):
+        g = make()
+        params = detect_amply_params(g)
+        for x, y in g.edges():
+            h = build_transport_bipartite(g, x, y, params)
+            assert h.edge_classes == _classes_by_definition(g, x, y, params)
 
     def test_class_names_cover_all_classes(self):
         assert sorted(CLASS_NAMES) == list(range(1, 9))
@@ -233,6 +287,92 @@ class TestWitnessBound:
         for x, y in g.edges():
             cert = witness_curvature_bound(g, x, y)
             assert cert.kappa_lb == Fraction(2, 3)
+
+
+class TestCertificateOnBuiltH:
+    @pytest.mark.parametrize(
+        "make",
+        [h23, lambda: gen_paley(13), lambda: gen_cocktail(3), lambda: gen_hamming(3, 3)],
+        ids=["h23", "paley13", "cocktail3", "h33"],
+    )
+    def test_equals_witness_curvature_bound(self, make):
+        g = make()
+        params = detect_amply_params(g)
+        for x, y in g.edges():
+            h = build_transport_bipartite(g, x, y, params)
+            b = h.to_bipartite()
+            konig_decomposition(b)  # verify decomposes the same b first
+            cert = certify_witness(g, h, b, check_h_regular(h))
+            ref = witness_curvature_bound(g, x, y, params)
+            for f in dataclasses.fields(WitnessCertificate):
+                assert getattr(cert, f.name) == getattr(ref, f.name), f.name
+            m = cert.matching
+            assert list(cert.chains) == reachable_map(h, m)
+            assert list(cert.chain_records) == verify_lemma_3_3(g, h, m)
+            assert cert.pi0 == build_pi0(g, h, m)
+
+    def _certify(self, g, h):
+        return certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
+
+    def test_rejects_chain_longer_than_its_bound(self):
+        # H(2,3), x = (0,0), y = (0,1): reversing N_y sends (1,0) to (2,1), at distance 2 > rho - k = 1
+        g = h23()
+        h = build_transport_bipartite(g, 0, 1)
+        swapped = dataclasses.replace(h, ny=h.ny[::-1])
+        with pytest.raises(WitnessError, match="chain distance bound failed"):
+            self._certify(g, swapped)
+
+    def test_rejects_chain_sum_over_bound(self):
+        # sum rho = d + k - 2 holds with equality on H(2,3); one less degree breaks it
+        g = h23()
+        h = build_transport_bipartite(g, 0, 1)
+        with pytest.raises(WitnessError, match="chain length sum"):
+            self._certify(g, dataclasses.replace(h, d=h.d - 1))
+
+    def test_rejects_pi0_off_the_balls(self):
+        # vertex 8 = (2,2) is at distance 2 from x: mass kept there leaves B(x)
+        g = h23()
+        h = build_transport_bipartite(g, 0, 1)
+        moved = dataclasses.replace(h, delta=(8,))
+        with pytest.raises(CurvatureError, match="marginals"):
+            self._certify(g, moved)
+        m = matching_through_edge(h.to_bipartite(), h.z1_edge())
+        with pytest.raises(CurvatureError, match="marginals"):
+            build_pi0(g, moved, m)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_paley(13), lambda: gen_hamming(3, 3)], ids=["paley13", "h33"]
+    )
+    def test_verify_builds_each_witness_fact_once_per_edge(self, monkeypatch, make):
+        g = make()
+        beta = detect_amply_params(g).beta
+        names = ["build_transport_bipartite", "check_h_regular", "reachable_map"]
+        counts = _count_calls(
+            monkeypatch,
+            [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
+        )
+        report = verify_graph(g, graph_id="g")
+        assert report.witness is not None and report.witness.passed
+        m = g.num_edges()
+        # beta - 1 classes walked in the per-class loop, then the z1 class once
+        assert counts == {
+            "build_transport_bipartite": m, "check_h_regular": m, "reachable_map": beta * m,
+            "to_bipartite": m,
+        }
+
+    def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
+        g = gen_paley(13)
+        names = ["detect_amply_params", "build_transport_bipartite", "check_h_regular",
+                 "reachable_map"]
+        counts = _count_calls(
+            monkeypatch,
+            [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
+        )
+        _hgraph_payload(g, *g.edges()[0])
+        assert counts == {
+            "detect_amply_params": 1, "build_transport_bipartite": 1, "check_h_regular": 1,
+            "reachable_map": 3, "to_bipartite": 1,
+        }
 
 
 class TestDenseMatchCertificate:
