@@ -7,9 +7,11 @@ from .curvature import (
     Rational,
     TransportPlan,
     assignment_wasserstein,
+    certify_assignments,
     check_uniform_plan,
     curvature_all_edges,
     kantorovich_potential,
+    kappa_p_all_edges,
     lly_curvature,
     mu_p,
     ollivier_kappa_p,

@@ -12,6 +12,7 @@ from . import witness as wit
 from .curvature import (
     CurvatureError,
     curvature_all_edges,
+    kappa_p_all_edges,
     lly_curvature,
     ollivier_kappa_p,
 )
@@ -51,33 +52,16 @@ _FORMATS = {
     "search": ("text", "json", "csv"),
 }
 
-_FAMILY_ARITIES = {
-    "hamming": 2,
-    "hypercube": 1,
-    "paley": 1,
-    "shrikhande": 0,
-    "cocktail": 1,
-    "complete": 1,
-    "cycle": 1,
+# family -> (argument count, generator); every generator takes ``size_cap``.
+_FAMILIES = {
+    "hamming": (2, gen.gen_hamming),
+    "hypercube": (1, gen.gen_hypercube),
+    "paley": (1, gen.gen_paley),
+    "shrikhande": (0, gen.gen_shrikhande),
+    "cocktail": (1, gen.gen_cocktail),
+    "complete": (1, gen.gen_complete),
+    "cycle": (1, gen.gen_cycle),
 }
-
-
-def _build_family(name: str, args: list[int], size_cap: int) -> Graph:
-    if name == "hamming":
-        return gen.gen_hamming(args[0], args[1], size_cap=size_cap)
-    if name == "hypercube":
-        return gen.gen_hypercube(args[0], size_cap=size_cap)
-    if name == "paley":
-        return gen.gen_paley(args[0])
-    if name == "shrikhande":
-        return gen.gen_shrikhande()
-    if name == "cocktail":
-        return gen.gen_cocktail(args[0])
-    if name == "complete":
-        return gen.gen_complete(args[0])
-    if name == "cycle":
-        return gen.gen_cycle(args[0])
-    raise GraphError(f"unknown family {name!r}")
 
 
 def _read_graph(path: str) -> Graph:
@@ -97,17 +81,17 @@ def _edge(g: Graph, edge: list[int]) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
-    arity = _FAMILY_ARITIES.get(args.family)
-    if arity is None:
+    if args.family not in _FAMILIES:
         print(f"error: unknown family {args.family!r}", file=sys.stderr)
         return EXIT_INPUT
+    arity, build = _FAMILIES[args.family]
     if len(args.args) != arity:
         print(
             f"error: family {args.family!r} takes {arity} argument(s), got {len(args.args)}",
             file=sys.stderr,
         )
         return EXIT_INPUT
-    g = _build_family(args.family, args.args, args.size_cap or gen.DEFAULT_SIZE_CAP)
+    g = build(*args.args, size_cap=args.size_cap or gen.DEFAULT_SIZE_CAP)
     sys.stdout.write(dump_edge_list(g))
     return EXIT_OK
 
@@ -147,7 +131,7 @@ def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
         except ZeroDivisionError:
             raise ValueError(f"idleness {args.p} has a zero denominator") from None
         if args.all:
-            return [(u, v, ollivier_kappa_p(g, u, v, p)) for u, v in g.edges()]
+            return kappa_p_all_edges(g, p)
         u, v = _edge(g, args.edge)
         return [(u, v, ollivier_kappa_p(g, u, v, p))]
     if args.all:
@@ -182,7 +166,8 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _read_graph(args.file)
-    report = verify_graph(g, graph_id=args.file)
+    report = verify_graph(g, graph_id=args.file,
+                          spectrum_cap=args.size_cap or DEFAULT_SPECTRUM_CAP)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), sort_keys=True))
     elif args.format == "csv":
@@ -345,6 +330,9 @@ def main(argv=None) -> int:
             f"it renders {', '.join(formats)}",
             file=sys.stderr,
         )
+        return EXIT_INPUT
+    if args.size_cap < 0:
+        print(f"error: --size-cap must be nonnegative, got {args.size_cap}", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -7,8 +7,11 @@ the closed neighborhoods, proven optimal by an integer 1-Lipschitz Kantorovich
 potential of equal value. Idleness-p curvature of a regular edge rests on that
 assignment for p >= 1/(d+1) and on the same certified assignment over the open
 neighborhoods for p = 0; in between, the linearity theorem of Bourne et al.
-(SIAM J. Discrete Math. 32, 2018) interpolates. The min-cost-flow
-transportation solve serves only irregular graphs and non-adjacent pairs.
+(SIAM J. Discrete Math. 32, 2018) interpolates. `certify_assignments` solves
+and certifies many such assignments at once, with its checks run over whole
+arrays; `kappa_p_all_edges` uses it for every edge of a regular graph in at
+most two passes. The min-cost-flow transportation solve serves only irregular
+graphs and non-adjacent pairs.
 """
 
 from __future__ import annotations
@@ -86,11 +89,16 @@ class TransportPlan:
             raise CurvatureError("column marginals do not match target measure")
 
 
-def mu_p(g: Graph, x: int, p: Fraction) -> ProbMeasure:
-    """Idleness-p measure: mass p at x, (1-p)/deg(x) at each neighbor."""
+def _idleness(p) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise CurvatureError(f"idleness {p} outside [0, 1]")
+    return p
+
+
+def mu_p(g: Graph, x: int, p: Fraction) -> ProbMeasure:
+    """Idleness-p measure: mass p at x, (1-p)/deg(x) at each neighbor."""
+    p = _idleness(p)
     deg = g.degree(x)
     if deg == 0 and p != 1:
         raise CurvatureError(f"isolated vertex {x} requires p = 1")
@@ -240,45 +248,64 @@ def _regular_edge_degree(g: Graph, x: int, y: int) -> int:
     return d
 
 
-def kantorovich_potential(
-    dist: np.ndarray, src: np.ndarray, dst: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
-    """Integer potential proving that the assignment ``sigma`` is optimal.
+ASSIGNMENT_CHUNK = 64
+"""Problems that `certify_assignments` solves and checks together. It bounds
+the (chunk, 2k, 2k) temporaries of the whole-array checks."""
 
-    ``dist`` is the integer distance matrix on a vertex set Z, ``src`` and
-    ``dst`` (index arrays or slices) pick two equal-size supports in Z, and
-    ``sigma`` sends ``src[i]`` to ``dst[sigma[i]]``. Column potentials v come
-    from Bellman-Ford on the residual graph (arc sigma(i) -> j of weight
-    C[i,j] - C[i,sigma(i)]), and u_i = C[i,sigma(i)] - v_sigma(i). The returned f(z) = min_j (d(z, dst_j) - v_j)
-    on Z is checked exactly to be 1-Lipschitz on Z (McShane extends it to the
-    graph) with sum f[src] - sum f[dst] equal to the cost of ``sigma``; by
-    Kantorovich duality no assignment is cheaper. Raises CurvatureError if any
-    check fails.
+
+def _fail(bad: np.ndarray, edges, reason: str) -> None:
+    """Raise ``reason`` if ``bad`` (one leading row per problem) has a set entry.
+
+    The first such problem i is named by ``edges[i]`` when given.
     """
-    cost = dist[src][:, dst]
-    k = len(cost)
-    if sorted(sigma.tolist()) != list(range(k)):
-        raise CurvatureError("assignment is not a permutation")
-    matched = cost[np.arange(k), sigma]
-    c_total = int(matched.sum())
-    reduced = cost - matched[:, None]
-    v = np.zeros(k, dtype=np.int64)
+    if np.count_nonzero(bad):
+        if edges is None:
+            raise CurvatureError(reason)
+        i = int(bad.reshape(len(bad), -1).any(axis=1).argmax())
+        raise CurvatureError(f"edge {edges[i]}: {reason}")
+
+
+def kantorovich_potential(
+    dist: np.ndarray, sigma: np.ndarray, edges=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer potentials proving each assignment of a batch optimal, and its cost.
+
+    ``dist`` holds one integer distance block per problem, shape (m, 2k, 2k),
+    on a zone of k sources followed by k targets; problem i sends its source j
+    to its target ``sigma[i, j]``. For every problem at once, column
+    potentials v come from Bellman-Ford on the residual graph (arc sigma(j) ->
+    l of weight C[j,l] - C[j,sigma(j)]), and u_j = C[j,sigma(j)] - v_sigma(j).
+    The potential f(z) = min_l (d(z, target_l) - v_l) on each zone is checked
+    exactly to be 1-Lipschitz there (McShane extends it to the graph), with
+    sum f[sources] - sum f[targets] equal to the cost of sigma; by Kantorovich
+    duality no assignment is cheaper. Returns f (m, 2k) and the costs (m,).
+    Raises CurvatureError for the first problem that fails a check, naming
+    ``edges[i]`` when given.
+    """
+    m, k = sigma.shape
+    cost = dist[:, :k, k:]
+    slot, problem = np.arange(k), np.arange(m)[:, None]
+    _fail(np.sort(sigma, axis=1) != slot, edges, "assignment is not a permutation")
+    matched = cost[problem, slot, sigma]
+    c_total = matched.sum(axis=1)
+    reduced = cost - matched[:, :, None]
+    at_sigma = sigma + k * problem  # flat index of v[i, sigma[i, j]]
+    v = np.zeros((m, k), dtype=np.int64)
     for _ in range(k):
-        relaxed = (v[sigma][:, None] + reduced).min(axis=0)
-        if np.array_equal(relaxed, v):
+        relaxed = (v.take(at_sigma)[:, :, None] + reduced).min(axis=1)
+        if not np.count_nonzero(relaxed != v):
             break
         v = relaxed
-    u = matched - v[sigma]
-    if (u[:, None] + v[None, :] > cost).any():
-        raise CurvatureError("assignment is not optimal: dual potentials infeasible")
-    if int(u.sum()) + int(v.sum()) != c_total:
-        raise CurvatureError("dual value differs from the assignment cost")
-    f = (dist[:, dst] - v[None, :]).min(axis=1)
-    if (np.abs(f[:, None] - f[None, :]) > dist).any():
-        raise CurvatureError("Kantorovich potential is not 1-Lipschitz")
-    if int(f[src].sum()) - int(f[dst].sum()) != c_total:
-        raise CurvatureError("Kantorovich potential value differs from the assignment cost")
-    return f
+    u = matched - v.take(at_sigma)
+    _fail(u[:, :, None] + v[:, None, :] > cost, edges,
+          "assignment is not optimal: dual potentials infeasible")
+    _fail((u + v).sum(axis=1) != c_total, edges, "dual value differs from the assignment cost")
+    f = (dist[:, :, k:] - v[:, None, :]).min(axis=2)
+    _fail(np.abs(f[:, :, None] - f[:, None, :]) > dist, edges,
+          "Kantorovich potential is not 1-Lipschitz")
+    _fail((f[:, :k] - f[:, k:]).sum(axis=1) != c_total, edges,
+          "Kantorovich potential value differs from the assignment cost")
+    return f, c_total
 
 
 def check_uniform_plan(plan: TransportPlan, sources, targets) -> None:
@@ -299,6 +326,66 @@ def check_uniform_plan(plan: TransportPlan, sources, targets) -> None:
         raise CurvatureError("plan marginals are not uniform on the two supports")
 
 
+def _zone_blocks(g: Graph, zones: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BFS rows for ``zones`` (m, 2k), the row of each zone vertex, and the (m, 2k, 2k) blocks.
+
+    A batch reads each distinct vertex's row once. A single zone reads its
+    rows in order and slices its block directly: the dedup step would cost
+    more than it saves on one problem.
+    """
+    if len(zones) == 1:
+        rows = g.distance_rows(zones[0].tolist())
+        return rows, np.arange(zones.shape[1])[None, :], rows[:, zones[0]][None]
+    vertices, at = np.unique(zones, return_inverse=True)
+    rows = g.distance_rows(vertices.tolist())
+    at = at.reshape(zones.shape)
+    return rows, at, rows[at[:, :, None], zones[:, None, :]]
+
+
+def _certify_chunk(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """`certify_assignments` on at most ``ASSIGNMENT_CHUNK`` zones."""
+    m, k = zones.shape[0], zones.shape[1] // 2
+    rows, at, dist = _zone_blocks(g, zones)
+    _fail(dist < 0, edges, "supports lie in different components")
+    cost = dist[:, :k, k:]
+    sigma = np.full((m, k), -1, dtype=np.int64)
+    for i in range(m):
+        solved_rows, solved_cols = linear_sum_assignment(cost[i])
+        sigma[i, solved_rows] = solved_cols
+    _, c_total = kantorovich_potential(dist, sigma, edges)
+    plan_targets = zones[:, k:][np.arange(m)[:, None], sigma]
+    _fail(np.sort(plan_targets, axis=1) != np.sort(zones[:, k:], axis=1), edges,
+          "plan marginals are not uniform on the two supports")
+    _fail(rows[at[:, :k], plan_targets].sum(axis=1) != c_total, edges,
+          "internal error: plan cost disagrees with assignment value")
+    return c_total, plan_targets
+
+
+def certify_assignments(g: Graph, zones: np.ndarray, edges=None) -> tuple[np.ndarray, np.ndarray]:
+    """Certified cheapest bijections for many equal-size transport problems.
+
+    Row i of ``zones`` (m, 2k) holds problem i's k sources followed by its k
+    targets. Returns the integer cost of each optimal bijection, as total BFS
+    distance, and the plans (m, k): entry (i, j) is the target vertex that
+    source j of problem i is sent to. Each zone is read as a distance block
+    from the graph's cached BFS rows; a vertex in both halves appears twice,
+    which the 1-Lipschitz test allows (its two rows are equal, at distance
+    0). `linear_sum_assignment` solves each problem; then, over whole arrays
+    of ``ASSIGNMENT_CHUNK`` problems, `kantorovich_potential` proves every
+    assignment optimal, each plan's targets are checked to be its target set,
+    and each plan's cost is re-summed from the BFS rows at its vertex pairs.
+    A failed check raises CurvatureError, naming ``edges[i]`` when given.
+    """
+    m, k = zones.shape[0], zones.shape[1] // 2
+    costs = np.empty(m, dtype=np.int64)
+    plans = np.empty((m, k), dtype=zones.dtype)
+    for lo in range(0, m, ASSIGNMENT_CHUNK):
+        hi = lo + ASSIGNMENT_CHUNK
+        names = None if edges is None else edges[lo:hi]
+        costs[lo:hi], plans[lo:hi] = _certify_chunk(g, zones[lo:hi], names)
+    return costs, plans
+
+
 def assignment_wasserstein(
     g: Graph, sources, targets
 ) -> tuple[Fraction, TransportPlan]:
@@ -308,72 +395,98 @@ def assignment_wasserstein(
     the idleness-1/(d+1) measures, the open neighborhoods N(x), N(y) the
     idleness-0 ones. With k vertices on each side an optimal plan is a
     bijection (Birkhoff), so W = C/k where C is the minimum total distance
-    over bijections, found by one integer assignment solve. The value is
-    certified: the plan's marginals (one unit out of each source, one into
-    each target) and its total BFS distance are checked in integers, and
-    `kantorovich_potential` proves it optimal.
-
-    The zone is ``sources`` followed by ``targets``, read as one block from
-    the graph's cached BFS rows; a vertex in both lists appears twice, which
-    the 1-Lipschitz test allows (its two rows are equal, at distance 0).
+    over bijections: `certify_assignments` on the one zone ``sources`` then
+    ``targets``, which solves it and certifies its value.
     """
     k = len(sources)
     if k == 0 or k != len(targets):
         raise CurvatureError("assignment needs two vertex sets of equal positive size")
-    dist = g.distance_block([*sources, *targets])
-    if (dist < 0).any():
-        raise CurvatureError("supports lie in different components")
-    src, dst = slice(0, k), slice(k, 2 * k)
-    cost = dist[src, dst]
-    rows, cols = linear_sum_assignment(cost)
-    sigma = np.full(k, -1, dtype=np.int64)
-    sigma[rows] = cols
-    kantorovich_potential(dist, src, dst, sigma)
-    c_total = int(cost[np.arange(k), sigma].sum())
+    costs, plans = _certify_chunk(g, np.array([[*sources, *targets]]), None)
     unit = Fraction(1, k)
-    pairs = sorted(zip(sources, [targets[j] for j in sigma.tolist()]))
-    plan = TransportPlan(tuple((pair, unit) for pair in pairs))
-    check_uniform_plan(plan, sources, targets)
-    if sum(g.distance(v, w) for (v, w), _ in plan.entries) != c_total:
-        raise CurvatureError("internal error: plan cost disagrees with assignment value")
-    return Fraction(c_total, k), plan
+    pairs = sorted(zip(sources, plans[0].tolist()))
+    return Fraction(int(costs[0]), k), TransportPlan(tuple((pair, unit) for pair in pairs))
+
+
+def _kappa_p_on_regular_edge(p: Fraction, d: int, kappa_0, kappa_lly) -> Fraction:
+    """kappa_p of an edge of a d-regular graph from kappa_0 and kappa_LLY.
+
+    By the linearity theorem of Bourne, Cushing, Liu, Muench & Peyerimhoff
+    (SIAM J. Discrete Math. 32, 2018), p -> kappa_p is linear on
+    [0, 1/(d+1)] and on [1/(d+1), 1], and kappa_1 = 0:
+
+    - p >= 1/(d+1): (1-p) kappa_LLY;
+    - p = 0: kappa_0;
+    - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY.
+
+    ``kappa_0`` is unused (and may be None) when p >= 1/(d+1), ``kappa_lly``
+    when p = 0.
+    """
+    knee = Fraction(1, d + 1)
+    if p >= knee:
+        return (1 - p) * kappa_lly
+    if p == 0:
+        return kappa_0
+    kappa_knee = (1 - knee) * kappa_lly
+    return kappa_0 + (kappa_knee - kappa_0) * p / knee
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
     """p-idleness Ollivier curvature: 1 - W(mu_x^p, mu_y^p) / d(x, y).
 
-    On an edge of a d-regular graph, p -> kappa_p is linear on [0, 1/(d+1)]
-    and on [1/(d+1), 1] (Bourne, Cushing, Liu, Muench & Peyerimhoff, SIAM J.
-    Discrete Math. 32, 2018), and kappa_1 = 0. So kappa_p rests on two
-    certified assignments of `assignment_wasserstein`, solving only those p
-    needs:
-
-    - p >= 1/(d+1): (1-p) kappa_LLY, from the B(x) -> B(y) assignment;
-    - p = 0: 1 - W(unif N(x), unif N(y)), from the N(x) -> N(y) assignment;
-    - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY.
-
-    Irregular graphs and non-adjacent pairs go through the min-cost flow.
+    On an edge of a d-regular graph, kappa_p rests on two certified
+    assignments of `assignment_wasserstein`, solving only those p needs:
+    B(x) -> B(y) (kappa_LLY) when p > 0, and N(x) -> N(y) (kappa_0 =
+    1 - W(unif N(x), unif N(y))) when p < 1/(d+1); see
+    `_kappa_p_on_regular_edge`. Irregular graphs and non-adjacent pairs go
+    through the min-cost flow.
     """
     if x == y:
         raise CurvatureError("curvature requires distinct vertices")
     dxy = g.distance(x, y)
     if dxy is None:
         raise CurvatureError("vertices lie in different components")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise CurvatureError(f"idleness {p} outside [0, 1]")
+    p = _idleness(p)
     d = g.regular_degree()
     if d is None or dxy != 1:
         w, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
         return 1 - w / dxy
-    knee = Fraction(1, d + 1)
-    if p >= knee:
-        return (1 - p) * lly_curvature(g, x, y)
-    kappa_0 = 1 - assignment_wasserstein(g, g.neighbors(x), g.neighbors(y))[0]
-    if p == 0:
-        return kappa_0
-    kappa_knee = (1 - knee) * lly_curvature(g, x, y)
-    return kappa_0 + (kappa_knee - kappa_0) * p / knee
+    kappa_0 = None
+    if p < Fraction(1, d + 1):
+        kappa_0 = 1 - assignment_wasserstein(g, g.neighbors(x), g.neighbors(y))[0]
+    kappa_lly = lly_curvature(g, x, y) if p > 0 else None
+    return _kappa_p_on_regular_edge(p, d, kappa_0, kappa_lly)
+
+
+def kappa_p_all_edges(g: Graph, p: Fraction) -> list[tuple[int, int, Fraction]]:
+    """``ollivier_kappa_p`` of every edge, in sorted edge order.
+
+    On a regular graph this is at most two batched passes of
+    `certify_assignments` over all edges: B(x) -> B(y) when p > 0 and
+    N(x) -> N(y) when p < 1/(d+1), combined per edge as in
+    `ollivier_kappa_p`. Irregular graphs keep the per-edge min-cost flow.
+    """
+    p = _idleness(p)
+    edges = g.edges()
+    d = g.regular_degree()
+    if d is None:
+        return [(u, v, ollivier_kappa_p(g, u, v, p)) for u, v in edges]
+    if not edges:
+        return []
+    ends = np.array(edges)
+    neighbors = np.array(g.adjacency)
+    kappa_0 = kappa_lly = [None] * len(edges)
+    if p > 0:
+        balls = np.sort(np.column_stack((np.arange(g.n), neighbors)), axis=1)
+        costs, _ = certify_assignments(g, balls[ends].reshape(len(edges), -1), edges)
+        # (d+1)/d * (1 - W) with W = C/(d+1), as in `lly_curvature`
+        kappa_lly = [Fraction(d + 1 - c, d) for c in costs.tolist()]
+    if p < Fraction(1, d + 1):
+        costs, _ = certify_assignments(g, neighbors[ends].reshape(len(edges), -1), edges)
+        kappa_0 = [Fraction(d - c, d) for c in costs.tolist()]  # 1 - C/d
+    return [
+        (u, v, _kappa_p_on_regular_edge(p, d, k0, kl))
+        for (u, v), k0, kl in zip(edges, kappa_0, kappa_lly)
+    ]
 
 
 def lly_curvature(g: Graph, x: int, y: int) -> Fraction:

@@ -9,6 +9,12 @@ from .graph import Graph, GraphError
 DEFAULT_SIZE_CAP = 100_000
 
 
+def _check_size(name: str, n: int, size_cap: int) -> None:
+    """Refuse a graph of ``n`` vertices above ``size_cap``, before any of it is built."""
+    if n > size_cap:
+        raise GraphError(f"{name} has {n} vertices, exceeding cap {size_cap}")
+
+
 def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Hamming graph H(p, q): p-tuples over {0..q-1}, adjacency = Hamming distance 1.
 
@@ -18,8 +24,7 @@ def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if p < 1 or q < 2:
         raise GraphError(f"gen_hamming requires p >= 1, q >= 2, got ({p}, {q})")
     n = q**p
-    if n > size_cap:
-        raise GraphError(f"H({p},{q}) has {n} vertices, exceeding cap {size_cap}")
+    _check_size(f"H({p},{q})", n, size_cap)
     tuples = list(product(range(q), repeat=p))
     index = {t: i for i, t in enumerate(tuples)}
     edges = []
@@ -53,12 +58,13 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def gen_paley(q: int) -> Graph:
+def gen_paley(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Paley graph on a prime q = 1 (mod 4): u ~ v iff u - v is a nonzero square.
 
     Prime powers are deliberately unsupported; the 9-vertex case is available
-    as gen_hamming(2, 3).
+    as gen_hamming(2, 3). The size cap is checked before the primality test.
     """
+    _check_size(f"Paley({q})", q, size_cap)
     if not _is_prime(q):
         raise GraphError(f"gen_paley requires a prime, got {q}")
     if q % 4 != 1:
@@ -68,8 +74,9 @@ def gen_paley(q: int) -> Graph:
     return Graph(q, edges)
 
 
-def gen_shrikhande() -> Graph:
+def gen_shrikhande(size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Shrikhande graph: Cayley graph on Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}."""
+    _check_size("the Shrikhande graph", 16, size_cap)
     conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
     edges = []
     for a in range(4):
@@ -83,24 +90,27 @@ def gen_shrikhande() -> Graph:
     return Graph(16, edges, labels=labels)
 
 
-def gen_cocktail(m: int) -> Graph:
+def gen_cocktail(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Cocktail-party graph K_{m x 2}: 2m vertices, 2i and 2i+1 non-adjacent."""
     if m < 2:
         raise GraphError(f"gen_cocktail requires m >= 2, got {m}")
     n = 2 * m
+    _check_size(f"cocktail({m})", n, size_cap)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if not (u // 2 == v // 2)
     ]
     return Graph(n, edges)
 
 
-def gen_complete(n: int) -> Graph:
+def gen_complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 2:
         raise GraphError(f"gen_complete requires n >= 2, got {n}")
+    _check_size(f"K_{n}", n, size_cap)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def gen_cycle(n: int) -> Graph:
+def gen_cycle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 3:
         raise GraphError(f"gen_cycle requires n >= 3, got {n}")
+    _check_size(f"C_{n}", n, size_cap)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])

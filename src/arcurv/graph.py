@@ -19,8 +19,8 @@ class Graph:
     Adjacency is stored as sorted tuples. Two facts are cached, because the
     graph never changes: the common degree (None if irregular), found once at
     construction, and one BFS distance row per source, computed on first use
-    as a read-only int32 numpy array, so that `distance_block` slices it
-    without a Python loop. ``labels`` is an optional side table of original
+    as a read-only int32 numpy array, so that `distance_rows` and
+    `distance_block` stack and slice it without a Python loop. ``labels`` is an optional side table of original
     vertex labels (e.g. Hamming tuples) used only for reporting.
     """
 
@@ -97,14 +97,18 @@ class Graph:
         self._dist_cache[source] = row
         return row
 
+    def distance_rows(self, vertices: Sequence[int]) -> np.ndarray:
+        """The cached BFS rows of ``vertices`` (repeats allowed), stacked in their order as int64."""
+        cache = self._dist_cache
+        rows = [cache[v] if v in cache else self.distances_from(v) for v in vertices]
+        return np.array(rows, dtype=np.int64)
+
     def distance_block(self, vertices: Sequence[int]) -> np.ndarray:
         """Distance matrix on ``vertices`` (repeats allowed), in their order.
 
         Row i is the cached BFS row of ``vertices[i]`` read at ``vertices``.
         """
-        cache = self._dist_cache
-        rows = [cache[v] if v in cache else self.distances_from(v) for v in vertices]
-        return np.array(rows)[:, vertices]
+        return self.distance_rows(vertices)[:, vertices]
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path length, or None if u and v are in different components."""

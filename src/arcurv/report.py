@@ -16,6 +16,7 @@ from .curvature import CurvatureTable, curvature_all_edges
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
 from .matching import konig_decomposition
 from .spectral import (
+    DEFAULT_SPECTRUM_CAP,
     PsdCertificate,
     check_spectrum_cap,
     lambda1,
@@ -227,15 +228,18 @@ def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
     )
 
 
-def _spectral_row(g: Graph, params: AmplyParams, kappa_min: Fraction) -> SpectralRow:
+def _spectral_row(
+    g: Graph, params: AmplyParams, kappa_min: Fraction,
+    spectrum_cap: int = DEFAULT_SPECTRUM_CAP,
+) -> SpectralRow:
     """Decide sigma_2 <= bound and Lichnerowicz, lambda_1 >= kappa_min, exactly.
 
     On a d-regular graph lambda_1 = 1 - sigma_2/d, so Lichnerowicz is
     sigma_2 <= d(1 - kappa_min). The smaller t is tested first; if it holds,
     both claims hold and the larger t needs no test.
     """
-    sigma = second_largest(g)
-    lam = lambda1(g)
+    sigma = second_largest(g, cap=spectrum_cap)
+    lam = lambda1(g, cap=spectrum_cap)
     d, a, b = params.d, params.alpha, params.beta
     bound: Optional[int] = None
     if b is not None and b > a >= 1:
@@ -280,11 +284,17 @@ def _conference_note(params: AmplyParams, table: CurvatureTable) -> Optional[Con
     )
 
 
-def verify_graph(g: Graph, graph_id: str) -> VerificationReport:
-    """Run every applicable check against a connected amply regular graph."""
+def verify_graph(
+    g: Graph, graph_id: str, spectrum_cap: int = DEFAULT_SPECTRUM_CAP
+) -> VerificationReport:
+    """Run every applicable check against a connected amply regular graph.
+
+    ``spectrum_cap`` bounds the vertex count of the spectral checks; a larger
+    graph is refused before any other work.
+    """
     if not g.is_connected():
         raise ReportError("verification requires a connected graph")
-    check_spectrum_cap(g.n)  # before any per-edge or all-pairs work
+    check_spectrum_cap(g.n, spectrum_cap)  # before any per-edge or all-pairs work
     params = detect_amply_params(g)
     if isinstance(params, AmplyViolation):
         raise ReportError(
@@ -340,7 +350,7 @@ def verify_graph(g: Graph, graph_id: str) -> VerificationReport:
             passed=ok,
         )
     diameter_row = _diameter_row(g, params)
-    spectral_row = _spectral_row(g, params, table.kappa_min)
+    spectral_row = _spectral_row(g, params, table.kappa_min, spectrum_cap)
     conference = _conference_note(params, table)
     overall = (
         all(r.passed for r in edge_rows)

@@ -43,6 +43,20 @@ class TestGen:
         code, _, err = run(capsys, "--size-cap", "10", "gen", "hamming", "2", "4")
         assert code == EXIT_INPUT and "cap" in err
 
+    @pytest.mark.parametrize("family, args", [
+        ("complete", ["11"]), ("cycle", ["11"]), ("cocktail", ["6"]),
+        ("paley", ["13"]), ("shrikhande", []),
+    ])
+    def test_size_cap_applies_to_every_family(self, capsys, family, args):
+        code, out, err = run(capsys, "--size-cap", "10", "gen", family, *args)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "exceeding cap 10" in err
+
+    def test_negative_size_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "--size-cap", "-1", "gen", "complete", "4")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: --size-cap must be nonnegative, got -1\n"
+
 
 class TestParams:
     def test_text(self, capsys, h23_file):
@@ -226,6 +240,15 @@ class TestSpectrumDiameterSearch:
         code, out, err = run(capsys, "verify", str(path))
         assert (code, out) == (EXIT_INPUT, "")
         assert err == "error: graph size 4097 exceeds spectrum cap 4096\n"
+
+    def test_verify_honours_size_cap(self, capsys, tmp_path):
+        path = tmp_path / "h33.txt"
+        path.write_text(dump_edge_list(gen_hamming(3, 3)))
+        code, out, err = run(capsys, "--size-cap", "10", "verify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: graph size 27 exceeds spectrum cap 10\n"
+        code, _, _ = run(capsys, "--size-cap", "27", "verify", str(path))
+        assert code == EXIT_OK
 
     def test_diameter(self, capsys, h23_file):
         code, out, _ = run(capsys, "diameter", h23_file)

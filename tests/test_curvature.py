@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from arcurv import (
     ProbMeasure,
     TransportPlan,
     assignment_wasserstein,
+    certify_assignments,
     check_uniform_plan,
     curvature_all_edges,
     gen_complete,
@@ -21,6 +23,7 @@ from arcurv import (
     gen_paley,
     gen_shrikhande,
     kantorovich_potential,
+    kappa_p_all_edges,
     lly_curvature,
     mu_p,
     ollivier_kappa_p,
@@ -28,6 +31,7 @@ from arcurv import (
     wasserstein,
 )
 
+from arcurv.curvature import ASSIGNMENT_CHUNK
 from conftest import (
     brute_regular_wasserstein,
     random_connected_graph,
@@ -187,6 +191,17 @@ class TestWasserstein:
 
 
 class TestAssignmentWasserstein:
+    def test_supports_in_different_components(self):
+        from arcurv import Graph
+
+        g = Graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(CurvatureError, match="different components"):
+            assignment_wasserstein(g, [0, 1], [2, 3])
+        # in a batch, the error names the problem whose zone spans two components
+        zones = np.array([[0, 1, 1, 0], [0, 1, 2, 3]])
+        with pytest.raises(CurvatureError, match=_naming((0, 2), "different components")):
+            certify_assignments(g, zones, [(0, 1), (0, 2)])
+
     def test_complete_graph_zero(self):
         g = gen_complete(4)
         value, _ = assignment_wasserstein(g, *_balls(g, 0, 1))
@@ -237,52 +252,54 @@ class TestAssignmentWasserstein:
                 assert flow_value == assign_value
 
 
-def _edge_zone(g, x, y):
-    """Distance matrix on B(x) u B(y) and the index arrays of B(x) and B(y) in it."""
-    bx = sorted((x,) + g.neighbors(x))
-    by = sorted((y,) + g.neighbors(y))
-    zone = sorted(set(bx) | set(by))
-    dist = np.array([[g.distance(a, b) for b in zone] for a in zone], dtype=np.int64)
-    return dist, np.array([zone.index(v) for v in bx]), np.array([zone.index(w) for w in by])
+def _edge_blocks(g, edges):
+    """Zone blocks B(x) then B(y) of ``edges`` as one batch, with optimal assignments."""
+    dist = np.array([g.distance_block(bx + by) for bx, by in (_balls(g, x, y) for x, y in edges)])
+    k = dist.shape[1] // 2
+    sigma = np.array([linear_sum_assignment(block[:k, k:])[1] for block in dist])
+    return dist, sigma
 
 
 class TestKantorovichCertificate:
     def test_certifies_optimal_assignment(self):
         g = gen_paley(13)
         x, y = g.edges()[0]
-        dist, src, dst = _edge_zone(g, x, y)
-        cost = dist[np.ix_(src, dst)]
-        sigma = linear_sum_assignment(cost)[1]
-        f = kantorovich_potential(dist, src, dst, sigma)
-        c_total = int(cost[np.arange(len(src)), sigma].sum())
-        assert int(f[src].sum() - f[dst].sum()) == c_total
-        assert (np.abs(f[:, None] - f[None, :]) <= dist).all()
-        assert Fraction(c_total, len(src)) == assignment_wasserstein(g, *_balls(g, x, y))[0]
+        dist, sigma = _edge_blocks(g, [(x, y)])
+        k = sigma.shape[1]
+        f, costs = kantorovich_potential(dist, sigma)
+        f = f[0]
+        c_total = int(dist[0, np.arange(k), k + sigma[0]].sum())
+        assert costs.tolist() == [c_total]
+        assert int(f[:k].sum() - f[k:].sum()) == c_total
+        assert (np.abs(f[:, None] - f[None, :]) <= dist[0]).all()
+        assert Fraction(c_total, k) == assignment_wasserstein(g, *_balls(g, x, y))[0]
 
     def test_rejects_non_optimal_assignment(self):
         g = gen_paley(13)
         x, y = g.edges()[0]
-        dist, src, dst = _edge_zone(g, x, y)
+        dist, sigma = _edge_blocks(g, [(x, y)])
+        k = sigma.shape[1]
         # a cyclic shift of the sorted order, dearer than the optimum (asserted)
-        sigma = np.roll(np.arange(len(dst)), 1)
-        optimum = assignment_wasserstein(g, *_balls(g, x, y))[0] * len(src)
-        assert dist[src, dst[sigma]].sum() > optimum
+        shifted = np.roll(np.arange(k), 1)
+        optimum = assignment_wasserstein(g, *_balls(g, x, y))[0] * k
+        assert dist[0, np.arange(k), k + shifted].sum() > optimum
         with pytest.raises(CurvatureError, match="not optimal"):
-            kantorovich_potential(dist, src, dst, sigma)
+            kantorovich_potential(dist, shifted[None])
 
     def test_rejects_non_permutation(self):
         g = gen_paley(13)
-        dist, src, dst = _edge_zone(g, *g.edges()[0])
+        dist, sigma = _edge_blocks(g, g.edges()[:1])
         with pytest.raises(CurvatureError, match="permutation"):
-            kantorovich_potential(dist, src, dst, np.zeros(len(src), dtype=np.int64))
+            kantorovich_potential(dist, np.zeros_like(sigma))
 
     def test_rejects_potential_that_is_not_1_lipschitz(self):
-        # Not a metric: d(0,1) = 3 > d(0,2) + d(2,1). The one-point assignment
-        # 0 -> 1 passes the dual and value checks, but its potential
-        # f = d(., 1) = (3, 0, 1) moves by 2 between 0 and 2, at distance 1.
-        dist = np.array([[0, 3, 1], [3, 0, 1], [1, 1, 0]])
+        # Not a metric on (s0, s1, t0, t1): d(s1, t0) = 3 > d(s1, s0) + d(s0, t0).
+        # The identity assignment (cost 1 + 3, as cheap as the swap) passes the
+        # dual and value checks with v = 0, but its potential f = (1, 3, 0, 0)
+        # moves by 2 between s0 and s1, at distance 1.
+        dist = np.array([[0, 1, 1, 1], [1, 0, 3, 3], [1, 3, 0, 1], [1, 3, 1, 0]])
         with pytest.raises(CurvatureError, match="1-Lipschitz"):
-            kantorovich_potential(dist, np.array([0]), np.array([1]), np.array([0]))
+            kantorovich_potential(dist[None], np.array([[0, 1]]))
 
     def test_assignment_wasserstein_rejects_bad_solver(self, monkeypatch):
         def worst_assignment(cost):
@@ -301,6 +318,137 @@ class TestKantorovichCertificate:
         g = gen_paley(13)
         with pytest.raises(CurvatureError, match="not optimal"):
             ollivier_kappa_p(g, *g.edges()[0], Fraction(0))
+
+
+def _sorted_edges_kappa_p(g, p):
+    return [(u, v, ollivier_kappa_p(g, u, v, p)) for u, v in g.edges()]
+
+
+def _naming(edge, reason):
+    """Pattern of an error message that names ``edge`` and then ``reason``."""
+    return "^" + re.escape(f"edge {edge}: ") + ".*" + reason
+
+
+def _fail_on_call(index, answer):
+    """A solver that returns ``answer(cost)`` on call ``index`` (0-based) and solves the rest."""
+    calls = []
+
+    def solver(cost):
+        calls.append(None)
+        if len(calls) - 1 == index:
+            return answer(cost)
+        return linear_sum_assignment(cost)
+
+    return solver
+
+
+class TestBatchedAssignments:
+    @pytest.mark.parametrize("build", [
+        lambda: gen_hamming(2, 3), lambda: gen_hamming(3, 3), lambda: gen_hypercube(4),
+        lambda: gen_paley(13), gen_shrikhande, lambda: gen_cocktail(4),
+    ])
+    def test_equals_per_edge_and_flow(self, build):
+        g = build()
+        d = g.regular_degree()
+        for p in (Fraction(0), Fraction(1, 2 * (d + 1)), Fraction(1, d + 1), Fraction(1, 2), Fraction(1)):
+            batch = kappa_p_all_edges(g, p)
+            assert batch == _sorted_edges_kappa_p(g, p)
+            assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
+
+    def test_plans_match_the_one_problem_path(self):
+        g = gen_paley(13)
+        zones = np.array([bx + by for bx, by in (_balls(g, x, y) for x, y in g.edges())])
+        costs, plans = certify_assignments(g, zones, g.edges())
+        k = zones.shape[1] // 2
+        for zone, cost, plan in zip(zones.tolist(), costs.tolist(), plans.tolist()):
+            value, single = assignment_wasserstein(g, zone[:k], zone[k:])
+            assert value == Fraction(cost, k)
+            assert [pair for pair, _ in single.entries] == sorted(zip(zone[:k], plan))
+            assert plan_cost(g, single) == value
+
+    def test_more_edges_than_one_chunk(self, monkeypatch):
+        g = gen_hamming(3, 3)
+        assert g.num_edges() > ASSIGNMENT_CHUNK and g.num_edges() % ASSIGNMENT_CHUNK
+        expected = _sorted_edges_kappa_p(g, Fraction(1, 14))
+        assert kappa_p_all_edges(g, Fraction(1, 14)) == expected
+        monkeypatch.setattr("arcurv.curvature.ASSIGNMENT_CHUNK", 5)  # 81 = 16 * 5 + 1
+        assert kappa_p_all_edges(g, Fraction(1, 14)) == expected
+
+    def test_disconnected_regular_graph(self):
+        from arcurv import Graph
+
+        k4 = gen_complete(4).edges()
+        g = Graph(8, k4 + [(u + 4, v + 4) for u, v in k4])
+        for p in (Fraction(0), Fraction(1, 8), Fraction(1, 2)):
+            batch = kappa_p_all_edges(g, p)
+            assert batch == _sorted_edges_kappa_p(g, p)
+            assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
+
+    def test_edgeless_graph(self):
+        from arcurv import Graph
+
+        assert kappa_p_all_edges(Graph(4, []), Fraction(1, 2)) == []
+        with pytest.raises(CurvatureError, match="outside"):
+            kappa_p_all_edges(Graph(4, []), Fraction(3, 2))
+
+    def test_irregular_graph_uses_flow(self, monkeypatch):
+        def no_assignment(cost):
+            raise AssertionError("assignment solved on an irregular graph")
+
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", no_assignment)
+        g = random_connected_graph(3)
+        assert g.regular_degree() is None
+        p = Fraction(1, 3)
+        assert kappa_p_all_edges(g, p) == [(x, y, _flow_kappa(g, x, y, p)) for x, y in g.edges()]
+
+    def test_names_the_edge_of_a_non_permutation(self, monkeypatch):
+        g = gen_hamming(3, 3)
+        edge = g.edges()[70]  # in the second chunk
+        solver = _fail_on_call(70, lambda cost: (np.arange(len(cost)), np.zeros(len(cost), dtype=int)))
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", solver)
+        with pytest.raises(CurvatureError, match=_naming(edge, "permutation")):
+            kappa_p_all_edges(g, Fraction(1, 2))
+
+    def test_names_the_edge_of_a_non_optimal_sigma(self, monkeypatch):
+        g = gen_paley(13)
+        edge = g.edges()[9]
+        solver = _fail_on_call(9, lambda cost: linear_sum_assignment(-cost))
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", solver)
+        with pytest.raises(CurvatureError, match=_naming(edge, "not optimal")):
+            kappa_p_all_edges(g, Fraction(0))
+
+    def test_names_the_edge_of_a_non_metric_block(self):
+        g = gen_paley(13)
+        edges = g.edges()[:6]
+        dist, sigma = _edge_blocks(g, edges)
+        f, _ = kantorovich_potential(dist, sigma, edges)
+        k = sigma.shape[1]
+        # two sources of member 4 whose potentials differ, put at distance 0
+        a, b = next((a, b) for a in range(k) for b in range(a + 1, k) if f[4, a] != f[4, b])
+        dist[4, a, b] = dist[4, b, a] = 0
+        with pytest.raises(CurvatureError, match=_naming(edges[4], "1-Lipschitz")):
+            kantorovich_potential(dist, sigma, edges)
+
+    def test_names_the_edge_of_a_wrong_re_sum(self, monkeypatch):
+        import arcurv.curvature as curvature
+
+        g = gen_hamming(3, 3)
+        edge = g.edges()[66]
+        target = np.concatenate(_balls(g, *edge))
+        gather = curvature._zone_blocks
+
+        def shifted_gather(graph, zones):
+            # One member's block is read one too far apart off the diagonal: still
+            # a metric, so every other check passes, but not the graph's distances.
+            rows, at, dist = gather(graph, zones)
+            dist = dist.copy()
+            for i in np.flatnonzero((zones == target).all(axis=1)):
+                dist[i] += 1 - np.eye(len(target), dtype=dist.dtype)
+            return rows, at, dist
+
+        monkeypatch.setattr(curvature, "_zone_blocks", shifted_gather)
+        with pytest.raises(CurvatureError, match=_naming(edge, "plan cost")):
+            kappa_p_all_edges(g, Fraction(1, 2))
 
 
 @settings(max_examples=25, deadline=None)

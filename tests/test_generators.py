@@ -26,6 +26,28 @@ def test_hamming_size_cap():
         gen_hamming(10, 4, size_cap=1000)
 
 
+@pytest.mark.parametrize("build, size", [
+    (lambda cap: gen_complete(11, size_cap=cap), 11),
+    (lambda cap: gen_cycle(11, size_cap=cap), 11),
+    (lambda cap: gen_cocktail(6, size_cap=cap), 12),
+    (lambda cap: gen_paley(13, size_cap=cap), 13),
+    (lambda cap: gen_shrikhande(size_cap=cap), 16),
+])
+def test_every_family_honours_the_size_cap(build, size):
+    with pytest.raises(GraphError, match=f"{size} vertices, exceeding cap 10"):
+        build(10)
+    assert build(size).n == size
+
+
+def test_paley_checks_the_cap_before_primality(monkeypatch):
+    def no_test(q):
+        raise AssertionError("primality tested past the size cap")
+
+    monkeypatch.setattr("arcurv.generators._is_prime", no_test)
+    with pytest.raises(GraphError, match="cap"):
+        gen_paley(10**12 + 39, size_cap=100)
+
+
 def test_hamming_labels():
     g = gen_hamming(2, 3)
     assert g.labels[0] == "00" and g.labels[4] == "11" and g.labels[8] == "22"
