@@ -4,7 +4,6 @@ from .curvature import (
     CurvatureError,
     CurvatureTable,
     ProbMeasure,
-    Rational,
     TransportPlan,
     assignment_wasserstein,
     certify_assignments,
@@ -43,7 +42,6 @@ from .matching import (
     Matching,
     MatchingError,
     dense_perfect_matching,
-    hall_violator,
     konig_decomposition,
     matching_through_edge,
     max_matching,
@@ -61,6 +59,7 @@ from .spectral import (
     sigma2_at_most,
 )
 from .witness import (
+    EdgeWitness,
     ReachableChain,
     TransportBipartite,
     WitnessError,
@@ -68,6 +67,7 @@ from .witness import (
     build_transport_bipartite,
     certify_witness,
     check_h_regular,
+    edge_witness,
     prop_3_1_certificate,
     reachable_map,
     verify_lemma_3_3,

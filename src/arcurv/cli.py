@@ -24,7 +24,7 @@ from .graph import (
     dump_edge_list,
     load_edge_list,
 )
-from .matching import MatchingError, konig_decomposition
+from .matching import MatchingError
 from .report import (
     ReportError,
     frac_str,
@@ -180,20 +180,11 @@ def _cmd_verify(args) -> int:
 
 
 def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
-    h = wit.build_transport_bipartite(g, x, y)
-    b = h.to_bipartite()
-    reg = wit.check_h_regular(h)
-    classes = konig_decomposition(b)
-    class_dumps = []
-    for m in classes:
-        chains = wit.reachable_map(h, m)
-        class_dumps.append({
-            "edges": sorted([u, w] for u, w in m.pairs.items()),
-            "chains": [
-                {"v0": c.v0, "w0": c.w0, "rho": c.rho, "k": c.k} for c in chains
-            ],
-        })
-    cert = wit.certify_witness(g, h, b, reg)
+    record = wit.edge_witness(g, x, y, None)
+    for error in (record.walk_error, record.certify_error):
+        if error is not None:
+            raise wit.WitnessError(error)
+    h, reg, cert = record.h, record.regularity, record.certificate
     return {
         "edge": [x, y],
         "left": [h.left_name(i) for i in range(h.side_size)],
@@ -204,7 +195,13 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
             str(i + 1): sorted([u, w] for u, w in cls)
             for i, cls in enumerate(h.edge_classes)
         },
-        "matchings": class_dumps,
+        "matchings": [
+            {
+                "edges": sorted([u, w] for u, w in m.pairs.items()),
+                "chains": [{"v0": r.v0, "w0": r.w0, "rho": r.rho, "k": r.k} for r in records],
+            }
+            for m, records in zip(record.classes, record.class_records)
+        ],
         "pi0_cost": frac_str(cert.pi0_cost),
         "kappa_lower_bound": frac_str(cert.kappa_lb),
         "kappa": frac_str(cert.kappa),

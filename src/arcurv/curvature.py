@@ -26,8 +26,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .graph import Graph
 
-Rational = Fraction
-
 
 class CurvatureError(ValueError):
     """Unmet curvature precondition or internal exactness failure."""

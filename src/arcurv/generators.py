@@ -18,8 +18,7 @@ def _check_size(name: str, n: int, size_cap: int) -> None:
 def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Hamming graph H(p, q): p-tuples over {0..q-1}, adjacency = Hamming distance 1.
 
-    Vertices are indexed in lexicographic tuple order; tuple labels are kept
-    as a side table for reports.
+    Vertices are indexed in lexicographic tuple order.
     """
     if p < 1 or q < 2:
         raise GraphError(f"gen_hamming requires p >= 1, q >= 2, got ({p}, {q})")
@@ -36,8 +35,7 @@ def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
                 j = index[t[:c] + (b,) + t[c + 1 :]]
                 if j > i:
                     edges.append((i, j))
-    labels = ["".join(str(x) for x in t) for t in tuples]
-    return Graph(n, edges, labels=labels)
+    return Graph(n, edges)
 
 
 def gen_hypercube(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -86,8 +84,7 @@ def gen_shrikhande(size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
                 j = 4 * ((a + da) % 4) + (b + db) % 4
                 if j > i:
                     edges.append((i, j))
-    labels = [f"{a}{b}" for a in range(4) for b in range(4)]
-    return Graph(16, edges, labels=labels)
+    return Graph(16, edges)
 
 
 def gen_cocktail(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:

@@ -20,18 +20,12 @@ class Graph:
     graph never changes: the common degree (None if irregular), found once at
     construction, and one BFS distance row per source, computed on first use
     as a read-only int32 numpy array, so that `distance_rows` and
-    `distance_block` stack and slice it without a Python loop. ``labels`` is an optional side table of original
-    vertex labels (e.g. Hamming tuples) used only for reporting.
+    `distance_block` stack and slice it without a Python loop.
     """
 
-    __slots__ = ("n", "_adj", "labels", "_dist_cache", "_connected", "_degree")
+    __slots__ = ("n", "_adj", "_dist_cache", "_connected", "_degree")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
@@ -44,9 +38,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
-        if labels is not None and len(labels) != n:
-            raise GraphError("label table size does not match vertex count")
-        self.labels = tuple(labels) if labels is not None else None
         degrees = {len(a) for a in self._adj}
         self._degree: Optional[int] = degrees.pop() if len(degrees) == 1 else None
         self._dist_cache: dict[int, np.ndarray] = {}
@@ -352,9 +343,10 @@ def detect_amply_params(g: Graph) -> DetectResult:
 
 def edge_partition(g: Graph, x: int, y: int) -> EdgeNeighborhoodPartition:
     """Split the neighborhoods around edge xy into delta / nx / ny."""
-    if not g.is_edge(x, y):
+    gx = set(g.neighbors(x))
+    if y not in gx:
         raise GraphError(f"({x}, {y}) is not an edge")
-    gx, gy = set(g.neighbors(x)), set(g.neighbors(y))
+    gy = set(g.neighbors(y))
     delta = tuple(sorted(gx & gy))
     nx = tuple(sorted(gx - gy - {y}))
     ny = tuple(sorted(gy - gx - {x}))

@@ -1,8 +1,7 @@
-"""Bipartite matching: augmenting paths, Hall certificates, Konig decomposition."""
+"""Bipartite matching: augmenting paths, Konig decomposition, dense perfect matchings."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,6 +46,10 @@ class Bipartite:
             for w in self.adj[u]:
                 degs[w] += 1
         return degs
+
+    def min_degree(self) -> int:
+        """Smallest degree over both sides; 0 on an empty side."""
+        return min(min(map(len, self.adj), default=0), min(self.right_degrees(), default=0))
 
     def regular_degree(self) -> Optional[int]:
         """Common degree if k-regular with equal sides, else None."""
@@ -118,40 +121,6 @@ def max_matching(b: Bipartite) -> Matching:
     return m
 
 
-def hall_violator(b: Bipartite) -> Optional[set[int]]:
-    """A left set S with |Gamma(S)| < |S| when no perfect matching exists, else None.
-
-    Built from alternating reachability out of the unmatched left vertices of
-    a maximum matching.
-    """
-    if b.left_n != b.right_n:
-        raise MatchingError("hall_violator requires equal side sizes")
-    m = max_matching(b)
-    if m.is_perfect(b):
-        return None
-    match_r = [-1] * b.right_n
-    for u, w in m.pairs.items():
-        match_r[w] = u
-    # alternating BFS: unmatched edges left->right, matched edges right->left
-    frontier = deque(u for u in range(b.left_n) if u not in m.pairs)
-    seen_left = set(frontier)
-    seen_right: set[int] = set()
-    while frontier:
-        u = frontier.popleft()
-        for w in b.adj[u]:
-            if w in seen_right:
-                continue
-            seen_right.add(w)
-            nxt = match_r[w]
-            if nxt >= 0 and nxt not in seen_left:
-                seen_left.add(nxt)
-                frontier.append(nxt)
-    neighborhood = {w for u in seen_left for w in b.adj[u]}
-    if len(neighborhood) >= len(seen_left):
-        raise MatchingError("internal error: violator certificate failed")
-    return seen_left
-
-
 def konig_decomposition(b: Bipartite) -> list[Matching]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
@@ -211,7 +180,7 @@ def dense_perfect_matching(b: Bipartite) -> Matching:
     n = b.left_n
     if n == 0:
         return Matching({})
-    min_deg = min(min(len(a) for a in b.adj), min(b.right_degrees()))
+    min_deg = b.min_degree()
     if 2 * min_deg < n:
         raise MatchingError(f"min degree {min_deg} below n/2 = {n}/2")
     m = max_matching(b)

@@ -14,7 +14,6 @@ from typing import Optional, get_args, get_origin, get_type_hints
 from . import witness as wit
 from .curvature import CurvatureTable, curvature_all_edges
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
-from .matching import konig_decomposition
 from .spectral import (
     DEFAULT_SPECTRUM_CAP,
     PsdCertificate,
@@ -145,40 +144,25 @@ def _edge_checks(kappa: Fraction, params: AmplyParams) -> tuple[EdgeCheck, ...]:
     return tuple(checks)
 
 
-def _witness_edge_ok(g: Graph, u: int, v: int, params: AmplyParams) -> dict[str, bool]:
-    result = {
-        "regular": False,
-        "class_count": False,
-        "bijection": False,
-        "chain_bound": False,
-        "pi0_bound": False,
-        "lower_bound": False,
-    }
-    h = wit.build_transport_bipartite(g, u, v, params)
-    b = h.to_bipartite()
-    reg = wit.check_h_regular(h)
-    result["regular"] = reg.ok
-    classes = konig_decomposition(b)
-    result["class_count"] = len(classes) == params.beta - 1
-    bijective = True
-    chains_ok = True
-    for m in classes:
-        try:
-            records = wit.verify_lemma_3_3(g, h, m)
-        except wit.WitnessError:
-            bijective = False
-            chains_ok = False
-            break
-        chains_ok = chains_ok and all(r.ok for r in records)
-    result["bijection"] = bijective
-    result["chain_bound"] = chains_ok
-    try:
-        cert = wit.certify_witness(g, h, b, reg)
-    except wit.WitnessError:
-        return result
-    result["pi0_bound"] = cert.pi0_cost <= Fraction(params.d - 2, params.d + 1)
-    result["lower_bound"] = cert.kappa_lb >= Fraction(3, params.d) and cert.kappa_lb <= cert.kappa
-    return result
+def _witness_summary(g: Graph, params: AmplyParams) -> WitnessSummary:
+    """Count, over every edge, the witness steps of its ``EdgeWitness`` that passed."""
+    d = params.d
+    edges = g.edges()
+    passes = [0] * 6
+    for u, v in edges:
+        w = wit.edge_witness(g, u, v, params)
+        cert = w.certificate
+        walked = w.walk_error is None
+        steps = (
+            w.regularity.ok,
+            len(w.classes) == params.beta - 1,
+            walked,
+            walked and all(r.ok for records in w.class_records for r in records),
+            cert is not None and cert.pi0_cost <= Fraction(d - 2, d + 1),
+            cert is not None and Fraction(3, d) <= cert.kappa_lb <= cert.kappa,
+        )
+        passes = [count + ok for count, ok in zip(passes, steps)]
+    return WitnessSummary(len(edges), *passes, passed=all(c == len(edges) for c in passes))
 
 
 def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
@@ -310,44 +294,20 @@ def verify_graph(
         )
     witness_summary: Optional[WitnessSummary] = None
     if params.beta is not None and params.beta > params.alpha >= 1:
-        counts = {
-            "regular": 0,
-            "class_count": 0,
-            "bijection": 0,
-            "chain_bound": 0,
-            "pi0_bound": 0,
-            "lower_bound": 0,
-        }
-        edges = g.edges()
-        for u, v in edges:
-            ok = _witness_edge_ok(g, u, v, params)
-            for key in counts:
-                counts[key] += ok[key]
-        total = len(edges)
-        witness_summary = WitnessSummary(
-            edges_checked=total,
-            regular_pass=counts["regular"],
-            class_count_pass=counts["class_count"],
-            bijection_pass=counts["bijection"],
-            chain_bound_pass=counts["chain_bound"],
-            pi0_bound_pass=counts["pi0_bound"],
-            lower_bound_pass=counts["lower_bound"],
-            passed=all(c == total for c in counts.values()),
-        )
+        witness_summary = _witness_summary(g, params)
     dense_summary: Optional[DenseMatchSummary] = None
     if params.beta is not None and 2 * params.beta - params.alpha >= params.d + 1:
         certified = 0
-        ok = True
-        for u, v in g.edges():
+        for u, v, kappa in table.rows:
             try:
-                wit.prop_3_1_certificate(g, u, v, params)
+                wit.prop_3_1_certificate(g, u, v, kappa, params)
                 certified += 1
             except wit.WitnessError:
-                ok = False
+                pass
         dense_summary = DenseMatchSummary(
             kappa=Fraction(2 + params.alpha, params.d),
             edges_certified=certified,
-            passed=ok,
+            passed=certified == len(table.rows),
         )
     diameter_row = _diameter_row(g, params)
     spectral_row = _spectral_row(g, params, table.kappa_min, spectrum_cap)

@@ -20,6 +20,7 @@ from .matching import (
     Bipartite,
     Matching,
     dense_perfect_matching,
+    konig_decomposition,
     matching_through_edge,
 )
 
@@ -141,6 +142,21 @@ class ChainRecord:
     ok: bool
 
 
+def _index_pairs(
+    g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(i, j) for every host edge rows[i] ~ cols[j], from one scan of each sorted row.
+
+    With ``rows`` and ``cols`` each in sorted host order, the pairs come out
+    ascending in i and, within one i, ascending in j over any sorted run of
+    ``cols``.
+    """
+    col_index = {w: j for j, w in enumerate(cols)}
+    return [
+        (i, col_index[w]) for i, v in enumerate(rows) for w in g.neighbors(v) if w in col_index
+    ]
+
+
 def build_transport_bipartite(
     g: Graph, x: int, y: int, params: Optional[AmplyParams] = None
 ) -> TransportBipartite:
@@ -161,30 +177,21 @@ def build_transport_bipartite(
     a = params.alpha
     copies = params.beta - params.alpha - 1
     assert len(part.delta) == a and len(part.ny) == p
-    # One scan of each sorted adjacency row against index maps of N_y and
-    # Delta: the indices come out ascending, so each class is in (i, j) order.
-    ny_index = {w: j for j, w in enumerate(part.ny)}
-    delta_index = {z: j for j, z in enumerate(part.delta)}
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(8)]
-    for i, v in enumerate(part.nx):
-        for w in g.neighbors(v):
-            if w in ny_index:
-                classes[0].append((i, ny_index[w]))  # E1
-            elif w in delta_index:
-                classes[1].append((i, p + delta_index[w]))  # E2
-    for i, z in enumerate(part.delta):
-        classes[3].append((p + i, p + i))  # E4
-        for w in g.neighbors(z):
-            if w in ny_index:
-                classes[2].append((p + i, ny_index[w]))  # E3
-            elif w in delta_index:
-                classes[4].append((p + i, p + delta_index[w]))  # E5
-    for i in range(copies):
-        for j in range(a):
-            classes[5].append((p + a + i, p + j))  # E6
-            classes[6].append((p + j, p + a + i))  # E7
-        for j in range(copies):
-            classes[7].append((p + a + i, p + a + j))  # E8
+    # Right indices [0, p) are N_y and [p, p+a) are Delta, so one scan of
+    # each N_x and Delta row finds both of its classes, each in (i, j) order.
+    right = part.ny + part.delta
+    from_nx = _index_pairs(g, part.nx, right)
+    from_delta = [(p + i, j) for i, j in _index_pairs(g, part.delta, right)]
+    classes = (
+        [e for e in from_nx if e[1] < p],  # E1
+        [e for e in from_nx if e[1] >= p],  # E2
+        [e for e in from_delta if e[1] < p],  # E3
+        [(p + i, p + i) for i in range(a)],  # E4
+        [e for e in from_delta if e[1] >= p],  # E5
+        [(p + a + i, p + j) for i in range(copies) for j in range(a)],  # E6
+        [(p + j, p + a + i) for i in range(copies) for j in range(a)],  # E7
+        [(p + a + i, p + a + j) for i in range(copies) for j in range(copies)],  # E8
+    )
     return TransportBipartite(
         x=x,
         y=y,
@@ -391,6 +398,59 @@ def certify_witness(
 
 
 @dataclass(frozen=True)
+class EdgeWitness:
+    """Every witness step of one edge xy, each run once.
+
+    ``class_records`` holds the chain records of the Konig classes of H, in
+    order, up to the first class whose walk raised; ``walk_error`` is that
+    class's message, or None if every class was walked. ``certificate`` is
+    the result of ``certify_witness``, or None with its message in
+    ``certify_error``.
+    """
+
+    h: TransportBipartite
+    regularity: RegularityCheck
+    classes: tuple[Matching, ...]
+    class_records: tuple[tuple[ChainRecord, ...], ...]
+    walk_error: Optional[str]
+    certificate: Optional[WitnessCertificate]
+    certify_error: Optional[str]
+
+
+def edge_witness(
+    g: Graph, x: int, y: int, params: Optional[AmplyParams]
+) -> EdgeWitness:
+    """Run the witness pipeline of edge xy once and keep every step's outcome.
+
+    Builds H, its ``Bipartite`` and its regularity check, decomposes H into
+    its Konig classes, checks Lemma 3.3 on each class, and certifies the
+    lower bound. A failed step's ``WitnessError`` is kept as its message;
+    ``params`` None detects the parameters first.
+    """
+    h = build_transport_bipartite(g, x, y, params)
+    b = h.to_bipartite()
+    reg = check_h_regular(h)
+    classes = tuple(konig_decomposition(b))
+    class_records: list[tuple[ChainRecord, ...]] = []
+    walk_error = None
+    for m in classes:
+        try:
+            class_records.append(tuple(verify_lemma_3_3(g, h, m)))
+        except WitnessError as exc:
+            walk_error = str(exc)
+            break
+    certificate, certify_error = None, None
+    try:
+        certificate = certify_witness(g, h, b, reg)
+    except WitnessError as exc:
+        certify_error = str(exc)
+    return EdgeWitness(
+        h=h, regularity=reg, classes=classes, class_records=tuple(class_records),
+        walk_error=walk_error, certificate=certificate, certify_error=certify_error,
+    )
+
+
+@dataclass(frozen=True)
 class DenseMatchCertificate:
     """Certificate that kappa = (2+alpha)/d via a perfect matching of the N_x-N_y graph."""
 
@@ -399,17 +459,17 @@ class DenseMatchCertificate:
     kappa: Fraction
     bipartite: Bipartite
     matching: Matching
-    min_degree: int
 
 
 def prop_3_1_certificate(
-    g: Graph, x: int, y: int, params: Optional[AmplyParams] = None
+    g: Graph, x: int, y: int, kappa: Fraction, params: Optional[AmplyParams] = None
 ) -> DenseMatchCertificate:
     """Exact-curvature certificate for the regime 2*beta - alpha >= d + 1.
 
-    Builds the bipartite graph of host edges between N_x and N_y, checks the
-    dense-matching degree condition, extracts a perfect matching, and asserts
-    kappa = (2+alpha)/d against the exact curvature. alpha = 0 is allowed.
+    ``kappa`` is the exact curvature of xy. Builds the bipartite graph of
+    host edges between N_x and N_y, extracts a perfect matching under the
+    dense-matching degree condition, and asserts kappa = (2+alpha)/d.
+    alpha = 0 is allowed.
     """
     params = _require_params(g, params)
     if params.beta is None:
@@ -421,23 +481,9 @@ def prop_3_1_certificate(
         )
     part = edge_partition(g, x, y)
     p = len(part.nx)
-    edges = [
-        (i, j)
-        for i, v in enumerate(part.nx)
-        for j, w in enumerate(part.ny)
-        if g.is_edge(v, w)
-    ]
-    b = Bipartite.from_edges(p, p, edges)
-    if p == 0:
-        min_deg = 0
-        m = Matching({})
-    else:
-        min_deg = min(min(len(a) for a in b.adj), min(b.right_degrees()))
-        m = dense_perfect_matching(b)
-    kappa = Fraction(2 + params.alpha, params.d)
-    exact = lly_curvature(g, x, y)
-    if exact != kappa:
-        raise WitnessError(f"exact curvature {exact} differs from (2+alpha)/d = {kappa}")
-    return DenseMatchCertificate(
-        x=x, y=y, kappa=kappa, bipartite=b, matching=m, min_degree=min_deg
-    )
+    b = Bipartite.from_edges(p, p, _index_pairs(g, part.nx, part.ny))
+    m = dense_perfect_matching(b)
+    upper = Fraction(2 + params.alpha, params.d)
+    if kappa != upper:
+        raise WitnessError(f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
+    return DenseMatchCertificate(x=x, y=y, kappa=upper, bipartite=b, matching=m)

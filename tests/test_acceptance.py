@@ -107,7 +107,7 @@ def test_criterion_04_dense_certificates():
     ]
     for g, want in cases:
         for x, y in g.edges():
-            cert = prop_3_1_certificate(g, x, y)
+            cert = prop_3_1_certificate(g, x, y, lly_curvature(g, x, y))
             assert cert.kappa == want
             assert cert.matching.is_perfect(cert.bipartite)
     # no (8,5,2,4) graph exists: it would have 8*5*2/6 = 40/3 triangles
@@ -126,11 +126,10 @@ def test_criterion_04_dense_certificates():
         assert (params.n, params.d, params.alpha, params.beta) == (n, d, alpha, beta)
         want = Fraction(2 + alpha, d)
         for x, y in found.edges():
-            cert = prop_3_1_certificate(found, x, y)
-            assert cert.kappa == want
-            assert cert.matching.is_perfect(cert.bipartite)
             brute = Fraction(d + 1, d) * (1 - brute_regular_wasserstein(found, x, y))
-            assert cert.kappa == brute
+            cert = prop_3_1_certificate(found, x, y, brute)
+            assert cert.kappa == want == brute
+            assert cert.matching.is_perfect(cert.bipartite)
 
 
 @criterion(5, "full matching-witness pipeline on every edge of paley13/octahedron/cocktail(4)", 10.0)

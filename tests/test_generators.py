@@ -48,11 +48,6 @@ def test_paley_checks_the_cap_before_primality(monkeypatch):
         gen_paley(10**12 + 39, size_cap=100)
 
 
-def test_hamming_labels():
-    g = gen_hamming(2, 3)
-    assert g.labels[0] == "00" and g.labels[4] == "11" and g.labels[8] == "22"
-
-
 def test_hypercube():
     q3 = gen_hypercube(3)
     assert q3.n == 8 and q3.num_edges() == 12

@@ -7,7 +7,6 @@ from arcurv import (
     detect_amply_params,
     gen_cocktail,
     gen_hamming,
-    hall_violator,
     konig_decomposition,
     matching_through_edge,
     max_matching,
@@ -39,6 +38,12 @@ class TestMaxMatching:
     def test_six_cycle(self):
         assert max_matching(bipartite_cycle(6)).size() == 3
 
+    def test_transport_bipartite_always_matchable(self):
+        g = gen_cocktail(3)
+        params = detect_amply_params(g)
+        b = build_transport_bipartite(g, 0, 2, params).to_bipartite()
+        assert max_matching(b).is_perfect(b)
+
     def test_no_augmenting_path_on_random_instances(self):
         # maximality: max matching size equals the Hungarian-style bound from rerunning
         import random
@@ -63,28 +68,6 @@ class TestMaxMatching:
             h.add_edges_from((("L", u), ("R", w)) for u, w in b.edges())
             ref = nx.bipartite.maximum_matching(h, top_nodes=[("L", u) for u in range(ln)])
             assert m.size() == len(ref) // 2
-
-
-class TestHallViolator:
-    def test_k22_none(self):
-        assert hall_violator(complete_bipartite(2)) is None
-
-    def test_starved_pair(self):
-        b = Bipartite.from_edges(2, 2, [(0, 0), (1, 0)])
-        s = hall_violator(b)
-        assert s == {0, 1}
-        neighborhood = {w for u in s for w in b.adj[u]}
-        assert len(neighborhood) < len(s)
-
-    def test_unequal_sides_rejected(self):
-        with pytest.raises(MatchingError):
-            hall_violator(Bipartite.from_edges(2, 3, [(0, 0)]))
-
-    def test_transport_bipartite_always_matchable(self):
-        g = gen_cocktail(3)
-        params = detect_amply_params(g)
-        h = build_transport_bipartite(g, 0, 2, params)
-        assert hall_violator(h.to_bipartite()) is None
 
 
 class TestKonigDecomposition:
@@ -164,6 +147,13 @@ class TestDensePerfectMatching:
             4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
         )
         assert dense_perfect_matching(b).is_perfect(b)
+
+    def test_min_degree_counts_both_sides(self):
+        # every left vertex has degree 2, but right vertex 2 has degree 0
+        b = Bipartite.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
+        assert b.min_degree() == 0
+        assert complete_bipartite(3).min_degree() == 3
+        assert Bipartite.from_edges(0, 0, []).min_degree() == 0
 
     def test_degree_precondition(self):
         b = Bipartite.from_edges(4, 4, [(i, i) for i in range(4)])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import arcurv.curvature as curvature_module
 import arcurv.witness as witness_module
 from arcurv import (
     CurvatureError,
@@ -16,8 +17,9 @@ from arcurv import (
     plan_cost,
 )
 from arcurv.cli import _hgraph_payload
+from arcurv.graph import Graph
 from arcurv.matching import konig_decomposition, matching_through_edge
-from arcurv.report import verify_graph
+from arcurv.report import WitnessSummary, verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
     TransportBipartite,
@@ -375,32 +377,103 @@ class TestCertificateOnBuiltH:
         }
 
 
+class TestVerifyCountsFailedWitnessSteps:
+    """``verify``'s witness summary when a step fails on every edge."""
+
+    GRAPHS = {"h23": (h23, 18), "h33": (lambda: gen_hamming(3, 3), 81),
+              "paley13": (lambda: gen_paley(13), 39)}
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_reversed_ny_fails_chains_and_everything_after(self, monkeypatch, name):
+        # reversing N_y keeps H regular and every class walk a bijection, but
+        # sends chains to the wrong endpoints, so every chain-bound check fails
+        build = witness_module.build_transport_bipartite
+
+        def reversed_ny(*args, **kwargs):
+            h = build(*args, **kwargs)
+            return dataclasses.replace(h, ny=h.ny[::-1])
+
+        monkeypatch.setattr(witness_module, "build_transport_bipartite", reversed_ny)
+        make, m = self.GRAPHS[name]
+        report = verify_graph(make(), graph_id="g")
+        assert report.witness == WitnessSummary(m, m, m, m, 0, 0, 0, passed=False)
+        assert not report.overall_pass
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_understated_exact_curvature_fails_only_the_certificate(self, monkeypatch, name):
+        # every chain passes; certify_witness then finds kappa_lb above "exact"
+        monkeypatch.setattr(witness_module, "lly_curvature", lambda g, x, y: Fraction(0))
+        make, m = self.GRAPHS[name]
+        report = verify_graph(make(), graph_id="g")
+        assert report.witness == WitnessSummary(m, m, m, m, m, 0, 0, passed=False)
+
+
 class TestDenseMatchCertificate:
     def test_octahedron(self):
-        cert = prop_3_1_certificate(gen_cocktail(3), 0, 2)
+        g = gen_cocktail(3)
+        cert = prop_3_1_certificate(g, 0, 2, lly_curvature(g, 0, 2))
         assert cert.kappa == Fraction(1)
         assert cert.matching.is_perfect(cert.bipartite)
 
     def test_cocktail4(self):
         g = gen_cocktail(4)
         x, y = g.edges()[0]
-        cert = prop_3_1_certificate(g, x, y)
+        cert = prop_3_1_certificate(g, x, y, Fraction(1))
         assert cert.kappa == Fraction(1)
         assert cert.kappa == lly_curvature(g, x, y)
 
     def test_hypercube_alpha_zero(self):
         # d=3, alpha=0, beta=2: 2*2 - 0 >= 4, certificate gives kappa = 2/3
         g = gen_hypercube(3)
-        cert = prop_3_1_certificate(g, 0, 1)
+        cert = prop_3_1_certificate(g, 0, 1, lly_curvature(g, 0, 1))
         assert cert.kappa == Fraction(2, 3)
 
     def test_regime_guard(self):
         with pytest.raises(WitnessError, match="2\\*beta"):
-            prop_3_1_certificate(gen_paley(13), *gen_paley(13).edges()[0])
+            prop_3_1_certificate(gen_paley(13), *gen_paley(13).edges()[0], Fraction(1))
+
+    def test_rejects_kappa_off_the_dense_value(self):
+        g = gen_cocktail(4)
+        with pytest.raises(WitnessError, match="differs from"):
+            prop_3_1_certificate(g, *g.edges()[0], Fraction(5, 6))
+
+    def test_verify_certifies_on_the_table_kappa_without_probes(self, monkeypatch):
+        # cocktail(4) is in both the witness and the dense regime: one
+        # lly_curvature call per edge for the table, one inside certify_witness
+        g = gen_cocktail(4)
+        calls = {"lly": 0, "certificate": 0, "probes": 0}
+        inside = [False]
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        def certificate(*args, _original=witness_module.prop_3_1_certificate):
+            calls["certificate"] += 1
+            inside[0] = True
+            try:
+                return _original(*args)
+            finally:
+                inside[0] = False
+
+        def is_edge(self, u, v, _original=Graph.is_edge):
+            calls["probes"] += inside[0]
+            return _original(self, u, v)
+
+        for module in (curvature_module, witness_module):
+            monkeypatch.setattr(module, "lly_curvature", counting("lly", module.lly_curvature))
+        monkeypatch.setattr(witness_module, "prop_3_1_certificate", certificate)
+        monkeypatch.setattr(Graph, "is_edge", is_edge)
+        report = verify_graph(g, graph_id="g")
+        assert report.dense_match is not None and report.dense_match.passed
+        m = g.num_edges()
+        assert calls == {"lly": 2 * m, "certificate": m, "probes": 0}
 
     def test_min_degree_meets_dense_condition(self):
         g = gen_cocktail(4)
         x, y = g.edges()[0]
-        cert = prop_3_1_certificate(g, x, y)
+        cert = prop_3_1_certificate(g, x, y, Fraction(1))
         p = len(cert.bipartite.adj)
-        assert 2 * cert.min_degree >= p
+        assert 2 * cert.bipartite.min_degree() >= p
