@@ -60,18 +60,14 @@ from .spectral import (
 )
 from .witness import (
     EdgeWitness,
-    ReachableChain,
     TransportBipartite,
     WitnessError,
-    build_pi0,
     build_transport_bipartite,
     certify_witness,
     check_h_regular,
     edge_witness,
     prop_3_1_certificate,
-    reachable_map,
     verify_lemma_3_3,
-    witness_curvature_bound,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

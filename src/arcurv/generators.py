@@ -40,6 +40,8 @@ def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 
 def gen_hypercube(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """k-dimensional hypercube Q_k = H(k, 2)."""
+    if k < 1:
+        raise GraphError(f"gen_hypercube requires k >= 1, got {k}")
     return gen_hamming(k, 2, size_cap=size_cap)
 
 

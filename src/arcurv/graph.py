@@ -19,8 +19,8 @@ class Graph:
     Adjacency is stored as sorted tuples. Two facts are cached, because the
     graph never changes: the common degree (None if irregular), found once at
     construction, and one BFS distance row per source, computed on first use
-    as a read-only int32 numpy array, so that `distance_rows` and
-    `distance_block` stack and slice it without a Python loop.
+    as a read-only int32 numpy array, so that `distance_rows` stacks it
+    without a Python loop.
     """
 
     __slots__ = ("n", "_adj", "_dist_cache", "_connected", "_degree")
@@ -94,13 +94,6 @@ class Graph:
         rows = [cache[v] if v in cache else self.distances_from(v) for v in vertices]
         return np.array(rows, dtype=np.int64)
 
-    def distance_block(self, vertices: Sequence[int]) -> np.ndarray:
-        """Distance matrix on ``vertices`` (repeats allowed), in their order.
-
-        Row i is the cached BFS row of ``vertices[i]`` read at ``vertices``.
-        """
-        return self.distance_rows(vertices)[:, vertices]
-
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path length, or None if u and v are in different components."""
         d = int(self.distances_from(u)[v])
@@ -112,6 +105,8 @@ class Graph:
         return self._connected
 
     def diameter(self) -> int:
+        if self.n == 0:
+            raise GraphError("diameter undefined for the empty graph")
         if not self.is_connected():
             raise GraphError("diameter undefined for disconnected graph")
         return max(int(self.distances_from(v).max()) for v in range(self.n))

@@ -106,22 +106,6 @@ class TransportBipartite:
 
 
 @dataclass(frozen=True)
-class ReachableChain:
-    """Matched-edge chain from v0 in N_x to w0 in N_y.
-
-    ``interior`` holds the left indices of the traversed z / x-copy vertices;
-    rho = 1 + len(interior) counts the chain's left-side members, and k counts
-    the synthetic x-copies among them.
-    """
-
-    v0: int  # host vertex in N_x
-    w0: int  # host vertex in N_y
-    interior: tuple[int, ...]  # left indices in the auxiliary graph
-    rho: int
-    k: int
-
-
-@dataclass(frozen=True)
 class RegularityCheck:
     ok: bool
     expected: int
@@ -132,7 +116,11 @@ class RegularityCheck:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """Distance comparison for one chain: pass iff d(v0, w0) <= rho - k."""
+    """One matched-edge chain from v0 in N_x to w0 in N_y: ok iff d(v0, w0) <= rho - k.
+
+    rho counts the chain's left-side members and k the synthetic x-copies
+    among them.
+    """
 
     v0: int
     w0: int
@@ -232,108 +220,48 @@ def check_h_regular(h: TransportBipartite) -> RegularityCheck:
     )
 
 
-def reachable_map(h: TransportBipartite, m: Matching) -> list[ReachableChain]:
-    """Follow matched edges from every N_x vertex until it lands in N_y.
-
-    A right-side z/x-copy at index i continues through its unprimed left twin
-    at the same index. The induced map N_x -> N_y is verified to be a
-    bijection.
-    """
-    size = h.side_size
-    if len(m.pairs) != size:
-        raise WitnessError("reachable_map requires a perfect matching")
-    p = len(h.nx)
-    chains: list[ReachableChain] = []
-    for v_idx in range(p):
-        interior: list[int] = []
-        current = m.pairs[v_idx]
-        while current >= p:
-            t = current  # primed twin shares the index
-            if t in interior or len(interior) > size:
-                raise WitnessError("internal error: chain revisits a vertex")
-            interior.append(t)
-            current = m.pairs[t]
-        k = sum(1 for t in interior if t >= p + len(h.delta))
-        chains.append(
-            ReachableChain(
-                v0=h.nx[v_idx],
-                w0=h.ny[current],
-                interior=tuple(interior),
-                rho=1 + len(interior),
-                k=k,
-            )
-        )
-    targets = [c.w0 for c in chains]
-    if sorted(targets) != sorted(h.ny):
-        raise WitnessError("internal error: chain map is not a bijection onto N_y")
-    return chains
-
-
-def _chain_records(g: Graph, chains: list[ReachableChain]) -> list[ChainRecord]:
-    records = []
-    for c in chains:
-        dist = g.distance(c.v0, c.w0)
-        if dist is None:
-            raise WitnessError("internal error: chain endpoints disconnected")
-        records.append(
-            ChainRecord(
-                v0=c.v0, w0=c.w0, distance=dist, rho=c.rho, k=c.k,
-                ok=dist <= c.rho - c.k,
-            )
-        )
-    return records
-
-
 def verify_lemma_3_3(
     g: Graph, h: TransportBipartite, m: Matching
 ) -> list[ChainRecord]:
-    """Compare host distance against rho - k for every chain of ``m``."""
-    return _chain_records(g, reachable_map(h, m))
+    """Walk the chain of every N_x vertex through ``m`` and bound its distance.
 
-
-def _require_z1(h: TransportBipartite, m: Matching) -> None:
-    z1l, z1r = h.z1_edge()
-    if m.pairs.get(z1l) != z1r:
-        raise WitnessError("matching does not contain the z1 z1' edge")
-
-
-def _pi0_from_chains(
-    g: Graph, h: TransportBipartite, chains: list[ReachableChain]
-) -> TransportPlan:
-    unit = Fraction(1, h.d + 1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for v in list(h.delta) + [h.x, h.y]:
-        entries[(v, v)] = unit
-    for c in chains:
-        entries[(c.v0, c.w0)] = unit
-    plan = TransportPlan.from_dict(entries)
-    check_uniform_plan(plan, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
-    return plan
-
-
-def build_pi0(
-    g: Graph, h: TransportBipartite, m: Matching
-) -> TransportPlan:
-    """The explicit transport plan induced by a matching covering z_1 z_1'.
-
-    Mass 1/(d+1) stays put on every common neighbor and on x and y; each
-    N_x vertex ships its mass to its chain partner in N_y. The marginals are
-    checked in integers to be the idleness-1/(d+1) measures, uniform on B(x)
-    and B(y).
+    Matched edges are followed from each N_x vertex until one lands in N_y;
+    a right-side z/x-copy at index i continues through its unprimed left
+    twin at the same index. ``m`` must be perfect, no chain may revisit a
+    vertex, the induced map N_x -> N_y must be a bijection, and each
+    chain's endpoints must be connected.
     """
-    _require_z1(h, m)
-    return _pi0_from_chains(g, h, reachable_map(h, m))
+    if len(m.pairs) != h.side_size:
+        raise WitnessError("chain walk requires a perfect matching")
+    p = len(h.nx)
+    first_copy = p + len(h.delta)
+    records = []
+    for start, v0 in enumerate(h.nx):
+        seen: set[int] = set()
+        current = m.pairs[start]
+        while current >= p:  # primed twin shares the index
+            if current in seen:
+                raise WitnessError("internal error: chain revisits a vertex")
+            seen.add(current)
+            current = m.pairs[current]
+        w0 = h.ny[current]
+        dist = g.distance(v0, w0)
+        if dist is None:
+            raise WitnessError("internal error: chain endpoints disconnected")
+        rho, k = 1 + len(seen), sum(1 for t in seen if t >= first_copy)
+        records.append(
+            ChainRecord(v0=v0, w0=w0, distance=dist, rho=rho, k=k, ok=dist <= rho - k)
+        )
+    if sorted(r.w0 for r in records) != sorted(h.ny):
+        raise WitnessError("internal error: chain map is not a bijection onto N_y")
+    return records
 
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """Full per-edge lower-bound certificate from the matching pipeline."""
+    """Per-edge lower-bound certificate: the z_1 z_1' class and its chains' plan pi0."""
 
-    x: int
-    y: int
-    h: TransportBipartite
     matching: Matching
-    chains: tuple[ReachableChain, ...]
     chain_records: tuple[ChainRecord, ...]
     pi0: TransportPlan
     pi0_cost: Fraction
@@ -341,47 +269,44 @@ class WitnessCertificate:
     kappa: Fraction
 
 
-def witness_curvature_bound(
-    g: Graph, x: int, y: int, params: Optional[AmplyParams] = None
-) -> WitnessCertificate:
-    """Curvature lower bound (d+1)/d * (1 - cost(pi0)), certified end to end.
-
-    Builds the auxiliary graph and its regularity check, then runs
-    ``certify_witness`` on them.
-    """
-    h = build_transport_bipartite(g, x, y, _require_params(g, params))
-    return certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
-
-
 def certify_witness(
     g: Graph, h: TransportBipartite, b: Bipartite, reg: RegularityCheck
 ) -> WitnessCertificate:
-    """The lower-bound certificate on an already built H of edge xy.
+    """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) on a built H of edge xy.
 
     ``b`` is ``h.to_bipartite()`` and ``reg`` is ``check_h_regular(h)``.
     Picks the decomposition class through z_1 z_1', walks its chains once,
     and checks the whole chain of inequalities on that one walk: regularity,
-    the chain bijection, chain distance bounds, the sum bound on chain
-    lengths, the z_1 z_1' membership and marginals of pi0, the plan cost
-    bound (d-2)/(d+1), kappa_lb >= 3/d, and kappa_lb <= the exact curvature.
+    the z_1 z_1' membership, the chain bijection, chain distance bounds, the
+    sum bound on chain lengths, the marginals of pi0, the plan cost bound
+    (d-2)/(d+1), kappa_lb >= 3/d, and kappa_lb <= the exact curvature.
+
+    pi0 keeps mass 1/(d+1) on every common neighbor and on x and y, and
+    ships each N_x vertex's mass to its chain partner in N_y; its marginals
+    are checked in integers to be uniform on B(x) and B(y).
     """
     if not reg.ok:
         raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {reg.offender}")
-    m = matching_through_edge(b, h.z1_edge())
-    chains = reachable_map(h, m)
-    records = tuple(_chain_records(g, chains))
+    z1l, z1r = h.z1_edge()
+    m = matching_through_edge(b, (z1l, z1r))
+    if m.pairs.get(z1l) != z1r:
+        raise WitnessError("matching does not contain the z1 z1' edge")
+    records = tuple(verify_lemma_3_3(g, h, m))
     if not all(r.ok for r in records):
         bad = next(r for r in records if not r.ok)
         raise WitnessError(f"chain distance bound failed: {bad}")
     d = h.d
-    sum_rho = sum(c.rho for c in chains)
-    k_total = sum(c.k for c in chains)
+    sum_rho = sum(r.rho for r in records)
+    k_total = sum(r.k for r in records)
     if sum_rho > d + k_total - 2:
         raise WitnessError(
             f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}"
         )
-    _require_z1(h, m)
-    pi0 = _pi0_from_chains(g, h, chains)
+    unit = Fraction(1, d + 1)
+    entries = {(v, v): unit for v in (*h.delta, h.x, h.y)}
+    entries.update({(r.v0, r.w0): unit for r in records})
+    pi0 = TransportPlan.from_dict(entries)
+    check_uniform_plan(pi0, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
     cost = plan_cost(g, pi0)
     if cost > Fraction(d - 2, d + 1):
         raise WitnessError(f"plan cost {cost} exceeds (d-2)/(d+1)")
@@ -392,8 +317,8 @@ def certify_witness(
     if kappa_lb > kappa:
         raise WitnessError(f"lower bound {kappa_lb} exceeds exact curvature {kappa}")
     return WitnessCertificate(
-        x=h.x, y=h.y, h=h, matching=m, chains=tuple(chains), chain_records=records,
-        pi0=pi0, pi0_cost=cost, kappa_lb=kappa_lb, kappa=kappa,
+        matching=m, chain_records=records, pi0=pi0, pi0_cost=cost, kappa_lb=kappa_lb,
+        kappa=kappa,
     )
 
 

@@ -27,10 +27,9 @@ from arcurv.report import verify_graph
 from arcurv.witness import (
     build_transport_bipartite,
     check_h_regular,
+    edge_witness,
     prop_3_1_certificate,
-    reachable_map,
     verify_lemma_3_3,
-    witness_curvature_bound,
 )
 
 from conftest import brute_regular_wasserstein, random_connected_regular_graph
@@ -144,10 +143,10 @@ def test_criterion_05_witness_pipeline():
             classes = konig_decomposition(h.to_bipartite())
             assert len(classes) == beta - 1
             for m in classes:
-                chains = reachable_map(h, m)  # bijectivity checked internally
+                chains = verify_lemma_3_3(g, h, m)  # bijectivity checked internally
                 assert sorted(c.w0 for c in chains) == sorted(h.ny)
-                assert all(r.ok for r in verify_lemma_3_3(g, h, m))
-            cert = witness_curvature_bound(g, x, y, params)
+                assert all(r.ok for r in chains)
+            cert = edge_witness(g, x, y, params).certificate
             assert cert.pi0_cost <= Fraction(d - 2, d + 1)
             assert cert.kappa_lb >= Fraction(3, d)
 

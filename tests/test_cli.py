@@ -35,6 +35,11 @@ class TestGen:
         code, _, err = run(capsys, "gen", "paley")
         assert code == EXIT_INPUT and "argument" in err
 
+    def test_hypercube_dimension_error_names_hypercube(self, capsys):
+        code, out, err = run(capsys, "gen", "hypercube", "0")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: gen_hypercube requires k >= 1, got 0\n"
+
     def test_invalid_paley_modulus(self, capsys):
         code, _, err = run(capsys, "gen", "paley", "12")
         assert code == EXIT_INPUT and err.startswith("error:")
@@ -253,6 +258,13 @@ class TestSpectrumDiameterSearch:
     def test_diameter(self, capsys, h23_file):
         code, out, _ = run(capsys, "diameter", h23_file)
         assert code == EXIT_OK and out.strip() == "2"
+
+    def test_diameter_of_empty_graph_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        code, out, err = run(capsys, "diameter", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: diameter undefined for the empty graph\n"
 
     def test_search_finds_cube_parameters(self, capsys):
         code, out, _ = run(capsys, "search", "8", "3", "0", "2")

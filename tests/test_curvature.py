@@ -254,7 +254,8 @@ class TestAssignmentWasserstein:
 
 def _edge_blocks(g, edges):
     """Zone blocks B(x) then B(y) of ``edges`` as one batch, with optimal assignments."""
-    dist = np.array([g.distance_block(bx + by) for bx, by in (_balls(g, x, y) for x, y in edges)])
+    zones = [bx + by for bx, by in (_balls(g, x, y) for x, y in edges)]
+    dist = np.array([g.distance_rows(zone)[:, zone] for zone in zones])
     k = dist.shape[1] // 2
     sigma = np.array([linear_sum_assignment(block[:k, k:])[1] for block in dist])
     return dist, sigma

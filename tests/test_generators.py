@@ -55,6 +55,11 @@ def test_hypercube():
     assert gen_hypercube(1) == gen_complete(2)
 
 
+def test_hypercube_rejects_dimension_below_one():
+    with pytest.raises(GraphError, match=r"^gen_hypercube requires k >= 1, got 0$"):
+        gen_hypercube(0)
+
+
 def test_paley_13():
     p = detect_amply_params(gen_paley(13))
     assert p.as_tuple() == (13, 6, 2, 3)  # conference parameters, gamma = 3

@@ -93,6 +93,10 @@ class TestMetrics:
         with pytest.raises(GraphError):
             g.diameter()
 
+    def test_empty_graph_has_no_diameter(self):
+        with pytest.raises(GraphError, match="empty graph"):
+            Graph(0, []).diameter()
+
     def test_diameters(self):
         assert gen_hamming(2, 3).diameter() == 2
         assert gen_hamming(3, 3).diameter() == 3
@@ -145,6 +149,7 @@ class TestMetrics:
         assert gen_hamming(2, 3).regular_degree() == 4
 
     def test_distance_block_matches_networkx(self):
+        # the block of the cached rows read at the zone's own columns
         # gnp graphs are often disconnected: -1 marks an unreachable pair
         for seed in range(25):
             rng = random.Random(seed)
@@ -152,7 +157,7 @@ class TestMetrics:
             g = from_networkx(nx.gnp_random_graph(n, rng.uniform(0.05, 0.3), seed=seed))
             lengths = dict(nx.shortest_path_length(to_networkx(g)))
             zone = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats too
-            block = g.distance_block(zone)
+            block = g.distance_rows(zone)[:, zone]
             assert block.shape == (len(zone), len(zone))
             assert block.tolist() == [[lengths[a].get(b, -1) for b in zone] for a in zone]
 

@@ -17,6 +17,7 @@ from arcurv import (
     plan_cost,
 )
 from arcurv.cli import _hgraph_payload
+from arcurv.curvature import TransportPlan
 from arcurv.graph import Graph
 from arcurv.matching import konig_decomposition, matching_through_edge
 from arcurv.report import WitnessSummary, verify_graph
@@ -25,14 +26,12 @@ from arcurv.witness import (
     TransportBipartite,
     WitnessCertificate,
     WitnessError,
-    build_pi0,
     build_transport_bipartite,
     certify_witness,
     check_h_regular,
+    edge_witness,
     prop_3_1_certificate,
-    reachable_map,
     verify_lemma_3_3,
-    witness_curvature_bound,
 )
 
 
@@ -56,6 +55,17 @@ def _classes_by_definition(g, x, y, params):
         tuple((p + j, p + a + i) for i in range(copies) for j in range(a)),
         tuple((p + a + i, p + a + j) for i in range(copies) for j in range(copies)),
     )
+
+
+def _certificate(g, x, y, params=None):
+    return edge_witness(g, x, y, params).certificate
+
+
+def _pi0_by_definition(h, records):
+    """Mass 1/(d+1) kept on Delta, x and y, and shipped along each chain v0 -> w0."""
+    unit = Fraction(1, h.d + 1)
+    kept = {(v, v): unit for v in h.delta + (h.x, h.y)}
+    return TransportPlan.from_dict({**kept, **{(r.v0, r.w0): unit for r in records}})
 
 
 def _count_calls(monkeypatch, targets):
@@ -173,7 +183,7 @@ class TestChains:
         g = h23()
         h = build_transport_bipartite(g, 0, 1)
         m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-        chains = reachable_map(h, m)
+        chains = verify_lemma_3_3(g, h, m)
         assert len(chains) == 2
         # 1-regular H: every exclusive neighbor matches straight across
         assert all(c.rho == 1 and c.k == 0 for c in chains)
@@ -184,7 +194,7 @@ class TestChains:
             h = build_transport_bipartite(g, x, y)
             b = h.to_bipartite()
             for m in konig_decomposition(b):
-                chains = reachable_map(h, m)
+                chains = verify_lemma_3_3(g, h, m)
                 assert sorted(c.w0 for c in chains) == sorted(h.ny)
 
     def test_distance_bound_every_matching(self):
@@ -200,7 +210,7 @@ class TestChains:
             x, y = g.edges()[0]
             h = build_transport_bipartite(g, x, y, params)
             m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-            chains = reachable_map(h, m)
+            chains = verify_lemma_3_3(g, h, m)
             k_total = sum(c.k for c in chains)
             assert sum(c.rho for c in chains) <= params.d + k_total - 2
 
@@ -209,85 +219,79 @@ class TestChains:
 
         h = build_transport_bipartite(h23(), 0, 1)
         with pytest.raises(WitnessError, match="perfect"):
-            reachable_map(h, Matching({0: 0}))
+            verify_lemma_3_3(h23(), h, Matching({0: 0}))
 
 
 class TestPi0:
     def test_h23_cost(self):
         g = h23()
-        h = build_transport_bipartite(g, 0, 1)
-        m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-        pi0 = build_pi0(g, h, m)
+        pi0 = _certificate(g, 0, 1).pi0
         assert plan_cost(g, pi0) == Fraction(2, 5)
 
     def test_paley13_cost(self):
         g = gen_paley(13)
-        x, y = g.edges()[0]
-        h = build_transport_bipartite(g, x, y)
-        m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-        assert plan_cost(g, build_pi0(g, h, m)) == Fraction(3, 7)
+        assert plan_cost(g, _certificate(g, *g.edges()[0]).pi0) == Fraction(3, 7)
 
     def test_stationary_mass(self):
         g = gen_cocktail(3)
         h = build_transport_bipartite(g, 0, 2)
-        m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-        pi0 = build_pi0(g, h, m)
+        pi0 = _certificate(g, 0, 2).pi0
         d = dict(pi0.entries)
         unit = Fraction(1, 5)
         for z in h.delta:
             assert d[(z, z)] == unit
         assert d[(0, 0)] == unit and d[(2, 2)] == unit
 
-    def test_requires_z1_edge(self):
+    def test_requires_z1_edge(self, monkeypatch):
+        # certify_witness rejects a class through matching_through_edge that avoids z1 z1'
         g = gen_paley(13)
         x, y = g.edges()[0]
         h = build_transport_bipartite(g, x, y)
-        others = [
-            m
-            for m in konig_decomposition(h.to_bipartite())
-            if m.pairs.get(h.z1_edge()[0]) != h.z1_edge()[1]
-        ]
+        b = h.to_bipartite()
+        z1l, z1r = h.z1_edge()
+        others = [m for m in konig_decomposition(b) if m.pairs.get(z1l) != z1r]
         assert others, "decomposition should contain a class avoiding z1 z1'"
+        monkeypatch.setattr(witness_module, "matching_through_edge", lambda b, e: others[0])
         with pytest.raises(WitnessError, match="z1"):
-            build_pi0(g, h, others[0])
+            certify_witness(g, h, b, check_h_regular(h))
 
 
 class TestWitnessBound:
     def test_h23_tight(self):
-        cert = witness_curvature_bound(h23(), 0, 1)
+        cert = _certificate(h23(), 0, 1)
         assert cert.kappa_lb == Fraction(3, 4)
         assert cert.kappa == Fraction(3, 4)
 
     def test_paley13_tight(self):
         g = gen_paley(13)
         for x, y in g.edges()[:4]:
-            cert = witness_curvature_bound(g, x, y)
+            cert = _certificate(g, x, y)
             assert cert.kappa_lb == Fraction(2, 3)
             assert cert.kappa == Fraction(2, 3)
 
     def test_paley17(self):
         g = gen_paley(17)
         x, y = g.edges()[0]
-        cert = witness_curvature_bound(g, x, y)
+        cert = _certificate(g, x, y)
         assert cert.kappa_lb >= Fraction(3, 8)
         assert cert.kappa_lb <= cert.kappa
 
     def test_octahedron(self):
-        cert = witness_curvature_bound(gen_cocktail(3), 0, 2)
+        cert = _certificate(gen_cocktail(3), 0, 2)
         assert Fraction(3, 4) <= cert.kappa_lb <= cert.kappa == Fraction(1)
 
     def test_cost_bound_holds(self):
         for g in (h23(), gen_paley(13), gen_cocktail(3)):
             params = detect_amply_params(g)
             x, y = g.edges()[0]
-            cert = witness_curvature_bound(g, x, y, params)
+            cert = _certificate(g, x, y, params)
             assert cert.pi0_cost <= Fraction(params.d - 2, params.d + 1)
             assert cert.kappa_lb >= Fraction(3, params.d)
 
     def test_every_edge_of_paley13(self):
         g = gen_paley(13)
         for x, y in g.edges():
-            cert = witness_curvature_bound(g, x, y)
+            cert = _certificate(g, x, y)
             assert cert.kappa_lb == Fraction(2, 3)
 
 
@@ -297,21 +301,34 @@ class TestCertificateOnBuiltH:
         [h23, lambda: gen_paley(13), lambda: gen_cocktail(3), lambda: gen_hamming(3, 3)],
         ids=["h23", "paley13", "cocktail3", "h33"],
     )
-    def test_equals_witness_curvature_bound(self, make):
+    def test_equals_certificate_on_fresh_bipartite(self, make):
         g = make()
         params = detect_amply_params(g)
         for x, y in g.edges():
             h = build_transport_bipartite(g, x, y, params)
-            b = h.to_bipartite()
-            konig_decomposition(b)  # verify decomposes the same b first
-            cert = certify_witness(g, h, b, check_h_regular(h))
-            ref = witness_curvature_bound(g, x, y, params)
+            # edge_witness decomposes its b before certifying; this b is fresh
+            cert = certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
+            ref = _certificate(g, x, y, params)
             for f in dataclasses.fields(WitnessCertificate):
                 assert getattr(cert, f.name) == getattr(ref, f.name), f.name
             m = cert.matching
-            assert list(cert.chains) == reachable_map(h, m)
             assert list(cert.chain_records) == verify_lemma_3_3(g, h, m)
-            assert cert.pi0 == build_pi0(g, h, m)
+            assert cert.pi0 == _pi0_by_definition(h, cert.chain_records)
+
+    @pytest.mark.parametrize(
+        "make",
+        [h23, lambda: gen_paley(13), lambda: gen_cocktail(3), lambda: gen_hamming(3, 3)],
+        ids=["h23", "paley13", "cocktail3", "h33"],
+    )
+    def test_chain_records_are_the_z1_class_records(self, make):
+        g = make()
+        params = detect_amply_params(g)
+        for x, y in g.edges():
+            w = edge_witness(g, x, y, params)
+            z1l, z1r = w.h.z1_edge()
+            i = next(i for i, m in enumerate(w.classes) if m.pairs.get(z1l) == z1r)
+            assert w.certificate.matching == w.classes[i]
+            assert w.certificate.chain_records == w.class_records[i]
 
     def _certify(self, g, h):
         return certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
@@ -338,9 +355,6 @@ class TestCertificateOnBuiltH:
         moved = dataclasses.replace(h, delta=(8,))
         with pytest.raises(CurvatureError, match="marginals"):
             self._certify(g, moved)
-        m = matching_through_edge(h.to_bipartite(), h.z1_edge())
-        with pytest.raises(CurvatureError, match="marginals"):
-            build_pi0(g, moved, m)
 
     @pytest.mark.parametrize(
         "make", [lambda: gen_paley(13), lambda: gen_hamming(3, 3)], ids=["paley13", "h33"]
@@ -348,7 +362,7 @@ class TestCertificateOnBuiltH:
     def test_verify_builds_each_witness_fact_once_per_edge(self, monkeypatch, make):
         g = make()
         beta = detect_amply_params(g).beta
-        names = ["build_transport_bipartite", "check_h_regular", "reachable_map"]
+        names = ["build_transport_bipartite", "check_h_regular", "verify_lemma_3_3"]
         counts = _count_calls(
             monkeypatch,
             [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
@@ -358,14 +372,14 @@ class TestCertificateOnBuiltH:
         m = g.num_edges()
         # beta - 1 classes walked in the per-class loop, then the z1 class once
         assert counts == {
-            "build_transport_bipartite": m, "check_h_regular": m, "reachable_map": beta * m,
+            "build_transport_bipartite": m, "check_h_regular": m, "verify_lemma_3_3": beta * m,
             "to_bipartite": m,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
         g = gen_paley(13)
         names = ["detect_amply_params", "build_transport_bipartite", "check_h_regular",
-                 "reachable_map"]
+                 "verify_lemma_3_3"]
         counts = _count_calls(
             monkeypatch,
             [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
@@ -373,7 +387,7 @@ class TestCertificateOnBuiltH:
         _hgraph_payload(g, *g.edges()[0])
         assert counts == {
             "detect_amply_params": 1, "build_transport_bipartite": 1, "check_h_regular": 1,
-            "reachable_map": 3, "to_bipartite": 1,
+            "verify_lemma_3_3": 3, "to_bipartite": 1,
         }
 
 
