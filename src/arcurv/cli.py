@@ -125,6 +125,8 @@ def _cmd_params(args) -> int:
 
 
 def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
+    if args.all and g.n == 0:
+        raise GraphError("empty graph")  # as params and verify say
     if args.p is not None:
         try:
             p = Fraction(args.p)
@@ -233,6 +235,8 @@ def _cmd_hgraph(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _read_graph(args.file)
+    if g.n == 0:
+        raise GraphError("empty graph")
     spec = adjacency_spectrum(g, cap=args.size_cap or DEFAULT_SPECTRUM_CAP)
     if args.format == "json":
         print(json.dumps({

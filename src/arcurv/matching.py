@@ -83,34 +83,34 @@ class Matching:
                 raise MatchingError(f"right vertex {w} covered twice")
             seen_right.add(w)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.pairs.items())
-
 
 def _kuhn(adj, right_n: int) -> list[int]:
     """Kuhn's augmenting-path search over plain adjacency lists.
 
     Left vertices and their neighbor lists are scanned in stored order, so
     the result is deterministic. A left vertex that fails to augment is
-    skipped, not fatal: the result is maximum, not just maximal. Returns the
-    right partner of each left vertex, -1 where unmatched.
+    skipped, not fatal: the result is maximum, not just maximal. One stamp
+    array serves every search: ``visited[w] == root`` marks w as reached in
+    the search from ``root``. Returns the right partner of each left vertex,
+    -1 where unmatched.
     """
     match_r = [-1] * right_n
     match_l = [-1] * len(adj)
+    visited = [-1] * right_n
 
-    def try_augment(u: int, visited: list[bool]) -> bool:
+    def try_augment(u: int) -> bool:
         for w in adj[u]:
-            if visited[w]:
+            if visited[w] == root:
                 continue
-            visited[w] = True
-            if match_r[w] < 0 or try_augment(match_r[w], visited):
+            visited[w] = root
+            if match_r[w] < 0 or try_augment(match_r[w]):
                 match_r[w] = u
                 match_l[u] = w
                 return True
         return False
 
-    for u in range(len(adj)):
-        try_augment(u, [False] * right_n)
+    for root in range(len(adj)):
+        try_augment(root)
     return match_l
 
 
@@ -125,8 +125,11 @@ def konig_decomposition(b: Bipartite) -> list[Matching]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
     Each round extracts the perfect matching that Kuhn's search finds in the
-    remaining graph and removes it, leaving a (k-1)-regular graph. The output
-    is self-checked once, at the end: classes are valid and perfect, pairwise
+    remaining graph and removes it, leaving a (k-1)-regular graph. Every
+    round is checked as it runs: each left vertex is matched, no right
+    vertex twice, and each matched edge is removed from the remaining
+    edges, so a non-edge or an edge of an earlier class raises. With no
+    edge left over after k rounds, the classes are perfect, pairwise
     edge-disjoint, and their union is exactly the edge set.
     """
     k = b.regular_degree()
@@ -137,24 +140,15 @@ def konig_decomposition(b: Bipartite) -> list[Matching]:
     classes: list[Matching] = []
     for _ in range(k):
         match_l = _kuhn(adj, n)
-        if min(match_l) < 0:
-            raise MatchingError("internal error: regular graph lost a perfect matching")
-        for u, w in enumerate(match_l):
-            adj[u].remove(w)
+        if len(match_l) != n or min(match_l) < 0 or len(set(match_l)) != n:
+            raise MatchingError("internal error: a round found no perfect matching")
+        try:
+            list(map(list.remove, adj, match_l))  # adj[u].remove(match_l[u]) for every u
+        except ValueError:  # a non-edge, or an edge of an earlier class
+            raise MatchingError("internal error: class uses a removed or missing edge") from None
         classes.append(Matching(dict(enumerate(match_l))))
-    if any(adj[u] for u in range(n)):
+    if any(adj):
         raise MatchingError("internal error: leftover edges after decomposition")
-    seen: set[tuple[int, int]] = set()
-    for m in classes:
-        m.validate(b)
-        if not m.is_perfect(b):
-            raise MatchingError("internal error: non-perfect class")
-        es = m.edge_set()
-        if es & seen:
-            raise MatchingError("internal error: classes share an edge")
-        seen |= es
-    if seen != set(b.edges()):
-        raise MatchingError("internal error: decomposition does not cover edge set")
     return classes
 
 

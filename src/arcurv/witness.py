@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .curvature import TransportPlan, check_uniform_plan, lly_curvature, plan_cost
+from .curvature import CurvatureError, TransportPlan, check_uniform_plan, lly_curvature
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params, edge_partition
 from .matching import (
     Bipartite,
@@ -78,10 +78,14 @@ class TransportBipartite:
         return len(self.nx) + len(self.delta) + self.num_copies
 
     def all_edges(self) -> list[tuple[int, int]]:
-        return sorted(e for cls in self.edge_classes for e in cls)
+        """Every edge of H, class by class."""
+        return [e for cls in self.edge_classes for e in cls]
 
     def to_bipartite(self) -> Bipartite:
-        return Bipartite.from_edges(self.side_size, self.side_size, self.all_edges())
+        rows: list[list[int]] = [[] for _ in range(self.side_size)]
+        for l, r in self.all_edges():
+            rows[l].append(r)
+        return Bipartite(self.side_size, self.side_size, tuple(tuple(sorted(r)) for r in rows))
 
     def z1_edge(self) -> tuple[int, int]:
         """The diagonal edge z_1 z_1' (z_1 = smallest host index in Delta)."""
@@ -114,12 +118,11 @@ class RegularityCheck:
     offender: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ChainRecord:
+class ChainRecord(NamedTuple):
     """One matched-edge chain from v0 in N_x to w0 in N_y: ok iff d(v0, w0) <= rho - k.
 
     rho counts the chain's left-side members and k the synthetic x-copies
-    among them.
+    among them. A named tuple, cheap to build: ``verify`` makes one per chain.
     """
 
     v0: int
@@ -231,27 +234,27 @@ def verify_lemma_3_3(
     vertex, the induced map N_x -> N_y must be a bijection, and each
     chain's endpoints must be connected.
     """
-    if len(m.pairs) != h.side_size:
+    pairs = m.pairs
+    if len(pairs) != h.side_size:
         raise WitnessError("chain walk requires a perfect matching")
     p = len(h.nx)
     first_copy = p + len(h.delta)
+    max_rho = 1 + h.side_size - p  # a walk with more steps than twins has revisited one
     records = []
     for start, v0 in enumerate(h.nx):
-        seen: set[int] = set()
-        current = m.pairs[start]
+        rho, k = 1, 0
+        current = pairs[start]
         while current >= p:  # primed twin shares the index
-            if current in seen:
+            if rho == max_rho:
                 raise WitnessError("internal error: chain revisits a vertex")
-            seen.add(current)
-            current = m.pairs[current]
+            rho += 1
+            k += current >= first_copy
+            current = pairs[current]
         w0 = h.ny[current]
-        dist = g.distance(v0, w0)
-        if dist is None:
+        dist = g.distances_from(v0).item(w0)
+        if dist < 0:
             raise WitnessError("internal error: chain endpoints disconnected")
-        rho, k = 1 + len(seen), sum(1 for t in seen if t >= first_copy)
-        records.append(
-            ChainRecord(v0=v0, w0=w0, distance=dist, rho=rho, k=k, ok=dist <= rho - k)
-        )
+        records.append(ChainRecord(v0, w0, dist, rho, k, dist <= rho - k))
     if sorted(r.w0 for r in records) != sorted(h.ny):
         raise WitnessError("internal error: chain map is not a bijection onto N_y")
     return records
@@ -283,7 +286,8 @@ def certify_witness(
 
     pi0 keeps mass 1/(d+1) on every common neighbor and on x and y, and
     ships each N_x vertex's mass to its chain partner in N_y; its marginals
-    are checked in integers to be uniform on B(x) and B(y).
+    are checked in integers to be uniform on B(x) and B(y), and its cost is
+    the integer sum of its pairs' BFS distances over d+1.
     """
     if not reg.ok:
         raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {reg.offender}")
@@ -299,15 +303,15 @@ def certify_witness(
     sum_rho = sum(r.rho for r in records)
     k_total = sum(r.k for r in records)
     if sum_rho > d + k_total - 2:
-        raise WitnessError(
-            f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}"
-        )
+        raise WitnessError(f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}")
     unit = Fraction(1, d + 1)
-    entries = {(v, v): unit for v in (*h.delta, h.x, h.y)}
-    entries.update({(r.v0, r.w0): unit for r in records})
-    pi0 = TransportPlan.from_dict(entries)
+    support = sorted([(v, v) for v in (*h.delta, h.x, h.y)] + [(r.v0, r.w0) for r in records])
+    pi0 = TransportPlan(tuple((pair, unit) for pair in support))
     check_uniform_plan(pi0, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
-    cost = plan_cost(g, pi0)
+    dists = [g.distances_from(v).item(w) for v, w in support]  # every mass is 1/(d+1)
+    if min(dists) < 0:
+        raise CurvatureError(f"plan moves mass between components: {support[dists.index(-1)]}")
+    cost = Fraction(sum(dists), d + 1)
     if cost > Fraction(d - 2, d + 1):
         raise WitnessError(f"plan cost {cost} exceeds (d-2)/(d+1)")
     kappa_lb = Fraction(d + 1, d) * (1 - cost)
@@ -316,10 +320,8 @@ def certify_witness(
     kappa = lly_curvature(g, h.x, h.y)
     if kappa_lb > kappa:
         raise WitnessError(f"lower bound {kappa_lb} exceeds exact curvature {kappa}")
-    return WitnessCertificate(
-        matching=m, chain_records=records, pi0=pi0, pi0_cost=cost, kappa_lb=kappa_lb,
-        kappa=kappa,
-    )
+    return WitnessCertificate(matching=m, chain_records=records, pi0=pi0, pi0_cost=cost,
+                              kappa_lb=kappa_lb, kappa=kappa)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,13 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
+def empty_file(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def h23_file(tmp_path):
     path = tmp_path / "h23.txt"
     path.write_text(dump_edge_list(gen_hamming(2, 3)))
@@ -132,6 +139,13 @@ class TestCurvature:
         assert code == EXIT_INPUT and out == ""
         assert err == "error: pass --all or --edge u v, not both\n"
 
+    @pytest.mark.parametrize("idleness", [(), ("--p", "0"), ("--p", "1/2")])
+    def test_all_on_empty_graph_is_an_input_error(self, capsys, empty_file, idleness):
+        # the reason params and verify give, not "requires a regular graph" or no rows
+        for command in (("curvature", empty_file, "--all", *idleness), ("params", empty_file)):
+            code, out, err = run(capsys, *command)
+            assert (code, out, err) == (EXIT_INPUT, "", "error: empty graph\n")
+
 
 class TestVerify:
     def test_h23_passes(self, capsys, h23_file):
@@ -223,6 +237,11 @@ class TestSpectrumDiameterSearch:
         code, out, _ = run(capsys, "--format", "json", "spectrum", h23_file)
         payload = json.loads(out)
         assert code == EXIT_OK and len(payload["eigenvalues"]) == 9
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_spectrum_of_empty_graph_is_an_input_error(self, capsys, empty_file, fmt):
+        code, out, err = run(capsys, "--format", fmt, "spectrum", empty_file)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: empty graph\n")
 
     def test_spectrum_cap(self, capsys, tmp_path, monkeypatch):
         def no_solve(matrix):

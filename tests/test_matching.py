@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import arcurv.matching as matching_module
 from arcurv import (
     Bipartite,
     MatchingError,
@@ -7,6 +10,7 @@ from arcurv import (
     detect_amply_params,
     gen_cocktail,
     gen_hamming,
+    gen_paley,
     konig_decomposition,
     matching_through_edge,
     max_matching,
@@ -97,8 +101,8 @@ class TestKonigDecomposition:
             union = set()
             for m in classes:
                 assert m.is_perfect(b)
-                assert not (m.edge_set() & union)
-                union |= m.edge_set()
+                assert not (set(m.pairs.items()) & union)
+                union |= set(m.pairs.items())
             assert union == set(b.edges())
 
     def test_deterministic(self):
@@ -106,6 +110,127 @@ class TestKonigDecomposition:
         first = [m.pairs for m in konig_decomposition(b)]
         second = [m.pairs for m in konig_decomposition(b)]
         assert first == second
+
+
+def reference_konig(b: Bipartite) -> list[dict[int, int]]:
+    """Konig classes by a plain Kuhn search, checked once after the last round.
+
+    Kuhn's search takes a fresh visited list per left vertex and scans left
+    vertices and neighbor lists in ascending order; the end-of-run check
+    asserts that the classes are perfect, pairwise edge-disjoint and cover
+    exactly the edge set.
+    """
+    n = b.left_n
+    adj = [sorted(nbrs) for nbrs in b.adj]
+    classes = []
+    for _ in range(len(adj[0])):
+        match_r = [-1] * n
+        match_l = [-1] * n
+
+        def try_augment(u, visited):
+            for w in adj[u]:
+                if visited[w]:
+                    continue
+                visited[w] = True
+                if match_r[w] < 0 or try_augment(match_r[w], visited):
+                    match_r[w] = u
+                    match_l[u] = w
+                    return True
+            return False
+
+        for u in range(n):
+            try_augment(u, [False] * n)
+        for u, w in enumerate(match_l):
+            adj[u].remove(w)
+        classes.append(dict(enumerate(match_l)))
+    edges = {(u, w) for u in range(n) for w in b.adj[u]}
+    seen = set()
+    for c in classes:
+        assert sorted(c) == sorted(c.values()) == list(range(n))
+        assert not set(c.items()) & seen and set(c.items()) <= edges
+        seen |= set(c.items())
+    assert seen == edges
+    return classes
+
+
+def random_regular_bipartite(rng: random.Random, n: int, k: int) -> Bipartite:
+    """Union of k edge-disjoint random permutations of range(n).
+
+    Each permutation picks, row by row in random order, a random unused
+    column that shares no edge with the earlier ones, and starts over when a
+    row has no such column.
+    """
+    edges: set[tuple[int, int]] = set()
+    for _ in range(k):
+        while True:
+            free, perm = set(range(n)), {}
+            for u in rng.sample(range(n), n):
+                options = sorted(w for w in free if (u, w) not in edges)
+                if not options:
+                    break
+                perm[u] = rng.choice(options)
+                free.discard(perm[u])
+            else:
+                edges.update(perm.items())
+                break
+    return Bipartite.from_edges(n, n, edges)
+
+
+def witness_bipartites(g):
+    params = detect_amply_params(g)
+    return [build_transport_bipartite(g, x, y, params).to_bipartite() for x, y in g.edges()]
+
+
+class TestKonigOrder:
+    """``konig_decomposition`` gives the reference classes, in the same order."""
+
+    def test_random_regular_bipartite_graphs(self):
+        rng = random.Random(20261018)
+        for case in range(100):
+            k = 1 + case % 8
+            b = random_regular_bipartite(rng, rng.randint(2 * k, 2 * k + 6), k)
+            assert [m.pairs for m in konig_decomposition(b)] == reference_konig(b)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_hamming(3, 3), lambda: gen_paley(13), lambda: gen_paley(29),
+         lambda: gen_cocktail(3), lambda: gen_cocktail(8)],
+        ids=["h33", "paley13", "paley29", "cocktail3", "cocktail8"],
+    )
+    def test_every_witness_edge(self, make):
+        for b in witness_bipartites(make()):
+            assert [m.pairs for m in konig_decomposition(b)] == reference_konig(b)
+
+
+class TestKonigRoundChecks:
+    """A faulty Kuhn round raises an internal MatchingError when it is made."""
+
+    @staticmethod
+    def _faulty(monkeypatch, fault):
+        kuhn = matching_module._kuhn
+        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: fault(kuhn(adj, n)))
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda m: [m[1]] + m[1:],  # right vertex m[1] covered twice
+            lambda m: m[::-1],  # a permutation, but (0, 3) is not an edge
+            lambda m: [-1] + m[1:],  # left vertex 0 unmatched
+            lambda m: m[:-1],  # left vertex n-1 missing
+        ],
+        ids=["repeated-right", "non-edge", "unmatched", "short"],
+    )
+    def test_faulty_round_raises(self, monkeypatch, fault):
+        b = bipartite_cycle(8)  # edges (i, i) and (i, i+1 mod 4); Kuhn's first class is i -> i
+        self._faulty(monkeypatch, fault)
+        with pytest.raises(MatchingError, match="internal error"):
+            konig_decomposition(b)
+
+    def test_edge_of_an_earlier_class_raises(self, monkeypatch):
+        first = konig_decomposition(bipartite_cycle(8))[0].pairs
+        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [first[u] for u in range(n)])
+        with pytest.raises(MatchingError, match="internal error"):
+            konig_decomposition(bipartite_cycle(8))
 
 
 class TestMatchingThroughEdge:
@@ -131,7 +256,7 @@ class TestMatchingThroughEdge:
         b = h.to_bipartite()
         assert b.regular_degree() == 1
         m = matching_through_edge(b, h.z1_edge())
-        assert m.edge_set() == set(b.edges())
+        assert set(m.pairs.items()) == set(b.edges())
 
     def test_non_edge_rejected(self):
         with pytest.raises(MatchingError):

@@ -214,6 +214,24 @@ class TestChains:
             k_total = sum(c.k for c in chains)
             assert sum(c.rho for c in chains) <= params.d + k_total - 2
 
+    def test_revisiting_chain_rejected(self):
+        # paley13: N_x is left 0..2, Delta is left 3..4; the chain from 0 cycles 3 -> 4 -> 3
+        from arcurv.matching import Matching
+
+        g = gen_paley(13)
+        h = build_transport_bipartite(g, *g.edges()[0])
+        assert (len(h.nx), h.side_size) == (3, 5)
+        with pytest.raises(WitnessError, match="revisits"):
+            verify_lemma_3_3(g, h, Matching({0: 3, 1: 1, 2: 2, 3: 4, 4: 3}))
+
+    def test_non_bijective_chain_map_rejected(self):
+        from arcurv.matching import Matching
+
+        g = gen_paley(13)
+        h = build_transport_bipartite(g, *g.edges()[0])
+        with pytest.raises(WitnessError, match="bijection"):
+            verify_lemma_3_3(g, h, Matching({0: 0, 1: 0, 2: 2, 3: 3, 4: 4}))
+
     def test_imperfect_matching_rejected(self):
         from arcurv.matching import Matching
 
@@ -241,6 +259,22 @@ class TestPi0:
         for z in h.delta:
             assert d[(z, z)] == unit
         assert d[(0, 0)] == unit and d[(2, 2)] == unit
+
+    @pytest.mark.parametrize(
+        "make",
+        [h23, lambda: gen_hamming(3, 3), lambda: gen_paley(13), lambda: gen_cocktail(3)],
+        ids=["h23", "h33", "paley13", "cocktail3"],
+    )
+    def test_integer_cost_equals_plan_cost(self, make):
+        # certify_witness sums BFS distances in integers; plan_cost sums d(v, w) * mass
+        g = make()
+        params = detect_amply_params(g)
+        unit = Fraction(1, params.d + 1)
+        for x, y in g.edges():
+            cert = _certificate(g, x, y, params)
+            assert cert.pi0_cost == plan_cost(g, cert.pi0)
+            assert len(cert.pi0.entries) == params.d + 1
+            assert all(type(m) is Fraction and m == unit for _, m in cert.pi0.entries)
 
     def test_requires_z1_edge(self, monkeypatch):
         # certify_witness rejects a class through matching_through_edge that avoids z1 z1'
