@@ -5,7 +5,6 @@ from .curvature import (
     CurvatureTable,
     ProbMeasure,
     TransportPlan,
-    assignment_wasserstein,
     certify_assignments,
     check_uniform_plan,
     curvature_all_edges,

@@ -22,18 +22,18 @@ from .graph import (
     GraphError,
     detect_amply_params,
     dump_edge_list,
+    edge_list_order,
     load_edge_list,
 )
 from .matching import MatchingError
 from .report import (
     ReportError,
-    frac_str,
     render_text,
     report_to_dict,
     verify_graph,
 )
 from .search import infeasibility_reason, search_amply
-from .spectral import DEFAULT_SPECTRUM_CAP, SpectralError, adjacency_spectrum
+from .spectral import DEFAULT_SPECTRUM_CAP, SpectralError, adjacency_spectrum, check_spectrum_cap
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -64,11 +64,16 @@ _FAMILIES = {
 }
 
 
-def _read_graph(path: str) -> Graph:
+def _read_graph(path: str, spectrum_cap: int | None = None) -> Graph:
+    """The graph in ``path`` ("-" is stdin), refused past ``spectrum_cap`` before it is built."""
     if path == "-":
-        return load_edge_list(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    if spectrum_cap is not None:
+        check_spectrum_cap(edge_list_order(text), spectrum_cap)
+    return load_edge_list(text)
 
 
 def _edge(g: Graph, edge: list[int]) -> tuple[int, int]:
@@ -133,7 +138,10 @@ def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
         except ZeroDivisionError:
             raise ValueError(f"idleness {args.p} has a zero denominator") from None
         if args.all:
-            return kappa_p_all_edges(g, p)
+            rows = kappa_p_all_edges(g, p)
+            if not rows:
+                raise GraphError("graph has no edges")  # as --all without --p says
+            return rows
         u, v = _edge(g, args.edge)
         return [(u, v, ollivier_kappa_p(g, u, v, p))]
     if args.all:
@@ -154,28 +162,27 @@ def _cmd_curvature(args) -> int:
     rows = _curvature_rows(g, args)
     if args.format == "json":
         print(json.dumps([
-            {"u": u, "v": v, "kappa": frac_str(k)} for u, v, k in rows
+            {"u": u, "v": v, "kappa": str(k)} for u, v, k in rows
         ]))
     elif args.format == "csv":
         print("u,v,kappa")
         for u, v, k in rows:
-            print(f"{u},{v},{frac_str(k)}")
+            print(f"{u},{v},{k}")
     else:
         for u, v, k in rows:
-            print(f"{u} {v} {frac_str(k)}")
+            print(f"{u} {v} {k}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.file)
-    report = verify_graph(g, graph_id=args.file,
-                          spectrum_cap=args.size_cap or DEFAULT_SPECTRUM_CAP)
+    cap = args.size_cap or DEFAULT_SPECTRUM_CAP
+    report = verify_graph(_read_graph(args.file, cap), graph_id=args.file, spectrum_cap=cap)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), sort_keys=True))
     elif args.format == "csv":
         print("u,v,kappa,passed")
         for row in report.edges:
-            print(f"{row.u},{row.v},{frac_str(row.kappa)},{row.passed}")
+            print(f"{row.u},{row.v},{row.kappa},{row.passed}")
     else:
         sys.stdout.write(render_text(report))
     return EXIT_OK if report.overall_pass else EXIT_ASSERTION
@@ -204,9 +211,9 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
             }
             for m, records in zip(record.classes, record.class_records)
         ],
-        "pi0_cost": frac_str(cert.pi0_cost),
-        "kappa_lower_bound": frac_str(cert.kappa_lb),
-        "kappa": frac_str(cert.kappa),
+        "pi0_cost": str(cert.pi0_cost),
+        "kappa_lower_bound": str(cert.kappa_lb),
+        "kappa": str(cert.kappa),
     }
 
 
@@ -234,10 +241,11 @@ def _cmd_hgraph(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    g = _read_graph(args.file)
+    cap = args.size_cap or DEFAULT_SPECTRUM_CAP
+    g = _read_graph(args.file, cap)
     if g.n == 0:
         raise GraphError("empty graph")
-    spec = adjacency_spectrum(g, cap=args.size_cap or DEFAULT_SPECTRUM_CAP)
+    spec = adjacency_spectrum(g, cap=cap)
     if args.format == "json":
         print(json.dumps({
             "eigenvalues": list(spec.eigenvalues),

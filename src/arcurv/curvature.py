@@ -1,17 +1,16 @@
 """Exact measures, Wasserstein distance, and edge curvature of regular graphs.
 
 All masses, costs, and curvature values are `fractions.Fraction` or integers;
-nothing in this module touches floating point. The regular-edge Wasserstein
-value behind Lin-Lu-Yau curvature comes from one integer assignment solve over
-the closed neighborhoods, proven optimal by an integer 1-Lipschitz Kantorovich
-potential of equal value. Idleness-p curvature of a regular edge rests on that
-assignment for p >= 1/(d+1) and on the same certified assignment over the open
-neighborhoods for p = 0; in between, the linearity theorem of Bourne et al.
-(SIAM J. Discrete Math. 32, 2018) interpolates. `certify_assignments` solves
-and certifies many such assignments at once, with its checks run over whole
-arrays; `kappa_p_all_edges` uses it for every edge of a regular graph in at
-most two passes. The min-cost-flow transportation solve serves only irregular
-graphs and non-adjacent pairs.
+nothing in this module touches floating point. One private core serves
+`lly_curvature`, `ollivier_kappa_p` and `kappa_p_all_edges` on regular edges,
+one edge or all alike: each edge's zone, B(x) then B(y) or N(x) then N(y), is
+read from the endpoints' adjacency rows, and `certify_assignments` solves every
+zone's integer assignment, proven optimal by an integer 1-Lipschitz
+Kantorovich potential of equal value. A B-zone cost C gives kappa_LLY =
+(d+1-C)/d, an N-zone cost kappa_0 = (d-C)/d; idleness p runs the passes it
+needs and interpolates by the linearity theorem of Bourne et al. (SIAM J.
+Discrete Math. 32, 2018). The min-cost-flow transportation solve serves only
+irregular graphs and non-adjacent pairs.
 """
 
 from __future__ import annotations
@@ -237,15 +236,6 @@ def wasserstein(
     return value, plan
 
 
-def _regular_edge_degree(g: Graph, x: int, y: int) -> int:
-    d = g.regular_degree()
-    if d is None:
-        raise CurvatureError("operation requires a regular graph")
-    if not g.is_edge(x, y):
-        raise CurvatureError(f"({x}, {y}) is not an edge")
-    return d
-
-
 ASSIGNMENT_CHUNK = 64
 """Problems that `certify_assignments` solves and checks together. It bounds
 the (chunk, 2k, 2k) temporaries of the whole-array checks."""
@@ -254,17 +244,15 @@ the (chunk, 2k, 2k) temporaries of the whole-array checks."""
 def _fail(bad: np.ndarray, edges, reason: str) -> None:
     """Raise ``reason`` if ``bad`` (one leading row per problem) has a set entry.
 
-    The first such problem i is named by ``edges[i]`` when given.
+    The first such problem i is named by ``edges[i]``.
     """
     if np.count_nonzero(bad):
-        if edges is None:
-            raise CurvatureError(reason)
         i = int(bad.reshape(len(bad), -1).any(axis=1).argmax())
         raise CurvatureError(f"edge {edges[i]}: {reason}")
 
 
 def kantorovich_potential(
-    dist: np.ndarray, sigma: np.ndarray, edges=None
+    dist: np.ndarray, sigma: np.ndarray, edges
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integer potentials proving each assignment of a batch optimal, and its cost.
 
@@ -277,8 +265,8 @@ def kantorovich_potential(
     exactly to be 1-Lipschitz there (McShane extends it to the graph), with
     sum f[sources] - sum f[targets] equal to the cost of sigma; by Kantorovich
     duality no assignment is cheaper. Returns f (m, 2k) and the costs (m,).
-    Raises CurvatureError for the first problem that fails a check, naming
-    ``edges[i]`` when given.
+    Raises CurvatureError for the first problem i that fails a check, naming
+    ``edges[i]``, the edge of problem i.
     """
     m, k = sigma.shape
     cost = dist[:, :k, k:]
@@ -359,7 +347,7 @@ def _certify_chunk(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.n
     return c_total, plan_targets
 
 
-def certify_assignments(g: Graph, zones: np.ndarray, edges=None) -> tuple[np.ndarray, np.ndarray]:
+def certify_assignments(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     """Certified cheapest bijections for many equal-size transport problems.
 
     Row i of ``zones`` (m, 2k) holds problem i's k sources followed by its k
@@ -372,71 +360,66 @@ def certify_assignments(g: Graph, zones: np.ndarray, edges=None) -> tuple[np.nda
     of ``ASSIGNMENT_CHUNK`` problems, `kantorovich_potential` proves every
     assignment optimal, each plan's targets are checked to be its target set,
     and each plan's cost is re-summed from the BFS rows at its vertex pairs.
-    A failed check raises CurvatureError, naming ``edges[i]`` when given.
+    A failed check raises CurvatureError naming ``edges[i]``, the edge of
+    problem i.
     """
     m, k = zones.shape[0], zones.shape[1] // 2
     costs = np.empty(m, dtype=np.int64)
     plans = np.empty((m, k), dtype=zones.dtype)
     for lo in range(0, m, ASSIGNMENT_CHUNK):
         hi = lo + ASSIGNMENT_CHUNK
-        names = None if edges is None else edges[lo:hi]
-        costs[lo:hi], plans[lo:hi] = _certify_chunk(g, zones[lo:hi], names)
+        costs[lo:hi], plans[lo:hi] = _certify_chunk(g, zones[lo:hi], edges[lo:hi])
     return costs, plans
 
 
-def assignment_wasserstein(
-    g: Graph, sources, targets
-) -> tuple[Fraction, TransportPlan]:
-    """Exact W between uniform measures on two equal-size vertex sets.
+def _zones(g: Graph, edges, closed: bool) -> np.ndarray:
+    """Each edge's zone, sorted B(x) then B(y) or N(x) then N(y), from one row per endpoint."""
+    adj, index = g.adjacency, {}
+    ends = [[index.setdefault(v, len(index)) for v in edge] for edge in edges]
+    rows = np.array([sorted((v, *adj[v])) if closed else adj[v] for v in index])
+    return rows[ends].reshape(len(edges), -1)
 
-    Serves a regular edge xy twice: the closed neighborhoods B(x), B(y) carry
-    the idleness-1/(d+1) measures, the open neighborhoods N(x), N(y) the
-    idleness-0 ones. With k vertices on each side an optimal plan is a
-    bijection (Birkhoff), so W = C/k where C is the minimum total distance
-    over bijections: `certify_assignments` on the one zone ``sources`` then
-    ``targets``, which solves it and certifies its value.
+
+def _kappa_lly(g: Graph, edges, d: int) -> list[Fraction]:
+    """kappa_LLY = (d+1)/d * (1 - W) = (d+1-C)/d of each edge of a d-regular graph.
+
+    C is the edge's certified B-zone cost: an optimal plan between uniform
+    measures on d+1 vertices each is a bijection (Birkhoff), so W = C/(d+1).
     """
-    k = len(sources)
-    if k == 0 or k != len(targets):
-        raise CurvatureError("assignment needs two vertex sets of equal positive size")
-    costs, plans = _certify_chunk(g, np.array([[*sources, *targets]]), None)
-    unit = Fraction(1, k)
-    pairs = sorted(zip(sources, plans[0].tolist()))
-    return Fraction(int(costs[0]), k), TransportPlan(tuple((pair, unit) for pair in pairs))
+    costs, _ = certify_assignments(g, _zones(g, edges, closed=True), edges)
+    return [Fraction(d + 1 - c, d) for c in costs.tolist()]
 
 
-def _kappa_p_on_regular_edge(p: Fraction, d: int, kappa_0, kappa_lly) -> Fraction:
-    """kappa_p of an edge of a d-regular graph from kappa_0 and kappa_LLY.
+def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
+    """kappa_p of each edge of a regular graph, from the certified passes p needs.
 
     By the linearity theorem of Bourne, Cushing, Liu, Muench & Peyerimhoff
-    (SIAM J. Discrete Math. 32, 2018), p -> kappa_p is linear on
-    [0, 1/(d+1)] and on [1/(d+1), 1], and kappa_1 = 0:
+    (SIAM J. Discrete Math. 32, 2018), p -> kappa_p is linear on [0, 1/(d+1)]
+    and on [1/(d+1), 1], and kappa_1 = 0:
 
-    - p >= 1/(d+1): (1-p) kappa_LLY;
-    - p = 0: kappa_0;
-    - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY.
-
-    ``kappa_0`` is unused (and may be None) when p >= 1/(d+1), ``kappa_lly``
-    when p = 0.
+    - p >= 1/(d+1): (1-p) kappa_LLY, from the B(x) -> B(y) pass alone;
+    - p = 0: kappa_0 = (d-C)/d, from the N(x) -> N(y) pass alone (W = C/d);
+    - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY, from both.
     """
+    if not edges:
+        return []
+    d = g.regular_degree()
     knee = Fraction(1, d + 1)
-    if p >= knee:
-        return (1 - p) * kappa_lly
+    if p > 0:
+        kappa_lly = _kappa_lly(g, edges, d)
+        if p >= knee:
+            return [(1 - p) * k for k in kappa_lly]
+    costs, _ = certify_assignments(g, _zones(g, edges, closed=False), edges)
+    kappa_0 = [Fraction(d - c, d) for c in costs.tolist()]
     if p == 0:
         return kappa_0
-    kappa_knee = (1 - knee) * kappa_lly
-    return kappa_0 + (kappa_knee - kappa_0) * p / knee
+    return [k0 + ((1 - knee) * kl - k0) * p / knee for k0, kl in zip(kappa_0, kappa_lly)]
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
     """p-idleness Ollivier curvature: 1 - W(mu_x^p, mu_y^p) / d(x, y).
 
-    On an edge of a d-regular graph, kappa_p rests on two certified
-    assignments of `assignment_wasserstein`, solving only those p needs:
-    B(x) -> B(y) (kappa_LLY) when p > 0, and N(x) -> N(y) (kappa_0 =
-    1 - W(unif N(x), unif N(y))) when p < 1/(d+1); see
-    `_kappa_p_on_regular_edge`. Irregular graphs and non-adjacent pairs go
-    through the min-cost flow.
+    A regular edge goes through `_regular_kappa_p`, anything else through the min-cost flow.
     """
     if x == y:
         raise CurvatureError("curvature requires distinct vertices")
@@ -444,59 +427,37 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
     if dxy is None:
         raise CurvatureError("vertices lie in different components")
     p = _idleness(p)
-    d = g.regular_degree()
-    if d is None or dxy != 1:
+    if g.regular_degree() is None or dxy != 1:
         w, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
         return 1 - w / dxy
-    kappa_0 = None
-    if p < Fraction(1, d + 1):
-        kappa_0 = 1 - assignment_wasserstein(g, g.neighbors(x), g.neighbors(y))[0]
-    kappa_lly = lly_curvature(g, x, y) if p > 0 else None
-    return _kappa_p_on_regular_edge(p, d, kappa_0, kappa_lly)
+    return _regular_kappa_p(g, [(x, y)], p)[0]
 
 
 def kappa_p_all_edges(g: Graph, p: Fraction) -> list[tuple[int, int, Fraction]]:
     """``ollivier_kappa_p`` of every edge, in sorted edge order.
 
-    On a regular graph this is at most two batched passes of
-    `certify_assignments` over all edges: B(x) -> B(y) when p > 0 and
-    N(x) -> N(y) when p < 1/(d+1), combined per edge as in
-    `ollivier_kappa_p`. Irregular graphs keep the per-edge min-cost flow.
+    A regular graph takes `_regular_kappa_p` over all its edges at once, an
+    irregular one the min-cost flow edge by edge.
     """
     p = _idleness(p)
     edges = g.edges()
-    d = g.regular_degree()
-    if d is None:
+    if g.regular_degree() is None:
         return [(u, v, ollivier_kappa_p(g, u, v, p)) for u, v in edges]
-    if not edges:
-        return []
-    ends = np.array(edges)
-    neighbors = np.array(g.adjacency)
-    kappa_0 = kappa_lly = [None] * len(edges)
-    if p > 0:
-        balls = np.sort(np.column_stack((np.arange(g.n), neighbors)), axis=1)
-        costs, _ = certify_assignments(g, balls[ends].reshape(len(edges), -1), edges)
-        # (d+1)/d * (1 - W) with W = C/(d+1), as in `lly_curvature`
-        kappa_lly = [Fraction(d + 1 - c, d) for c in costs.tolist()]
-    if p < Fraction(1, d + 1):
-        costs, _ = certify_assignments(g, neighbors[ends].reshape(len(edges), -1), edges)
-        kappa_0 = [Fraction(d - c, d) for c in costs.tolist()]  # 1 - C/d
-    return [
-        (u, v, _kappa_p_on_regular_edge(p, d, k0, kl))
-        for (u, v), k0, kl in zip(edges, kappa_0, kappa_lly)
-    ]
+    return [(u, v, k) for (u, v), k in zip(edges, _regular_kappa_p(g, edges, p))]
 
 
 def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
     """Lin-Lu-Yau curvature of a regular edge, (d+1)/d * (1 - W) at idleness 1/(d+1).
 
-    W is the certified assignment value of `assignment_wasserstein`: an exact
+    W is the certified value of the B(x) -> B(y) assignment: an exact
     primal plan plus an integer 1-Lipschitz potential of equal value.
     """
-    d = _regular_edge_degree(g, x, y)
-    bx = sorted((x,) + g.neighbors(x))
-    by = sorted((y,) + g.neighbors(y))
-    return Fraction(d + 1, d) * (1 - assignment_wasserstein(g, bx, by)[0])
+    d = g.regular_degree()
+    if d is None:
+        raise CurvatureError("operation requires a regular graph")
+    if not g.is_edge(x, y):
+        raise CurvatureError(f"({x}, {y}) is not an edge")
+    return _kappa_lly(g, [(x, y)], d)[0]
 
 
 @dataclass(frozen=True)

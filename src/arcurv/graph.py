@@ -236,35 +236,46 @@ class EdgeNeighborhoodPartition:
 DetectResult = Union[AmplyParams, AmplyViolation]
 
 
+def _content_lines(text: Union[str, Iterable[str]]):
+    """(line number, raw line, fields) of each line that is neither blank nor a '#' comment."""
+    lines = text.splitlines() if isinstance(text, str) else (line.rstrip("\n") for line in text)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line.split()
+
+
+def _header(content) -> tuple[int, int]:
+    """The 'n m' header: the first content line."""
+    lineno, raw, parts = next(content, (0, "", None))
+    if parts is None:
+        raise GraphError("empty input: missing 'n m' header")
+    if len(parts) != 2:
+        raise GraphError(f"line {lineno}: expected header 'n m', got {raw!r}")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphError(f"line {lineno}: non-integer header {raw!r}") from None
+    if n < 0 or m < 0:
+        raise GraphError(f"line {lineno}: negative counts in header")
+    return n, m
+
+
+def edge_list_order(text: Union[str, Iterable[str]]) -> int:
+    """The vertex count n from an edge list's header, read before anything is allocated."""
+    return _header(_content_lines(text))[0]
+
+
 def load_edge_list(text: Union[str, Iterable[str]]) -> Graph:
     """Parse the "n m" / "u v" edge-list format.
 
     Lines starting with '#' and blank lines are ignored. Duplicate edges are
     collapsed. Errors carry 1-based line numbers.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
-    header: Optional[tuple[int, int]] = None
+    content = _content_lines(text)
+    n, m = _header(content)
     edges: list[tuple[int, int]] = []
-    n = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise GraphError(f"line {lineno}: expected header 'n m', got {raw!r}")
-            try:
-                n, m = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"line {lineno}: non-integer header {raw!r}") from None
-            if n < 0 or m < 0:
-                raise GraphError(f"line {lineno}: negative counts in header")
-            header = (n, m)
-            continue
+    for lineno, raw, parts in content:
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected edge 'u v', got {raw!r}")
         try:
@@ -276,12 +287,8 @@ def load_edge_list(text: Union[str, Iterable[str]]) -> Graph:
         if u == v:
             raise GraphError(f"line {lineno}: loop edge at vertex {u}")
         edges.append((u, v))
-    if header is None:
-        raise GraphError("empty input: missing 'n m' header")
-    if len(edges) != header[1]:
-        raise GraphError(
-            f"header declares {header[1]} edges but {len(edges)} edge lines found"
-        )
+    if len(edges) != m:
+        raise GraphError(f"header declares {m} edges but {len(edges)} edge lines found")
     return Graph(n, edges)
 
 

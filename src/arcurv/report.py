@@ -28,12 +28,6 @@ class ReportError(ValueError):
     """Input fails the verification suite's hypotheses (not an assertion failure)."""
 
 
-def frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 @dataclass(frozen=True)
 class EdgeCheck:
     name: str
@@ -199,7 +193,7 @@ def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
     eq5_applicable = b is not None and b >= max(3, a) and diam >= 6
     if eq5_applicable:
         rhs = (3 - Fraction(2, b)) * (b - 3 + diam // 2)
-        eq5_detail = f"d >= (3 - 2/beta)(beta - 3 + floor(diam/2)) = {frac_str(Fraction(rhs))}"
+        eq5_detail = f"d >= (3 - 2/beta)(beta - 3 + floor(diam/2)) = {rhs}"
     else:
         eq5_detail = "requires beta >= max(3, alpha) and diam >= 6"
     comparisons.append(CompareColumn("degree-lower-nonlinear", eq5_applicable, eq5_detail))
@@ -339,7 +333,7 @@ def _encode(value):
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Fraction):
-        return frac_str(value)
+        return str(value)
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     return value
@@ -388,10 +382,10 @@ def render_text(r: VerificationReport) -> str:
         mark = "ok" if row.passed else "FAIL"
         checks = "; ".join(
             f"{c.name} {'=' if c.relation == 'eq' else ('>=' if c.relation == 'ge' else '<=')} "
-            f"{frac_str(c.bound)} [{'ok' if c.passed else 'FAIL'}]"
+            f"{c.bound} [{'ok' if c.passed else 'FAIL'}]"
             for c in row.checks
         ) or "no applicable bound"
-        lines.append(f"  ({row.u},{row.v})  kappa={frac_str(row.kappa)}  {checks}  [{mark}]")
+        lines.append(f"  ({row.u},{row.v})  kappa={row.kappa}  {checks}  [{mark}]")
     d = r.diameter
     lines.append("")
     lines.append(
@@ -410,7 +404,7 @@ def render_text(r: VerificationReport) -> str:
         + (f"  bound {s.bound}  [{'ok' if s.bound_passed else 'FAIL'}]" if s.bound is not None else "  (no bound applicable)")
     )
     lines.append(
-        f"lambda_1: {_display(s.lambda_one)}  >= kappa_min = {frac_str(s.kappa_min)}"
+        f"lambda_1: {_display(s.lambda_one)}  >= kappa_min = {s.kappa_min}"
         f"  [{'ok' if s.lichnerowicz_passed else 'FAIL'}]"
     )
     if r.witness is not None:
@@ -425,14 +419,14 @@ def render_text(r: VerificationReport) -> str:
     if r.dense_match is not None:
         m = r.dense_match
         lines.append(
-            f"dense-matching certificate: kappa = {frac_str(m.kappa)} on "
+            f"dense-matching certificate: kappa = {m.kappa} on "
             f"{m.edges_certified} edges  [{'ok' if m.passed else 'FAIL'}]"
         )
     if r.conference is not None:
         c = r.conference
         lines.append(
-            f"conference graph (gamma={c.gamma}): conjectured kappa = {frac_str(c.conjectured)},"
-            f" computed in [{frac_str(c.computed_min)}, {frac_str(c.computed_max)}] (not asserted)"
+            f"conference graph (gamma={c.gamma}): conjectured kappa = {c.conjectured},"
+            f" computed in [{c.computed_min}, {c.computed_max}] (not asserted)"
         )
     lines.append("")
     lines.append(f"verdict: {'PASS' if r.overall_pass else 'FAIL'}")

@@ -4,9 +4,11 @@ import functools
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from arcurv import (
     adjacency_spectrum,
-    assignment_wasserstein,
+    certify_assignments,
     curvature_all_edges,
     detect_amply_params,
     gen_cocktail,
@@ -190,8 +192,8 @@ def test_criterion_08_oracle_equivalence():
         for x, y in g.edges():
             flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
             bx, by = ((v,) + g.neighbors(v) for v in (x, y))
-            assign_value, _ = assignment_wasserstein(g, bx, by)
-            assert flow_value == assign_value
+            costs, _ = certify_assignments(g, np.array([bx + by]), [(x, y)])
+            assert flow_value == Fraction(int(costs[0]), d + 1)
 
 
 @criterion(9, "kappa_p = (1-p) kappa at both segment endpoints on every edge, by the flow", 10.0)

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,18 @@ class TestCurvature:
             code, out, err = run(capsys, *command)
             assert (code, out, err) == (EXIT_INPUT, "", "error: empty graph\n")
 
+    @pytest.mark.parametrize("header", ["1 0", "3 0"])
+    @pytest.mark.parametrize("idleness", ["0", "1/2", "1"])
+    def test_all_with_idleness_on_edgeless_graph_is_an_input_error(self, capsys, tmp_path,
+                                                                     header, idleness):
+        path = tmp_path / "edgeless.txt"
+        path.write_text(header + "\n")
+        code, out, err = run(capsys, "curvature", str(path), "--all", "--p", idleness)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: graph has no edges\n")
+        # an invalid idleness is still named first
+        code, _, err = run(capsys, "curvature", str(path), "--all", "--p", "3/2")
+        assert (code, err) == (EXIT_INPUT, "error: idleness 3/2 outside [0, 1]\n")
+
 
 class TestVerify:
     def test_h23_passes(self, capsys, h23_file):
@@ -273,6 +286,22 @@ class TestSpectrumDiameterSearch:
         assert err == "error: graph size 27 exceeds spectrum cap 10\n"
         code, _, _ = run(capsys, "--size-cap", "27", "verify", str(path))
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_size_cap_is_checked_before_the_graph_is_built(self, capsys, tmp_path, monkeypatch,
+                                                           command):
+        def no_build(text):
+            raise AssertionError("graph built past the spectrum cap")
+
+        path = tmp_path / "huge.txt"
+        path.write_text("3000000 0")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--size-cap", "10", command, str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: graph size 3000000 exceeds spectrum cap 10\n"
+        monkeypatch.setattr("arcurv.cli.load_edge_list", no_build)
+        assert run(capsys, "--size-cap", "10", command, str(path))[0] == EXIT_INPUT
 
     def test_diameter(self, capsys, h23_file):
         code, out, _ = run(capsys, "diameter", h23_file)

@@ -11,7 +11,6 @@ from arcurv import (
     CurvatureError,
     ProbMeasure,
     TransportPlan,
-    assignment_wasserstein,
     certify_assignments,
     check_uniform_plan,
     curvature_all_edges,
@@ -42,6 +41,20 @@ from conftest import (
 def _balls(g, x, y):
     """The closed neighborhoods B(x) and B(y), sorted."""
     return sorted((x,) + g.neighbors(x)), sorted((y,) + g.neighbors(y))
+
+
+def _one_zone(g, sources, targets, edge):
+    """W = C/k and the plan of one problem, through `certify_assignments`' one-zone branch."""
+    costs, plans = certify_assignments(g, np.array([[*sources, *targets]]), [edge])
+    k = len(sources)
+    unit = Fraction(1, k)
+    plan = TransportPlan.from_dict({pair: unit for pair in zip(sources, plans[0].tolist())})
+    return Fraction(int(costs[0]), k), plan
+
+
+def _ball_value(g, x, y):
+    """W(unif B(x), unif B(y)) of edge xy by the one-zone certified assignment."""
+    return _one_zone(g, *_balls(g, x, y), (x, y))[0]
 
 
 def _flow_kappa(g, x, y, p):
@@ -196,7 +209,7 @@ class TestAssignmentWasserstein:
 
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(CurvatureError, match="different components"):
-            assignment_wasserstein(g, [0, 1], [2, 3])
+            _one_zone(g, [0, 1], [2, 3], (0, 1))
         # in a batch, the error names the problem whose zone spans two components
         zones = np.array([[0, 1, 1, 0], [0, 1, 2, 3]])
         with pytest.raises(CurvatureError, match=_naming((0, 2), "different components")):
@@ -204,18 +217,18 @@ class TestAssignmentWasserstein:
 
     def test_complete_graph_zero(self):
         g = gen_complete(4)
-        value, _ = assignment_wasserstein(g, *_balls(g, 0, 1))
-        assert value == 0
+        assert _ball_value(g, 0, 1) == 0
+        assert lly_curvature(g, 0, 1) == Fraction(4, 3)
 
     def test_shrikhande(self):
         g = gen_shrikhande()
-        value, _ = assignment_wasserstein(g, *_balls(g, *g.edges()[0]))
-        assert value == Fraction(5, 7)  # kappa = (7/6)(1 - 5/7) = 1/3
+        assert _ball_value(g, *g.edges()[0]) == Fraction(5, 7)  # kappa = (7/6)(1 - 5/7) = 1/3
+        assert lly_curvature(g, *g.edges()[0]) == Fraction(1, 3)
 
     def test_rook_4x4(self):
         g = gen_hamming(2, 4)
-        value, _ = assignment_wasserstein(g, *_balls(g, *g.edges()[0]))
-        assert value == Fraction(3, 7)  # kappa = (7/6)(1 - 3/7) = 2/3
+        assert _ball_value(g, *g.edges()[0]) == Fraction(3, 7)  # kappa = (7/6)(1 - 3/7) = 2/3
+        assert lly_curvature(g, *g.edges()[0]) == Fraction(2, 3)
 
     def test_requires_edge(self):
         g = gen_cycle(6)
@@ -223,10 +236,14 @@ class TestAssignmentWasserstein:
             lly_curvature(g, 0, 3)
 
     def test_requires_equal_supports(self):
-        g = gen_cycle(6)
-        for sources, targets in (([0, 1], [3]), ([], [])):
-            with pytest.raises(CurvatureError, match="equal positive size"):
-                assignment_wasserstein(g, sources, targets)
+        # Equal-size zones follow from regularity: on an irregular graph B(x)
+        # and B(y) may differ in size, and the regularity check refuses first.
+        from arcurv import Graph
+
+        g = Graph(4, [(0, 1), (1, 2), (1, 3)])
+        assert len(_balls(g, 0, 1)[0]) != len(_balls(g, 0, 1)[1])
+        with pytest.raises(CurvatureError, match="requires a regular graph"):
+            lly_curvature(g, 0, 1)
 
     def test_reads_bfs_rows_of_the_two_balls_only(self):
         cases = ((gen_cycle(10**5), 500, 501, 0), (gen_hypercube(10), 0, 1, Fraction(1, 5)))
@@ -238,7 +255,7 @@ class TestAssignmentWasserstein:
         # N(0) = {1, 5} -> N(1) = {0, 2} on C6: 1 -> 2, 5 -> 0 costs 1 + 1,
         # the other bijection 1 + 3, so W = 2/2
         g = gen_cycle(6)
-        value, plan = assignment_wasserstein(g, g.neighbors(0), g.neighbors(1))
+        value, plan = _one_zone(g, g.neighbors(0), g.neighbors(1), (0, 1))
         assert value == 1 and plan_cost(g, plan) == 1
         assert plan.as_dict() == {(1, 2): Fraction(1, 2), (5, 0): Fraction(1, 2)}
 
@@ -248,8 +265,7 @@ class TestAssignmentWasserstein:
             p = Fraction(1, d + 1)
             for x, y in g.edges()[:10]:
                 flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
-                assign_value, _ = assignment_wasserstein(g, *_balls(g, x, y))
-                assert flow_value == assign_value
+                assert flow_value == _ball_value(g, x, y)
 
 
 def _edge_blocks(g, edges):
@@ -267,13 +283,13 @@ class TestKantorovichCertificate:
         x, y = g.edges()[0]
         dist, sigma = _edge_blocks(g, [(x, y)])
         k = sigma.shape[1]
-        f, costs = kantorovich_potential(dist, sigma)
+        f, costs = kantorovich_potential(dist, sigma, [(x, y)])
         f = f[0]
         c_total = int(dist[0, np.arange(k), k + sigma[0]].sum())
         assert costs.tolist() == [c_total]
         assert int(f[:k].sum() - f[k:].sum()) == c_total
         assert (np.abs(f[:, None] - f[None, :]) <= dist[0]).all()
-        assert Fraction(c_total, k) == assignment_wasserstein(g, *_balls(g, x, y))[0]
+        assert Fraction(c_total, k) == _ball_value(g, x, y)
 
     def test_rejects_non_optimal_assignment(self):
         g = gen_paley(13)
@@ -282,16 +298,17 @@ class TestKantorovichCertificate:
         k = sigma.shape[1]
         # a cyclic shift of the sorted order, dearer than the optimum (asserted)
         shifted = np.roll(np.arange(k), 1)
-        optimum = assignment_wasserstein(g, *_balls(g, x, y))[0] * k
+        optimum = _ball_value(g, x, y) * k
         assert dist[0, np.arange(k), k + shifted].sum() > optimum
         with pytest.raises(CurvatureError, match="not optimal"):
-            kantorovich_potential(dist, shifted[None])
+            kantorovich_potential(dist, shifted[None], [(x, y)])
 
     def test_rejects_non_permutation(self):
         g = gen_paley(13)
-        dist, sigma = _edge_blocks(g, g.edges()[:1])
-        with pytest.raises(CurvatureError, match="permutation"):
-            kantorovich_potential(dist, np.zeros_like(sigma))
+        edges = g.edges()[:1]
+        dist, sigma = _edge_blocks(g, edges)
+        with pytest.raises(CurvatureError, match=_naming(edges[0], "permutation")):
+            kantorovich_potential(dist, np.zeros_like(sigma), edges)
 
     def test_rejects_potential_that_is_not_1_lipschitz(self):
         # Not a metric on (s0, s1, t0, t1): d(s1, t0) = 3 > d(s1, s0) + d(s0, t0).
@@ -299,8 +316,8 @@ class TestKantorovichCertificate:
         # dual and value checks with v = 0, but its potential f = (1, 3, 0, 0)
         # moves by 2 between s0 and s1, at distance 1.
         dist = np.array([[0, 1, 1, 1], [1, 0, 3, 3], [1, 3, 0, 1], [1, 3, 1, 0]])
-        with pytest.raises(CurvatureError, match="1-Lipschitz"):
-            kantorovich_potential(dist[None], np.array([[0, 1]]))
+        with pytest.raises(CurvatureError, match=_naming((0, 1), "1-Lipschitz")):
+            kantorovich_potential(dist[None], np.array([[0, 1]]), [(0, 1)])
 
     def test_assignment_wasserstein_rejects_bad_solver(self, monkeypatch):
         def worst_assignment(cost):
@@ -308,8 +325,11 @@ class TestKantorovichCertificate:
 
         monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", worst_assignment)
         g = gen_paley(13)
+        edge = g.edges()[0]
         with pytest.raises(CurvatureError, match="not optimal"):
-            assignment_wasserstein(g, *_balls(g, *g.edges()[0]))
+            _one_zone(g, *_balls(g, *edge), edge)
+        with pytest.raises(CurvatureError, match=_naming(edge, "not optimal")):
+            lly_curvature(g, *edge)
 
     def test_idleness_zero_rejects_bad_solver(self, monkeypatch):
         def worst_assignment(cost):
@@ -319,6 +339,57 @@ class TestKantorovichCertificate:
         g = gen_paley(13)
         with pytest.raises(CurvatureError, match="not optimal"):
             ollivier_kappa_p(g, *g.edges()[0], Fraction(0))
+
+
+class TestRegularDispatch:
+    def _count(self, monkeypatch, g):
+        """Record each `certify_assignments` pass as "B" or "N" and each flow solve."""
+        import arcurv.curvature as curvature
+
+        calls = []
+        d = g.regular_degree()
+        certify, flow = curvature.certify_assignments, curvature.wasserstein
+
+        def counting_certify(graph, zones, edges):
+            calls.append({2 * (d + 1): "B", 2 * d: "N"}[zones.shape[1]])
+            return certify(graph, zones, edges)
+
+        def counting_flow(*args):
+            calls.append("flow")
+            return flow(*args)
+
+        monkeypatch.setattr(curvature, "certify_assignments", counting_certify)
+        monkeypatch.setattr(curvature, "wasserstein", counting_flow)
+        return calls
+
+    @pytest.mark.parametrize("build", [lambda: gen_hamming(2, 3), lambda: gen_paley(13)])
+    def test_passes_that_p_needs(self, monkeypatch, build):
+        g = build()
+        d = g.regular_degree()
+        calls = self._count(monkeypatch, g)
+        cases = [
+            (Fraction(0), ["N"]),
+            (Fraction(1, 2 * (d + 1)), ["B", "N"]),
+            (Fraction(1, d + 1), ["B"]),
+            (Fraction(1, 2), ["B"]),
+            (Fraction(1), ["B"]),
+        ]
+        x, y = g.edges()[0]
+        for p, passes in cases:
+            calls.clear()
+            kappa = ollivier_kappa_p(g, x, y, p)
+            assert calls == passes
+            calls.clear()
+            assert kappa_p_all_edges(g, p)[0] == (x, y, kappa)
+            assert calls == passes
+            assert kappa == _flow_kappa(g, x, y, p)  # the module's own flow, not counted
+
+    def test_non_adjacent_pair_takes_the_flow(self, monkeypatch):
+        g = gen_paley(13)
+        calls = self._count(monkeypatch, g)
+        assert not g.is_edge(0, 2)
+        ollivier_kappa_p(g, 0, 2, Fraction(1, 3))
+        assert calls == ["flow"]
 
 
 def _sorted_edges_kappa_p(g, p):
@@ -361,8 +432,8 @@ class TestBatchedAssignments:
         zones = np.array([bx + by for bx, by in (_balls(g, x, y) for x, y in g.edges())])
         costs, plans = certify_assignments(g, zones, g.edges())
         k = zones.shape[1] // 2
-        for zone, cost, plan in zip(zones.tolist(), costs.tolist(), plans.tolist()):
-            value, single = assignment_wasserstein(g, zone[:k], zone[k:])
+        for edge, zone, cost, plan in zip(g.edges(), zones.tolist(), costs.tolist(), plans.tolist()):
+            value, single = _one_zone(g, zone[:k], zone[k:], edge)
             assert value == Fraction(cost, k)
             assert [pair for pair, _ in single.entries] == sorted(zip(zone[:k], plan))
             assert plan_cost(g, single) == value
