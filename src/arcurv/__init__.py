@@ -6,7 +6,6 @@ from .curvature import (
     ProbMeasure,
     TransportPlan,
     certify_assignments,
-    check_uniform_plan,
     curvature_all_edges,
     kantorovich_potential,
     kappa_p_all_edges,

@@ -189,7 +189,10 @@ def _cmd_verify(args) -> int:
 
 
 def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
-    record = wit.edge_witness(g, x, y, None)
+    params = detect_amply_params(g)
+    if isinstance(params, AmplyViolation):
+        raise wit.WitnessError(f"graph is not amply regular: {params}")
+    record = wit.edge_witness(g, x, y, params)
     for error in (record.walk_error, record.certify_error):
         if error is not None:
             raise wit.WitnessError(error)

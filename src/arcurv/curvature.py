@@ -72,19 +72,6 @@ class TransportPlan:
     def as_dict(self) -> dict[tuple[int, int], Fraction]:
         return dict(self.entries)
 
-    def validate_marginals(self, mu1: ProbMeasure, mu2: ProbMeasure) -> None:
-        rows: dict[int, Fraction] = {}
-        cols: dict[int, Fraction] = {}
-        for (v, w), m in self.entries:
-            if m < 0:
-                raise CurvatureError(f"negative plan mass at ({v}, {w})")
-            rows[v] = rows.get(v, Fraction(0)) + m
-            cols[w] = cols.get(w, Fraction(0)) + m
-        if rows != mu1.as_dict():
-            raise CurvatureError("row marginals do not match source measure")
-        if cols != mu2.as_dict():
-            raise CurvatureError("column marginals do not match target measure")
-
 
 def _idleness(p) -> Fraction:
     p = Fraction(p)
@@ -191,7 +178,10 @@ def wasserstein(
 
     Both measures are scaled by the least common denominator to integer
     supplies/demands and the transportation problem is solved by min-cost
-    flow over BFS distances; the result is unscaled back to a Fraction.
+    flow over BFS distances. The integer flow is checked to be nonnegative,
+    to have row sums equal to the supplies and column sums equal to the
+    demands, and to cost the solver's total; value and plan are then
+    unscaled back to Fractions.
     """
     sup1 = list(mu1.masses)
     sup2 = list(mu2.masses)
@@ -220,20 +210,22 @@ def wasserstein(
         for j in range(b):
             net.add_edge(1 + i, 1 + a + j, supplies[i], dmat[i][j])
     total = net.solve(s, t, scale)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for i in range(a):
-        for j in range(b):
-            eid = arc_base + 2 * (i * b + j)
-            flow = supplies[i] - net.cap[eid]
-            if flow > 0:
-                key = (sup1[i][0], sup2[j][0])
-                entries[key] = entries.get(key, Fraction(0)) + Fraction(flow, scale)
-    value = Fraction(total, scale)
-    plan = TransportPlan.from_dict(entries)
-    plan.validate_marginals(mu1, mu2)
-    if plan_cost(g, plan) != value:
+    flow = [[supplies[i] - net.cap[arc_base + 2 * (i * b + j)] for j in range(b)] for i in range(a)]
+    negative = [(sup1[i][0], sup2[j][0]) for i in range(a) for j in range(b) if flow[i][j] < 0]
+    if negative:
+        raise CurvatureError(f"negative plan mass at {negative[0]}")
+    if [sum(row) for row in flow] != supplies:
+        raise CurvatureError("row marginals do not match source measure")
+    if [sum(col) for col in zip(*flow)] != demands:
+        raise CurvatureError("column marginals do not match target measure")
+    if sum(f * c for row, costs in zip(flow, dmat) for f, c in zip(row, costs)) != total:
         raise CurvatureError("internal error: plan cost disagrees with flow value")
-    return value, plan
+    entries: dict[tuple[int, int], Fraction] = {}
+    for (v, _), row in zip(sup1, flow):
+        for (w, _), f in zip(sup2, row):
+            if f > 0:
+                entries[v, w] = entries.get((v, w), Fraction(0)) + Fraction(f, scale)
+    return Fraction(total, scale), TransportPlan.from_dict(entries)
 
 
 ASSIGNMENT_CHUNK = 64
@@ -292,24 +284,6 @@ def kantorovich_potential(
     _fail((f[:, :k] - f[:, k:]).sum(axis=1) != c_total, edges,
           "Kantorovich potential value differs from the assignment cost")
     return f, c_total
-
-
-def check_uniform_plan(plan: TransportPlan, sources, targets) -> None:
-    """Check in integers that ``plan`` is a bijection ``sources`` -> ``targets``.
-
-    The plan must have one entry per source, each of mass 1/k for k sources
-    (numerator 1 and denominator k, as a `Fraction` is kept in lowest terms),
-    with its sorted sources equal to ``sources`` and its sorted targets equal
-    to ``targets``: exactly the marginals of the two uniform measures.
-    """
-    k = len(sources)
-    if (
-        len(plan.entries) != k
-        or any(m.numerator != 1 or m.denominator != k for _, m in plan.entries)
-        or sorted(v for (v, _), _ in plan.entries) != sorted(sources)
-        or sorted(w for (_, w), _ in plan.entries) != sorted(targets)
-    ):
-        raise CurvatureError("plan marginals are not uniform on the two supports")
 
 
 def _zone_blocks(g: Graph, zones: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -217,6 +217,10 @@ class AmplyViolation:
     found: int
     expected: int
 
+    def __str__(self) -> str:
+        return (f"{self.kind} violation at pair {self.pair} "
+                f"(found {self.found}, expected {self.expected})")
+
 
 @dataclass(frozen=True)
 class EdgeNeighborhoodPartition:

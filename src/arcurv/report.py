@@ -275,10 +275,7 @@ def verify_graph(
     check_spectrum_cap(g.n, spectrum_cap)  # before any per-edge or all-pairs work
     params = detect_amply_params(g)
     if isinstance(params, AmplyViolation):
-        raise ReportError(
-            f"not amply regular: {params.kind} violation at pair {params.pair} "
-            f"(found {params.found}, expected {params.expected})"
-        )
+        raise ReportError(f"not amply regular: {params}")
     table = curvature_all_edges(g)
     edge_rows = []
     for u, v, kappa in table.rows:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .curvature import CurvatureError, TransportPlan, check_uniform_plan, lly_curvature
-from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params, edge_partition
+from .curvature import lly_curvature
+from .graph import AmplyParams, Graph, edge_partition
 from .matching import (
     Bipartite,
     Matching,
@@ -39,15 +39,6 @@ CLASS_NAMES = {
 
 class WitnessError(ValueError):
     """Unmet witness hypothesis or a failed internal certificate."""
-
-
-def _require_params(g: Graph, params: Optional[AmplyParams]) -> AmplyParams:
-    if params is None:
-        detected = detect_amply_params(g)
-        if isinstance(detected, AmplyViolation):
-            raise WitnessError(f"graph is not amply regular: {detected}")
-        params = detected
-    return params
 
 
 @dataclass(frozen=True)
@@ -148,15 +139,12 @@ def _index_pairs(
     ]
 
 
-def build_transport_bipartite(
-    g: Graph, x: int, y: int, params: Optional[AmplyParams] = None
-) -> TransportBipartite:
+def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> TransportBipartite:
     """Construct the auxiliary bipartite graph of edge xy.
 
     Requires detected parameters with beta present and beta > alpha >= 1.
     Common neighbors are indexed in sorted host order, which fixes z_1.
     """
-    params = _require_params(g, params)
     if params.beta is None:
         raise WitnessError("no distance-2 pair: beta is undefined")
     if not (params.beta > params.alpha >= 1):
@@ -262,31 +250,41 @@ def verify_lemma_3_3(
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """Per-edge lower-bound certificate: the z_1 z_1' class and its chains' plan pi0."""
+    """Per-edge lower-bound certificate: the z_1 z_1' class, its chains and their plan pi0.
+
+    pi0 is its sorted support pairs (source, target), each of mass 1/(d+1).
+    """
 
     matching: Matching
     chain_records: tuple[ChainRecord, ...]
-    pi0: TransportPlan
+    pi0: tuple[tuple[int, int], ...]
     pi0_cost: Fraction
     kappa_lb: Fraction
     kappa: Fraction
 
 
 def certify_witness(
-    g: Graph, h: TransportBipartite, b: Bipartite, reg: RegularityCheck
+    g: Graph,
+    h: TransportBipartite,
+    b: Bipartite,
+    reg: RegularityCheck,
+    classes: tuple[Matching, ...],
+    class_records: tuple[tuple[ChainRecord, ...], ...],
 ) -> WitnessCertificate:
     """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) on a built H of edge xy.
 
-    ``b`` is ``h.to_bipartite()`` and ``reg`` is ``check_h_regular(h)``.
-    Picks the decomposition class through z_1 z_1', walks its chains once,
-    and checks the whole chain of inequalities on that one walk: regularity,
-    the z_1 z_1' membership, the chain bijection, chain distance bounds, the
-    sum bound on chain lengths, the marginals of pi0, the plan cost bound
-    (d-2)/(d+1), kappa_lb >= 3/d, and kappa_lb <= the exact curvature.
+    ``b`` is ``h.to_bipartite()``, ``reg`` is ``check_h_regular(h)``, and
+    ``classes`` and ``class_records`` are the Konig classes of ``b`` and the
+    chain records of each class walked, as ``edge_witness`` keeps them.
+    Picks the class through z_1 z_1' and reads its chains from that walk;
+    then checks the whole chain of inequalities: regularity, the z_1 z_1'
+    membership, chain distance bounds, the sum bound on chain lengths, the
+    marginals of pi0, the plan cost bound (d-2)/(d+1), kappa_lb >= 3/d, and
+    kappa_lb <= the exact curvature.
 
     pi0 keeps mass 1/(d+1) on every common neighbor and on x and y, and
-    ships each N_x vertex's mass to its chain partner in N_y; its marginals
-    are checked in integers to be uniform on B(x) and B(y), and its cost is
+    ships each N_x vertex's mass to its chain partner in N_y; its sorted
+    sources and targets are checked to be B(x) and B(y), and its cost is
     the integer sum of its pairs' BFS distances over d+1.
     """
     if not reg.ok:
@@ -295,7 +293,10 @@ def certify_witness(
     m = matching_through_edge(b, (z1l, z1r))
     if m.pairs.get(z1l) != z1r:
         raise WitnessError("matching does not contain the z1 z1' edge")
-    records = tuple(verify_lemma_3_3(g, h, m))
+    i = classes.index(m)
+    if i >= len(class_records):
+        raise WitnessError(f"chain walk stopped before the z1 z1' class (class {i + 1})")
+    records = class_records[i]
     if not all(r.ok for r in records):
         bad = next(r for r in records if not r.ok)
         raise WitnessError(f"chain distance bound failed: {bad}")
@@ -304,13 +305,15 @@ def certify_witness(
     k_total = sum(r.k for r in records)
     if sum_rho > d + k_total - 2:
         raise WitnessError(f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}")
-    unit = Fraction(1, d + 1)
-    support = sorted([(v, v) for v in (*h.delta, h.x, h.y)] + [(r.v0, r.w0) for r in records])
-    pi0 = TransportPlan(tuple((pair, unit) for pair in support))
-    check_uniform_plan(pi0, (h.x,) + g.neighbors(h.x), (h.y,) + g.neighbors(h.y))
-    dists = [g.distances_from(v).item(w) for v, w in support]  # every mass is 1/(d+1)
+    pi0 = tuple(sorted([(v, v) for v in (*h.delta, h.x, h.y)] + [(r.v0, r.w0) for r in records]))
+    if (
+        [v for v, _ in pi0] != sorted((h.x,) + g.neighbors(h.x))
+        or sorted(w for _, w in pi0) != sorted((h.y,) + g.neighbors(h.y))
+    ):
+        raise WitnessError("plan marginals are not uniform on B(x) and B(y)")
+    dists = [g.distances_from(v).item(w) for v, w in pi0]  # every mass is 1/(d+1)
     if min(dists) < 0:
-        raise CurvatureError(f"plan moves mass between components: {support[dists.index(-1)]}")
+        raise WitnessError(f"plan moves mass between components: {pi0[dists.index(-1)]}")
     cost = Fraction(sum(dists), d + 1)
     if cost > Fraction(d - 2, d + 1):
         raise WitnessError(f"plan cost {cost} exceeds (d-2)/(d+1)")
@@ -331,8 +334,8 @@ class EdgeWitness:
     ``class_records`` holds the chain records of the Konig classes of H, in
     order, up to the first class whose walk raised; ``walk_error`` is that
     class's message, or None if every class was walked. ``certificate`` is
-    the result of ``certify_witness``, or None with its message in
-    ``certify_error``.
+    the result of ``certify_witness`` on those records, or None with its
+    message in ``certify_error``.
     """
 
     h: TransportBipartite
@@ -344,35 +347,34 @@ class EdgeWitness:
     certify_error: Optional[str]
 
 
-def edge_witness(
-    g: Graph, x: int, y: int, params: Optional[AmplyParams]
-) -> EdgeWitness:
+def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     """Run the witness pipeline of edge xy once and keep every step's outcome.
 
     Builds H, its ``Bipartite`` and its regularity check, decomposes H into
     its Konig classes, checks Lemma 3.3 on each class, and certifies the
-    lower bound. A failed step's ``WitnessError`` is kept as its message;
-    ``params`` None detects the parameters first.
+    lower bound from those walks. A failed step's ``WitnessError`` is kept
+    as its message.
     """
     h = build_transport_bipartite(g, x, y, params)
     b = h.to_bipartite()
     reg = check_h_regular(h)
     classes = tuple(konig_decomposition(b))
-    class_records: list[tuple[ChainRecord, ...]] = []
+    walked: list[tuple[ChainRecord, ...]] = []
     walk_error = None
     for m in classes:
         try:
-            class_records.append(tuple(verify_lemma_3_3(g, h, m)))
+            walked.append(tuple(verify_lemma_3_3(g, h, m)))
         except WitnessError as exc:
             walk_error = str(exc)
             break
+    class_records = tuple(walked)
     certificate, certify_error = None, None
     try:
-        certificate = certify_witness(g, h, b, reg)
+        certificate = certify_witness(g, h, b, reg, classes, class_records)
     except WitnessError as exc:
         certify_error = str(exc)
     return EdgeWitness(
-        h=h, regularity=reg, classes=classes, class_records=tuple(class_records),
+        h=h, regularity=reg, classes=classes, class_records=class_records,
         walk_error=walk_error, certificate=certificate, certify_error=certify_error,
     )
 
@@ -389,7 +391,7 @@ class DenseMatchCertificate:
 
 
 def prop_3_1_certificate(
-    g: Graph, x: int, y: int, kappa: Fraction, params: Optional[AmplyParams] = None
+    g: Graph, x: int, y: int, kappa: Fraction, params: AmplyParams
 ) -> DenseMatchCertificate:
     """Exact-curvature certificate for the regime 2*beta - alpha >= d + 1.
 
@@ -398,7 +400,6 @@ def prop_3_1_certificate(
     dense-matching degree condition, and asserts kappa = (2+alpha)/d.
     alpha = 0 is allowed.
     """
-    params = _require_params(g, params)
     if params.beta is None:
         raise WitnessError("no distance-2 pair: beta is undefined")
     if 2 * params.beta - params.alpha < params.d + 1:

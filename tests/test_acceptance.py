@@ -107,8 +107,9 @@ def test_criterion_04_dense_certificates():
         (gen_cocktail(4), Fraction(1)),
     ]
     for g, want in cases:
+        params = detect_amply_params(g)
         for x, y in g.edges():
-            cert = prop_3_1_certificate(g, x, y, lly_curvature(g, x, y))
+            cert = prop_3_1_certificate(g, x, y, lly_curvature(g, x, y), params)
             assert cert.kappa == want
             assert cert.matching.is_perfect(cert.bipartite)
     # no (8,5,2,4) graph exists: it would have 8*5*2/6 = 40/3 triangles
@@ -128,7 +129,7 @@ def test_criterion_04_dense_certificates():
         want = Fraction(2 + alpha, d)
         for x, y in found.edges():
             brute = Fraction(d + 1, d) * (1 - brute_regular_wasserstein(found, x, y))
-            cert = prop_3_1_certificate(found, x, y, brute)
+            cert = prop_3_1_certificate(found, x, y, brute, params)
             assert cert.kappa == want == brute
             assert cert.matching.is_perfect(cert.bipartite)
 

@@ -29,6 +29,13 @@ def h23_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def path4_file(tmp_path):
+    path = tmp_path / "path4.txt"
+    path.write_text("4 3\n0 1\n1 2\n2 3\n")
+    return str(path)
+
+
 class TestGen:
     def test_emits_loadable_edge_list(self, capsys):
         code, out, _ = run(capsys, "gen", "hamming", "2", "3")
@@ -126,6 +133,11 @@ class TestCurvature:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_idleness_on_a_non_adjacent_pair_of_an_irregular_graph(self, capsys, path4_file):
+        # the min-cost flow: W(mu_0, mu_3) = 2 at p = 1/2 and d(0, 3) = 3
+        code, out, _ = run(capsys, "curvature", path4_file, "--edge", "0", "3", "--p", "1/2")
+        assert (code, out) == (EXIT_OK, "0 3 1/3\n")
+
     def test_requires_edge_or_all(self, capsys, h23_file):
         code, _, err = run(capsys, "curvature", h23_file)
         assert code == EXIT_INPUT and "--all" in err
@@ -213,6 +225,14 @@ class TestHgraph:
         path.write_text(dump_edge_list(gen_hypercube(3)))
         code, _, err = run(capsys, "hgraph", str(path), "--edge", "0", "1")
         assert code == EXIT_INPUT and err.startswith("error:")
+
+    def test_non_amply_regular_input_names_the_violation(self, capsys, path4_file):
+        # hgraph words the violation as verify does
+        violation = "not-regular violation at pair (0, 1) (found 2, expected 1)"
+        code, out, err = run(capsys, "hgraph", path4_file, "--edge", "0", "1")
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: graph is not amply regular: {violation}\n")
+        code, out, err = run(capsys, "verify", path4_file)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: not amply regular: {violation}\n")
 
 
 @pytest.mark.parametrize("command", ["curvature", "hgraph"])

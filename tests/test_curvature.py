@@ -12,7 +12,6 @@ from arcurv import (
     ProbMeasure,
     TransportPlan,
     certify_assignments,
-    check_uniform_plan,
     curvature_all_edges,
     gen_complete,
     gen_cocktail,
@@ -30,6 +29,7 @@ from arcurv import (
     wasserstein,
 )
 
+import arcurv.curvature as curvature_module
 from arcurv.curvature import ASSIGNMENT_CHUNK
 from conftest import (
     brute_regular_wasserstein,
@@ -55,6 +55,15 @@ def _one_zone(g, sources, targets, edge):
 def _ball_value(g, x, y):
     """W(unif B(x), unif B(y)) of edge xy by the one-zone certified assignment."""
     return _one_zone(g, *_balls(g, x, y), (x, y))[0]
+
+
+def _marginals(plan):
+    """The row and column sums of ``plan``, summed in Fractions."""
+    rows, cols = {}, {}
+    for (v, w), m in plan.entries:
+        rows[v] = rows.get(v, 0) + m
+        cols[w] = cols.get(w, 0) + m
+    return rows, cols
 
 
 def _flow_kappa(g, x, y, p):
@@ -103,43 +112,6 @@ class TestPlanCost:
         with pytest.raises(CurvatureError):
             plan_cost(g, plan)
 
-    def test_uniform_plan_check(self):
-        half = Fraction(1, 2)
-        good = TransportPlan.from_dict({(0, 1): half, (2, 3): half})
-        check_uniform_plan(good, (2, 0), (1, 3))
-        bad = [
-            {(0, 1): half, (0, 3): half},  # source 2 ships nothing, 0 ships twice
-            {(0, 1): half, (2, 1): half},  # target 3 receives nothing
-            {(0, 1): Fraction(1, 3), (2, 3): Fraction(2, 3)},  # masses not uniform
-            {(0, 1): half},  # too few entries
-        ]
-        for entries in bad:
-            with pytest.raises(CurvatureError, match="not uniform"):
-                check_uniform_plan(TransportPlan.from_dict(entries), (0, 2), (1, 3))
-
-    def test_uniform_plan_check_rejects_each_broken_marginal(self):
-        third, quarter = Fraction(1, 3), Fraction(1, 4)
-        sources, targets = (0, 2, 4), (1, 3, 5)
-        check_uniform_plan(
-            TransportPlan.from_dict({(0, 3): third, (2, 5): third, (4, 1): third}), sources, targets
-        )
-        bad = [
-            {(0, 3): quarter, (2, 5): quarter, (4, 1): quarter},  # mass 1/(k+1)
-            {(0, 3): third, (0, 5): third, (4, 1): third},  # source 0 twice, 2 never
-            {(0, 3): third, (2, 5): third, (4, 7): third},  # 7 is not a target
-        ]
-        for entries in bad:
-            with pytest.raises(CurvatureError, match="not uniform"):
-                check_uniform_plan(TransportPlan.from_dict(entries), sources, targets)
-
-    def test_marginal_validation(self):
-        g = gen_cycle(6)
-        mu1 = mu_p(g, 0, Fraction(1, 2))
-        mu2 = mu_p(g, 1, Fraction(1, 2))
-        bad = TransportPlan.from_dict({(0, 1): Fraction(1)})
-        with pytest.raises(CurvatureError):
-            bad.validate_marginals(mu1, mu2)
-
 
 class TestWasserstein:
     def test_equal_measures(self):
@@ -157,9 +129,11 @@ class TestWasserstein:
 
     def test_q3_edge_quarter_idleness(self):
         g = gen_hypercube(3)
-        value, plan = wasserstein(g, mu_p(g, 0, Fraction(1, 4)), mu_p(g, 1, Fraction(1, 4)))
+        mu1, mu2 = mu_p(g, 0, Fraction(1, 4)), mu_p(g, 1, Fraction(1, 4))
+        value, plan = wasserstein(g, mu1, mu2)
         assert value == Fraction(1, 2)
         assert plan_cost(g, plan) == value
+        assert _marginals(plan) == (mu1.as_dict(), mu2.as_dict())
 
     def test_agrees_with_brute_force_bijections(self):
         for g in (gen_cycle(6), gen_hypercube(3), gen_cocktail(3), gen_hamming(2, 3)):
@@ -188,8 +162,49 @@ class TestWasserstein:
                     remaining[w] -= take
                     need -= take
         plan = TransportPlan.from_dict(naive)
-        plan.validate_marginals(mu1, mu2)
+        assert _marginals(plan) == (mu1.as_dict(), mu2.as_dict())
         assert value <= plan_cost(g, plan)
+
+    @staticmethod
+    def _path_measures():
+        """The 4-vertex path 0-1-2-3 and its idleness-1/2 measures at 0 and at 3."""
+        from arcurv import Graph
+
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        return g, mu_p(g, 0, Fraction(1, 2)), mu_p(g, 3, Fraction(1, 2))
+
+    def test_solver_total_off_by_one_is_rejected(self, monkeypatch):
+        g, mu1, mu2 = self._path_measures()
+        solve = curvature_module._MinCostFlow.solve
+        monkeypatch.setattr(curvature_module._MinCostFlow, "solve",
+                            lambda net, *args: solve(net, *args) + 1)
+        with pytest.raises(CurvatureError, match="plan cost disagrees"):
+            wasserstein(g, mu1, mu2)
+
+    def test_tampered_flow_is_rejected(self, monkeypatch):
+        # scale 2: one unit at each of 0, 1 and of 2, 3; after the four source and
+        # sink arcs, source 0's forward arcs are 8 (to 2) and 10 (to 3), and an
+        # arc's flow is its supply minus its capacity
+        g, mu1, mu2 = self._path_measures()
+        solve = curvature_module._MinCostFlow.solve
+        cases = [
+            ({"unused": -1}, "negative plan mass at \\(0, "),
+            ({"unused": 1}, "row marginals do not match"),
+            ({"used": -1, "unused": 1}, "column marginals do not match"),
+        ]
+        for change, message in cases:
+            def tampered(net, *args, change=change):
+                total = solve(net, *args)
+                used, unused = sorted((8, 10), key=net.cap.__getitem__)
+                assert (net.cap[used], net.cap[unused]) == (0, 1)
+                arcs = {"used": used, "unused": unused}
+                for name, delta in change.items():
+                    net.cap[arcs[name]] -= delta
+                return total
+
+            monkeypatch.setattr(curvature_module._MinCostFlow, "solve", tampered)
+            with pytest.raises(CurvatureError, match=message):
+                wasserstein(g, mu1, mu2)
 
     def test_disconnected_supports(self):
         from arcurv import Graph

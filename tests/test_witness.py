@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import arcurv.cli as cli_module
 import arcurv.curvature as curvature_module
 import arcurv.witness as witness_module
 from arcurv import (
-    CurvatureError,
     detect_amply_params,
     edge_partition,
     gen_cocktail,
@@ -57,15 +57,34 @@ def _classes_by_definition(g, x, y, params):
     )
 
 
+def _build(g, x, y):
+    return build_transport_bipartite(g, x, y, detect_amply_params(g))
+
+
 def _certificate(g, x, y, params=None):
-    return edge_witness(g, x, y, params).certificate
+    return edge_witness(g, x, y, params or detect_amply_params(g)).certificate
+
+
+def _walk(g, h, b):
+    """The Konig classes of ``b`` and every class's chain records, walked afresh."""
+    classes = tuple(konig_decomposition(b))
+    return classes, tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
+
+
+def _certify(g, h):
+    """``certify_witness`` on a fresh bipartite graph of ``h`` and fresh class walks."""
+    b = h.to_bipartite()
+    return certify_witness(g, h, b, check_h_regular(h), *_walk(g, h, b))
 
 
 def _pi0_by_definition(h, records):
-    """Mass 1/(d+1) kept on Delta, x and y, and shipped along each chain v0 -> w0."""
-    unit = Fraction(1, h.d + 1)
-    kept = {(v, v): unit for v in h.delta + (h.x, h.y)}
-    return TransportPlan.from_dict({**kept, **{(r.v0, r.w0): unit for r in records}})
+    """Support of pi0: Delta, x and y kept in place, and each chain v0 -> w0, sorted."""
+    return tuple(sorted([(v, v) for v in h.delta + (h.x, h.y)] + [(r.v0, r.w0) for r in records]))
+
+
+def _pi0_plan(cert, d):
+    """pi0 as a `TransportPlan` of mass 1/(d+1) per pair, for the `plan_cost` oracle."""
+    return TransportPlan(tuple((pair, Fraction(1, d + 1)) for pair in cert.pi0))
 
 
 def _count_calls(monkeypatch, targets):
@@ -85,7 +104,7 @@ def _count_calls(monkeypatch, targets):
 class TestConstruction:
     def test_h23_layout(self):
         g = h23()
-        h = build_transport_bipartite(g, 0, 1)
+        h = _build(g, 0, 1)
         # d=4, alpha=1, beta=2: two exclusive neighbors, one common, no copies
         assert (len(h.nx), len(h.delta), h.num_copies) == (2, 1, 0)
         assert h.side_size == 3
@@ -93,14 +112,14 @@ class TestConstruction:
 
     def test_paley13_layout(self):
         g = gen_paley(13)
-        h = build_transport_bipartite(g, *g.edges()[0])
+        h = _build(g, *g.edges()[0])
         # d=6, alpha=2, beta=3: no synthetic copies
         assert (len(h.nx), len(h.delta), h.num_copies) == (3, 2, 0)
         assert h.side_size == 5
 
     def test_octahedron_layout(self):
         g = gen_cocktail(3)
-        h = build_transport_bipartite(g, 0, 2)
+        h = _build(g, 0, 2)
         # d=4, alpha=2, beta=4: one exclusive pair, one synthetic copy
         assert (len(h.nx), len(h.delta), h.num_copies) == (1, 2, 1)
         assert h.side_size == 4
@@ -121,7 +140,7 @@ class TestConstruction:
     def test_class_names_cover_all_classes(self):
         assert sorted(CLASS_NAMES) == list(range(1, 9))
         g = gen_cocktail(3)
-        h = build_transport_bipartite(g, 0, 2)
+        h = _build(g, 0, 2)
         assert len(h.edge_classes) == 8
 
     def test_diagonal_class_size_is_alpha(self):
@@ -131,15 +150,15 @@ class TestConstruction:
             assert len(h.edge_classes[3]) == params.alpha
 
     def test_copy_classes_empty_when_beta_is_alpha_plus_one(self):
-        h = build_transport_bipartite(h23(), 0, 1)
+        h = _build(h23(), 0, 1)
         assert h.edge_classes[5] == h.edge_classes[6] == h.edge_classes[7] == ()
 
     def test_girth4_rejected(self):
         with pytest.raises(WitnessError, match="alpha"):
-            build_transport_bipartite(gen_hypercube(3), 0, 1)
+            _build(gen_hypercube(3), 0, 1)
 
     def test_names(self):
-        h = build_transport_bipartite(h23(), 0, 1)
+        h = _build(h23(), 0, 1)
         left = [h.left_name(i) for i in range(h.side_size)]
         right = [h.right_name(i) for i in range(h.side_size)]
         assert left[-1].startswith("z") and right[-1].endswith("'")
@@ -149,18 +168,18 @@ class TestConstruction:
 
 class TestRegularity:
     def test_h23(self):
-        h = build_transport_bipartite(h23(), 0, 1)
+        h = _build(h23(), 0, 1)
         reg = check_h_regular(h)
         assert reg.ok and reg.expected == 1
 
     def test_paley13(self):
         g = gen_paley(13)
         for x, y in g.edges()[:5]:
-            reg = check_h_regular(build_transport_bipartite(g, x, y))
+            reg = check_h_regular(_build(g, x, y))
             assert reg.ok and reg.expected == 2
 
     def test_octahedron(self):
-        h = build_transport_bipartite(gen_cocktail(3), 0, 2)
+        h = _build(gen_cocktail(3), 0, 2)
         reg = check_h_regular(h)
         assert reg.ok and reg.expected == 3
         assert set(reg.left_degrees) == set(reg.right_degrees) == {3}
@@ -168,7 +187,7 @@ class TestRegularity:
     def test_corrupted_graph_flagged(self):
         import dataclasses
 
-        h = build_transport_bipartite(gen_cocktail(3), 0, 2)
+        h = _build(gen_cocktail(3), 0, 2)
         classes = list(h.edge_classes)
         assert classes[7], "expected at least one copy-copy edge to remove"
         classes[7] = classes[7][:-1]
@@ -181,7 +200,7 @@ class TestRegularity:
 class TestChains:
     def test_h23_direct_chains(self):
         g = h23()
-        h = build_transport_bipartite(g, 0, 1)
+        h = _build(g, 0, 1)
         m = matching_through_edge(h.to_bipartite(), h.z1_edge())
         chains = verify_lemma_3_3(g, h, m)
         assert len(chains) == 2
@@ -191,7 +210,7 @@ class TestChains:
     def test_chain_map_is_bijection(self):
         for g in (gen_paley(13), gen_cocktail(3), gen_cocktail(4)):
             x, y = g.edges()[0]
-            h = build_transport_bipartite(g, x, y)
+            h = _build(g, x, y)
             b = h.to_bipartite()
             for m in konig_decomposition(b):
                 chains = verify_lemma_3_3(g, h, m)
@@ -200,7 +219,7 @@ class TestChains:
     def test_distance_bound_every_matching(self):
         for g in (h23(), gen_paley(13), gen_cocktail(3), gen_paley(17)):
             x, y = g.edges()[0]
-            h = build_transport_bipartite(g, x, y)
+            h = _build(g, x, y)
             for m in konig_decomposition(h.to_bipartite()):
                 assert all(r.ok for r in verify_lemma_3_3(g, h, m))
 
@@ -219,7 +238,7 @@ class TestChains:
         from arcurv.matching import Matching
 
         g = gen_paley(13)
-        h = build_transport_bipartite(g, *g.edges()[0])
+        h = _build(g, *g.edges()[0])
         assert (len(h.nx), h.side_size) == (3, 5)
         with pytest.raises(WitnessError, match="revisits"):
             verify_lemma_3_3(g, h, Matching({0: 3, 1: 1, 2: 2, 3: 4, 4: 3}))
@@ -228,14 +247,14 @@ class TestChains:
         from arcurv.matching import Matching
 
         g = gen_paley(13)
-        h = build_transport_bipartite(g, *g.edges()[0])
+        h = _build(g, *g.edges()[0])
         with pytest.raises(WitnessError, match="bijection"):
             verify_lemma_3_3(g, h, Matching({0: 0, 1: 0, 2: 2, 3: 3, 4: 4}))
 
     def test_imperfect_matching_rejected(self):
         from arcurv.matching import Matching
 
-        h = build_transport_bipartite(h23(), 0, 1)
+        h = _build(h23(), 0, 1)
         with pytest.raises(WitnessError, match="perfect"):
             verify_lemma_3_3(h23(), h, Matching({0: 0}))
 
@@ -243,22 +262,19 @@ class TestChains:
 class TestPi0:
     def test_h23_cost(self):
         g = h23()
-        pi0 = _certificate(g, 0, 1).pi0
-        assert plan_cost(g, pi0) == Fraction(2, 5)
+        assert plan_cost(g, _pi0_plan(_certificate(g, 0, 1), 4)) == Fraction(2, 5)
 
     def test_paley13_cost(self):
         g = gen_paley(13)
-        assert plan_cost(g, _certificate(g, *g.edges()[0]).pi0) == Fraction(3, 7)
+        assert plan_cost(g, _pi0_plan(_certificate(g, *g.edges()[0]), 6)) == Fraction(3, 7)
 
     def test_stationary_mass(self):
         g = gen_cocktail(3)
-        h = build_transport_bipartite(g, 0, 2)
+        h = _build(g, 0, 2)
         pi0 = _certificate(g, 0, 2).pi0
-        d = dict(pi0.entries)
-        unit = Fraction(1, 5)
         for z in h.delta:
-            assert d[(z, z)] == unit
-        assert d[(0, 0)] == unit and d[(2, 2)] == unit
+            assert (z, z) in pi0
+        assert (0, 0) in pi0 and (2, 2) in pi0
 
     @pytest.mark.parametrize(
         "make",
@@ -269,25 +285,49 @@ class TestPi0:
         # certify_witness sums BFS distances in integers; plan_cost sums d(v, w) * mass
         g = make()
         params = detect_amply_params(g)
-        unit = Fraction(1, params.d + 1)
         for x, y in g.edges():
             cert = _certificate(g, x, y, params)
-            assert cert.pi0_cost == plan_cost(g, cert.pi0)
-            assert len(cert.pi0.entries) == params.d + 1
-            assert all(type(m) is Fraction and m == unit for _, m in cert.pi0.entries)
+            assert cert.pi0_cost == plan_cost(g, _pi0_plan(cert, params.d))
+            assert len(cert.pi0) == params.d + 1
+            assert cert.pi0 == tuple(sorted(cert.pi0))
+            assert all(type(v) is int and type(w) is int for v, w in cert.pi0)
+            # the marginals of mass 1/(d+1) per pair are uniform on B(x) and B(y)
+            assert [v for v, _ in cert.pi0] == sorted((x,) + g.neighbors(x))
+            assert sorted(w for _, w in cert.pi0) == sorted((y,) + g.neighbors(y))
 
     def test_requires_z1_edge(self, monkeypatch):
         # certify_witness rejects a class through matching_through_edge that avoids z1 z1'
         g = gen_paley(13)
         x, y = g.edges()[0]
-        h = build_transport_bipartite(g, x, y)
-        b = h.to_bipartite()
+        h = _build(g, x, y)
         z1l, z1r = h.z1_edge()
-        others = [m for m in konig_decomposition(b) if m.pairs.get(z1l) != z1r]
+        others = [m for m in konig_decomposition(h.to_bipartite()) if m.pairs.get(z1l) != z1r]
         assert others, "decomposition should contain a class avoiding z1 z1'"
         monkeypatch.setattr(witness_module, "matching_through_edge", lambda b, e: others[0])
         with pytest.raises(WitnessError, match="z1"):
-            certify_witness(g, h, b, check_h_regular(h))
+            _certify(g, h)
+
+    def test_rejects_pi0_with_broken_marginals(self):
+        # paley13's first edge has three chains; each tampered record keeps its
+        # fields ok, rho and k, so the chain checks pass and pi0's marginals fail
+        g = gen_paley(13)
+        x, y = g.edges()[0]
+        h = _build(g, x, y)
+        b = h.to_bipartite()
+        classes, class_records = _walk(g, h, b)
+        i = classes.index(matching_through_edge(b, h.z1_edge()))
+        r0, r1, r2 = class_records[i]
+        outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
+        broken = [
+            (r0, r1._replace(v0=r0.v0), r2),  # source v0 of r0 ships twice, r1's never
+            (r0, r1._replace(w0=r0.w0), r2),  # target w0 of r0 receives twice, r1's never
+            (r0, r1),  # too few pairs
+            (r0._replace(w0=outside), r1, r2),  # a target outside B(y)
+        ]
+        for records in broken:
+            tampered = class_records[:i] + (records,) + class_records[i + 1:]
+            with pytest.raises(WitnessError, match="marginals"):
+                certify_witness(g, h, b, check_h_regular(h), classes, tampered)
 
 
 class TestWitnessBound:
@@ -340,8 +380,8 @@ class TestCertificateOnBuiltH:
         params = detect_amply_params(g)
         for x, y in g.edges():
             h = build_transport_bipartite(g, x, y, params)
-            # edge_witness decomposes its b before certifying; this b is fresh
-            cert = certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
+            # edge_witness decomposes its b before certifying; this b and its walks are fresh
+            cert = _certify(g, h)
             ref = _certificate(g, x, y, params)
             for f in dataclasses.fields(WitnessCertificate):
                 assert getattr(cert, f.name) == getattr(ref, f.name), f.name
@@ -362,33 +402,58 @@ class TestCertificateOnBuiltH:
             z1l, z1r = w.h.z1_edge()
             i = next(i for i, m in enumerate(w.classes) if m.pairs.get(z1l) == z1r)
             assert w.certificate.matching == w.classes[i]
-            assert w.certificate.chain_records == w.class_records[i]
+            assert w.certificate.chain_records is w.class_records[i]
 
-    def _certify(self, g, h):
-        return certify_witness(g, h, h.to_bipartite(), check_h_regular(h))
+    def test_reads_the_walk_and_never_walks_again(self, monkeypatch):
+        g = gen_paley(13)
+        x, y = g.edges()[0]
+        h = _build(g, x, y)
+        b = h.to_bipartite()
+        classes, class_records = _walk(g, h, b)
+
+        def no_walk(*args):
+            raise AssertionError("certify_witness walked a class")
+
+        monkeypatch.setattr(witness_module, "verify_lemma_3_3", no_walk)
+        cert = certify_witness(g, h, b, check_h_regular(h), classes, class_records)
+        assert cert.kappa_lb == Fraction(2, 3)
+
+    def test_rejects_a_walk_stopped_before_the_z1_class(self):
+        g = gen_paley(13)
+        x, y = g.edges()[0]
+        h = _build(g, x, y)
+        b = h.to_bipartite()
+        classes, class_records = _walk(g, h, b)
+        i = classes.index(matching_through_edge(b, h.z1_edge()))
+        with pytest.raises(WitnessError, match="chain walk stopped before the z1 z1' class"):
+            certify_witness(g, h, b, check_h_regular(h), classes, class_records[:i])
 
     def test_rejects_chain_longer_than_its_bound(self):
         # H(2,3), x = (0,0), y = (0,1): reversing N_y sends (1,0) to (2,1), at distance 2 > rho - k = 1
         g = h23()
-        h = build_transport_bipartite(g, 0, 1)
+        h = _build(g, 0, 1)
         swapped = dataclasses.replace(h, ny=h.ny[::-1])
         with pytest.raises(WitnessError, match="chain distance bound failed"):
-            self._certify(g, swapped)
+            _certify(g, swapped)
 
     def test_rejects_chain_sum_over_bound(self):
         # sum rho = d + k - 2 holds with equality on H(2,3); one less degree breaks it
         g = h23()
-        h = build_transport_bipartite(g, 0, 1)
+        h = _build(g, 0, 1)
         with pytest.raises(WitnessError, match="chain length sum"):
-            self._certify(g, dataclasses.replace(h, d=h.d - 1))
+            _certify(g, dataclasses.replace(h, d=h.d - 1))
 
-    def test_rejects_pi0_off_the_balls(self):
+    def test_rejects_pi0_off_the_balls(self, monkeypatch):
         # vertex 8 = (2,2) is at distance 2 from x: mass kept there leaves B(x)
         g = h23()
-        h = build_transport_bipartite(g, 0, 1)
+        h = _build(g, 0, 1)
         moved = dataclasses.replace(h, delta=(8,))
-        with pytest.raises(CurvatureError, match="marginals"):
-            self._certify(g, moved)
+        with pytest.raises(WitnessError, match="marginals"):
+            _certify(g, moved)
+        # edge_witness keeps the message, as it keeps every failed step's
+        monkeypatch.setattr(witness_module, "build_transport_bipartite", lambda *args: moved)
+        w = edge_witness(g, 0, 1, detect_amply_params(g))
+        assert w.certificate is None and "marginals" in w.certify_error
 
     @pytest.mark.parametrize(
         "make", [lambda: gen_paley(13), lambda: gen_hamming(3, 3)], ids=["paley13", "h33"]
@@ -404,24 +469,26 @@ class TestCertificateOnBuiltH:
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
         m = g.num_edges()
-        # beta - 1 classes walked in the per-class loop, then the z1 class once
+        # beta - 1 classes walked once each; certify_witness reads the z1 class's walk
         assert counts == {
-            "build_transport_bipartite": m, "check_h_regular": m, "verify_lemma_3_3": beta * m,
+            "build_transport_bipartite": m, "check_h_regular": m,
+            "verify_lemma_3_3": (beta - 1) * m,
             "to_bipartite": m,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
         g = gen_paley(13)
-        names = ["detect_amply_params", "build_transport_bipartite", "check_h_regular",
-                 "verify_lemma_3_3"]
+        names = ["build_transport_bipartite", "check_h_regular", "verify_lemma_3_3"]
         counts = _count_calls(
             monkeypatch,
-            [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
+            [(cli_module, "detect_amply_params"), (TransportBipartite, "to_bipartite")]
+            + [(witness_module, n) for n in names],
         )
         _hgraph_payload(g, *g.edges()[0])
+        # paley13 has beta = 3: two Konig classes, each walked once
         assert counts == {
             "detect_amply_params": 1, "build_transport_bipartite": 1, "check_h_regular": 1,
-            "verify_lemma_3_3": 3, "to_bipartite": 1,
+            "verify_lemma_3_3": 2, "to_bipartite": 1,
         }
 
 
@@ -459,31 +526,32 @@ class TestVerifyCountsFailedWitnessSteps:
 class TestDenseMatchCertificate:
     def test_octahedron(self):
         g = gen_cocktail(3)
-        cert = prop_3_1_certificate(g, 0, 2, lly_curvature(g, 0, 2))
+        cert = prop_3_1_certificate(g, 0, 2, lly_curvature(g, 0, 2), detect_amply_params(g))
         assert cert.kappa == Fraction(1)
         assert cert.matching.is_perfect(cert.bipartite)
 
     def test_cocktail4(self):
         g = gen_cocktail(4)
         x, y = g.edges()[0]
-        cert = prop_3_1_certificate(g, x, y, Fraction(1))
+        cert = prop_3_1_certificate(g, x, y, Fraction(1), detect_amply_params(g))
         assert cert.kappa == Fraction(1)
         assert cert.kappa == lly_curvature(g, x, y)
 
     def test_hypercube_alpha_zero(self):
         # d=3, alpha=0, beta=2: 2*2 - 0 >= 4, certificate gives kappa = 2/3
         g = gen_hypercube(3)
-        cert = prop_3_1_certificate(g, 0, 1, lly_curvature(g, 0, 1))
+        cert = prop_3_1_certificate(g, 0, 1, lly_curvature(g, 0, 1), detect_amply_params(g))
         assert cert.kappa == Fraction(2, 3)
 
     def test_regime_guard(self):
+        g = gen_paley(13)
         with pytest.raises(WitnessError, match="2\\*beta"):
-            prop_3_1_certificate(gen_paley(13), *gen_paley(13).edges()[0], Fraction(1))
+            prop_3_1_certificate(g, *g.edges()[0], Fraction(1), detect_amply_params(g))
 
     def test_rejects_kappa_off_the_dense_value(self):
         g = gen_cocktail(4)
         with pytest.raises(WitnessError, match="differs from"):
-            prop_3_1_certificate(g, *g.edges()[0], Fraction(5, 6))
+            prop_3_1_certificate(g, *g.edges()[0], Fraction(5, 6), detect_amply_params(g))
 
     def test_verify_certifies_on_the_table_kappa_without_probes(self, monkeypatch):
         # cocktail(4) is in both the witness and the dense regime: one
@@ -522,6 +590,6 @@ class TestDenseMatchCertificate:
     def test_min_degree_meets_dense_condition(self):
         g = gen_cocktail(4)
         x, y = g.edges()[0]
-        cert = prop_3_1_certificate(g, x, y, Fraction(1))
+        cert = prop_3_1_certificate(g, x, y, Fraction(1), detect_amply_params(g))
         p = len(cert.bipartite.adj)
         assert 2 * cert.bipartite.min_degree() >= p
