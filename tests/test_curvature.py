@@ -13,6 +13,7 @@ from arcurv import (
     TransportPlan,
     certify_assignments,
     curvature_all_edges,
+    detect_amply_params,
     gen_complete,
     gen_cocktail,
     gen_cycle,
@@ -31,6 +32,14 @@ from arcurv import (
 
 import arcurv.curvature as curvature_module
 from arcurv.curvature import ASSIGNMENT_CHUNK
+from arcurv.matching import konig_decomposition, matching_through_edge
+from arcurv.witness import (
+    WitnessError,
+    build_transport_bipartite,
+    certify_witness,
+    check_h_regular,
+    verify_lemma_3_3,
+)
 from conftest import (
     brute_regular_wasserstein,
     random_connected_graph,
@@ -69,6 +78,27 @@ def _marginals(plan):
 def _flow_kappa(g, x, y, p):
     """kappa_p by the min-cost flow, the reference for the regular-edge formula."""
     return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))[0] / g.distance(x, y)
+
+
+def _pi0_records(g):
+    """The pieces ``certify_witness`` reads for g's first edge, and the z1 z1' class index.
+
+    pi0 is the uniform plan B(x) -> B(y) read off that class's chain records, so
+    tampering with one record's v0 or w0 breaks one of pi0's marginals.
+    """
+    x, y = g.edges()[0]
+    h = build_transport_bipartite(g, x, y, detect_amply_params(g))
+    b = h.to_bipartite()
+    classes = tuple(konig_decomposition(b))
+    class_records = tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
+    i = classes.index(matching_through_edge(b, h.z1_edge()))
+    return (x, y), h, b, classes, class_records, i
+
+
+def _certify_with(g, h, b, classes, class_records, i, records):
+    """``certify_witness`` with class i's chain records replaced by ``records``."""
+    tampered = class_records[:i] + (tuple(records),) + class_records[i + 1:]
+    return certify_witness(g, h, b, check_h_regular(h), classes, tampered)
 
 
 class TestMuP:
@@ -111,6 +141,41 @@ class TestPlanCost:
         plan = TransportPlan((((0, 1), Fraction(-1)), ((0, 2), Fraction(2))))
         with pytest.raises(CurvatureError):
             plan_cost(g, plan)
+
+    def test_uniform_plan_check(self):
+        # pi0 of paley13's first edge: three chains, mass 1/7 per pair
+        g = gen_paley(13)
+        (x, y), h, b, classes, class_records, i = _pi0_records(g)
+        good = _certify_with(g, h, b, classes, class_records, i, class_records[i])
+        unit = Fraction(1, len(good.pi0))
+        assert [v for v, _ in good.pi0] == sorted((x,) + g.neighbors(x))
+        assert sorted(w for _, w in good.pi0) == sorted((y,) + g.neighbors(y))
+        plan = TransportPlan.from_dict({pair: unit for pair in good.pi0})
+        assert plan_cost(g, plan) == good.pi0_cost
+        r0, r1, r2 = class_records[i]
+        bad = [
+            (r0, r1._replace(v0=r0.v0), r2),  # source v0 of r0 ships twice, r1's never
+            (r0, r1._replace(w0=r0.w0), r2),  # target w0 of r1 receives nothing
+            (r0, r1),  # too few pairs
+        ]
+        for records in bad:
+            with pytest.raises(WitnessError, match="marginals"):
+                _certify_with(g, h, b, classes, class_records, i, records)
+
+    def test_uniform_plan_check_rejects_each_broken_marginal(self):
+        # pi0 carries no masses, so a non-uniform mass cannot be written; the
+        # source and target cases still are
+        g = gen_paley(13)
+        (x, y), h, b, classes, class_records, i = _pi0_records(g)
+        r0, r1, r2 = class_records[i]
+        outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
+        bad = [
+            (r0, r1, r2._replace(v0=r0.v0)),  # source v0 of r0 twice, r2's never
+            (r0._replace(w0=outside), r1, r2),  # a target outside B(y)
+        ]
+        for records in bad:
+            with pytest.raises(WitnessError, match="marginals"):
+                _certify_with(g, h, b, classes, class_records, i, records)
 
 
 class TestWasserstein:

@@ -307,28 +307,6 @@ class TestPi0:
         with pytest.raises(WitnessError, match="z1"):
             _certify(g, h)
 
-    def test_rejects_pi0_with_broken_marginals(self):
-        # paley13's first edge has three chains; each tampered record keeps its
-        # fields ok, rho and k, so the chain checks pass and pi0's marginals fail
-        g = gen_paley(13)
-        x, y = g.edges()[0]
-        h = _build(g, x, y)
-        b = h.to_bipartite()
-        classes, class_records = _walk(g, h, b)
-        i = classes.index(matching_through_edge(b, h.z1_edge()))
-        r0, r1, r2 = class_records[i]
-        outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
-        broken = [
-            (r0, r1._replace(v0=r0.v0), r2),  # source v0 of r0 ships twice, r1's never
-            (r0, r1._replace(w0=r0.w0), r2),  # target w0 of r0 receives twice, r1's never
-            (r0, r1),  # too few pairs
-            (r0._replace(w0=outside), r1, r2),  # a target outside B(y)
-        ]
-        for records in broken:
-            tampered = class_records[:i] + (records,) + class_records[i + 1:]
-            with pytest.raises(WitnessError, match="marginals"):
-                certify_witness(g, h, b, check_h_regular(h), classes, tampered)
-
 
 class TestWitnessBound:
     def test_h23_tight(self):
