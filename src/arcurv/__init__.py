@@ -3,8 +3,6 @@
 from .curvature import (
     CurvatureError,
     CurvatureTable,
-    ProbMeasure,
-    TransportPlan,
     certify_assignments,
     curvature_all_edges,
     kantorovich_potential,
@@ -12,7 +10,6 @@ from .curvature import (
     lly_curvature,
     mu_p,
     ollivier_kappa_p,
-    plan_cost,
     wasserstein,
 )
 from .generators import (

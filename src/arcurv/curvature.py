@@ -30,49 +30,6 @@ class CurvatureError(ValueError):
     """Unmet curvature precondition or internal exactness failure."""
 
 
-@dataclass(frozen=True)
-class ProbMeasure:
-    """Sparse probability measure on vertices; support holds only positive masses."""
-
-    masses: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self):
-        total = Fraction(0)
-        for v, m in self.masses:
-            if m <= 0:
-                raise CurvatureError(f"nonpositive mass {m} at vertex {v}")
-            total += m
-        if total != 1:
-            raise CurvatureError(f"total mass {total} != 1")
-
-    @staticmethod
-    def from_dict(masses: dict[int, Fraction]) -> "ProbMeasure":
-        return ProbMeasure(tuple(sorted((v, Fraction(m)) for v, m in masses.items() if m != 0)))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.masses)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.masses)
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Sparse coupling; entries map (source, target) to positive mass."""
-
-    entries: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    @staticmethod
-    def from_dict(entries: dict[tuple[int, int], Fraction]) -> "TransportPlan":
-        return TransportPlan(
-            tuple(sorted((k, Fraction(m)) for k, m in entries.items() if m != 0))
-        )
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.entries)
-
-
 def _idleness(p) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
@@ -80,30 +37,16 @@ def _idleness(p) -> Fraction:
     return p
 
 
-def mu_p(g: Graph, x: int, p: Fraction) -> ProbMeasure:
-    """Idleness-p measure: mass p at x, (1-p)/deg(x) at each neighbor."""
+def mu_p(g: Graph, x: int, p: Fraction) -> dict[int, Fraction]:
+    """Idleness-p measure ``{vertex: mass}``: p at x, (1-p)/deg(x) at each neighbor, no zeros."""
     p = _idleness(p)
     deg = g.degree(x)
     if deg == 0 and p != 1:
         raise CurvatureError(f"isolated vertex {x} requires p = 1")
-    masses: dict[int, Fraction] = {x: p}
-    share = (1 - p) / deg if deg else Fraction(0)
-    for w in g.neighbors(x):
-        masses[w] = masses.get(w, Fraction(0)) + share
-    return ProbMeasure.from_dict(masses)
-
-
-def plan_cost(g: Graph, plan: TransportPlan) -> Fraction:
-    """Exact transport cost: sum of d(v, w) * mass over plan entries."""
-    total = Fraction(0)
-    for (v, w), m in plan.entries:
-        if m < 0:
-            raise CurvatureError(f"negative plan mass at ({v}, {w})")
-        d = g.distance(v, w)
-        if d is None:
-            raise CurvatureError(f"plan moves mass between components: ({v}, {w})")
-        total += d * m
-    return total
+    masses = {w: (1 - p) / deg for w in g.neighbors(x)} if p != 1 else {}
+    if p:
+        masses[x] = p
+    return masses
 
 
 class _MinCostFlow:
@@ -171,33 +114,41 @@ class _MinCostFlow:
         return total_cost
 
 
-def wasserstein(
-    g: Graph, mu1: ProbMeasure, mu2: ProbMeasure
-) -> tuple[Fraction, TransportPlan]:
-    """Exact Wasserstein distance and an optimal plan.
+def _support(g: Graph, mu: dict[int, Fraction]) -> tuple[list[int], list[Fraction]]:
+    """The sorted vertices of ``mu`` and their masses, checked to be a probability measure on g."""
+    vertices = sorted(mu)
+    masses = [Fraction(mu[v]) for v in vertices]
+    for v, m in zip(vertices, masses):
+        if not 0 <= v < g.n:
+            raise CurvatureError(f"measure vertex {v} is not a vertex of the graph (0..{g.n - 1})")
+        if m <= 0:
+            raise CurvatureError(f"nonpositive mass {m} at vertex {v}")
+    if sum(masses) != 1:
+        raise CurvatureError(f"total mass {sum(masses)} != 1")
+    return vertices, masses
 
-    Both measures are scaled by the least common denominator to integer
+
+def wasserstein(g: Graph, mu1: dict[int, Fraction], mu2: dict[int, Fraction]) -> Fraction:
+    """Exact Wasserstein distance between two ``{vertex: mass}`` probability measures.
+
+    Each measure must put a positive mass on vertices of g only, with total
+    1. Both are scaled by the least common denominator to integer
     supplies/demands and the transportation problem is solved by min-cost
     flow over BFS distances. The integer flow is checked to be nonnegative,
     to have row sums equal to the supplies and column sums equal to the
-    demands, and to cost the solver's total; value and plan are then
-    unscaled back to Fractions.
+    demands, and to cost the solver's total; that total is then unscaled
+    back to a Fraction.
     """
-    sup1 = list(mu1.masses)
-    sup2 = list(mu2.masses)
-    scale = lcm(*[m.denominator for _, m in sup1 + sup2])
-    supplies = [int(m * scale) for _, m in sup1]
-    demands = [int(m * scale) for _, m in sup2]
-    a, b = len(sup1), len(sup2)
-    dmat: list[list[int]] = []
-    for v, _ in sup1:
-        row = []
-        for w, _ in sup2:
-            d = g.distance(v, w)
-            if d is None:
-                raise CurvatureError("measure supports lie in different components")
-            row.append(d)
-        dmat.append(row)
+    sources, masses1 = _support(g, mu1)
+    targets, masses2 = _support(g, mu2)
+    scale = lcm(*[m.denominator for m in masses1 + masses2])
+    supplies = [int(m * scale) for m in masses1]
+    demands = [int(m * scale) for m in masses2]
+    a, b = len(sources), len(targets)
+    dmat = g.distance_rows(sources)[:, targets]
+    if (dmat < 0).any():
+        raise CurvatureError("measure supports lie in different components")
+    dmat = dmat.tolist()
     # nodes: 0 = source, 1..a = sources, a+1..a+b = targets, a+b+1 = sink
     net = _MinCostFlow(a + b + 2)
     s, t = 0, a + b + 1
@@ -211,7 +162,7 @@ def wasserstein(
             net.add_edge(1 + i, 1 + a + j, supplies[i], dmat[i][j])
     total = net.solve(s, t, scale)
     flow = [[supplies[i] - net.cap[arc_base + 2 * (i * b + j)] for j in range(b)] for i in range(a)]
-    negative = [(sup1[i][0], sup2[j][0]) for i in range(a) for j in range(b) if flow[i][j] < 0]
+    negative = [(sources[i], targets[j]) for i in range(a) for j in range(b) if flow[i][j] < 0]
     if negative:
         raise CurvatureError(f"negative plan mass at {negative[0]}")
     if [sum(row) for row in flow] != supplies:
@@ -220,12 +171,7 @@ def wasserstein(
         raise CurvatureError("column marginals do not match target measure")
     if sum(f * c for row, costs in zip(flow, dmat) for f, c in zip(row, costs)) != total:
         raise CurvatureError("internal error: plan cost disagrees with flow value")
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (v, _), row in zip(sup1, flow):
-        for (w, _), f in zip(sup2, row):
-            if f > 0:
-                entries[v, w] = entries.get((v, w), Fraction(0)) + Fraction(f, scale)
-    return Fraction(total, scale), TransportPlan.from_dict(entries)
+    return Fraction(total, scale)
 
 
 ASSIGNMENT_CHUNK = 64
@@ -402,8 +348,7 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
         raise CurvatureError("vertices lie in different components")
     p = _idleness(p)
     if g.regular_degree() is None or dxy != 1:
-        w, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
-        return 1 - w / dxy
+        return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p)) / dxy
     return _regular_kappa_p(g, [(x, y)], p)[0]
 
 

@@ -199,9 +199,6 @@ class AmplyParams:
     girth: Optional[int]
     connected: bool = True
 
-    def as_tuple(self) -> tuple:
-        return (self.n, self.d, self.alpha, self.beta)
-
 
 @dataclass(frozen=True)
 class AmplyViolation:

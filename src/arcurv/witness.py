@@ -333,9 +333,10 @@ class EdgeWitness:
 
     ``class_records`` holds the chain records of the Konig classes of H, in
     order, up to the first class whose walk raised; ``walk_error`` is that
-    class's message, or None if every class was walked. ``certificate`` is
-    the result of ``certify_witness`` on those records, or None with its
-    message in ``certify_error``.
+    class's message, the regularity message if H has no classes, or None if
+    every class was walked. ``certificate`` is the result of
+    ``certify_witness`` on those records, or None with its message in
+    ``certify_error``.
     """
 
     h: TransportBipartite
@@ -353,14 +354,15 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     Builds H, its ``Bipartite`` and its regularity check, decomposes H into
     its Konig classes, checks Lemma 3.3 on each class, and certifies the
     lower bound from those walks. A failed step's ``WitnessError`` is kept
-    as its message.
+    as its message. An H that is not (beta-1)-regular is not decomposed,
+    and the regularity message is kept as the walk's.
     """
     h = build_transport_bipartite(g, x, y, params)
     b = h.to_bipartite()
     reg = check_h_regular(h)
-    classes = tuple(konig_decomposition(b))
+    classes = tuple(konig_decomposition(b)) if reg.ok else ()
     walked: list[tuple[ChainRecord, ...]] = []
-    walk_error = None
+    walk_error = None if reg.ok else f"auxiliary graph is not (beta-1)-regular: {reg.offender}"
     for m in classes:
         try:
             walked.append(tuple(verify_lemma_3_3(g, h, m)))

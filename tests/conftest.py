@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 Oracles here deliberately avoid the package's own solvers: brute-force
-bijection enumeration for regular-edge transport, networkx BFS for distances,
-and the closed-form strongly-regular eigenvalues for spectra.
+bijection enumeration for regular-edge transport, networkx BFS for distances
+and transport-plan costs, and the closed-form strongly-regular eigenvalues for
+spectra.
 """
 
 from __future__ import annotations
@@ -49,6 +50,23 @@ def brute_regular_wasserstein(g: Graph, x: int, y: int) -> Fraction:
         if best is None or total < best:
             best = total
     return Fraction(best, d + 1)
+
+
+def plan_cost(g: Graph, plan) -> Fraction:
+    """Exact cost of a transport plan given as ((v, w), mass) pairs: sum of d(v, w) * mass.
+
+    Distances come from networkx BFS. A negative mass or a pair in different
+    components raises ValueError.
+    """
+    h = to_networkx(g)
+    total = Fraction(0)
+    for (v, w), m in plan:
+        if m < 0:
+            raise ValueError(f"negative plan mass at ({v}, {w})")
+        if not nx.has_path(h, v, w):
+            raise ValueError(f"plan moves mass between components: ({v}, {w})")
+        total += nx.shortest_path_length(h, v, w) * Fraction(m)
+    return total
 
 
 def srg_eigenvalues(n: int, d: int, alpha: int, beta: int) -> tuple[float, float, float]:

@@ -340,7 +340,8 @@ class TestSpectrumDiameterSearch:
         from arcurv import detect_amply_params
 
         g = load_edge_list(out)
-        assert detect_amply_params(g).as_tuple() == (8, 3, 0, 2)
+        p = detect_amply_params(g)
+        assert (p.n, p.d, p.alpha, p.beta) == (8, 3, 0, 2)
 
     def test_search_none(self, capsys):
         code, out, err = run(capsys, "search", "5", "3", "0", "2")

@@ -9,8 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from arcurv import (
     CurvatureError,
-    ProbMeasure,
-    TransportPlan,
+    Graph,
     certify_assignments,
     curvature_all_edges,
     detect_amply_params,
@@ -26,7 +25,6 @@ from arcurv import (
     lly_curvature,
     mu_p,
     ollivier_kappa_p,
-    plan_cost,
     wasserstein,
 )
 
@@ -42,6 +40,7 @@ from arcurv.witness import (
 )
 from conftest import (
     brute_regular_wasserstein,
+    plan_cost,
     random_connected_graph,
     random_connected_regular_graph,
 )
@@ -53,11 +52,14 @@ def _balls(g, x, y):
 
 
 def _one_zone(g, sources, targets, edge):
-    """W = C/k and the plan of one problem, through `certify_assignments`' one-zone branch."""
+    """W = C/k and the plan of one problem, through `certify_assignments`' one-zone branch.
+
+    The plan is its sorted ((source, target), 1/k) pairs, as `plan_cost` reads them.
+    """
     costs, plans = certify_assignments(g, np.array([[*sources, *targets]]), [edge])
     k = len(sources)
     unit = Fraction(1, k)
-    plan = TransportPlan.from_dict({pair: unit for pair in zip(sources, plans[0].tolist())})
+    plan = sorted((pair, unit) for pair in zip(sources, plans[0].tolist()))
     return Fraction(int(costs[0]), k), plan
 
 
@@ -67,9 +69,9 @@ def _ball_value(g, x, y):
 
 
 def _marginals(plan):
-    """The row and column sums of ``plan``, summed in Fractions."""
+    """The row and column sums of ``plan``'s ((v, w), mass) pairs, summed in Fractions."""
     rows, cols = {}, {}
-    for (v, w), m in plan.entries:
+    for (v, w), m in plan:
         rows[v] = rows.get(v, 0) + m
         cols[w] = cols.get(w, 0) + m
     return rows, cols
@@ -77,7 +79,7 @@ def _marginals(plan):
 
 def _flow_kappa(g, x, y, p):
     """kappa_p by the min-cost flow, the reference for the regular-edge formula."""
-    return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))[0] / g.distance(x, y)
+    return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p)) / g.distance(x, y)
 
 
 def _pi0_records(g):
@@ -104,42 +106,42 @@ def _certify_with(g, h, b, classes, class_records, i, records):
 class TestMuP:
     def test_dirac(self):
         g = gen_cycle(5)
-        m = mu_p(g, 2, Fraction(1))
-        assert m.as_dict() == {2: Fraction(1)}
+        assert mu_p(g, 2, Fraction(1)) == {2: Fraction(1)}
 
     def test_q3_quarter(self):
         g = gen_hypercube(3)
-        m = mu_p(g, 0, Fraction(1, 4))
-        assert all(v == Fraction(1, 4) for v in m.as_dict().values())
-        assert len(m.support) == 4
+        assert mu_p(g, 0, Fraction(1, 4)) == {v: Fraction(1, 4) for v in (0, 1, 2, 4)}
 
     def test_zero_idleness_drops_center(self):
         g = gen_complete(3)
-        m = mu_p(g, 0, Fraction(0))
-        assert 0 not in m.support
-        assert m.as_dict() == {1: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert mu_p(g, 0, Fraction(0)) == {1: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_out_of_range(self):
         with pytest.raises(CurvatureError):
             mu_p(gen_cycle(5), 0, Fraction(3, 2))
 
+    def test_isolated_vertex_needs_full_idleness(self):
+        g = Graph(3, [(0, 1)])
+        assert mu_p(g, 2, Fraction(1)) == {2: Fraction(1)}
+        for p in (Fraction(0), Fraction(1, 2)):
+            with pytest.raises(CurvatureError, match="isolated vertex 2 requires p = 1"):
+                mu_p(g, 2, p)
+
 
 class TestPlanCost:
     def test_identity_plan(self):
         g = gen_cycle(6)
-        m = mu_p(g, 0, Fraction(1, 3))
-        plan = TransportPlan.from_dict({(v, v): mass for v, mass in m.masses})
+        plan = [((v, v), mass) for v, mass in mu_p(g, 0, Fraction(1, 3)).items()]
         assert plan_cost(g, plan) == 0
 
     def test_dirac_to_dirac(self):
         g = gen_cycle(6)
-        plan = TransportPlan.from_dict({(0, 1): Fraction(1)})
-        assert plan_cost(g, plan) == 1
+        assert plan_cost(g, [((0, 1), Fraction(1))]) == 1
 
     def test_negative_mass_rejected(self):
         g = gen_cycle(6)
-        plan = TransportPlan((((0, 1), Fraction(-1)), ((0, 2), Fraction(2))))
-        with pytest.raises(CurvatureError):
+        plan = [((0, 1), Fraction(-1)), ((0, 2), Fraction(2))]
+        with pytest.raises(ValueError, match="negative plan mass"):
             plan_cost(g, plan)
 
     def test_uniform_plan_check(self):
@@ -150,8 +152,7 @@ class TestPlanCost:
         unit = Fraction(1, len(good.pi0))
         assert [v for v, _ in good.pi0] == sorted((x,) + g.neighbors(x))
         assert sorted(w for _, w in good.pi0) == sorted((y,) + g.neighbors(y))
-        plan = TransportPlan.from_dict({pair: unit for pair in good.pi0})
-        assert plan_cost(g, plan) == good.pi0_cost
+        assert plan_cost(g, [(pair, unit) for pair in good.pi0]) == good.pi0_cost
         r0, r1, r2 = class_records[i]
         bad = [
             (r0, r1._replace(v0=r0.v0), r2),  # source v0 of r0 ships twice, r1's never
@@ -182,41 +183,40 @@ class TestWasserstein:
     def test_equal_measures(self):
         g = gen_cycle(6)
         m = mu_p(g, 0, Fraction(1, 3))
-        value, plan = wasserstein(g, m, m)
-        assert value == 0
+        assert wasserstein(g, m, m) == 0
 
     def test_dirac_to_dirac_is_distance(self):
         g = gen_hypercube(3)
-        d1 = ProbMeasure.from_dict({0: Fraction(1)})
-        d2 = ProbMeasure.from_dict({7: Fraction(1)})
-        value, _ = wasserstein(g, d1, d2)
-        assert value == 3
+        assert wasserstein(g, {0: Fraction(1)}, {7: Fraction(1)}) == 3
 
     def test_q3_edge_quarter_idleness(self):
         g = gen_hypercube(3)
         mu1, mu2 = mu_p(g, 0, Fraction(1, 4)), mu_p(g, 1, Fraction(1, 4))
-        value, plan = wasserstein(g, mu1, mu2)
+        value = wasserstein(g, mu1, mu2)
         assert value == Fraction(1, 2)
+        # 0 and 1 stay, 2 -> 3 and 4 -> 5 cross one edge each: a plan of cost W
+        quarter = Fraction(1, 4)
+        plan = [((0, 0), quarter), ((1, 1), quarter), ((2, 3), quarter), ((4, 5), quarter)]
         assert plan_cost(g, plan) == value
-        assert _marginals(plan) == (mu1.as_dict(), mu2.as_dict())
+        assert _marginals(plan) == (mu1, mu2)
 
     def test_agrees_with_brute_force_bijections(self):
         for g in (gen_cycle(6), gen_hypercube(3), gen_cocktail(3), gen_hamming(2, 3)):
             d = g.regular_degree()
             p = Fraction(1, d + 1)
             for x, y in g.edges()[:6]:
-                value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
+                value = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
                 assert value == brute_regular_wasserstein(g, x, y)
 
     def test_any_plan_upper_bounds_value(self):
         g = gen_hamming(2, 3)
         p = Fraction(1, 5)
         mu1, mu2 = mu_p(g, 0, p), mu_p(g, 1, p)
-        value, _ = wasserstein(g, mu1, mu2)
+        value = wasserstein(g, mu1, mu2)
         # ship everything through vertex 0's support greedily: still a valid plan
         naive = {}
-        remaining = dict(mu2.masses)
-        for v, mass in mu1.masses:
+        remaining = dict(mu2)
+        for v, mass in sorted(mu1.items()):
             need = mass
             for w in sorted(remaining):
                 if need == 0:
@@ -226,15 +226,13 @@ class TestWasserstein:
                     naive[(v, w)] = naive.get((v, w), Fraction(0)) + take
                     remaining[w] -= take
                     need -= take
-        plan = TransportPlan.from_dict(naive)
-        assert _marginals(plan) == (mu1.as_dict(), mu2.as_dict())
+        plan = list(naive.items())
+        assert _marginals(plan) == (mu1, mu2)
         assert value <= plan_cost(g, plan)
 
     @staticmethod
     def _path_measures():
         """The 4-vertex path 0-1-2-3 and its idleness-1/2 measures at 0 and at 3."""
-        from arcurv import Graph
-
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         return g, mu_p(g, 0, Fraction(1, 2)), mu_p(g, 3, Fraction(1, 2))
 
@@ -272,15 +270,41 @@ class TestWasserstein:
                 wasserstein(g, mu1, mu2)
 
     def test_disconnected_supports(self):
-        from arcurv import Graph
-
         g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(CurvatureError):
-            wasserstein(
-                g,
-                ProbMeasure.from_dict({0: Fraction(1)}),
-                ProbMeasure.from_dict({2: Fraction(1)}),
-            )
+        with pytest.raises(CurvatureError, match="different components"):
+            wasserstein(g, {0: Fraction(1)}, {2: Fraction(1)})
+
+    @pytest.mark.parametrize("vertex", [-1, 6])
+    def test_vertex_outside_the_graph(self, vertex):
+        # -1 would wrap to vertex 5 under numpy indexing, and 6 overrun the BFS row
+        g = gen_cycle(6)
+        message = f"measure vertex {vertex} is not a vertex of the graph"
+        for mu1, mu2 in (({0: Fraction(1)}, {vertex: Fraction(1)}),
+                         ({vertex: Fraction(1)}, {0: Fraction(1)})):
+            with pytest.raises(CurvatureError, match=message):
+                wasserstein(g, mu1, mu2)
+        if vertex == -1:  # mu_p reads vertex 5's neighbours for -1; the flow names -1
+            with pytest.raises(CurvatureError, match=message):
+                wasserstein(g, mu_p(g, 0, Fraction(1, 2)), mu_p(g, vertex, Fraction(1, 2)))
+
+    @pytest.mark.parametrize("mass", [Fraction(0), Fraction(-1, 2)])
+    def test_nonpositive_mass(self, mass):
+        g = gen_cycle(6)
+        bad = {0: 1 - mass, 1: mass}
+        with pytest.raises(CurvatureError, match=f"nonpositive mass {mass} at vertex 1"):
+            wasserstein(g, bad, {0: Fraction(1)})
+        with pytest.raises(CurvatureError, match=f"nonpositive mass {mass} at vertex 1"):
+            wasserstein(g, {0: Fraction(1)}, bad)
+
+    @pytest.mark.parametrize("masses", [(Fraction(1, 2),), (Fraction(1, 2), Fraction(2, 3))])
+    def test_total_other_than_one(self, masses):
+        g = gen_cycle(6)
+        bad = dict(enumerate(masses))
+        total = sum(masses)
+        with pytest.raises(CurvatureError, match=f"total mass {total} != 1"):
+            wasserstein(g, bad, {0: Fraction(1)})
+        with pytest.raises(CurvatureError, match=f"total mass {total} != 1"):
+            wasserstein(g, {0: Fraction(1)}, bad)
 
 
 class TestAssignmentWasserstein:
@@ -337,14 +361,14 @@ class TestAssignmentWasserstein:
         g = gen_cycle(6)
         value, plan = _one_zone(g, g.neighbors(0), g.neighbors(1), (0, 1))
         assert value == 1 and plan_cost(g, plan) == 1
-        assert plan.as_dict() == {(1, 2): Fraction(1, 2), (5, 0): Fraction(1, 2)}
+        assert plan == [((1, 2), Fraction(1, 2)), ((5, 0), Fraction(1, 2))]
 
     def test_oracle_equivalence_with_flow(self):
         for g in (gen_cycle(7), gen_paley(13), gen_cocktail(4)):
             d = g.regular_degree()
             p = Fraction(1, d + 1)
             for x, y in g.edges()[:10]:
-                flow_value, _ = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
+                flow_value = wasserstein(g, mu_p(g, x, p), mu_p(g, y, p))
                 assert flow_value == _ball_value(g, x, y)
 
 
@@ -515,7 +539,7 @@ class TestBatchedAssignments:
         for edge, zone, cost, plan in zip(g.edges(), zones.tolist(), costs.tolist(), plans.tolist()):
             value, single = _one_zone(g, zone[:k], zone[k:], edge)
             assert value == Fraction(cost, k)
-            assert [pair for pair, _ in single.entries] == sorted(zip(zone[:k], plan))
+            assert [pair for pair, _ in single] == sorted(zip(zone[:k], plan))
             assert plan_cost(g, single) == value
 
     def test_more_edges_than_one_chunk(self, monkeypatch):
@@ -723,7 +747,4 @@ def test_wasserstein_triangle_inequality(seed):
     x, y, z = (rng.randrange(g.n) for _ in range(3))
     p = Fraction(rng.randint(0, 4), 4)
     mx, my, mz = (mu_p(g, v, p) for v in (x, y, z))
-    wxy, _ = wasserstein(g, mx, my)
-    wyz, _ = wasserstein(g, my, mz)
-    wxz, _ = wasserstein(g, mx, mz)
-    assert wxz <= wxy + wyz
+    assert wasserstein(g, mx, mz) <= wasserstein(g, mx, my) + wasserstein(g, my, mz)

@@ -16,9 +16,9 @@ from arcurv import (
 
 
 def test_hamming_instances():
-    assert detect_amply_params(gen_hamming(3, 2)).as_tuple() == (8, 3, 0, 2)
-    assert detect_amply_params(gen_hamming(2, 3)).as_tuple() == (9, 4, 1, 2)
-    assert detect_amply_params(gen_hamming(2, 4)).as_tuple() == (16, 6, 2, 2)
+    assert detect_amply_params(gen_hamming(3, 2)) == AmplyParams(8, 3, 0, 2, girth=4)
+    assert detect_amply_params(gen_hamming(2, 3)) == AmplyParams(9, 4, 1, 2, girth=3)
+    assert detect_amply_params(gen_hamming(2, 4)) == AmplyParams(16, 6, 2, 2, girth=3)
 
 
 def test_hamming_size_cap():
@@ -51,7 +51,7 @@ def test_paley_checks_the_cap_before_primality(monkeypatch):
 def test_hypercube():
     q3 = gen_hypercube(3)
     assert q3.n == 8 and q3.num_edges() == 12
-    assert detect_amply_params(gen_hypercube(4)).as_tuple() == (16, 4, 0, 2)
+    assert detect_amply_params(gen_hypercube(4)) == AmplyParams(16, 4, 0, 2, girth=4)
     assert gen_hypercube(1) == gen_complete(2)
 
 
@@ -62,7 +62,7 @@ def test_hypercube_rejects_dimension_below_one():
 
 def test_paley_13():
     p = detect_amply_params(gen_paley(13))
-    assert p.as_tuple() == (13, 6, 2, 3)  # conference parameters, gamma = 3
+    assert p == AmplyParams(13, 6, 2, 3, girth=3)  # conference parameters, gamma = 3
 
 
 def test_paley_5_is_cycle():
@@ -86,7 +86,7 @@ def test_paley_edge_count():
 def test_shrikhande():
     g = gen_shrikhande()
     assert g.num_edges() == 48
-    assert detect_amply_params(g).as_tuple() == (16, 6, 2, 2)
+    assert detect_amply_params(g) == AmplyParams(16, 6, 2, 2, girth=3)
 
 
 def test_cocktail():
@@ -94,7 +94,7 @@ def test_cocktail():
     # cocktail(2) is a 4-cycle (up to relabeling)
     c = detect_amply_params(gen_cocktail(2))
     assert (c.n, c.d, c.alpha, c.beta) == (4, 2, 0, 2)
-    assert detect_amply_params(gen_cocktail(4)).as_tuple() == (8, 6, 4, 6)
+    assert detect_amply_params(gen_cocktail(4)) == AmplyParams(8, 6, 4, 6, girth=3)
 
 
 def test_complete_and_cycle():

@@ -215,11 +215,11 @@ class TestDetect:
 
     def test_h23(self):
         p = detect_amply_params(gen_hamming(2, 3))
-        assert p.as_tuple() == (9, 4, 1, 2)
+        assert p == AmplyParams(9, 4, 1, 2, girth=3)
 
     def test_petersen(self, petersen):
         p = detect_amply_params(petersen)
-        assert p.as_tuple() == (10, 3, 0, 1)
+        assert p == AmplyParams(10, 3, 0, 1, girth=5)
         assert p.girth == 5
 
     def test_path_not_regular(self):

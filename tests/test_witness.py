@@ -8,16 +8,15 @@ import arcurv.curvature as curvature_module
 import arcurv.witness as witness_module
 from arcurv import (
     detect_amply_params,
+    dump_edge_list,
     edge_partition,
     gen_cocktail,
     gen_hamming,
     gen_hypercube,
     gen_paley,
     lly_curvature,
-    plan_cost,
 )
 from arcurv.cli import _hgraph_payload
-from arcurv.curvature import TransportPlan
 from arcurv.graph import Graph
 from arcurv.matching import konig_decomposition, matching_through_edge
 from arcurv.report import WitnessSummary, verify_graph
@@ -33,6 +32,7 @@ from arcurv.witness import (
     prop_3_1_certificate,
     verify_lemma_3_3,
 )
+from conftest import plan_cost
 
 
 def h23():
@@ -83,8 +83,8 @@ def _pi0_by_definition(h, records):
 
 
 def _pi0_plan(cert, d):
-    """pi0 as a `TransportPlan` of mass 1/(d+1) per pair, for the `plan_cost` oracle."""
-    return TransportPlan(tuple((pair, Fraction(1, d + 1)) for pair in cert.pi0))
+    """pi0 as ((v, w), mass) pairs of mass 1/(d+1) each, for the `plan_cost` oracle."""
+    return [(pair, Fraction(1, d + 1)) for pair in cert.pi0]
 
 
 def _count_calls(monkeypatch, targets):
@@ -439,7 +439,8 @@ class TestCertificateOnBuiltH:
     def test_verify_builds_each_witness_fact_once_per_edge(self, monkeypatch, make):
         g = make()
         beta = detect_amply_params(g).beta
-        names = ["build_transport_bipartite", "check_h_regular", "verify_lemma_3_3"]
+        names = ["build_transport_bipartite", "check_h_regular", "konig_decomposition",
+                 "verify_lemma_3_3"]
         counts = _count_calls(
             monkeypatch,
             [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
@@ -449,7 +450,7 @@ class TestCertificateOnBuiltH:
         m = g.num_edges()
         # beta - 1 classes walked once each; certify_witness reads the z1 class's walk
         assert counts == {
-            "build_transport_bipartite": m, "check_h_regular": m,
+            "build_transport_bipartite": m, "check_h_regular": m, "konig_decomposition": m,
             "verify_lemma_3_3": (beta - 1) * m,
             "to_bipartite": m,
         }
@@ -491,6 +492,32 @@ class TestVerifyCountsFailedWitnessSteps:
         report = verify_graph(make(), graph_id="g")
         assert report.witness == WitnessSummary(m, m, m, m, 0, 0, 0, passed=False)
         assert not report.overall_pass
+
+    def test_irregular_h_is_not_decomposed(self, monkeypatch, tmp_path, capsys):
+        # cocktail(3)'s H has one copy-copy (E8) edge; without it H is not
+        # 3-regular, has no Konig classes and keeps the regularity message
+        build = witness_module.build_transport_bipartite
+
+        def dropped_e8(*args, **kwargs):
+            h = build(*args, **kwargs)
+            classes = list(h.edge_classes)
+            assert len(classes[7]) == 1
+            classes[7] = ()
+            return dataclasses.replace(h, edge_classes=tuple(classes))
+
+        monkeypatch.setattr(witness_module, "build_transport_bipartite", dropped_e8)
+        g = gen_cocktail(3)
+        w = edge_witness(g, 0, 2, detect_amply_params(g))
+        assert not w.regularity.ok and w.classes == () and w.class_records == ()
+        assert w.walk_error.startswith("auxiliary graph is not (beta-1)-regular: ")
+        assert w.certificate is None and w.certify_error == w.walk_error
+        report = verify_graph(g, graph_id="g")
+        assert report.witness == WitnessSummary(12, 0, 0, 0, 0, 0, 0, passed=False)
+        assert not report.overall_pass
+        path = tmp_path / "cocktail3.txt"
+        path.write_text(dump_edge_list(g))
+        assert cli_module.main(["verify", str(path)]) == cli_module.EXIT_ASSERTION
+        assert "witness pipeline: 12 edges | regular 0 | classes 0 | bijection 0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_understated_exact_curvature_fails_only_the_certificate(self, monkeypatch, name):
