@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .graph import Graph
 
@@ -40,6 +39,7 @@ def _idleness(p) -> Fraction:
 def mu_p(g: Graph, x: int, p: Fraction) -> dict[int, Fraction]:
     """Idleness-p measure ``{vertex: mass}``: p at x, (1-p)/deg(x) at each neighbor, no zeros."""
     p = _idleness(p)
+    g.check_vertex(x)
     deg = g.degree(x)
     if deg == 0 and p != 1:
         raise CurvatureError(f"isolated vertex {x} requires p = 1")
@@ -177,6 +177,25 @@ def wasserstein(g: Graph, mu1: dict[int, Fraction], mu2: dict[int, Fraction]) ->
 ASSIGNMENT_CHUNK = 64
 """Problems that `certify_assignments` solves and checks together. It bounds
 the (chunk, 2k, 2k) temporaries of the whole-array checks."""
+
+
+def _first_solve(cost):
+    """scipy's `linear_sum_assignment` on ``cost``, imported at the first solve.
+
+    Importing `scipy.optimize` takes most of `import arcurv`'s time, and only
+    regular-edge transport needs it. The first call rebinds the module's
+    `linear_sum_assignment` to scipy's function, so later solves call it
+    directly, unless a stand-in has been set there meanwhile.
+    """
+    global linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment as solve
+
+    if linear_sum_assignment is _first_solve:
+        linear_sum_assignment = solve
+    return solve(cost)
+
+
+linear_sum_assignment = _first_solve
 
 
 def _fail(bad: np.ndarray, edges, reason: str) -> None:
@@ -341,9 +360,9 @@ def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
 
     A regular edge goes through `_regular_kappa_p`, anything else through the min-cost flow.
     """
-    if x == y:
-        raise CurvatureError("curvature requires distinct vertices")
     dxy = g.distance(x, y)
+    if dxy == 0:
+        raise CurvatureError("curvature requires distinct vertices")
     if dxy is None:
         raise CurvatureError("vertices lie in different components")
     p = _idleness(p)

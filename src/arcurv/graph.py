@@ -63,6 +63,11 @@ class Graph:
     def is_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
+    def check_vertex(self, v: int) -> None:
+        """Raise GraphError naming ``v`` unless it is one of 0..n-1."""
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range 0..{self.n - 1}")
+
     def regular_degree(self) -> Optional[int]:
         """Common degree if the graph is regular, else None."""
         return self._degree
@@ -72,8 +77,7 @@ class Graph:
         cached = self._dist_cache.get(source)
         if cached is not None:
             return cached
-        if not (0 <= source < self.n):
-            raise GraphError(f"vertex {source} out of range")
+        self.check_vertex(source)
         dist = [-1] * self.n
         dist[source] = 0
         queue = deque([source])
@@ -96,6 +100,7 @@ class Graph:
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path length, or None if u and v are in different components."""
+        self.check_vertex(v)  # distances_from checks u; a bad v would wrap or overrun the row
         d = int(self.distances_from(u)[v])
         return None if d < 0 else d
 
@@ -346,6 +351,8 @@ def detect_amply_params(g: Graph) -> DetectResult:
 
 def edge_partition(g: Graph, x: int, y: int) -> EdgeNeighborhoodPartition:
     """Split the neighborhoods around edge xy into delta / nx / ny."""
+    g.check_vertex(x)
+    g.check_vertex(y)
     gx = set(g.neighbors(x))
     if y not in gx:
         raise GraphError(f"({x}, {y}) is not an edge")

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from arcurv import (
     CurvatureError,
     Graph,
+    GraphError,
     certify_assignments,
     curvature_all_edges,
     detect_amply_params,
@@ -119,6 +120,14 @@ class TestMuP:
     def test_out_of_range(self):
         with pytest.raises(CurvatureError):
             mu_p(gen_cycle(5), 0, Fraction(3, 2))
+
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_rejects_a_vertex_outside_the_graph(self, bad):
+        # -1 would otherwise return vertex 5's measure under the key -1.
+        g = gen_cycle(6)
+        for p in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                mu_p(g, bad, p)
 
     def test_isolated_vertex_needs_full_idleness(self):
         g = Graph(3, [(0, 1)])
@@ -283,9 +292,10 @@ class TestWasserstein:
                          ({vertex: Fraction(1)}, {0: Fraction(1)})):
             with pytest.raises(CurvatureError, match=message):
                 wasserstein(g, mu1, mu2)
-        if vertex == -1:  # mu_p reads vertex 5's neighbours for -1; the flow names -1
+        if vertex == -1:  # vertex 5's measure under the key -1 (mu_p refuses -1 itself)
+            wrapped = {0: Fraction(1, 4), 4: Fraction(1, 4), -1: Fraction(1, 2)}
             with pytest.raises(CurvatureError, match=message):
-                wasserstein(g, mu_p(g, 0, Fraction(1, 2)), mu_p(g, vertex, Fraction(1, 2)))
+                wasserstein(g, mu_p(g, 0, Fraction(1, 2)), wrapped)
 
     @pytest.mark.parametrize("mass", [Fraction(0), Fraction(-1, 2)])
     def test_nonpositive_mass(self, mass):
@@ -649,6 +659,15 @@ class TestKappa:
     def test_c6_edge(self):
         g = gen_cycle(6)
         assert ollivier_kappa_p(g, 0, 1, Fraction(1, 3)) == 0
+
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_rejects_a_vertex_outside_the_graph(self, bad):
+        # (bad, bad) is named as out of range, not refused for repeating a vertex.
+        g = gen_cycle(6)
+        for x, y in ((0, bad), (bad, 0), (bad, bad)):
+            for p in (Fraction(0), Fraction(1, 2)):
+                with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                    ollivier_kappa_p(g, x, y, p)
 
     def test_lly_values(self):
         assert lly_curvature(gen_shrikhande(), 0, 1) == Fraction(1, 3)

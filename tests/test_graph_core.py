@@ -73,6 +73,14 @@ class TestMetrics:
         g = gen_cycle(5)
         assert g.distance(2, 2) == 0
 
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_distance_rejects_a_vertex_outside_the_graph(self, bad):
+        # -1 would otherwise index the row's last entry, vertex 5 (distance 1 from 0).
+        g = gen_cycle(6)
+        for u, v in ((0, bad), (bad, 0)):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                g.distance(u, v)
+
     def test_h23_double_difference(self):
         g = gen_hamming(2, 3)
         # vertices 0 = (0,0) and 4 = (1,1) differ in both coordinates
@@ -288,6 +296,14 @@ class TestEdgePartition:
     def test_not_an_edge(self):
         with pytest.raises(GraphError):
             edge_partition(gen_cycle(5), 0, 2)
+
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_rejects_a_vertex_outside_the_graph(self, bad):
+        # (-1, 0) would otherwise read vertex 5's neighbours as x's.
+        g = gen_cycle(6)
+        for x, y in ((bad, 0), (0, bad)):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                edge_partition(g, x, y)
 
     def test_regular_size_identity(self):
         for g in (gen_shrikhande(), gen_hamming(2, 3), gen_cocktail(4)):

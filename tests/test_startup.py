@@ -1,0 +1,130 @@
+"""The start-up path: which commands import scipy's assignment solver.
+
+Each case runs in a fresh interpreter (``sys.executable -c``), since the test
+process itself has long since imported scipy. Only `sys.modules` is read;
+nothing here is timed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import arcurv
+from arcurv import dump_edge_list, gen_paley
+from arcurv.cli import EXIT_INPUT, EXIT_OK, main
+
+SOLVER = "scipy.optimize"
+SRC = str(Path(arcurv.__file__).resolve().parents[1])
+
+# Runs cli.main on argv, then prints its exit code, stdout, stderr and
+# whether scipy.optimize was imported, as one JSON line.
+_MAIN = """
+import contextlib, io, json, sys
+from arcurv.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), %r in sys.modules]))
+""" % SOLVER
+
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def _fresh_main(*argv: str) -> tuple[int, str, str, bool]:
+    return tuple(json.loads(_fresh(_MAIN, *argv).stdout))
+
+
+@pytest.fixture(scope="module")
+def paley13_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "paley13.txt"
+    path.write_text(dump_edge_list(gen_paley(13)))
+    return str(path)
+
+
+def test_import_leaves_the_solver_out():
+    done = _fresh(f"import sys, arcurv.cli; print({SOLVER!r} in sys.modules)")
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "5", "2", "0", "1"],
+    ["gen", "paley", "13"],
+    ["params", "{file}"],
+    ["diameter", "{file}"],
+    ["spectrum", "{file}"],
+    ["curvature", "{file}", "--edge", "0", "2", "--p", "1/2"],
+])
+def test_commands_without_an_assignment_never_import_the_solver(paley13_file, argv):
+    code, out, err, loaded = _fresh_main(*(a.format(file=paley13_file) for a in argv))
+    assert (code, err, loaded) == (EXIT_OK, "", False)
+    assert out
+
+
+@pytest.mark.parametrize("name, text", [("missing.txt", None), ("path4.txt", "4 3\n0 1\n1 2\n2 3\n")])
+def test_input_error_exits_before_the_solver(tmp_path, name, text):
+    # A missing file, and a path that is not amply regular.
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code, out, err, loaded = _fresh_main("verify", str(path))
+    assert (code, out, loaded) == (EXIT_INPUT, "", False)
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "{file}", "--all"],
+    ["verify", "{file}"],
+])
+def test_first_solve_imports_the_solver_and_output_is_unchanged(paley13_file, capsys, argv):
+    argv = [a.format(file=paley13_file) for a in argv]
+    code, out, err, loaded = _fresh_main(*argv)
+    assert loaded
+    assert main(argv) == code == EXIT_OK
+    captured = capsys.readouterr()
+    assert (out, err) == (captured.out, captured.err)
+
+
+_SEAM = """
+import sys
+import arcurv.curvature as curvature
+from arcurv import gen_paley, lly_curvature
+
+g = gen_paley(13)
+lazy = curvature.linear_sum_assignment
+calls = []
+
+def stand_in(cost):
+    calls.append(cost.shape)
+    return lazy(cost)  # the deferred import runs here, with the stand-in in place
+
+curvature.linear_sum_assignment = stand_in
+kappa = lly_curvature(g, 0, 1)
+assert calls == [(7, 7)], calls
+assert curvature.linear_sum_assignment is stand_in, "the deferred import replaced the stand-in"
+assert %(solver)r in sys.modules
+
+curvature.linear_sum_assignment = lazy
+assert lly_curvature(g, 0, 1) == kappa
+from scipy.optimize import linear_sum_assignment
+assert curvature.linear_sum_assignment is linear_sum_assignment
+assert lly_curvature(g, 0, 1) == kappa and calls == [(7, 7)]
+print(kappa)
+""" % {"solver": SOLVER}
+
+
+def test_a_stand_in_set_before_the_first_solve_is_kept():
+    # Paley(13) is 6-regular: one B(0) -> B(1) problem on 7 + 7 vertices, kappa 2/3.
+    assert _fresh(_SEAM).stdout == "2/3\n"
