@@ -3,14 +3,19 @@
 All masses, costs, and curvature values are `fractions.Fraction` or integers;
 nothing in this module touches floating point. One private core serves
 `lly_curvature`, `ollivier_kappa_p` and `kappa_p_all_edges` on regular edges,
-one edge or all alike: each edge's zone, B(x) then B(y) or N(x) then N(y), is
-read from the endpoints' adjacency rows, and `certify_assignments` solves every
-zone's integer assignment, proven optimal by an integer 1-Lipschitz
-Kantorovich potential of equal value. A B-zone cost C gives kappa_LLY =
-(d+1-C)/d, an N-zone cost kappa_0 = (d-C)/d; idleness p runs the passes it
-needs and interpolates by the linearity theorem of Bourne et al. (SIAM J.
-Discrete Math. 32, 2018). The min-cost-flow transportation solve serves only
-irregular graphs and non-adjacent pairs.
+one edge or all alike. The uniform measures on B(x) and B(y) (or N(x) and
+N(y)) give equal mass to every shared vertex, so mu - nu, and with it W1 by
+Kantorovich-Rubinstein duality, depends only on the symmetric difference.
+Each edge's zone is therefore B(x) - B(y) then B(y) - B(x), or N(x) - N(y)
+then N(y) - N(x), read from the endpoints' adjacency rows; an edge in t
+triangles has d-1-t or d-t points per side. `certify_assignments` solves the
+zones of each size group as integer assignments, each proven optimal by an
+integer Kantorovich potential of equal value, 1-Lipschitz on the zone and so
+(McShane) on the graph; an empty zone costs 0 unsolved. A B-zone cost C gives
+kappa_LLY = (d+1-C)/d, an N-zone cost kappa_0 = (d-C)/d; idleness p runs the
+passes it needs and interpolates by the linearity theorem of Bourne et al.
+(SIAM J. Discrete Math. 32, 2018). The min-cost-flow transportation solve
+serves only irregular graphs and non-adjacent pairs.
 """
 
 from __future__ import annotations
@@ -311,22 +316,47 @@ def certify_assignments(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray,
     return costs, plans
 
 
-def _zones(g: Graph, edges, closed: bool) -> np.ndarray:
-    """Each edge's zone, sorted B(x) then B(y) or N(x) then N(y), from one row per endpoint."""
-    adj, index = g.adjacency, {}
-    ends = [[index.setdefault(v, len(index)) for v in edge] for edge in edges]
-    rows = np.array([sorted((v, *adj[v])) if closed else adj[v] for v in index])
-    return rows[ends].reshape(len(edges), -1)
+def _difference_costs(g: Graph, edges, closed: bool) -> list[int]:
+    """Each edge's certified cost on its difference zone, in edge order.
+
+    Edge (x, y) sends B(x) - B(y) to B(y) - B(x), or N(x) - N(y) to
+    N(y) - N(x) when not ``closed``, read off the endpoints' adjacency rows
+    (z is in B(v) iff z = v or z is a neighbour of v). One
+    `certify_assignments` call per zone size; an empty zone costs 0 unsolved.
+    """
+    adj = g.adjacency
+    balls: dict[int, set[int]] = {}
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for i, (x, y) in enumerate(edges):
+        for v in (x, y):
+            if v not in balls:
+                balls[v] = {v, *adj[v]} if closed else set(adj[v])
+        sources = [z for z in adj[x] if z not in balls[y]]
+        at, zones = groups.setdefault(len(sources), ([], []))
+        at.append(i)
+        zones.append(sources + [z for z in adj[y] if z not in balls[x]])
+    costs = [0] * len(edges)
+    for k, (at, zones) in groups.items():
+        if k:
+            group_costs, _ = certify_assignments(g, np.array(zones), [edges[i] for i in at])
+            for i, c in zip(at, group_costs.tolist()):
+                costs[i] = c
+    return costs
 
 
 def _kappa_lly(g: Graph, edges, d: int) -> list[Fraction]:
     """kappa_LLY = (d+1)/d * (1 - W) = (d+1-C)/d of each edge of a d-regular graph.
 
-    C is the edge's certified B-zone cost: an optimal plan between uniform
-    measures on d+1 vertices each is a bijection (Birkhoff), so W = C/(d+1).
+    C is the edge's certified cost on B(x) - B(y) -> B(y) - B(x). The uniform
+    measures on B(x) and B(y) put the same mass 1/(d+1) on every shared
+    vertex, so mu - nu, and with it W (Kantorovich-Rubinstein), lives on the
+    difference zone. The plan that fixes the shared vertices and follows the
+    certified bijection on the rest costs C/(d+1). The potential is checked
+    1-Lipschitz on the difference zone only; McShane extends it to the whole
+    graph with the same value on mu - nu, so no plan is cheaper and
+    W = C/(d+1).
     """
-    costs, _ = certify_assignments(g, _zones(g, edges, closed=True), edges)
-    return [Fraction(d + 1 - c, d) for c in costs.tolist()]
+    return [Fraction(d + 1 - c, d) for c in _difference_costs(g, edges, closed=True)]
 
 
 def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
@@ -336,9 +366,17 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
     (SIAM J. Discrete Math. 32, 2018), p -> kappa_p is linear on [0, 1/(d+1)]
     and on [1/(d+1), 1], and kappa_1 = 0:
 
-    - p >= 1/(d+1): (1-p) kappa_LLY, from the B(x) -> B(y) pass alone;
-    - p = 0: kappa_0 = (d-C)/d, from the N(x) -> N(y) pass alone (W = C/d);
+    - p >= 1/(d+1): (1-p) kappa_LLY, from the B pass alone (`_kappa_lly`);
+    - p = 0: kappa_0 = (d-C)/d, from the N pass alone (W = C/d);
     - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY, from both.
+
+    Each pass certifies only the difference zone of each edge: d-1-t points
+    per side in the B pass, d-t in the N pass for an edge in t triangles.
+    The N pass sends N(x) - N(y), which holds y, to N(y) - N(x), which holds
+    x; the mass 1/d on each shared neighbour cancels in mu - nu as in the B
+    pass, and a potential 1-Lipschitz on the zone extends by McShane. An
+    empty B difference (an edge of K_n) costs 0 without a solve; the N
+    difference is never empty.
     """
     if not edges:
         return []
@@ -348,8 +386,7 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
         kappa_lly = _kappa_lly(g, edges, d)
         if p >= knee:
             return [(1 - p) * k for k in kappa_lly]
-    costs, _ = certify_assignments(g, _zones(g, edges, closed=False), edges)
-    kappa_0 = [Fraction(d - c, d) for c in costs.tolist()]
+    kappa_0 = [Fraction(d - c, d) for c in _difference_costs(g, edges, closed=False)]
     if p == 0:
         return kappa_0
     return [k0 + ((1 - knee) * kl - k0) * p / knee for k0, kl in zip(kappa_0, kappa_lly)]
@@ -387,9 +424,11 @@ def kappa_p_all_edges(g: Graph, p: Fraction) -> list[tuple[int, int, Fraction]]:
 def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
     """Lin-Lu-Yau curvature of a regular edge, (d+1)/d * (1 - W) at idleness 1/(d+1).
 
-    W is the certified value of the B(x) -> B(y) assignment: an exact
-    primal plan plus an integer 1-Lipschitz potential of equal value.
+    W is the certified value of the B(x) - B(y) -> B(y) - B(x) assignment:
+    an exact primal plan plus an integer 1-Lipschitz potential of equal value.
     """
+    g.check_vertex(y)  # y, then x: the order in which ollivier_kappa_p's g.distance(x, y) checks
+    g.check_vertex(x)
     d = g.regular_degree()
     if d is None:
         raise CurvatureError("operation requires a regular graph")

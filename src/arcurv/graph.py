@@ -61,6 +61,8 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
 
     def is_edge(self, u: int, v: int) -> bool:
+        self.check_vertex(u)  # a negative index would wrap to n+u
+        self.check_vertex(v)
         return v in self._adj[u]
 
     def check_vertex(self, v: int) -> None:
@@ -169,6 +171,8 @@ class Graph:
         return best
 
     def common_neighbors(self, u: int, v: int) -> list[int]:
+        self.check_vertex(u)
+        self.check_vertex(v)
         if u == v:
             raise GraphError("common_neighbors requires distinct vertices")
         su, sv = set(self._adj[u]), set(self._adj[v])

@@ -52,6 +52,12 @@ def _balls(g, x, y):
     return sorted((x,) + g.neighbors(x)), sorted((y,) + g.neighbors(y))
 
 
+def _differences(g, x, y):
+    """B(x) - B(y) and B(y) - B(x), sorted: the zone halves of edge xy's B pass."""
+    bx, by = map(set, _balls(g, x, y))
+    return sorted(bx - by), sorted(by - bx)
+
+
 def _one_zone(g, sources, targets, edge):
     """W = C/k and the plan of one problem, through `certify_assignments`' one-zone branch.
 
@@ -360,10 +366,12 @@ class TestAssignmentWasserstein:
             lly_curvature(g, 0, 1)
 
     def test_reads_bfs_rows_of_the_two_balls_only(self):
+        # Only the rows of B(x) symmetric-difference B(y): not even x's or y's own.
         cases = ((gen_cycle(10**5), 500, 501, 0), (gen_hypercube(10), 0, 1, Fraction(1, 5)))
         for g, x, y, kappa in cases:
             assert lly_curvature(g, x, y) == kappa
-            assert set(g._dist_cache) == {x, y, *g.neighbors(x), *g.neighbors(y)}
+            assert set(g._dist_cache) == set().union(*_differences(g, x, y))
+        assert set(cases[0][0]._dist_cache) == {499, 502}
 
     def test_idleness_zero_supports(self):
         # N(0) = {1, 5} -> N(1) = {0, 2} on C6: 1 -> 2, 5 -> 0 costs 1 + 1,
@@ -457,21 +465,32 @@ class TestKantorovichCertificate:
 
 class TestRegularDispatch:
     def _count(self, monkeypatch, g):
-        """Record each `certify_assignments` pass as "B" or "N" and each flow solve."""
+        """Record each `certify_assignments` call as "B" or "N", by the pass it runs in.
+
+        Each min-cost-flow solve is recorded as "flow".
+        """
         import arcurv.curvature as curvature
 
-        calls = []
-        d = g.regular_degree()
-        certify, flow = curvature.certify_assignments, curvature.wasserstein
+        calls, running = [], []
+        costs, certify, flow = (curvature._difference_costs, curvature.certify_assignments,
+                                curvature.wasserstein)
+
+        def labelled_pass(graph, edges, closed):
+            running.append("B" if closed else "N")
+            try:
+                return costs(graph, edges, closed)
+            finally:
+                running.pop()
 
         def counting_certify(graph, zones, edges):
-            calls.append({2 * (d + 1): "B", 2 * d: "N"}[zones.shape[1]])
+            calls.append(running[-1])
             return certify(graph, zones, edges)
 
         def counting_flow(*args):
             calls.append("flow")
             return flow(*args)
 
+        monkeypatch.setattr(curvature, "_difference_costs", labelled_pass)
         monkeypatch.setattr(curvature, "certify_assignments", counting_certify)
         monkeypatch.setattr(curvature, "wasserstein", counting_flow)
         return calls
@@ -620,7 +639,7 @@ class TestBatchedAssignments:
 
         g = gen_hamming(3, 3)
         edge = g.edges()[66]
-        target = np.concatenate(_balls(g, *edge))
+        target = np.concatenate(_differences(g, *edge))
         gather = curvature._zone_blocks
 
         def shifted_gather(graph, zones):
@@ -635,6 +654,83 @@ class TestBatchedAssignments:
         monkeypatch.setattr(curvature, "_zone_blocks", shifted_gather)
         with pytest.raises(CurvatureError, match=_naming(edge, "plan cost")):
             kappa_p_all_edges(g, Fraction(1, 2))
+
+
+def _b_group_sizes(g):
+    """The sizes d-1-t of the B-pass difference zones, one per edge in t triangles."""
+    d = g.regular_degree()
+    return {d - 1 - len(g.common_neighbors(x, y)) for x, y in g.edges()}
+
+
+def _mixed_regular_graphs(count):
+    """The first ``count`` seeded random connected regular graphs with two or more
+    nonzero B-pass group sizes, so each pass certifies several groups."""
+    graphs, seed = [], 0
+    while len(graphs) < count:
+        g = random_connected_regular_graph(seed, max_n=12)
+        if len(_b_group_sizes(g) - {0}) >= 2:
+            graphs.append(g)
+        seed += 1
+    return graphs
+
+
+def _prism():
+    """C3 x K2: triangle edges lie in 1 triangle, the rungs (i, i+3) in none."""
+    return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+
+
+class TestDifferenceZones:
+    @pytest.mark.parametrize("g", [
+        *_mixed_regular_graphs(5), gen_complete(2), gen_complete(5), gen_cycle(4), gen_cycle(5),
+        gen_cycle(7), gen_hypercube(4), _prism(),
+    ], ids=[*(f"random{i}" for i in range(5)), "K2", "K5", "C4", "C5", "C7", "Q4", "prism"])
+    def test_batch_equals_flow_and_per_edge(self, monkeypatch, g):
+        d = g.regular_degree()
+        sizes = []
+        certify = curvature_module.certify_assignments
+
+        def recording_certify(graph, zones, edges):
+            sizes.append(zones.shape[1] // 2)
+            return certify(graph, zones, edges)
+
+        monkeypatch.setattr(curvature_module, "certify_assignments", recording_certify)
+        for p in (Fraction(0), Fraction(1, 2 * (d + 1)), Fraction(1, d + 1), Fraction(1, 2), Fraction(1)):
+            sizes.clear()
+            batch = kappa_p_all_edges(g, p)
+            if p == Fraction(1, 2):  # the B pass alone: one certified group per nonzero size
+                assert sorted(sizes) == sorted(_b_group_sizes(g) - {0})
+            assert batch == _sorted_edges_kappa_p(g, p)
+            assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
+            if p == Fraction(1, d + 1):  # kappa_p = (d/(d+1)) kappa_LLY at the knee
+                assert [(d + 1) * k / d for _, _, k in batch] == [lly_curvature(g, *e) for e in g.edges()]
+
+    def test_empty_difference_is_not_solved(self, monkeypatch):
+        # On K5, B(x) = B(y): the B pass costs 0 with no solve. N(x) - N(y) = {y}
+        # and N(y) - N(x) = {x} at distance 1, so kappa_0 = (4 - 1)/4.
+        def no_assignment(cost):
+            raise AssertionError("assignment solved on an empty difference")
+
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", no_assignment)
+        g = gen_complete(5)
+        assert _b_group_sizes(g) == {0}
+        assert lly_curvature(g, 0, 1) == Fraction(5, 4)
+        assert {k for _, _, k in curvature_all_edges(g).rows} == {Fraction(5, 4)}
+        assert {k for _, _, k in kappa_p_all_edges(g, Fraction(1, 2))} == {Fraction(5, 8)}
+        with pytest.raises(AssertionError, match="empty difference"):
+            kappa_p_all_edges(g, Fraction(0))
+        monkeypatch.undo()
+        assert {k for _, _, k in kappa_p_all_edges(g, Fraction(0))} == {Fraction(3, 4)}
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2)])
+    def test_names_the_edge_of_a_bad_answer_in_the_second_group(self, monkeypatch, p):
+        # The prism's six triangle edges form the first group (B pass: 1 point
+        # per side, N pass: 2), solved on calls 0-5; the rungs (0, 3), (1, 4),
+        # (2, 5) form the second (2 and 3 points), so (1, 4) is call 7.
+        g = _prism()
+        solver = _fail_on_call(7, lambda cost: linear_sum_assignment(-cost))
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", solver)
+        with pytest.raises(CurvatureError, match=_naming((1, 4), "not optimal")):
+            kappa_p_all_edges(g, p)
 
 
 @settings(max_examples=25, deadline=None)
@@ -668,6 +764,24 @@ class TestKappa:
             for p in (Fraction(0), Fraction(1, 2)):
                 with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
                     ollivier_kappa_p(g, x, y, p)
+
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_lly_rejects_a_vertex_outside_the_graph(self, bad):
+        # lly_curvature(C6, -1, 0) would otherwise pass is_edge as edge (5, 0).
+        g = gen_cycle(6)
+        for x, y in ((0, bad), (bad, 0), (bad, bad)):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                lly_curvature(g, x, y)
+
+    def test_lly_checks_vertices_in_the_order_of_kappa_p(self):
+        # Both vertices out of range: both functions name y.
+        g = gen_cycle(6)
+        for x, y in ((-1, 6), (6, -1), (-7, 9)):
+            expected = rf"^vertex {y} out of range 0\.\.5$"
+            with pytest.raises(GraphError, match=expected):
+                lly_curvature(g, x, y)
+            with pytest.raises(GraphError, match=expected):
+                ollivier_kappa_p(g, x, y, Fraction(1, 3))
 
     def test_lly_values(self):
         assert lly_curvature(gen_shrikhande(), 0, 1) == Fraction(1, 3)

@@ -81,6 +81,22 @@ class TestMetrics:
             with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
                 g.distance(u, v)
 
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_is_edge_rejects_a_vertex_outside_the_graph(self, bad):
+        # is_edge(-1, 0) would otherwise read vertex 5's row and answer True.
+        g = gen_cycle(6)
+        for u, v in ((0, bad), (bad, 0)):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                g.is_edge(u, v)
+
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_common_neighbors_rejects_a_vertex_outside_the_graph(self, bad):
+        # common_neighbors(-1, 1) would otherwise answer [0], as for vertex 5.
+        g = gen_cycle(6)
+        for u, v in ((1, bad), (bad, 1), (bad, bad)):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                g.common_neighbors(u, v)
+
     def test_h23_double_difference(self):
         g = gen_hamming(2, 3)
         # vertices 0 = (0,0) and 4 = (1,1) differ in both coordinates

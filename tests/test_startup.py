@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import arcurv
-from arcurv import dump_edge_list, gen_paley
+from arcurv import dump_edge_list, gen_complete, gen_paley
 from arcurv.cli import EXIT_INPUT, EXIT_OK, main
 
 SOLVER = "scipy.optimize"
@@ -54,6 +54,13 @@ def paley13_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def k5_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "k5.txt"
+    path.write_text(dump_edge_list(gen_complete(5)))
+    return str(path)
+
+
 def test_import_leaves_the_solver_out():
     done = _fresh(f"import sys, arcurv.cli; print({SOLVER!r} in sys.modules)")
     assert done.stdout == "False\n"
@@ -66,9 +73,11 @@ def test_import_leaves_the_solver_out():
     ["diameter", "{file}"],
     ["spectrum", "{file}"],
     ["curvature", "{file}", "--edge", "0", "2", "--p", "1/2"],
+    ["curvature", "{k5}", "--all"],  # B(x) = B(y) on every edge: nothing to solve
 ])
-def test_commands_without_an_assignment_never_import_the_solver(paley13_file, argv):
-    code, out, err, loaded = _fresh_main(*(a.format(file=paley13_file) for a in argv))
+def test_commands_without_an_assignment_never_import_the_solver(paley13_file, k5_file, argv):
+    argv = [a.format(file=paley13_file, k5=k5_file) for a in argv]
+    code, out, err, loaded = _fresh_main(*argv)
     assert (code, err, loaded) == (EXIT_OK, "", False)
     assert out
 
@@ -112,7 +121,7 @@ def stand_in(cost):
 
 curvature.linear_sum_assignment = stand_in
 kappa = lly_curvature(g, 0, 1)
-assert calls == [(7, 7)], calls
+assert calls == [(3, 3)], calls
 assert curvature.linear_sum_assignment is stand_in, "the deferred import replaced the stand-in"
 assert %(solver)r in sys.modules
 
@@ -120,11 +129,12 @@ curvature.linear_sum_assignment = lazy
 assert lly_curvature(g, 0, 1) == kappa
 from scipy.optimize import linear_sum_assignment
 assert curvature.linear_sum_assignment is linear_sum_assignment
-assert lly_curvature(g, 0, 1) == kappa and calls == [(7, 7)]
+assert lly_curvature(g, 0, 1) == kappa and calls == [(3, 3)]
 print(kappa)
 """ % {"solver": SOLVER}
 
 
 def test_a_stand_in_set_before_the_first_solve_is_kept():
-    # Paley(13) is 6-regular: one B(0) -> B(1) problem on 7 + 7 vertices, kappa 2/3.
+    # Paley(13) is (13,6,2,3): edge 0 1 lies in 2 triangles, so one
+    # B(0) - B(1) -> B(1) - B(0) problem on 3 + 3 vertices, kappa 2/3.
     assert _fresh(_SEAM).stdout == "2/3\n"
