@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -280,7 +281,13 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and shared by every later one.
+
+    Parsing reads the parser and never changes it, so repeated `main` calls
+    in one process reuse it; importing this module builds nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="arcurv",
         description="Exact curvature, matching-witness, and spectral verification of amply regular graphs.",
@@ -333,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     formats = _FORMATS[args.command]
     if args.format not in formats:
         print(

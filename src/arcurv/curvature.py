@@ -344,6 +344,13 @@ def _difference_costs(g: Graph, edges, closed: bool) -> list[int]:
     return costs
 
 
+def _per_cost(keys, value) -> list[Fraction]:
+    """``value(key)`` for each of ``keys`` in order, evaluated once per distinct key."""
+    keys = list(keys)
+    table = {key: value(key) for key in set(keys)}
+    return [table[key] for key in keys]
+
+
 def _kappa_lly(g: Graph, edges, d: int) -> list[Fraction]:
     """kappa_LLY = (d+1)/d * (1 - W) = (d+1-C)/d of each edge of a d-regular graph.
 
@@ -354,9 +361,9 @@ def _kappa_lly(g: Graph, edges, d: int) -> list[Fraction]:
     certified bijection on the rest costs C/(d+1). The potential is checked
     1-Lipschitz on the difference zone only; McShane extends it to the whole
     graph with the same value on mu - nu, so no plan is cheaper and
-    W = C/(d+1).
+    W = C/(d+1). The closed form is evaluated once per distinct C.
     """
-    return [Fraction(d + 1 - c, d) for c in _difference_costs(g, edges, closed=True)]
+    return _per_cost(_difference_costs(g, edges, closed=True), lambda c: Fraction(d + 1 - c, d))
 
 
 def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
@@ -366,7 +373,7 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
     (SIAM J. Discrete Math. 32, 2018), p -> kappa_p is linear on [0, 1/(d+1)]
     and on [1/(d+1), 1], and kappa_1 = 0:
 
-    - p >= 1/(d+1): (1-p) kappa_LLY, from the B pass alone (`_kappa_lly`);
+    - p >= 1/(d+1): (1-p) kappa_LLY, from the B pass alone (as in `_kappa_lly`);
     - p = 0: kappa_0 = (d-C)/d, from the N pass alone (W = C/d);
     - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY, from both.
 
@@ -376,20 +383,27 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
     x; the mass 1/d on each shared neighbour cancels in mu - nu as in the B
     pass, and a potential 1-Lipschitz on the zone extends by McShane. An
     empty B difference (an edge of K_n) costs 0 without a solve; the N
-    difference is never empty.
+    difference is never empty. Each closed form is evaluated once per
+    distinct key: the B cost, the N cost, or for the line the (N cost,
+    B cost) pair.
     """
     if not edges:
         return []
     d = g.regular_degree()
     knee = Fraction(1, d + 1)
     if p > 0:
-        kappa_lly = _kappa_lly(g, edges, d)
+        b_costs = _difference_costs(g, edges, closed=True)
         if p >= knee:
-            return [(1 - p) * k for k in kappa_lly]
-    kappa_0 = [Fraction(d - c, d) for c in _difference_costs(g, edges, closed=False)]
+            return _per_cost(b_costs, lambda c: (1 - p) * Fraction(d + 1 - c, d))
+    n_costs = _difference_costs(g, edges, closed=False)
     if p == 0:
-        return kappa_0
-    return [k0 + ((1 - knee) * kl - k0) * p / knee for k0, kl in zip(kappa_0, kappa_lly)]
+        return _per_cost(n_costs, lambda c: Fraction(d - c, d))
+
+    def line(costs: tuple[int, int]) -> Fraction:
+        kappa_0, kappa_lly = Fraction(d - costs[0], d), Fraction(d + 1 - costs[1], d)
+        return kappa_0 + ((1 - knee) * kappa_lly - kappa_0) * p / knee
+
+    return _per_cost(zip(n_costs, b_costs), line)
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:

@@ -48,9 +48,11 @@ class Graph:
         return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self.check_vertex(v)  # a negative index would wrap to n+v
         return self._adj[v]
 
     def degree(self, v: int) -> int:
+        self.check_vertex(v)
         return len(self._adj[v])
 
     def num_edges(self) -> int:
@@ -318,10 +320,11 @@ def detect_amply_params(g: Graph) -> DetectResult:
         raise GraphError("empty graph")
     if not g.is_connected():
         raise GraphError("detect_amply_params requires a connected graph")
-    d = g.degree(0)
+    adj = g.adjacency
+    d = len(adj[0])
     for v in range(1, g.n):
-        if g.degree(v) != d:
-            return AmplyViolation("not-regular", (0, v), g.degree(v), d)
+        if len(adj[v]) != d:
+            return AmplyViolation("not-regular", (0, v), len(adj[v]), d)
     alpha: Optional[int] = None
     for u, v in g.edges():
         c = len(g.common_neighbors(u, v))
@@ -333,7 +336,6 @@ def detect_amply_params(g: Graph) -> DetectResult:
     # walks u - w - v counts their common neighbors: O(n d^2) in all, scanned
     # in the order u ascending, then v ascending.
     beta: Optional[int] = None
-    adj = g.adjacency
     for u in range(g.n):
         ball = {u, *adj[u]}
         common = Counter(v for w in adj[u] for v in adj[w] if v > u and v not in ball)

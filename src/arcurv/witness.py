@@ -134,9 +134,8 @@ def _index_pairs(
     ``cols``.
     """
     col_index = {w: j for j, w in enumerate(cols)}
-    return [
-        (i, col_index[w]) for i, v in enumerate(rows) for w in g.neighbors(v) if w in col_index
-    ]
+    adj = g.adjacency
+    return [(i, col_index[w]) for i, v in enumerate(rows) for w in adj[v] if w in col_index]
 
 
 def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> TransportBipartite:
@@ -307,8 +306,8 @@ def certify_witness(
         raise WitnessError(f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}")
     pi0 = tuple(sorted([(v, v) for v in (*h.delta, h.x, h.y)] + [(r.v0, r.w0) for r in records]))
     if (
-        [v for v, _ in pi0] != sorted((h.x,) + g.neighbors(h.x))
-        or sorted(w for _, w in pi0) != sorted((h.y,) + g.neighbors(h.y))
+        [v for v, _ in pi0] != sorted((h.x,) + g.adjacency[h.x])
+        or sorted(w for _, w in pi0) != sorted((h.y,) + g.adjacency[h.y])
     ):
         raise WitnessError("plan marginals are not uniform on B(x) and B(y)")
     dists = [g.distances_from(v).item(w) for v, w in pi0]  # every mass is 1/(d+1)

@@ -674,6 +674,17 @@ def _mixed_regular_graphs(count):
     return graphs
 
 
+def _cost_pairs_outnumber_each_pass(g):
+    """Whether both passes of g have two or more distinct costs and g's distinct
+    (N cost, B cost) pairs outnumber the distinct costs of either pass, so some
+    edges share their B cost but not their N cost, and others the reverse."""
+    edges = g.edges()
+    b_costs = curvature_module._difference_costs(g, edges, closed=True)
+    n_costs = curvature_module._difference_costs(g, edges, closed=False)
+    distinct = (len(set(b_costs)), len(set(n_costs)))
+    return min(distinct) > 1 and len(set(zip(n_costs, b_costs))) > max(distinct)
+
+
 def _prism():
     """C3 x K2: triangle edges lie in 1 triangle, the rungs (i, i+3) in none."""
     return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
@@ -720,6 +731,17 @@ class TestDifferenceZones:
             kappa_p_all_edges(g, Fraction(0))
         monkeypatch.undo()
         assert {k for _, _, k in kappa_p_all_edges(g, Fraction(0))} == {Fraction(3, 4)}
+
+    def test_the_line_below_the_knee_is_keyed_by_both_costs(self):
+        # For 0 < p < 1/(d+1), kappa_p is one value per (N cost, B cost) pair;
+        # on this graph a value kept per B cost or per N cost alone would be
+        # wrong on some edge.
+        g = next(g for g in (random_connected_regular_graph(seed, max_n=10) for seed in range(100))
+                 if _cost_pairs_outnumber_each_pass(g))
+        d = g.regular_degree()
+        for p in (Fraction(1, 2 * (d + 1)), Fraction(1, 3 * (d + 1))):
+            batch = kappa_p_all_edges(g, p)
+            assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
 
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2)])
     def test_names_the_edge_of_a_bad_answer_in_the_second_group(self, monkeypatch, p):

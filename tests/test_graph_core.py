@@ -97,6 +97,15 @@ class TestMetrics:
             with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
                 g.common_neighbors(u, v)
 
+    @pytest.mark.parametrize("bad", [6, -1, -7])
+    def test_neighbors_and_degree_reject_a_vertex_outside_the_graph(self, bad):
+        # neighbors(-1) would otherwise answer vertex 5's (0, 4), and neighbors(6)
+        # raise a bare IndexError.
+        g = gen_cycle(6)
+        for method in (g.neighbors, g.degree):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
+                method(bad)
+
     def test_h23_double_difference(self):
         g = gen_hamming(2, 3)
         # vertices 0 = (0,0) and 4 = (1,1) differ in both coordinates

@@ -1,8 +1,10 @@
-"""The start-up path: which commands import scipy's assignment solver.
+"""The start-up path: which commands import scipy's assignment solver, when
+the CLI's parser is built, and that repeated `main` calls in one process
+answer as fresh processes do.
 
-Each case runs in a fresh interpreter (``sys.executable -c``), since the test
-process itself has long since imported scipy. Only `sys.modules` is read;
-nothing here is timed.
+Each case runs in a fresh interpreter (``sys.executable -c`` or ``-m``),
+since the test process itself has long since imported scipy and built the
+parser. Nothing here is timed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 import arcurv
 from arcurv import dump_edge_list, gen_complete, gen_paley
-from arcurv.cli import EXIT_INPUT, EXIT_OK, main
+from arcurv.cli import _FORMATS, EXIT_INPUT, EXIT_OK, main
 
 SOLVER = "scipy.optimize"
 SRC = str(Path(arcurv.__file__).resolve().parents[1])
@@ -34,11 +36,16 @@ print(json.dumps([code, out.getvalue(), err.getvalue(), %r in sys.modules]))
 """ % SOLVER
 
 
-def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _run(*args: str) -> subprocess.CompletedProcess:
+    """A fresh ``sys.executable`` on ``args`` that imports arcurv from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    done = _run("-c", code, *argv)
     assert done.returncode == 0, done.stderr
     return done
 
@@ -64,6 +71,61 @@ def k5_file(tmp_path_factory):
 def test_import_leaves_the_solver_out():
     done = _fresh(f"import sys, arcurv.cli; print({SOLVER!r} in sys.modules)")
     assert done.stdout == "False\n"
+
+
+# Counts the argparse parsers built by importing arcurv.cli, then by a first
+# and a second main call (the parser and one subparser per command).
+_PARSERS = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+import arcurv.cli
+counts = [len(built)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        arcurv.cli.main(["search", "5", "2", "0", "1"])
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_import_builds_no_parser_and_main_builds_it_once():
+    imported, first, second = json.loads(_fresh(_PARSERS).stdout)
+    assert imported == 0
+    assert first == second == 1 + len(_FORMATS)
+
+
+def test_repeated_main_calls_answer_as_fresh_processes(tmp_path, paley13_file, capsys,
+                                                       monkeypatch):
+    # One parser serves every call: a JSON call must not leave text calls in
+    # JSON, and an argparse error or a refused input must not leave state
+    # behind for the next call.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    huge = tmp_path / "huge.txt"
+    huge.write_text("3000000 0\n")
+    sequence = [
+        ["--format", "json", "params", paley13_file],
+        ["params", paley13_file],
+        ["search", "5", "x", "0", "1"],
+        ["--size-cap", "10", "verify", str(huge)],
+        ["curvature", paley13_file, "--all", "--p", "1/2"],
+    ]
+    for argv, expected_code in zip(sequence, [EXIT_OK, EXIT_OK, EXIT_INPUT, EXIT_INPUT, EXIT_OK]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = _run("-m", "arcurv.cli", *argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == expected_code
+    assert fresh.stdout.count("\n") == 39  # (13,6,2,3): one line per edge
 
 
 @pytest.mark.parametrize("argv", [
