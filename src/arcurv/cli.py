@@ -268,9 +268,18 @@ def _cmd_diameter(args) -> int:
     return EXIT_OK
 
 
+def _search_beta(text: str) -> int | None:
+    """The ``search`` beta argument: an integer, or 'none' or '-' for no distance-2 pair."""
+    if text in ("none", "-"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, 'none' or '-', got {text!r}") from None
+
+
 def _cmd_search(args) -> int:
-    beta = None if args.beta in ("none", "-") else int(args.beta)
-    found = search_amply(args.n, args.d, args.alpha, beta)
+    found = search_amply(args.n, args.d, args.alpha, args.beta)
     if found is None:
         print("none")
         reason = infeasibility_reason(args.n, args.d, args.alpha)
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("n", type=int)
     p_search.add_argument("d", type=int)
     p_search.add_argument("alpha", type=int)
-    p_search.add_argument("beta", help="integer, or 'none' for no distance-2 pair")
+    p_search.add_argument("beta", type=_search_beta, help="integer, or 'none' for no distance-2 pair")
     p_search.set_defaults(func=_cmd_search)
 
     return parser

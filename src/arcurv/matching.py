@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 
@@ -40,23 +41,25 @@ class Bipartite:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, w) for u in range(self.left_n) for w in self.adj[u]]
 
-    def right_degrees(self) -> list[int]:
+    @cached_property
+    def right_degrees(self) -> tuple[int, ...]:
+        """Degree of each right vertex, counted at the first use and kept."""
         degs = [0] * self.right_n
         for u in range(self.left_n):
             for w in self.adj[u]:
                 degs[w] += 1
-        return degs
+        return tuple(degs)
 
     def min_degree(self) -> int:
         """Smallest degree over both sides; 0 on an empty side."""
-        return min(min(map(len, self.adj), default=0), min(self.right_degrees(), default=0))
+        return min(min(map(len, self.adj), default=0), min(self.right_degrees, default=0))
 
     def regular_degree(self) -> Optional[int]:
         """Common degree if k-regular with equal sides, else None."""
         if self.left_n != self.right_n or self.left_n == 0:
             return None
         left = {len(a) for a in self.adj}
-        right = set(self.right_degrees())
+        right = set(self.right_degrees)
         if len(left) == 1 and left == right:
             return left.pop()
         return None

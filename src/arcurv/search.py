@@ -34,11 +34,21 @@ def search_amply(
     """First d-regular graph on n vertices that is amply regular with (alpha, beta).
 
     Exhaustive backtracking over edge slots in lexicographic pair order, edge
-    present first, then absent. Vertex 0 is pinned to neighbors 1..d (every
-    candidate has such a relabeling), so one representative per orbit of that
-    pinning is enough. Neighborhoods are int bitmasks. No prune cuts a graph
-    that passes the final ``detect_amply_params`` check, so the first hit is
-    the first such leaf in this order:
+    present first, then absent, so leaves are met in decreasing lex order of
+    the slot string. Vertex 0 is pinned to neighbors 1..d (every candidate has
+    such a relabeling), so one representative per orbit of that pinning is
+    enough. Neighborhoods are int bitmasks.
+
+    Before backtracking, the counting identity d(d-1-alpha) = k2*beta, with k2
+    the number of vertices at distance 2 from any vertex (Brouwer, Cohen and
+    Neumaier 1989, 1.1), must give an integer k2 >= 0 with 1 + d + k2 <= n.
+    With no distance-2 pair (``beta`` None or 0) only K_1 and K_{d+1} remain.
+
+    The valid graphs under the pinning are closed under swapping two vertices
+    in the same block, {1..d} or {d+1..n-1}, so the first hit is the
+    lex-greatest valid graph. Every prune below cuts only a graph that fails
+    the final ``detect_amply_params`` check, or one whose slot string is
+    below that of a relabeling, so none cuts the first hit:
 
     - degree: no vertex goes past d, and each keeps enough undecided slots
       to reach d;
@@ -48,7 +58,12 @@ def search_amply(
       a < u are decided, so the pair (a, u) is final. An adjacent pair must
       have exactly alpha common neighbors; a non-adjacent pair with a common
       neighbor is at distance 2, so it must have exactly beta (and
-      ``beta=None``, which asks for no distance-2 pair, ends the branch).
+      ``beta=None``, which asks for no distance-2 pair, ends the branch);
+    - lex leader (Crawford, Ginsberg, Luks and Roy 1996): swapping i and i+1
+      of one block must not give a greater slot string. Once rows 0..i-1
+      are decided, the first row where the columns of i and i+1 differ must
+      have the edge at i; if they never differ, once row i+1 is decided the
+      first column above i+1 where rows i and i+1 differ must have it at i.
 
     Absence is returned as None. Negative parameters raise ``GraphError``.
     """
@@ -61,6 +76,13 @@ def search_amply(
         )
     if n < 1 or d >= n or infeasibility_reason(n, d, alpha) is not None:
         return None
+    if not beta:
+        if n > 1 and (n != d + 1 or alpha != d - 1):
+            return None
+    else:
+        k2, rest = divmod(d * (d - 1 - alpha), beta)
+        if rest or k2 < 0 or 1 + d + k2 > n:
+            return None
     # neighborhood bitmasks, vertex 0 pinned to 1..d
     nb = [(1 << d + 1) - 2] + [1] * d + [0] * (n - 1 - d)
     # (u, v, undecided slots at u after this one, undecided slots at v after it)
@@ -86,6 +108,19 @@ def search_amply(
         return True
 
     def completed_ok(u: int) -> bool:
+        # lex leader: columns of u+1, u+2 over rows 0..u, then tails of rows u-1, u.
+        # Row 0 tells the blocks apart: for i = d the columns first differ
+        # there, at d's edge, so a pair across the blocks is never cut.
+        i = u + 1
+        if i + 1 < n:
+            diff = (nb[i] ^ nb[i + 1]) & ((1 << i) - 1)
+            if diff and not nb[i] & diff & -diff:
+                return False
+        i = u - 1
+        if i and not (nb[i] ^ nb[u]) & ((1 << i) - 1):
+            diff = (nb[i] ^ nb[u]) >> u + 1
+            if diff and not nb[i] >> u + 1 & diff & -diff:
+                return False
         for a in range(u):
             c = (nb[a] & nb[u]).bit_count()
             if nb[u] >> a & 1:

@@ -373,11 +373,24 @@ class TestSpectrumDiameterSearch:
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error: search parameters must be nonnegative")
 
+    @pytest.mark.parametrize("beta", ["foo", "1.5", "None"])
+    def test_search_malformed_beta_is_an_argument_error(self, capsys, beta):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "5", "2", "0", beta])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument beta: expected an integer, 'none' or '-', got '{beta}'\n"
+        )
+
     def test_search_beta_none(self, capsys):
         code, out, _ = run(capsys, "search", "4", "3", "2", "none")
         assert code == EXIT_OK
         g = load_edge_list(out)
         assert g.num_edges() == 6  # K4
+
+    def test_search_beta_dash_is_none(self, capsys):
+        assert run(capsys, "search", "4", "3", "2", "-") == run(capsys, "search", "4", "3", "2", "none")
 
 
 def test_gen_params_pipe(capsys, monkeypatch):

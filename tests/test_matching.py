@@ -262,6 +262,14 @@ class TestMatchingThroughEdge:
         with pytest.raises(MatchingError):
             matching_through_edge(bipartite_cycle(6), (0, 2))
 
+    def test_two_decompositions_share_one_right_degree_count(self):
+        b = bipartite_cycle(6)
+        degrees = b.right_degrees
+        assert degrees == (2, 2, 2)
+        konig_decomposition(b)
+        matching_through_edge(b, (0, 0))
+        assert b.right_degrees is degrees
+
 
 class TestDensePerfectMatching:
     def test_k22(self):
