@@ -39,7 +39,6 @@ from .matching import (
     dense_perfect_matching,
     konig_decomposition,
     matching_through_edge,
-    max_matching,
 )
 from .report import VerificationReport, verify_graph
 from .search import infeasibility_reason, search_amply

@@ -65,15 +65,19 @@ _FAMILIES = {
 }
 
 
-def _read_graph(path: str, spectrum_cap: int | None = None) -> Graph:
-    """The graph in ``path`` ("-" is stdin), refused past ``spectrum_cap`` before it is built."""
+def _check_size_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise GraphError(f"graph size {n} exceeds size cap {cap}")
+
+
+def _read_graph(path: str, cap: int, check_cap=_check_size_cap) -> Graph:
+    """The graph in ``path`` ("-" is stdin), refused by ``check_cap`` past ``cap`` unbuilt."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    if spectrum_cap is not None:
-        check_spectrum_cap(edge_list_order(text), spectrum_cap)
+    check_cap(edge_list_order(text), cap)
     return load_edge_list(text)
 
 
@@ -103,7 +107,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, args.size_cap or gen.DEFAULT_SIZE_CAP)
     result = detect_amply_params(g)
     if isinstance(result, AmplyViolation):
         if args.format == "json":
@@ -159,7 +163,7 @@ def _cmd_curvature(args) -> int:
     if args.all and args.edge is not None:
         print("error: pass --all or --edge u v, not both", file=sys.stderr)
         return EXIT_INPUT
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, args.size_cap or gen.DEFAULT_SIZE_CAP)
     rows = _curvature_rows(g, args)
     if args.format == "json":
         print(json.dumps([
@@ -177,7 +181,8 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_verify(args) -> int:
     cap = args.size_cap or DEFAULT_SPECTRUM_CAP
-    report = verify_graph(_read_graph(args.file, cap), graph_id=args.file, spectrum_cap=cap)
+    g = _read_graph(args.file, cap, check_spectrum_cap)
+    report = verify_graph(g, graph_id=args.file, spectrum_cap=cap)
     if args.format == "json":
         print(json.dumps(report_to_dict(report), sort_keys=True))
     elif args.format == "csv":
@@ -222,7 +227,7 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
 
 
 def _cmd_hgraph(args) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, args.size_cap or gen.DEFAULT_SIZE_CAP)
     x, y = _edge(g, args.edge)
     payload = _hgraph_payload(g, x, y)
     if args.format == "json":
@@ -246,7 +251,7 @@ def _cmd_hgraph(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cap = args.size_cap or DEFAULT_SPECTRUM_CAP
-    g = _read_graph(args.file, cap)
+    g = _read_graph(args.file, cap, check_spectrum_cap)
     if g.n == 0:
         raise GraphError("empty graph")
     spec = adjacency_spectrum(g, cap=cap)
@@ -263,7 +268,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    g = _read_graph(args.file)
+    g = _read_graph(args.file, args.size_cap or gen.DEFAULT_SIZE_CAP)
     print(g.diameter())
     return EXIT_OK
 
@@ -302,7 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact curvature, matching-witness, and spectral verification of amply regular graphs.",
     )
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    parser.add_argument("--size-cap", type=int, default=0, help="override generator/spectrum size caps")
+    parser.add_argument(
+        "--size-cap", type=int, default=0,
+        help=f"vertex cap for gen and for every command that reads a graph file; 0 (the default) "
+             f"means the command's own cap: {DEFAULT_SPECTRUM_CAP} for verify and spectrum, "
+             f"{gen.DEFAULT_SIZE_CAP} otherwise",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit a builtin family as an edge list")

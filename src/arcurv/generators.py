@@ -22,6 +22,8 @@ def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """
     if p < 1 or q < 2:
         raise GraphError(f"gen_hamming requires p >= 1, q >= 2, got ({p}, {q})")
+    if q > size_cap or p > size_cap.bit_length():  # then q**p > size_cap: refused uncomputed
+        raise GraphError(f"H({p},{q}) has {q}^{p} vertices, exceeding cap {size_cap}")
     n = q**p
     _check_size(f"H({p},{q})", n, size_cap)
     tuples = list(product(range(q), repeat=p))

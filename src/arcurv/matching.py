@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -69,22 +69,7 @@ class Bipartite:
 class Matching:
     """Partial injection left -> right; ``pairs`` maps left index to right index."""
 
-    pairs: dict[int, int] = field(default_factory=dict)
-
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def is_perfect(self, b: Bipartite) -> bool:
-        return b.left_n == b.right_n and len(self.pairs) == b.left_n
-
-    def validate(self, b: Bipartite) -> None:
-        seen_right = set()
-        for u, w in self.pairs.items():
-            if w not in b.adj[u]:
-                raise MatchingError(f"matched pair ({u}, {w}) is not an edge")
-            if w in seen_right:
-                raise MatchingError(f"right vertex {w} covered twice")
-            seen_right.add(w)
+    pairs: dict[int, int]
 
 
 def _kuhn(adj, right_n: int) -> list[int]:
@@ -117,11 +102,11 @@ def _kuhn(adj, right_n: int) -> list[int]:
     return match_l
 
 
-def max_matching(b: Bipartite) -> Matching:
-    """Maximum-cardinality matching by Kuhn's search, in ascending order (see ``_kuhn``)."""
-    m = Matching({u: w for u, w in enumerate(_kuhn(b.adj, b.right_n)) if w >= 0})
-    m.validate(b)
-    return m
+def _perfect(match_l: list[int], n: int) -> list[int]:
+    """Kuhn's result ``match_l``, checked perfect on n left vertices: each matched, no two alike."""
+    if len(match_l) != n or min(match_l, default=0) < 0 or len(set(match_l)) != n:
+        raise MatchingError("internal error: Kuhn's search found no perfect matching")
+    return match_l
 
 
 def konig_decomposition(b: Bipartite) -> list[Matching]:
@@ -129,11 +114,11 @@ def konig_decomposition(b: Bipartite) -> list[Matching]:
 
     Each round extracts the perfect matching that Kuhn's search finds in the
     remaining graph and removes it, leaving a (k-1)-regular graph. Every
-    round is checked as it runs: each left vertex is matched, no right
-    vertex twice, and each matched edge is removed from the remaining
-    edges, so a non-edge or an edge of an earlier class raises. With no
-    edge left over after k rounds, the classes are perfect, pairwise
-    edge-disjoint, and their union is exactly the edge set.
+    round is checked as it runs: ``_perfect`` checks that each left vertex
+    is matched and no right vertex twice, and each matched edge is removed
+    from the remaining edges, so a non-edge or an edge of an earlier class
+    raises. With no edge left over after k rounds, the classes are perfect,
+    pairwise edge-disjoint, and their union is exactly the edge set.
     """
     k = b.regular_degree()
     if k is None or k < 1:
@@ -142,9 +127,7 @@ def konig_decomposition(b: Bipartite) -> list[Matching]:
     adj = [sorted(nbrs) for nbrs in b.adj]
     classes: list[Matching] = []
     for _ in range(k):
-        match_l = _kuhn(adj, n)
-        if len(match_l) != n or min(match_l) < 0 or len(set(match_l)) != n:
-            raise MatchingError("internal error: a round found no perfect matching")
+        match_l = _perfect(_kuhn(adj, n), n)
         try:
             list(map(list.remove, adj, match_l))  # adj[u].remove(match_l[u]) for every u
         except ValueError:  # a non-edge, or an edge of an earlier class
@@ -171,16 +154,18 @@ def matching_through_edge(b: Bipartite, e: tuple[int, int]) -> Matching:
 
 
 def dense_perfect_matching(b: Bipartite) -> Matching:
-    """Perfect matching of a balanced bipartite graph with min degree >= n/2."""
+    """Perfect matching of a balanced bipartite graph with min degree >= n/2.
+
+    Kuhn's result is checked perfect by ``_perfect``, and each of its pairs
+    is checked to be an edge.
+    """
     if b.left_n != b.right_n:
         raise MatchingError("dense_perfect_matching requires equal side sizes")
     n = b.left_n
-    if n == 0:
-        return Matching({})
     min_deg = b.min_degree()
     if 2 * min_deg < n:
         raise MatchingError(f"min degree {min_deg} below n/2 = {n}/2")
-    m = max_matching(b)
-    if not m.is_perfect(b):
-        raise MatchingError("internal error: dense graph without perfect matching")
-    return m
+    match_l = _perfect(_kuhn(b.adj, n), n)
+    if any(w not in row for row, w in zip(b.adj, match_l)):
+        raise MatchingError("internal error: a matched pair is not an edge")
+    return Matching(dict(enumerate(match_l)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional
 
 from . import witness as wit
 from .curvature import CurvatureTable, curvature_all_edges
@@ -336,29 +336,9 @@ def _encode(value):
     return value
 
 
-def _decode(tp, value):
-    if type(None) in get_args(tp):  # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [a for a in get_args(tp) if a is not type(None)]
-    if get_origin(tp) is tuple:  # tuple[X, ...]
-        return tuple(_decode(get_args(tp)[0], v) for v in value)
-    if tp is Fraction:
-        return Fraction(value)
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(tp)})
-    return value
-
-
 def report_to_dict(r: VerificationReport) -> dict:
     """JSON-ready dict: field names as keys, Fractions as "p/q", tuples as lists."""
     return _encode(r)
-
-
-def report_from_dict(data: dict) -> VerificationReport:
-    """Inverse of ``report_to_dict``, driven by the dataclasses' type hints."""
-    return _decode(VerificationReport, data)
 
 
 def _display(x: float) -> str:

@@ -50,7 +50,7 @@ class TransportBipartite:
     z_1..z_alpha (resp. their primed copies) in sorted host order, and
     [p+alpha, p+alpha+delta-1) are synthetic copies of x (resp. x'), where
     delta = beta - alpha. Right index i of a z/x-copy is the primed twin of
-    left index i.
+    left index i. ``b`` holds H's edges as the sorted rows that Konig reads.
     """
 
     x: int
@@ -62,21 +62,35 @@ class TransportBipartite:
     ny: tuple[int, ...]
     delta: tuple[int, ...]
     num_copies: int
-    edge_classes: tuple[tuple[tuple[int, int], ...], ...]  # classes 1..8
+    b: Bipartite
 
     @property
     def side_size(self) -> int:
         return len(self.nx) + len(self.delta) + self.num_copies
 
-    def all_edges(self) -> list[tuple[int, int]]:
-        """Every edge of H, class by class."""
-        return [e for cls in self.edge_classes for e in cls]
+    @property
+    def edge_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """E1..E8 of H, read off ``b`` by the index range of each end.
 
-    def to_bipartite(self) -> Bipartite:
-        rows: list[list[int]] = [[] for _ in range(self.side_size)]
-        for l, r in self.all_edges():
-            rows[l].append(r)
-        return Bipartite(self.side_size, self.side_size, tuple(tuple(sorted(r)) for r in rows))
+        Each class is in (left, right) order, except E7 (Delta to x'-copy),
+        which is in copy-major order: by x'-copy, then by z.
+        """
+        p, a, s = len(self.nx), len(self.delta), self.side_size
+
+        def block(lo: int, hi: int, r_lo: int, r_hi: int) -> tuple[tuple[int, int], ...]:
+            return tuple((l, r) for l in range(lo, hi) for r in self.b.adj[l] if r_lo <= r < r_hi)
+
+        delta_pairs = block(p, p + a, p, p + a)
+        return (
+            block(0, p, 0, p),  # E1
+            block(0, p, p, p + a),  # E2
+            block(p, p + a, 0, p),  # E3
+            tuple(e for e in delta_pairs if e[0] == e[1]),  # E4
+            tuple(e for e in delta_pairs if e[0] != e[1]),  # E5
+            block(p + a, s, p, p + a),  # E6
+            tuple(sorted(block(p, p + a, p + a, s), key=lambda e: e[1])),  # E7
+            block(p + a, s, p + a, s),  # E8
+        )
 
     def z1_edge(self) -> tuple[int, int]:
         """The diagonal edge z_1 z_1' (z_1 = smallest host index in Delta)."""
@@ -104,8 +118,6 @@ class TransportBipartite:
 class RegularityCheck:
     ok: bool
     expected: int
-    left_degrees: tuple[int, ...]
-    right_degrees: tuple[int, ...]
     offender: Optional[str] = None
 
 
@@ -122,20 +134,6 @@ class ChainRecord(NamedTuple):
     rho: int
     k: int
     ok: bool
-
-
-def _index_pairs(
-    g: Graph, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """(i, j) for every host edge rows[i] ~ cols[j], from one scan of each sorted row.
-
-    With ``rows`` and ``cols`` each in sorted host order, the pairs come out
-    ascending in i and, within one i, ascending in j over any sorted run of
-    ``cols``.
-    """
-    col_index = {w: j for j, w in enumerate(cols)}
-    adj = g.adjacency
-    return [(i, col_index[w]) for i, v in enumerate(rows) for w in adj[v] if w in col_index]
 
 
 def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> TransportBipartite:
@@ -156,20 +154,17 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
     copies = params.beta - params.alpha - 1
     assert len(part.delta) == a and len(part.ny) == p
     # Right indices [0, p) are N_y and [p, p+a) are Delta, so one scan of
-    # each N_x and Delta row finds both of its classes, each in (i, j) order.
-    right = part.ny + part.delta
-    from_nx = _index_pairs(g, part.nx, right)
-    from_delta = [(p + i, j) for i, j in _index_pairs(g, part.delta, right)]
-    classes = (
-        [e for e in from_nx if e[1] < p],  # E1
-        [e for e in from_nx if e[1] >= p],  # E2
-        [e for e in from_delta if e[1] < p],  # E3
-        [(p + i, p + i) for i in range(a)],  # E4
-        [e for e in from_delta if e[1] >= p],  # E5
-        [(p + a + i, p + j) for i in range(copies) for j in range(a)],  # E6
-        [(p + j, p + a + i) for i in range(copies) for j in range(a)],  # E7
-        [(p + a + i, p + a + j) for i in range(copies) for j in range(copies)],  # E8
-    )
+    # each N_x and Delta row finds its host edges of E1-E3 and E5. A Delta
+    # row adds its diagonal (E4) and every x'-copy (E7); an x-copy row is
+    # every Delta' and x'-copy (E6, E8).
+    col_index = {w: j for j, w in enumerate(part.ny + part.delta)}
+    adj = g.adjacency
+    s = p + a + copies
+    rows = [tuple(sorted(col_index[w] for w in adj[v] if w in col_index)) for v in part.nx]
+    for i, z in enumerate(part.delta):
+        host = [col_index[w] for w in adj[z] if w in col_index]
+        rows.append(tuple(sorted(host + [p + i])) + tuple(range(p + a, s)))
+    rows += [tuple(range(p, s))] * copies
     return TransportBipartite(
         x=x,
         y=y,
@@ -180,34 +175,27 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
         ny=part.ny,
         delta=part.delta,
         num_copies=copies,
-        edge_classes=tuple(tuple(c) for c in classes),
+        b=Bipartite(s, s, tuple(rows)),
     )
 
 
 def check_h_regular(h: TransportBipartite) -> RegularityCheck:
-    """Verify that every auxiliary vertex has degree exactly beta - 1."""
-    size = h.side_size
-    left = [0] * size
-    right = [0] * size
-    for l, r in h.all_edges():
-        left[l] += 1
-        right[r] += 1
+    """Verify that every auxiliary vertex has degree exactly beta - 1.
+
+    Left degrees are the lengths of ``h.b``'s rows, and right degrees are
+    ``h.b``'s cached count, which Konig reads too.
+    """
+    adj, right = h.b.adj, h.b.right_degrees
     expected = h.beta - 1
     offender = None
-    for i in range(size):
-        if left[i] != expected:
-            offender = f"left {h.left_name(i)} has degree {left[i]}"
+    for i in range(h.side_size):
+        if len(adj[i]) != expected:
+            offender = f"left {h.left_name(i)} has degree {len(adj[i])}"
             break
         if right[i] != expected:
             offender = f"right {h.right_name(i)} has degree {right[i]}"
             break
-    return RegularityCheck(
-        ok=offender is None,
-        expected=expected,
-        left_degrees=tuple(left),
-        right_degrees=tuple(right),
-        offender=offender,
-    )
+    return RegularityCheck(ok=offender is None, expected=expected, offender=offender)
 
 
 def verify_lemma_3_3(
@@ -265,15 +253,14 @@ class WitnessCertificate:
 def certify_witness(
     g: Graph,
     h: TransportBipartite,
-    b: Bipartite,
     reg: RegularityCheck,
     classes: tuple[Matching, ...],
     class_records: tuple[tuple[ChainRecord, ...], ...],
 ) -> WitnessCertificate:
     """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) on a built H of edge xy.
 
-    ``b`` is ``h.to_bipartite()``, ``reg`` is ``check_h_regular(h)``, and
-    ``classes`` and ``class_records`` are the Konig classes of ``b`` and the
+    ``reg`` is ``check_h_regular(h)``, and ``classes`` and
+    ``class_records`` are the Konig classes of ``h.b`` and the
     chain records of each class walked, as ``edge_witness`` keeps them.
     Picks the class through z_1 z_1' and reads its chains from that walk;
     then checks the whole chain of inequalities: regularity, the z_1 z_1'
@@ -289,7 +276,7 @@ def certify_witness(
     if not reg.ok:
         raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {reg.offender}")
     z1l, z1r = h.z1_edge()
-    m = matching_through_edge(b, (z1l, z1r))
+    m = matching_through_edge(h.b, (z1l, z1r))
     if m.pairs.get(z1l) != z1r:
         raise WitnessError("matching does not contain the z1 z1' edge")
     i = classes.index(m)
@@ -350,16 +337,15 @@ class EdgeWitness:
 def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     """Run the witness pipeline of edge xy once and keep every step's outcome.
 
-    Builds H, its ``Bipartite`` and its regularity check, decomposes H into
+    Builds H and its regularity check, decomposes H into
     its Konig classes, checks Lemma 3.3 on each class, and certifies the
     lower bound from those walks. A failed step's ``WitnessError`` is kept
     as its message. An H that is not (beta-1)-regular is not decomposed,
     and the regularity message is kept as the walk's.
     """
     h = build_transport_bipartite(g, x, y, params)
-    b = h.to_bipartite()
     reg = check_h_regular(h)
-    classes = tuple(konig_decomposition(b)) if reg.ok else ()
+    classes = tuple(konig_decomposition(h.b)) if reg.ok else ()
     walked: list[tuple[ChainRecord, ...]] = []
     walk_error = None if reg.ok else f"auxiliary graph is not (beta-1)-regular: {reg.offender}"
     for m in classes:
@@ -371,7 +357,7 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     class_records = tuple(walked)
     certificate, certify_error = None, None
     try:
-        certificate = certify_witness(g, h, b, reg, classes, class_records)
+        certificate = certify_witness(g, h, reg, classes, class_records)
     except WitnessError as exc:
         certify_error = str(exc)
     return EdgeWitness(
@@ -410,7 +396,10 @@ def prop_3_1_certificate(
         )
     part = edge_partition(g, x, y)
     p = len(part.nx)
-    b = Bipartite.from_edges(p, p, _index_pairs(g, part.nx, part.ny))
+    # N_y and each adjacency row are in sorted host order, so each row's indices ascend.
+    col_index = {w: j for j, w in enumerate(part.ny)}
+    b = Bipartite(p, p, tuple(tuple(col_index[w] for w in g.adjacency[v] if w in col_index)
+                              for v in part.nx))
     m = dense_perfect_matching(b)
     upper = Fraction(2 + params.alpha, params.d)
     if kappa != upper:

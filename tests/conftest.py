@@ -69,6 +69,13 @@ def plan_cost(g: Graph, plan) -> Fraction:
     return total
 
 
+def is_perfect(m, b) -> bool:
+    """Matching ``m`` covers every vertex of both sides of bipartite ``b`` once, by edges of ``b``."""
+    n = b.left_n
+    return (b.right_n == n and sorted(m.pairs) == sorted(m.pairs.values()) == list(range(n))
+            and all(w in b.adj[u] for u, w in m.pairs.items()))
+
+
 def srg_eigenvalues(n: int, d: int, alpha: int, beta: int) -> tuple[float, float, float]:
     """Closed-form strongly-regular eigenvalues (r, s, d), r > s."""
     disc = sqrt((alpha - beta) ** 2 + 4 * (d - beta))

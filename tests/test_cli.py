@@ -6,7 +6,6 @@ import pytest
 
 from arcurv import dump_edge_list, gen_cocktail, gen_cycle, gen_hamming, gen_paley, load_edge_list
 from arcurv.cli import EXIT_ASSERTION, EXIT_INPUT, EXIT_OK, main
-from arcurv.report import report_from_dict, report_to_dict, verify_graph
 
 
 def run(capsys, *argv):
@@ -177,19 +176,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", h23_file)
         assert code == EXIT_OK
         assert "PASS" in out
-
-    def test_json_round_trip(self, capsys, h23_file):
-        code, out, _ = run(capsys, "--format", "json", "verify", h23_file)
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["overall_pass"] is True
-        report = verify_graph(gen_hamming(2, 3), graph_id=h23_file)
-        assert report_from_dict(report_to_dict(report)) == report
-        assert report_from_dict(payload) == report
-        # cocktail(3) carries a dense-match summary, paley13 a conference note
-        for g in (gen_cocktail(3), gen_paley(13)):
-            report = verify_graph(g, graph_id="g")
-            assert report_from_dict(json.loads(json.dumps(report_to_dict(report)))) == report
 
     def test_csv(self, capsys, h23_file):
         code, out, _ = run(capsys, "--format", "csv", "verify", h23_file)
@@ -391,6 +377,55 @@ class TestSpectrumDiameterSearch:
 
     def test_search_beta_dash_is_none(self, capsys):
         assert run(capsys, "search", "4", "3", "2", "-") == run(capsys, "search", "4", "3", "2", "none")
+
+
+# Every command that reads a graph file, but verify and spectrum, and the
+# error each gives on a graph of two vertices joined by an edge plus isolated ones.
+DISCONNECTED_ERRORS = {
+    ("params",): "detect_amply_params requires a connected graph",
+    ("curvature", "--all"): "curvature_all_edges requires a connected graph",
+    ("curvature", "--edge", "0", "1"): "operation requires a regular graph",
+    ("diameter",): "diameter undefined for disconnected graph",
+    ("hgraph", "--edge", "0", "1"): "detect_amply_params requires a connected graph",
+}
+
+
+class TestSizeCapOnEveryCommand:
+    """A header past the cap exits 2, naming the cap, before the graph is built."""
+
+    @pytest.mark.parametrize("command", sorted(DISCONNECTED_ERRORS))
+    def test_default_cap_refuses_a_huge_header(self, capsys, tmp_path, monkeypatch, command):
+        def no_build(text):
+            raise AssertionError("graph built past the size cap")
+
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000 1\n0 1\n")
+        cmd, *rest = command
+        for cap in ([], ["--size-cap", "0"]):  # 0 is the default cap
+            start = time.perf_counter()
+            code, out, err = run(capsys, *cap, cmd, str(path), *rest)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out, err) == (
+                EXIT_INPUT, "", "error: graph size 1000000 exceeds size cap 100000\n")
+        monkeypatch.setattr("arcurv.cli.load_edge_list", no_build)
+        assert run(capsys, cmd, str(path), *rest)[0] == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", sorted(DISCONNECTED_ERRORS))
+    def test_size_cap_replaces_the_default(self, capsys, tmp_path, command):
+        path = tmp_path / "sparse.txt"
+        path.write_text("1000 1\n0 1\n")
+        cmd, *rest = command
+        code, out, err = run(capsys, "--size-cap", "999", cmd, str(path), *rest)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: graph size 1000 exceeds size cap 999\n")
+        code, out, err = run(capsys, "--size-cap", "1000", cmd, str(path), *rest)
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {DISCONNECTED_ERRORS[command]}\n")
+
+    def test_raised_cap_builds_the_huge_header(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000 1\n0 1\n")
+        code, out, err = run(capsys, "--size-cap", "2000000", "params", str(path))
+        assert (code, out, err) == (
+            EXIT_INPUT, "", "error: detect_amply_params requires a connected graph\n")
 
 
 def test_gen_params_pipe(capsys, monkeypatch):

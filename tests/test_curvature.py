@@ -97,17 +97,16 @@ def _pi0_records(g):
     """
     x, y = g.edges()[0]
     h = build_transport_bipartite(g, x, y, detect_amply_params(g))
-    b = h.to_bipartite()
-    classes = tuple(konig_decomposition(b))
+    classes = tuple(konig_decomposition(h.b))
     class_records = tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
-    i = classes.index(matching_through_edge(b, h.z1_edge()))
-    return (x, y), h, b, classes, class_records, i
+    i = classes.index(matching_through_edge(h.b, h.z1_edge()))
+    return (x, y), h, classes, class_records, i
 
 
-def _certify_with(g, h, b, classes, class_records, i, records):
+def _certify_with(g, h, classes, class_records, i, records):
     """``certify_witness`` with class i's chain records replaced by ``records``."""
     tampered = class_records[:i] + (tuple(records),) + class_records[i + 1:]
-    return certify_witness(g, h, b, check_h_regular(h), classes, tampered)
+    return certify_witness(g, h, check_h_regular(h), classes, tampered)
 
 
 class TestMuP:
@@ -162,8 +161,8 @@ class TestPlanCost:
     def test_uniform_plan_check(self):
         # pi0 of paley13's first edge: three chains, mass 1/7 per pair
         g = gen_paley(13)
-        (x, y), h, b, classes, class_records, i = _pi0_records(g)
-        good = _certify_with(g, h, b, classes, class_records, i, class_records[i])
+        (x, y), h, classes, class_records, i = _pi0_records(g)
+        good = _certify_with(g, h, classes, class_records, i, class_records[i])
         unit = Fraction(1, len(good.pi0))
         assert [v for v, _ in good.pi0] == sorted((x,) + g.neighbors(x))
         assert sorted(w for _, w in good.pi0) == sorted((y,) + g.neighbors(y))
@@ -176,13 +175,13 @@ class TestPlanCost:
         ]
         for records in bad:
             with pytest.raises(WitnessError, match="marginals"):
-                _certify_with(g, h, b, classes, class_records, i, records)
+                _certify_with(g, h, classes, class_records, i, records)
 
     def test_uniform_plan_check_rejects_each_broken_marginal(self):
         # pi0 carries no masses, so a non-uniform mass cannot be written; the
         # source and target cases still are
         g = gen_paley(13)
-        (x, y), h, b, classes, class_records, i = _pi0_records(g)
+        (x, y), h, classes, class_records, i = _pi0_records(g)
         r0, r1, r2 = class_records[i]
         outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
         bad = [
@@ -191,7 +190,7 @@ class TestPlanCost:
         ]
         for records in bad:
             with pytest.raises(WitnessError, match="marginals"):
-                _certify_with(g, h, b, classes, class_records, i, records)
+                _certify_with(g, h, classes, class_records, i, records)
 
 
 class TestWasserstein:

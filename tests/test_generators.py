@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from arcurv import (
@@ -24,6 +26,24 @@ def test_hamming_instances():
 def test_hamming_size_cap():
     with pytest.raises(GraphError, match="cap"):
         gen_hamming(10, 4, size_cap=1000)
+
+
+@pytest.mark.parametrize("p, q", [(10**6, 10**6), (5000, 10), (18, 2), (2, 10**6)])
+def test_hamming_refuses_huge_arguments_before_computing_q_to_the_p(p, q):
+    # computing 10**6 ** 10**6 takes seconds, and 10**5000 has too many digits to print
+    start = time.perf_counter()
+    message = rf"^H\({p},{q}\) has {q}\^{p} vertices, exceeding cap 100000$"
+    with pytest.raises(GraphError, match=message):
+        gen_hamming(p, q)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_hamming_cap_boundary():
+    assert gen_hamming(1, 10, size_cap=10).n == 10
+    with pytest.raises(GraphError, match=r"^H\(1,11\) has 11\^1 vertices, exceeding cap 10$"):
+        gen_hamming(1, 11, size_cap=10)
+    with pytest.raises(GraphError, match=r"^H\(17,2\) has 131072 vertices, exceeding cap 100000$"):
+        gen_hypercube(17)
 
 
 @pytest.mark.parametrize("build, size", [

@@ -11,17 +11,23 @@ from arcurv import (
     gen_cocktail,
     gen_hamming,
     gen_paley,
+    Matching,
     konig_decomposition,
     matching_through_edge,
-    max_matching,
 )
+from arcurv.matching import _kuhn
 from arcurv.witness import build_transport_bipartite
 
-from conftest import random_connected_graph
+from conftest import is_perfect, random_connected_graph
 
 
 def complete_bipartite(n: int) -> Bipartite:
     return Bipartite.from_edges(n, n, [(u, w) for u in range(n) for w in range(n)])
+
+
+def kuhn_pairs(b: Bipartite) -> dict[int, int]:
+    """The matched pairs of Kuhn's search on ``b``, left -> right."""
+    return {u: w for u, w in enumerate(_kuhn(b.adj, b.right_n)) if w >= 0}
 
 
 def bipartite_cycle(length: int) -> Bipartite:
@@ -32,26 +38,26 @@ def bipartite_cycle(length: int) -> Bipartite:
 
 
 class TestMaxMatching:
+    """Kuhn's search finds a maximum matching."""
+
     def test_k33(self):
-        assert max_matching(complete_bipartite(3)).size() == 3
+        assert len(kuhn_pairs(complete_bipartite(3))) == 3
 
     def test_shared_single_neighbor(self):
         b = Bipartite.from_edges(2, 1, [(0, 0), (1, 0)])
-        assert max_matching(b).size() == 1
+        assert len(kuhn_pairs(b)) == 1
 
     def test_six_cycle(self):
-        assert max_matching(bipartite_cycle(6)).size() == 3
+        assert len(kuhn_pairs(bipartite_cycle(6))) == 3
 
     def test_transport_bipartite_always_matchable(self):
         g = gen_cocktail(3)
         params = detect_amply_params(g)
-        b = build_transport_bipartite(g, 0, 2, params).to_bipartite()
-        assert max_matching(b).is_perfect(b)
+        b = build_transport_bipartite(g, 0, 2, params).b
+        assert is_perfect(Matching(kuhn_pairs(b)), b)
 
     def test_no_augmenting_path_on_random_instances(self):
-        # maximality: max matching size equals the Hungarian-style bound from rerunning
-        import random
-
+        # maximality: Kuhn's matching is as large as networkx's maximum matching
         for seed in range(30):
             rng = random.Random(seed)
             ln = rng.randint(1, 12)
@@ -61,8 +67,9 @@ class TestMaxMatching:
                 for _ in range(rng.randint(0, ln * rn))
             }
             b = Bipartite.from_edges(ln, rn, edges)
-            m = max_matching(b)
-            m.validate(b)
+            pairs = kuhn_pairs(b)
+            assert len(set(pairs.values())) == len(pairs)
+            assert all(w in b.adj[u] for u, w in pairs.items())
             # checked against networkx's independent implementation
             import networkx as nx
 
@@ -71,7 +78,7 @@ class TestMaxMatching:
             h.add_nodes_from(("R", w) for w in range(rn))
             h.add_edges_from((("L", u), ("R", w)) for u, w in b.edges())
             ref = nx.bipartite.maximum_matching(h, top_nodes=[("L", u) for u in range(ln)])
-            assert m.size() == len(ref) // 2
+            assert len(pairs) == len(ref) // 2
 
 
 class TestKonigDecomposition:
@@ -86,7 +93,7 @@ class TestKonigDecomposition:
     def test_octahedron_transport_graph(self):
         g = gen_cocktail(3)
         h = build_transport_bipartite(g, 0, 2, detect_amply_params(g))
-        classes = konig_decomposition(h.to_bipartite())
+        classes = konig_decomposition(h.b)
         assert len(classes) == 3  # beta - 1
 
     def test_rejects_irregular(self):
@@ -100,7 +107,7 @@ class TestKonigDecomposition:
             classes = konig_decomposition(b)
             union = set()
             for m in classes:
-                assert m.is_perfect(b)
+                assert is_perfect(m, b)
                 assert not (set(m.pairs.items()) & union)
                 union |= set(m.pairs.items())
             assert union == set(b.edges())
@@ -178,7 +185,7 @@ def random_regular_bipartite(rng: random.Random, n: int, k: int) -> Bipartite:
 
 def witness_bipartites(g):
     params = detect_amply_params(g)
-    return [build_transport_bipartite(g, x, y, params).to_bipartite() for x, y in g.edges()]
+    return [build_transport_bipartite(g, x, y, params).b for x, y in g.edges()]
 
 
 class TestKonigOrder:
@@ -242,18 +249,18 @@ class TestMatchingThroughEdge:
         b = bipartite_cycle(6)
         m = matching_through_edge(b, (1, 2))
         assert m.pairs[1] == 2
-        assert m.is_perfect(b)
+        assert is_perfect(m, b)
 
     def test_every_edge_of_regular_graphs(self):
         for b in (complete_bipartite(4), bipartite_cycle(12)):
             for e in b.edges():
                 m = matching_through_edge(b, e)
-                assert m.pairs[e[0]] == e[1] and m.is_perfect(b)
+                assert m.pairs[e[0]] == e[1] and is_perfect(m, b)
 
     def test_h23_transport_graph_is_its_own_matching(self):
         g = gen_hamming(2, 3)
         h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
-        b = h.to_bipartite()
+        b = h.b
         assert b.regular_degree() == 1
         m = matching_through_edge(b, h.z1_edge())
         assert set(m.pairs.items()) == set(b.edges())
@@ -273,13 +280,14 @@ class TestMatchingThroughEdge:
 
 class TestDensePerfectMatching:
     def test_k22(self):
-        assert dense_perfect_matching(complete_bipartite(2)).size() == 2
+        b = complete_bipartite(2)
+        assert is_perfect(dense_perfect_matching(b), b)
 
     def test_two_four_cycles(self):
         b = Bipartite.from_edges(
             4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
         )
-        assert dense_perfect_matching(b).is_perfect(b)
+        assert is_perfect(dense_perfect_matching(b), b)
 
     def test_min_degree_counts_both_sides(self):
         # every left vertex has degree 2, but right vertex 2 has degree 0
@@ -291,4 +299,26 @@ class TestDensePerfectMatching:
     def test_degree_precondition(self):
         b = Bipartite.from_edges(4, 4, [(i, i) for i in range(4)])
         with pytest.raises(MatchingError, match="min degree"):
+            dense_perfect_matching(b)
+
+    def test_empty_graph(self):
+        assert dense_perfect_matching(Bipartite.from_edges(0, 0, [])).pairs == {}
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda m: [m[1]] + m[1:],  # right vertex m[1] covered twice
+            lambda m: [(w + 2) % 4 for w in m],  # a permutation, but (0, 2) is not an edge
+            lambda m: [-1] + m[1:],  # left vertex 0 unmatched
+            lambda m: m[:-1],  # left vertex n-1 missing
+        ],
+        ids=["repeated-right", "non-edge", "unmatched", "short"],
+    )
+    def test_faulty_kuhn_result_raises(self, monkeypatch, fault):
+        # two 4-cycles: left {0, 1} ~ right {0, 1} and left {2, 3} ~ right {2, 3}
+        b = Bipartite.from_edges(4, 4, [(u, w) for u in range(4) for w in range(4)
+                                        if u // 2 == w // 2])
+        kuhn = matching_module._kuhn
+        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: fault(kuhn(adj, n)))
+        with pytest.raises(MatchingError, match="internal error"):
             dense_perfect_matching(b)

@@ -22,7 +22,6 @@ from arcurv.matching import konig_decomposition, matching_through_edge
 from arcurv.report import WitnessSummary, verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
-    TransportBipartite,
     WitnessCertificate,
     WitnessError,
     build_transport_bipartite,
@@ -57,6 +56,17 @@ def _classes_by_definition(g, x, y, params):
     )
 
 
+def k333():
+    """K_{3,3,3}, amply regular (9,6,3,6): its H has beta - alpha - 1 = 2 x-copies."""
+    return Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u % 3 != v % 3])
+
+
+def _drop_last_copy_edge(h):
+    """``h`` without the last edge of its last row, an x-copy to x'-copy (E8) edge."""
+    adj = h.b.adj[:-1] + (h.b.adj[-1][:-1],)
+    return dataclasses.replace(h, b=dataclasses.replace(h.b, adj=adj))
+
+
 def _build(g, x, y):
     return build_transport_bipartite(g, x, y, detect_amply_params(g))
 
@@ -65,16 +75,15 @@ def _certificate(g, x, y, params=None):
     return edge_witness(g, x, y, params or detect_amply_params(g)).certificate
 
 
-def _walk(g, h, b):
-    """The Konig classes of ``b`` and every class's chain records, walked afresh."""
-    classes = tuple(konig_decomposition(b))
+def _walk(g, h):
+    """The Konig classes of ``h.b`` and every class's chain records, walked afresh."""
+    classes = tuple(konig_decomposition(h.b))
     return classes, tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
 
 
 def _certify(g, h):
-    """``certify_witness`` on a fresh bipartite graph of ``h`` and fresh class walks."""
-    b = h.to_bipartite()
-    return certify_witness(g, h, b, check_h_regular(h), *_walk(g, h, b))
+    """``certify_witness`` on ``h`` and fresh class walks."""
+    return certify_witness(g, h, check_h_regular(h), *_walk(g, h))
 
 
 def _pi0_by_definition(h, records):
@@ -127,8 +136,8 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "make",
         [lambda: gen_paley(13), lambda: gen_paley(17), h23, lambda: gen_hamming(3, 3),
-         lambda: gen_cocktail(4)],
-        ids=["paley13", "paley17", "h23", "h33", "cocktail4"],
+         lambda: gen_cocktail(4), k333],
+        ids=["paley13", "paley17", "h23", "h33", "cocktail4", "k333"],
     )
     def test_classes_equal_definition_in_order(self, make):
         g = make()
@@ -182,26 +191,31 @@ class TestRegularity:
         h = _build(gen_cocktail(3), 0, 2)
         reg = check_h_regular(h)
         assert reg.ok and reg.expected == 3
-        assert set(reg.left_degrees) == set(reg.right_degrees) == {3}
+        assert {len(row) for row in h.b.adj} == set(h.b.right_degrees) == {3}
 
     def test_corrupted_graph_flagged(self):
-        import dataclasses
-
         h = _build(gen_cocktail(3), 0, 2)
-        classes = list(h.edge_classes)
-        assert classes[7], "expected at least one copy-copy edge to remove"
-        classes[7] = classes[7][:-1]
-        broken = dataclasses.replace(h, edge_classes=tuple(classes))
-        reg = check_h_regular(broken)
+        assert h.edge_classes[7], "expected at least one copy-copy edge to remove"
+        reg = check_h_regular(_drop_last_copy_edge(h))
         assert not reg.ok
-        assert reg.offender is not None
+        assert reg.offender == "left x_copy1 has degree 2"
+
+    def test_irregular_right_side_flagged(self):
+        # every row keeps 3 entries, but the x-copy's row (1, 2, 3) moves its
+        # edge to z4' onto w1, which then has degree 4
+        h = _build(gen_cocktail(3), 0, 2)
+        assert h.b.adj[3] == (1, 2, 3)
+        b = dataclasses.replace(h.b, adj=h.b.adj[:3] + ((0, 2, 3),))
+        reg = check_h_regular(dataclasses.replace(h, b=b))
+        assert not reg.ok
+        assert reg.offender == "right w1 has degree 4"
 
 
 class TestChains:
     def test_h23_direct_chains(self):
         g = h23()
         h = _build(g, 0, 1)
-        m = matching_through_edge(h.to_bipartite(), h.z1_edge())
+        m = matching_through_edge(h.b, h.z1_edge())
         chains = verify_lemma_3_3(g, h, m)
         assert len(chains) == 2
         # 1-regular H: every exclusive neighbor matches straight across
@@ -211,8 +225,7 @@ class TestChains:
         for g in (gen_paley(13), gen_cocktail(3), gen_cocktail(4)):
             x, y = g.edges()[0]
             h = _build(g, x, y)
-            b = h.to_bipartite()
-            for m in konig_decomposition(b):
+            for m in konig_decomposition(h.b):
                 chains = verify_lemma_3_3(g, h, m)
                 assert sorted(c.w0 for c in chains) == sorted(h.ny)
 
@@ -220,7 +233,7 @@ class TestChains:
         for g in (h23(), gen_paley(13), gen_cocktail(3), gen_paley(17)):
             x, y = g.edges()[0]
             h = _build(g, x, y)
-            for m in konig_decomposition(h.to_bipartite()):
+            for m in konig_decomposition(h.b):
                 assert all(r.ok for r in verify_lemma_3_3(g, h, m))
 
     def test_chain_sum_bound_for_z1_matching(self):
@@ -228,7 +241,7 @@ class TestChains:
             params = detect_amply_params(g)
             x, y = g.edges()[0]
             h = build_transport_bipartite(g, x, y, params)
-            m = matching_through_edge(h.to_bipartite(), h.z1_edge())
+            m = matching_through_edge(h.b, h.z1_edge())
             chains = verify_lemma_3_3(g, h, m)
             k_total = sum(c.k for c in chains)
             assert sum(c.rho for c in chains) <= params.d + k_total - 2
@@ -301,7 +314,7 @@ class TestPi0:
         x, y = g.edges()[0]
         h = _build(g, x, y)
         z1l, z1r = h.z1_edge()
-        others = [m for m in konig_decomposition(h.to_bipartite()) if m.pairs.get(z1l) != z1r]
+        others = [m for m in konig_decomposition(h.b) if m.pairs.get(z1l) != z1r]
         assert others, "decomposition should contain a class avoiding z1 z1'"
         monkeypatch.setattr(witness_module, "matching_through_edge", lambda b, e: others[0])
         with pytest.raises(WitnessError, match="z1"):
@@ -358,7 +371,7 @@ class TestCertificateOnBuiltH:
         params = detect_amply_params(g)
         for x, y in g.edges():
             h = build_transport_bipartite(g, x, y, params)
-            # edge_witness decomposes its b before certifying; this b and its walks are fresh
+            # edge_witness decomposes h.b before certifying; these walks are fresh
             cert = _certify(g, h)
             ref = _certificate(g, x, y, params)
             for f in dataclasses.fields(WitnessCertificate):
@@ -386,25 +399,23 @@ class TestCertificateOnBuiltH:
         g = gen_paley(13)
         x, y = g.edges()[0]
         h = _build(g, x, y)
-        b = h.to_bipartite()
-        classes, class_records = _walk(g, h, b)
+        classes, class_records = _walk(g, h)
 
         def no_walk(*args):
             raise AssertionError("certify_witness walked a class")
 
         monkeypatch.setattr(witness_module, "verify_lemma_3_3", no_walk)
-        cert = certify_witness(g, h, b, check_h_regular(h), classes, class_records)
+        cert = certify_witness(g, h, check_h_regular(h), classes, class_records)
         assert cert.kappa_lb == Fraction(2, 3)
 
     def test_rejects_a_walk_stopped_before_the_z1_class(self):
         g = gen_paley(13)
         x, y = g.edges()[0]
         h = _build(g, x, y)
-        b = h.to_bipartite()
-        classes, class_records = _walk(g, h, b)
-        i = classes.index(matching_through_edge(b, h.z1_edge()))
+        classes, class_records = _walk(g, h)
+        i = classes.index(matching_through_edge(h.b, h.z1_edge()))
         with pytest.raises(WitnessError, match="chain walk stopped before the z1 z1' class"):
-            certify_witness(g, h, b, check_h_regular(h), classes, class_records[:i])
+            certify_witness(g, h, check_h_regular(h), classes, class_records[:i])
 
     def test_rejects_chain_longer_than_its_bound(self):
         # H(2,3), x = (0,0), y = (0,1): reversing N_y sends (1,0) to (2,1), at distance 2 > rho - k = 1
@@ -441,10 +452,7 @@ class TestCertificateOnBuiltH:
         beta = detect_amply_params(g).beta
         names = ["build_transport_bipartite", "check_h_regular", "konig_decomposition",
                  "verify_lemma_3_3"]
-        counts = _count_calls(
-            monkeypatch,
-            [(witness_module, n) for n in names] + [(TransportBipartite, "to_bipartite")],
-        )
+        counts = _count_calls(monkeypatch, [(witness_module, n) for n in names])
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
         m = g.num_edges()
@@ -452,7 +460,6 @@ class TestCertificateOnBuiltH:
         assert counts == {
             "build_transport_bipartite": m, "check_h_regular": m, "konig_decomposition": m,
             "verify_lemma_3_3": (beta - 1) * m,
-            "to_bipartite": m,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
@@ -460,14 +467,13 @@ class TestCertificateOnBuiltH:
         names = ["build_transport_bipartite", "check_h_regular", "verify_lemma_3_3"]
         counts = _count_calls(
             monkeypatch,
-            [(cli_module, "detect_amply_params"), (TransportBipartite, "to_bipartite")]
-            + [(witness_module, n) for n in names],
+            [(cli_module, "detect_amply_params")] + [(witness_module, n) for n in names],
         )
         _hgraph_payload(g, *g.edges()[0])
         # paley13 has beta = 3: two Konig classes, each walked once
         assert counts == {
             "detect_amply_params": 1, "build_transport_bipartite": 1, "check_h_regular": 1,
-            "verify_lemma_3_3": 2, "to_bipartite": 1,
+            "verify_lemma_3_3": 2,
         }
 
 
@@ -500,10 +506,8 @@ class TestVerifyCountsFailedWitnessSteps:
 
         def dropped_e8(*args, **kwargs):
             h = build(*args, **kwargs)
-            classes = list(h.edge_classes)
-            assert len(classes[7]) == 1
-            classes[7] = ()
-            return dataclasses.replace(h, edge_classes=tuple(classes))
+            assert len(h.edge_classes[7]) == 1
+            return _drop_last_copy_edge(h)
 
         monkeypatch.setattr(witness_module, "build_transport_bipartite", dropped_e8)
         g = gen_cocktail(3)
@@ -533,7 +537,8 @@ class TestDenseMatchCertificate:
         g = gen_cocktail(3)
         cert = prop_3_1_certificate(g, 0, 2, lly_curvature(g, 0, 2), detect_amply_params(g))
         assert cert.kappa == Fraction(1)
-        assert cert.matching.is_perfect(cert.bipartite)
+        assert sorted(cert.matching.pairs.items()) == [(0, 0)]
+        assert cert.bipartite.adj == ((0,),)
 
     def test_cocktail4(self):
         g = gen_cocktail(4)
