@@ -40,6 +40,10 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INPUT = 2
 
+# The most digits a --p text may have before any exponent, and the largest exponent
+# magnitude; checked before the text is parsed.
+_P_TEXT_BOUND = 1000
+
 # Output formats each command renders. `gen` and `search` print an edge list
 # (or "none") in every format.
 _FORMATS = {
@@ -134,14 +138,29 @@ def _cmd_params(args) -> int:
     return EXIT_OK
 
 
+def _idleness(text: str) -> Fraction:
+    """The ``--p`` text as an exact fraction; past the digit or exponent bound it is not parsed.
+
+    ``Fraction`` expands a decimal exponent into a full integer, so without
+    the bound ``1e10000000`` would cost seconds before the [0, 1] check.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = "".join(filter(str.isdecimal, exponent)).lstrip("0")
+    if (sum(map(str.isdecimal, mantissa)) > _P_TEXT_BOUND
+            or len(exponent) > len(str(_P_TEXT_BOUND)) or int(exponent or 0) > _P_TEXT_BOUND):
+        raise ValueError(f"idleness {text} has more than {_P_TEXT_BOUND} digits "
+                         f"or an exponent of magnitude over {_P_TEXT_BOUND}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"idleness {text} has a zero denominator") from None
+
+
 def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
     if args.all and g.n == 0:
         raise GraphError("empty graph")  # as params and verify say
     if args.p is not None:
-        try:
-            p = Fraction(args.p)
-        except ZeroDivisionError:
-            raise ValueError(f"idleness {args.p} has a zero denominator") from None
+        p = _idleness(args.p)
         if args.all:
             rows = kappa_p_all_edges(g, p)
             if not rows:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Optional
 
 
@@ -29,18 +31,6 @@ class Bipartite:
                 if not 0 <= w < self.right_n:
                     raise MatchingError(f"right index {w} out of range at left {u}")
 
-    @staticmethod
-    def from_edges(left_n: int, right_n: int, edges) -> "Bipartite":
-        sets: list[set[int]] = [set() for _ in range(left_n)]
-        for u, w in edges:
-            if not 0 <= u < left_n:
-                raise MatchingError(f"left index {u} out of range")
-            sets[u].add(w)
-        return Bipartite(left_n, right_n, tuple(tuple(sorted(s)) for s in sets))
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, w) for u in range(self.left_n) for w in self.adj[u]]
-
     @cached_property
     def right_degrees(self) -> tuple[int, ...]:
         """Degree of each right vertex, counted at the first use and kept."""
@@ -64,12 +54,51 @@ class Bipartite:
             return left.pop()
         return None
 
+    @cached_property
+    def konig_classes(self) -> tuple[Matching, ...]:
+        """The k perfect matchings that partition a k-regular graph's edges, made once and kept.
 
-@dataclass
+        Each round extracts the perfect matching that Kuhn's search finds in
+        the remaining graph and removes it, leaving a (k-1)-regular graph.
+        Every round is checked as it runs: ``_perfect`` checks that each left
+        vertex is matched and no right vertex twice, and each matched edge is
+        removed from the remaining edges, so a non-edge or an edge of an
+        earlier class raises. With no edge left over after k rounds, the
+        classes are perfect, pairwise edge-disjoint, and their union is
+        exactly the edge set. A run that raises keeps nothing, so the next
+        read runs again.
+        """
+        k = self.regular_degree()
+        if k is None or k < 1:
+            raise MatchingError("konig_decomposition requires a k-regular bipartite graph, k >= 1")
+        n = self.left_n
+        adj = [sorted(nbrs) for nbrs in self.adj]
+        classes: list[Matching] = []
+        for _ in range(k):
+            match_l = _perfect(_kuhn(adj, n), n)
+            try:
+                list(map(list.remove, adj, match_l))  # adj[u].remove(match_l[u]) for every u
+            except ValueError:  # a non-edge, or an edge of an earlier class
+                raise MatchingError("internal error: class uses a removed or missing edge") from None
+            classes.append(Matching(dict(enumerate(match_l))))
+        if any(adj):
+            raise MatchingError("internal error: leftover edges after decomposition")
+        return tuple(classes)
+
+
+@dataclass(frozen=True)
 class Matching:
-    """Partial injection left -> right; ``pairs`` maps left index to right index."""
+    """Partial injection left -> right; ``pairs`` maps left index to right index.
 
-    pairs: dict[int, int]
+    ``pairs`` is a read-only copy of the mapping given, so a matching can be
+    shared: Konig classes are kept on their ``Bipartite`` and handed to
+    every caller.
+    """
+
+    pairs: Mapping[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
 
 
 def _kuhn(adj, right_n: int) -> list[int]:
@@ -109,40 +138,22 @@ def _perfect(match_l: list[int], n: int) -> list[int]:
     return match_l
 
 
-def konig_decomposition(b: Bipartite) -> list[Matching]:
+def konig_decomposition(b: Bipartite) -> tuple[Matching, ...]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
-    Each round extracts the perfect matching that Kuhn's search finds in the
-    remaining graph and removes it, leaving a (k-1)-regular graph. Every
-    round is checked as it runs: ``_perfect`` checks that each left vertex
-    is matched and no right vertex twice, and each matched edge is removed
-    from the remaining edges, so a non-edge or an edge of an earlier class
-    raises. With no edge left over after k rounds, the classes are perfect,
-    pairwise edge-disjoint, and their union is exactly the edge set.
+    Returns ``b.konig_classes``: the decomposition runs, with every round
+    checked, at the first call on ``b`` and is kept on it, so later calls on
+    the same object read the same classes. The classes are immutable.
     """
-    k = b.regular_degree()
-    if k is None or k < 1:
-        raise MatchingError("konig_decomposition requires a k-regular bipartite graph, k >= 1")
-    n = b.left_n
-    adj = [sorted(nbrs) for nbrs in b.adj]
-    classes: list[Matching] = []
-    for _ in range(k):
-        match_l = _perfect(_kuhn(adj, n), n)
-        try:
-            list(map(list.remove, adj, match_l))  # adj[u].remove(match_l[u]) for every u
-        except ValueError:  # a non-edge, or an edge of an earlier class
-            raise MatchingError("internal error: class uses a removed or missing edge") from None
-        classes.append(Matching(dict(enumerate(match_l))))
-    if any(adj):
-        raise MatchingError("internal error: leftover edges after decomposition")
-    return classes
+    return b.konig_classes
 
 
 def matching_through_edge(b: Bipartite, e: tuple[int, int]) -> Matching:
     """Perfect matching containing edge ``e`` of a regular bipartite graph.
 
     The Konig decomposition partitions the edges, so exactly one class
-    contains e.
+    contains e. The classes are those kept on ``b``: a decomposition already
+    made on ``b`` is read, not run again.
     """
     u, w = e
     if not (0 <= u < b.left_n) or w not in b.adj[u]:

@@ -345,7 +345,7 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     """
     h = build_transport_bipartite(g, x, y, params)
     reg = check_h_regular(h)
-    classes = tuple(konig_decomposition(h.b)) if reg.ok else ()
+    classes = konig_decomposition(h.b) if reg.ok else ()
     walked: list[tuple[ChainRecord, ...]] = []
     walk_error = None if reg.ok else f"auxiliary graph is not (beta-1)-regular: {reg.offender}"
     for m in classes:

@@ -16,7 +16,7 @@ from math import sqrt
 import networkx as nx
 import pytest
 
-from arcurv import Graph
+from arcurv import Bipartite, Graph
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -67,6 +67,22 @@ def plan_cost(g: Graph, plan) -> Fraction:
             raise ValueError(f"plan moves mass between components: ({v}, {w})")
         total += nx.shortest_path_length(h, v, w) * Fraction(m)
     return total
+
+
+def bipartite_from_edges(left_n: int, right_n: int, edges) -> Bipartite:
+    """The ``Bipartite`` on ``left_n`` + ``right_n`` vertices with the (left, right) pairs ``edges``.
+
+    Repeated pairs count once; each left row is sorted.
+    """
+    rows: list[set[int]] = [set() for _ in range(left_n)]
+    for u, w in edges:
+        rows[u].add(w)
+    return Bipartite(left_n, right_n, tuple(tuple(sorted(r)) for r in rows))
+
+
+def bipartite_edges(b: Bipartite) -> list[tuple[int, int]]:
+    """The (left, right) edges of ``b``, left-major in row order."""
+    return [(u, w) for u in range(b.left_n) for w in b.adj[u]]
 
 
 def is_perfect(m, b) -> bool:

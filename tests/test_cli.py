@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from arcurv import dump_edge_list, gen_cocktail, gen_cycle, gen_hamming, gen_paley, load_edge_list
+from arcurv import (dump_edge_list, gen_cocktail, gen_complete, gen_cycle, gen_hamming, gen_paley,
+                    load_edge_list)
 from arcurv.cli import EXIT_ASSERTION, EXIT_INPUT, EXIT_OK, main
 
 
@@ -25,6 +26,13 @@ def empty_file(tmp_path):
 def h23_file(tmp_path):
     path = tmp_path / "h23.txt"
     path.write_text(dump_edge_list(gen_hamming(2, 3)))
+    return str(path)
+
+
+@pytest.fixture
+def k5_file(tmp_path):
+    path = tmp_path / "k5.txt"
+    path.write_text(dump_edge_list(gen_complete(5)))
     return str(path)
 
 
@@ -131,6 +139,31 @@ class TestCurvature:
         code, out, err = run(capsys, "curvature", h23_file, "--edge", "0", "1", "--p", p)
         assert code == EXIT_INPUT and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["1e10000000", "1e-10000000", "1e1001", "0." + "0" * 1000 + "1"],
+                             ids=["1e10000000", "1e-10000000", "1e1001", "1002-digits"])
+    def test_idleness_past_the_parse_bound_is_refused_unparsed(self, capsys, k5_file, p):
+        # Fraction would first expand the exponent into a ten-million-digit integer (seconds)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "curvature", k5_file, "--all", f"--p={p}")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (f"error: idleness {p} has more than 1000 digits "
+                       "or an exponent of magnitude over 1000\n")
+
+    @pytest.mark.parametrize("p, kappa", [("0", "3/4"), ("1/2", "5/8"), ("0.25", "15/16"),
+                                          ("1e-3", "601/800"), ("1e-1000", None)])
+    def test_idleness_within_the_parse_bound(self, capsys, k5_file, p, kappa):
+        code, out, err = run(capsys, "curvature", k5_file, "--all", f"--p={p}")
+        assert (code, err) == (EXIT_OK, "")
+        kappas = {line.split()[2] for line in out.splitlines()}
+        assert len(out.splitlines()) == 10 and len(kappas) == 1
+        assert kappa is None or kappas == {kappa}
+
+    def test_idleness_above_one_is_named_in_full(self, capsys, k5_file):
+        code, out, err = run(capsys, "curvature", k5_file, "--all", "--p=1e999")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: idleness 1" + "0" * 999 + " outside [0, 1]\n"
 
     def test_idleness_on_a_non_adjacent_pair_of_an_irregular_graph(self, capsys, path4_file):
         # the min-cost flow: W(mu_0, mu_3) = 2 at p = 1/2 and d(0, 3) = 3

@@ -26,7 +26,7 @@ CAPS = st.sampled_from([[], [], [], ["--size-cap", "0"], ["--size-cap", "-1"],
                         ["--size-cap", "-100000"], ["--size-cap", "3"]])
 FORMATS = st.sampled_from([[], [], ["--format", "json"], ["--format", "csv"]])
 IDLENESS = st.sampled_from(["nan", "1e999", "1/0", "-0", "0", "1/2", "1", "3/2", "-1/3", "inf",
-                            "x", "1/3"])
+                            "x", "1/3", "1e10000000", "1e-10000000"])
 VERTEX = st.one_of(st.integers(0, 3), st.integers(0, 8), st.integers(-3, 10), HUGE,
                    st.integers(-(10**30), -4))
 

@@ -18,11 +18,11 @@ from arcurv import (
 from arcurv.matching import _kuhn
 from arcurv.witness import build_transport_bipartite
 
-from conftest import is_perfect, random_connected_graph
+from conftest import bipartite_edges, bipartite_from_edges, is_perfect
 
 
 def complete_bipartite(n: int) -> Bipartite:
-    return Bipartite.from_edges(n, n, [(u, w) for u in range(n) for w in range(n)])
+    return bipartite_from_edges(n, n, [(u, w) for u in range(n) for w in range(n)])
 
 
 def kuhn_pairs(b: Bipartite) -> dict[int, int]:
@@ -34,7 +34,7 @@ def bipartite_cycle(length: int) -> Bipartite:
     # alternating cycle on length/2 + length/2 vertices
     assert length % 2 == 0
     n = length // 2
-    return Bipartite.from_edges(n, n, [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)])
+    return bipartite_from_edges(n, n, [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestMaxMatching:
@@ -44,7 +44,7 @@ class TestMaxMatching:
         assert len(kuhn_pairs(complete_bipartite(3))) == 3
 
     def test_shared_single_neighbor(self):
-        b = Bipartite.from_edges(2, 1, [(0, 0), (1, 0)])
+        b = bipartite_from_edges(2, 1, [(0, 0), (1, 0)])
         assert len(kuhn_pairs(b)) == 1
 
     def test_six_cycle(self):
@@ -66,7 +66,7 @@ class TestMaxMatching:
                 (rng.randrange(ln), rng.randrange(rn))
                 for _ in range(rng.randint(0, ln * rn))
             }
-            b = Bipartite.from_edges(ln, rn, edges)
+            b = bipartite_from_edges(ln, rn, edges)
             pairs = kuhn_pairs(b)
             assert len(set(pairs.values())) == len(pairs)
             assert all(w in b.adj[u] for u, w in pairs.items())
@@ -76,7 +76,7 @@ class TestMaxMatching:
             h = nx.Graph()
             h.add_nodes_from(("L", u) for u in range(ln))
             h.add_nodes_from(("R", w) for w in range(rn))
-            h.add_edges_from((("L", u), ("R", w)) for u, w in b.edges())
+            h.add_edges_from((("L", u), ("R", w)) for u, w in bipartite_edges(b))
             ref = nx.bipartite.maximum_matching(h, top_nodes=[("L", u) for u in range(ln)])
             assert len(pairs) == len(ref) // 2
 
@@ -97,7 +97,7 @@ class TestKonigDecomposition:
         assert len(classes) == 3  # beta - 1
 
     def test_rejects_irregular(self):
-        b = Bipartite.from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+        b = bipartite_from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
         with pytest.raises(MatchingError):
             konig_decomposition(b)
 
@@ -110,13 +110,31 @@ class TestKonigDecomposition:
                 assert is_perfect(m, b)
                 assert not (set(m.pairs.items()) & union)
                 union |= set(m.pairs.items())
-            assert union == set(b.edges())
+            assert union == set(bipartite_edges(b))
 
     def test_deterministic(self):
-        b = bipartite_cycle(10)
-        first = [m.pairs for m in konig_decomposition(b)]
-        second = [m.pairs for m in konig_decomposition(b)]
-        assert first == second
+        # two equal but distinct objects, so the two decompositions are two runs, not one kept
+        b, c = bipartite_cycle(10), bipartite_cycle(10)
+        assert b == c and b is not c
+        first, second = konig_decomposition(b), konig_decomposition(c)
+        assert first is not second
+        assert [m.pairs for m in first] == [m.pairs for m in second]
+
+    def test_classes_are_read_only(self):
+        b = bipartite_cycle(8)
+        classes = konig_decomposition(b)
+        original = [dict(m.pairs) for m in classes]
+        with pytest.raises(TypeError):
+            classes[0].pairs[0] = 1
+        with pytest.raises(TypeError):
+            del classes[0].pairs[0]
+        assert [m.pairs for m in konig_decomposition(b)] == original
+
+    def test_matching_copies_the_mapping_it_is_given(self):
+        pairs = {0: 1, 1: 0}
+        m = Matching(pairs)
+        pairs[0] = 0
+        assert m.pairs == {0: 1, 1: 0}
 
 
 def reference_konig(b: Bipartite) -> list[dict[int, int]]:
@@ -180,7 +198,7 @@ def random_regular_bipartite(rng: random.Random, n: int, k: int) -> Bipartite:
             else:
                 edges.update(perm.items())
                 break
-    return Bipartite.from_edges(n, n, edges)
+    return bipartite_from_edges(n, n, edges)
 
 
 def witness_bipartites(g):
@@ -217,6 +235,13 @@ class TestKonigRoundChecks:
         kuhn = matching_module._kuhn
         monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: fault(kuhn(adj, n)))
 
+    @staticmethod
+    def _fresh_cycle8() -> Bipartite:
+        """C8 as a new Bipartite with no decomposition kept, so the faulty search runs on it."""
+        b = bipartite_cycle(8)  # edges (i, i) and (i, i+1 mod 4); Kuhn's first class is i -> i
+        assert "konig_classes" not in vars(b)
+        return b
+
     @pytest.mark.parametrize(
         "fault",
         [
@@ -228,16 +253,31 @@ class TestKonigRoundChecks:
         ids=["repeated-right", "non-edge", "unmatched", "short"],
     )
     def test_faulty_round_raises(self, monkeypatch, fault):
-        b = bipartite_cycle(8)  # edges (i, i) and (i, i+1 mod 4); Kuhn's first class is i -> i
         self._faulty(monkeypatch, fault)
         with pytest.raises(MatchingError, match="internal error"):
-            konig_decomposition(b)
+            konig_decomposition(self._fresh_cycle8())
 
     def test_edge_of_an_earlier_class_raises(self, monkeypatch):
         first = konig_decomposition(bipartite_cycle(8))[0].pairs
         monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [first[u] for u in range(n)])
         with pytest.raises(MatchingError, match="internal error"):
-            konig_decomposition(bipartite_cycle(8))
+            konig_decomposition(self._fresh_cycle8())
+
+    def test_a_decomposition_that_raises_is_not_kept(self, monkeypatch):
+        calls = []
+        kuhn = matching_module._kuhn
+
+        def faulty(adj, n):
+            calls.append(n)
+            return [-1] + kuhn(adj, n)[1:]  # left vertex 0 unmatched
+
+        monkeypatch.setattr(matching_module, "_kuhn", faulty)
+        b = self._fresh_cycle8()
+        for attempt in (1, 2):
+            with pytest.raises(MatchingError, match="internal error"):
+                konig_decomposition(b)
+            assert len(calls) == attempt  # the second call searched again
+        assert "konig_classes" not in vars(b)
 
 
 class TestMatchingThroughEdge:
@@ -253,7 +293,7 @@ class TestMatchingThroughEdge:
 
     def test_every_edge_of_regular_graphs(self):
         for b in (complete_bipartite(4), bipartite_cycle(12)):
-            for e in b.edges():
+            for e in bipartite_edges(b):
                 m = matching_through_edge(b, e)
                 assert m.pairs[e[0]] == e[1] and is_perfect(m, b)
 
@@ -263,7 +303,7 @@ class TestMatchingThroughEdge:
         b = h.b
         assert b.regular_degree() == 1
         m = matching_through_edge(b, h.z1_edge())
-        assert set(m.pairs.items()) == set(b.edges())
+        assert set(m.pairs.items()) == set(bipartite_edges(b))
 
     def test_non_edge_rejected(self):
         with pytest.raises(MatchingError):
@@ -277,6 +317,20 @@ class TestMatchingThroughEdge:
         matching_through_edge(b, (0, 0))
         assert b.right_degrees is degrees
 
+    def test_two_pinned_calls_share_one_decomposition(self, monkeypatch):
+        # the two calls the witness pipeline makes on one H: Kuhn's search runs beta - 1 = 2
+        # times, once per class, not once per class per call
+        g = gen_paley(13)  # (13, 6, 2, 3)
+        h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
+        calls = []
+        kuhn = matching_module._kuhn
+        monkeypatch.setattr(matching_module, "_kuhn",
+                            lambda adj, n: calls.append(n) or kuhn(adj, n))
+        classes = konig_decomposition(h.b)
+        m = matching_through_edge(h.b, h.z1_edge())
+        assert len(calls) == len(classes) == 2
+        assert any(m is c for c in classes)
+
 
 class TestDensePerfectMatching:
     def test_k22(self):
@@ -284,25 +338,25 @@ class TestDensePerfectMatching:
         assert is_perfect(dense_perfect_matching(b), b)
 
     def test_two_four_cycles(self):
-        b = Bipartite.from_edges(
+        b = bipartite_from_edges(
             4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
         )
         assert is_perfect(dense_perfect_matching(b), b)
 
     def test_min_degree_counts_both_sides(self):
         # every left vertex has degree 2, but right vertex 2 has degree 0
-        b = Bipartite.from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
+        b = bipartite_from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
         assert b.min_degree() == 0
         assert complete_bipartite(3).min_degree() == 3
-        assert Bipartite.from_edges(0, 0, []).min_degree() == 0
+        assert bipartite_from_edges(0, 0, []).min_degree() == 0
 
     def test_degree_precondition(self):
-        b = Bipartite.from_edges(4, 4, [(i, i) for i in range(4)])
+        b = bipartite_from_edges(4, 4, [(i, i) for i in range(4)])
         with pytest.raises(MatchingError, match="min degree"):
             dense_perfect_matching(b)
 
     def test_empty_graph(self):
-        assert dense_perfect_matching(Bipartite.from_edges(0, 0, [])).pairs == {}
+        assert dense_perfect_matching(bipartite_from_edges(0, 0, [])).pairs == {}
 
     @pytest.mark.parametrize(
         "fault",
@@ -316,7 +370,7 @@ class TestDensePerfectMatching:
     )
     def test_faulty_kuhn_result_raises(self, monkeypatch, fault):
         # two 4-cycles: left {0, 1} ~ right {0, 1} and left {2, 3} ~ right {2, 3}
-        b = Bipartite.from_edges(4, 4, [(u, w) for u in range(4) for w in range(4)
+        b = bipartite_from_edges(4, 4, [(u, w) for u in range(4) for w in range(4)
                                         if u // 2 == w // 2])
         kuhn = matching_module._kuhn
         monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: fault(kuhn(adj, n)))
