@@ -440,6 +440,9 @@ def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
 
     W is the certified value of the B(x) - B(y) -> B(y) - B(x) assignment:
     an exact primal plan plus an integer 1-Lipschitz potential of equal value.
+    The arguments are checked on every call; then a value certified before on
+    this graph, for (x, y) or (y, x) (W is symmetric), is read back without a
+    solve. Only a value whose certificate passed is kept.
     """
     g.check_vertex(y)  # y, then x: the order in which ollivier_kappa_p's g.distance(x, y) checks
     g.check_vertex(x)
@@ -448,7 +451,11 @@ def lly_curvature(g: Graph, x: int, y: int) -> Fraction:
         raise CurvatureError("operation requires a regular graph")
     if not g.is_edge(x, y):
         raise CurvatureError(f"({x}, {y}) is not an edge")
-    return _kappa_lly(g, [(x, y)], d)[0]
+    key = (x, y) if x < y else (y, x)
+    kappa = g._lly_cache.get(key)
+    if kappa is None:
+        kappa = g._lly_cache[key] = _kappa_lly(g, [(x, y)], d)[0]
+    return kappa
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -16,14 +17,16 @@ class GraphError(ValueError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
-    Adjacency is stored as sorted tuples. Two facts are cached, because the
+    Adjacency is stored as sorted tuples. Three facts are cached, because the
     graph never changes: the common degree (None if irregular), found once at
-    construction, and one BFS distance row per source, computed on first use
-    as a read-only int32 numpy array, so that `distance_rows` stacks it
-    without a Python loop.
+    construction; one BFS distance row per source, computed on first use as a
+    read-only int32 numpy array, so that `distance_rows` stacks it without a
+    Python loop (row 0 also settles whether the graph is connected); and each
+    edge's certified Lin-Lu-Yau curvature, keyed by (min, max), which only
+    `curvature.lly_curvature` reads and writes.
     """
 
-    __slots__ = ("n", "_adj", "_dist_cache", "_connected", "_degree")
+    __slots__ = ("n", "_adj", "_dist_cache", "_connected", "_degree", "_lly_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -42,6 +45,7 @@ class Graph:
         self._degree: Optional[int] = degrees.pop() if len(degrees) == 1 else None
         self._dist_cache: dict[int, np.ndarray] = {}
         self._connected: Optional[bool] = None
+        self._lly_cache: dict[tuple[int, int], Fraction] = {}
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -221,6 +221,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == EXIT_OK and "PASS" in out
 
+    def test_an_uncertified_curvature_is_refused(self, capsys, tmp_path, monkeypatch):
+        # A solver that returns the dearest assignment: the first edge's
+        # certificate fails, and no value is kept or reported.
+        from scipy.optimize import linear_sum_assignment
+
+        monkeypatch.setattr("arcurv.curvature.linear_sum_assignment",
+                            lambda cost: linear_sum_assignment(-cost))
+        path = tmp_path / "paley13.txt"
+        path.write_text(dump_edge_list(gen_paley(13)))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: edge (0, 1): assignment is not optimal")
+
 
 class TestHgraph:
     def test_text(self, capsys, h23_file):

@@ -835,6 +835,70 @@ class TestKappa:
                 assert ollivier_kappa_p(g, x, y, p) == _flow_kappa(g, x, y, p)
 
 
+def _counting_solver(monkeypatch, answer=linear_sum_assignment):
+    """Set a stand-in solver that returns ``answer(cost)``; returns its list of calls."""
+    calls = []
+
+    def solver(cost):
+        calls.append(cost.shape)
+        return answer(cost)
+
+    monkeypatch.setattr("arcurv.curvature.linear_sum_assignment", solver)
+    return calls
+
+
+def _worst_assignment(cost):
+    return linear_sum_assignment(-cost)
+
+
+class TestKeptCurvature:
+    """Each graph keeps the LLY curvature of an edge once it is certified."""
+
+    def test_repeat_and_reversed_edge_make_no_solve(self, monkeypatch):
+        calls = _counting_solver(monkeypatch)
+        g = gen_paley(13)
+        kappa = lly_curvature(g, 0, 1)
+        assert (kappa, calls) == (Fraction(2, 3), [(3, 3)])
+        assert lly_curvature(g, 0, 1) == lly_curvature(g, 1, 0) == kappa
+        assert calls == [(3, 3)]
+
+    def test_an_equal_but_distinct_graph_solves_again(self, monkeypatch):
+        calls = _counting_solver(monkeypatch)
+        g, same = gen_paley(13), gen_paley(13)
+        assert g == same and g is not same
+        assert lly_curvature(g, 0, 1) == lly_curvature(same, 0, 1)
+        assert len(calls) == 2
+
+    def test_a_failed_certificate_is_not_kept(self, monkeypatch):
+        calls = _counting_solver(monkeypatch, _worst_assignment)
+        g = gen_paley(13)
+        for _ in range(2):
+            with pytest.raises(CurvatureError, match=_naming((0, 1), "not optimal")):
+                lly_curvature(g, 0, 1)
+        assert len(calls) == 2
+        calls = _counting_solver(monkeypatch)
+        assert lly_curvature(g, 0, 1) == Fraction(2, 3)
+        assert len(calls) == 1
+
+    def test_bad_arguments_raise_with_values_kept(self, monkeypatch):
+        g = gen_paley(13)
+        curvature_all_edges(g)  # keeps every edge
+        irregular = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        # Values planted under the keys that the bad arguments would look up:
+        # every check must run before the lookup.
+        g._lly_cache.update({(0, 2): Fraction(1), (-1, 1): Fraction(1)})
+        irregular._lly_cache[(0, 2)] = Fraction(1)
+        calls = _counting_solver(monkeypatch)
+        assert not g.is_edge(0, 2)
+        with pytest.raises(CurvatureError, match=r"^\(0, 2\) is not an edge$"):
+            lly_curvature(g, 0, 2)
+        with pytest.raises(GraphError, match=r"^vertex -1 out of range 0\.\.12$"):
+            lly_curvature(g, -1, 1)
+        with pytest.raises(CurvatureError, match="requires a regular graph"):
+            lly_curvature(irregular, 0, 2)
+        assert calls == []
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_idleness_formula_matches_flow_on_random_regular_graphs(seed):

@@ -186,12 +186,14 @@ kappa = lly_curvature(g, 0, 1)
 assert calls == [(3, 3)], calls
 assert curvature.linear_sum_assignment is stand_in, "the deferred import replaced the stand-in"
 assert %(solver)r in sys.modules
+assert lly_curvature(g, 0, 1) == kappa and calls == [(3, 3)], "g's kept value was solved again"
 
+# g keeps its value, so each later call takes a fresh graph to reach the solver
 curvature.linear_sum_assignment = lazy
-assert lly_curvature(g, 0, 1) == kappa
+assert lly_curvature(gen_paley(13), 0, 1) == kappa
 from scipy.optimize import linear_sum_assignment
 assert curvature.linear_sum_assignment is linear_sum_assignment
-assert lly_curvature(g, 0, 1) == kappa and calls == [(3, 3)]
+assert lly_curvature(gen_paley(13), 0, 1) == kappa and calls == [(3, 3)]
 print(kappa)
 """ % {"solver": SOLVER}
 

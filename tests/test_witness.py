@@ -477,6 +477,25 @@ class TestCertificateOnBuiltH:
         }
 
 
+def test_verify_solves_each_edge_once(monkeypatch):
+    # paley13 is (13,6,2,3): every edge has a 3 + 3 B-zone to solve. The
+    # table certifies each edge's curvature; certify_witness's call on the
+    # same graph reads the kept value.
+    from scipy.optimize import linear_sum_assignment
+
+    shapes = []
+
+    def solver(cost):
+        shapes.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(curvature_module, "linear_sum_assignment", solver)
+    g = gen_paley(13)
+    report = verify_graph(g, graph_id="g")
+    assert report.overall_pass and report.witness.passed
+    assert shapes == [(3, 3)] * g.num_edges()
+
+
 class TestVerifyCountsFailedWitnessSteps:
     """``verify``'s witness summary when a step fails on every edge."""
 
