@@ -32,14 +32,7 @@ from .graph import (
     edge_partition,
     load_edge_list,
 )
-from .matching import (
-    Bipartite,
-    Matching,
-    MatchingError,
-    dense_perfect_matching,
-    konig_decomposition,
-    matching_through_edge,
-)
+from .matching import Bipartite, MatchingError, dense_perfect_matching, konig_decomposition
 from .report import VerificationReport, verify_graph
 from .search import infeasibility_reason, search_amply
 from .spectral import (

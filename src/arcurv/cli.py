@@ -221,20 +221,20 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
     for error in (record.walk_error, record.certify_error):
         if error is not None:
             raise wit.WitnessError(error)
-    h, reg, cert = record.h, record.regularity, record.certificate
+    h, cert = record.h, record.certificate
     return {
         "edge": [x, y],
-        "left": [h.left_name(i) for i in range(h.side_size)],
-        "right": [h.right_name(i) for i in range(h.side_size)],
-        "regular": reg.ok,
-        "degree": reg.expected,
+        "left": [h.left_name(i) for i in range(h.b.left_n)],
+        "right": [h.right_name(i) for i in range(h.b.left_n)],
+        "regular": record.irregular is None,
+        "degree": h.beta - 1,
         "edge_classes": {
             str(i + 1): sorted([u, w] for u, w in cls)
             for i, cls in enumerate(h.edge_classes)
         },
         "matchings": [
             {
-                "edges": sorted([u, w] for u, w in m.pairs.items()),
+                "edges": [[u, w] for u, w in enumerate(m)],
                 "chains": [{"v0": r.v0, "w0": r.w0, "rho": r.rho, "k": r.k} for r in records],
             }
             for m, records in zip(record.classes, record.class_records)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Optional
 
 
@@ -55,50 +53,35 @@ class Bipartite:
         return None
 
     @cached_property
-    def konig_classes(self) -> tuple[Matching, ...]:
+    def konig_classes(self) -> tuple[tuple[int, ...], ...]:
         """The k perfect matchings that partition a k-regular graph's edges, made once and kept.
 
-        Each round extracts the perfect matching that Kuhn's search finds in
-        the remaining graph and removes it, leaving a (k-1)-regular graph.
-        Every round is checked as it runs: ``_perfect`` checks that each left
-        vertex is matched and no right vertex twice, and each matched edge is
-        removed from the remaining edges, so a non-edge or an edge of an
-        earlier class raises. With no edge left over after k rounds, the
-        classes are perfect, pairwise edge-disjoint, and their union is
-        exactly the edge set. A run that raises keeps nothing, so the next
-        read runs again.
+        Each class is a tuple of right partners, indexed by left vertex. Each
+        round extracts the perfect matching that Kuhn's search finds in the
+        remaining graph and removes it, leaving a (k-1)-regular graph. Every
+        round is checked as it runs: ``_perfect`` checks that each left vertex
+        is matched and no right vertex twice, and each matched edge is removed
+        from the remaining edges, so a non-edge or an edge of an earlier class
+        raises. With no edge left over after k rounds, the classes are perfect,
+        pairwise edge-disjoint, and their union is exactly the edge set. A run
+        that raises keeps nothing, so the next read runs again.
         """
         k = self.regular_degree()
         if k is None or k < 1:
             raise MatchingError("konig_decomposition requires a k-regular bipartite graph, k >= 1")
         n = self.left_n
         adj = [sorted(nbrs) for nbrs in self.adj]
-        classes: list[Matching] = []
+        classes: list[tuple[int, ...]] = []
         for _ in range(k):
             match_l = _perfect(_kuhn(adj, n), n)
             try:
                 list(map(list.remove, adj, match_l))  # adj[u].remove(match_l[u]) for every u
             except ValueError:  # a non-edge, or an edge of an earlier class
                 raise MatchingError("internal error: class uses a removed or missing edge") from None
-            classes.append(Matching(dict(enumerate(match_l))))
+            classes.append(tuple(match_l))
         if any(adj):
             raise MatchingError("internal error: leftover edges after decomposition")
         return tuple(classes)
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Partial injection left -> right; ``pairs`` maps left index to right index.
-
-    ``pairs`` is a read-only copy of the mapping given, so a matching can be
-    shared: Konig classes are kept on their ``Bipartite`` and handed to
-    every caller.
-    """
-
-    pairs: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
 
 
 def _kuhn(adj, right_n: int) -> list[int]:
@@ -138,7 +121,7 @@ def _perfect(match_l: list[int], n: int) -> list[int]:
     return match_l
 
 
-def konig_decomposition(b: Bipartite) -> tuple[Matching, ...]:
+def konig_decomposition(b: Bipartite) -> tuple[tuple[int, ...], ...]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
     Returns ``b.konig_classes``: the decomposition runs, with every round
@@ -148,27 +131,11 @@ def konig_decomposition(b: Bipartite) -> tuple[Matching, ...]:
     return b.konig_classes
 
 
-def matching_through_edge(b: Bipartite, e: tuple[int, int]) -> Matching:
-    """Perfect matching containing edge ``e`` of a regular bipartite graph.
-
-    The Konig decomposition partitions the edges, so exactly one class
-    contains e. The classes are those kept on ``b``: a decomposition already
-    made on ``b`` is read, not run again.
-    """
-    u, w = e
-    if not (0 <= u < b.left_n) or w not in b.adj[u]:
-        raise MatchingError(f"({u}, {w}) is not an edge of the bipartite graph")
-    for m in konig_decomposition(b):
-        if m.pairs.get(u) == w:
-            return m
-    raise MatchingError("internal error: edge missing from its decomposition")
-
-
-def dense_perfect_matching(b: Bipartite) -> Matching:
+def dense_perfect_matching(b: Bipartite) -> tuple[int, ...]:
     """Perfect matching of a balanced bipartite graph with min degree >= n/2.
 
-    Kuhn's result is checked perfect by ``_perfect``, and each of its pairs
-    is checked to be an edge.
+    Returns Kuhn's result, right partners by left vertex, checked perfect by
+    ``_perfect`` and each of its pairs checked to be an edge.
     """
     if b.left_n != b.right_n:
         raise MatchingError("dense_perfect_matching requires equal side sizes")
@@ -179,4 +146,4 @@ def dense_perfect_matching(b: Bipartite) -> Matching:
     match_l = _perfect(_kuhn(b.adj, n), n)
     if any(w not in row for row, w in zip(b.adj, match_l)):
         raise MatchingError("internal error: a matched pair is not an edge")
-    return Matching(dict(enumerate(match_l)))
+    return tuple(match_l)

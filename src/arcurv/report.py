@@ -148,7 +148,7 @@ def _witness_summary(g: Graph, params: AmplyParams) -> WitnessSummary:
         cert = w.certificate
         walked = w.walk_error is None
         steps = (
-            w.regularity.ok,
+            w.irregular is None,
             len(w.classes) == params.beta - 1,
             walked,
             walked and all(r.ok for records in w.class_records for r in records),

@@ -16,13 +16,7 @@ from typing import NamedTuple, Optional
 
 from .curvature import lly_curvature
 from .graph import AmplyParams, Graph, edge_partition
-from .matching import (
-    Bipartite,
-    Matching,
-    dense_perfect_matching,
-    konig_decomposition,
-    matching_through_edge,
-)
+from .matching import Bipartite, dense_perfect_matching, konig_decomposition
 
 # edge class indices (1-based, matching the construction below)
 CLASS_NAMES = {
@@ -56,17 +50,11 @@ class TransportBipartite:
     x: int
     y: int
     d: int
-    alpha: int
     beta: int
     nx: tuple[int, ...]
     ny: tuple[int, ...]
     delta: tuple[int, ...]
-    num_copies: int
     b: Bipartite
-
-    @property
-    def side_size(self) -> int:
-        return len(self.nx) + len(self.delta) + self.num_copies
 
     @property
     def edge_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -75,7 +63,7 @@ class TransportBipartite:
         Each class is in (left, right) order, except E7 (Delta to x'-copy),
         which is in copy-major order: by x'-copy, then by z.
         """
-        p, a, s = len(self.nx), len(self.delta), self.side_size
+        p, a, s = len(self.nx), len(self.delta), self.b.left_n
 
         def block(lo: int, hi: int, r_lo: int, r_hi: int) -> tuple[tuple[int, int], ...]:
             return tuple((l, r) for l in range(lo, hi) for r in self.b.adj[l] if r_lo <= r < r_hi)
@@ -112,13 +100,6 @@ class TransportBipartite:
         if i < p + a:
             return f"z{self.delta[i - p]}'"
         return f"x_copy{i - p - a + 1}'"
-
-
-@dataclass(frozen=True)
-class RegularityCheck:
-    ok: bool
-    expected: int
-    offender: Optional[str] = None
 
 
 class ChainRecord(NamedTuple):
@@ -169,69 +150,57 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
         x=x,
         y=y,
         d=params.d,
-        alpha=params.alpha,
         beta=params.beta,
         nx=part.nx,
         ny=part.ny,
         delta=part.delta,
-        num_copies=copies,
         b=Bipartite(s, s, tuple(rows)),
     )
 
 
-def check_h_regular(h: TransportBipartite) -> RegularityCheck:
-    """Verify that every auxiliary vertex has degree exactly beta - 1.
+def check_h_regular(h: TransportBipartite) -> Optional[str]:
+    """None if every auxiliary vertex has degree exactly beta - 1, else the first offender.
 
     Left degrees are the lengths of ``h.b``'s rows, and right degrees are
     ``h.b``'s cached count, which Konig reads too.
     """
-    adj, right = h.b.adj, h.b.right_degrees
-    expected = h.beta - 1
-    offender = None
-    for i in range(h.side_size):
-        if len(adj[i]) != expected:
-            offender = f"left {h.left_name(i)} has degree {len(adj[i])}"
-            break
-        if right[i] != expected:
-            offender = f"right {h.right_name(i)} has degree {right[i]}"
-            break
-    return RegularityCheck(ok=offender is None, expected=expected, offender=offender)
+    adj, right, k = h.b.adj, h.b.right_degrees, h.beta - 1
+    for i in range(h.b.left_n):
+        if len(adj[i]) != k:
+            return f"left {h.left_name(i)} has degree {len(adj[i])}"
+        if right[i] != k:
+            return f"right {h.right_name(i)} has degree {right[i]}"
+    return None
 
 
-def verify_lemma_3_3(
-    g: Graph, h: TransportBipartite, m: Matching
-) -> list[ChainRecord]:
+def verify_lemma_3_3(g: Graph, h: TransportBipartite, m: tuple[int, ...]) -> list[ChainRecord]:
     """Walk the chain of every N_x vertex through ``m`` and bound its distance.
 
-    Matched edges are followed from each N_x vertex until one lands in N_y;
-    a right-side z/x-copy at index i continues through its unprimed left
-    twin at the same index. ``m`` must be perfect, no chain may revisit a
-    vertex, the induced map N_x -> N_y must be a bijection, and each
-    chain's endpoints must be connected.
+    ``m`` holds the right partner of each left vertex of H. Matched edges
+    are followed from each N_x vertex until one lands in N_y; a right-side
+    z/x-copy at index i continues through its unprimed left twin at the same
+    index. ``m`` must be a permutation of H's side, so each walk follows
+    the permutation's cycle through its start and stops before it returns:
+    no chain revisits a vertex, and the induced map N_x -> N_y is a
+    bijection. Each chain's endpoints must be connected.
     """
-    pairs = m.pairs
-    if len(pairs) != h.side_size:
+    if sorted(m) != list(range(h.b.left_n)):
         raise WitnessError("chain walk requires a perfect matching")
     p = len(h.nx)
     first_copy = p + len(h.delta)
-    max_rho = 1 + h.side_size - p  # a walk with more steps than twins has revisited one
     records = []
     for start, v0 in enumerate(h.nx):
         rho, k = 1, 0
-        current = pairs[start]
+        current = m[start]
         while current >= p:  # primed twin shares the index
-            if rho == max_rho:
-                raise WitnessError("internal error: chain revisits a vertex")
             rho += 1
             k += current >= first_copy
-            current = pairs[current]
+            current = m[current]
         w0 = h.ny[current]
         dist = g.distances_from(v0).item(w0)
         if dist < 0:
             raise WitnessError("internal error: chain endpoints disconnected")
         records.append(ChainRecord(v0, w0, dist, rho, k, dist <= rho - k))
-    if sorted(r.w0 for r in records) != sorted(h.ny):
-        raise WitnessError("internal error: chain map is not a bijection onto N_y")
     return records
 
 
@@ -242,7 +211,7 @@ class WitnessCertificate:
     pi0 is its sorted support pairs (source, target), each of mass 1/(d+1).
     """
 
-    matching: Matching
+    matching: tuple[int, ...]
     chain_records: tuple[ChainRecord, ...]
     pi0: tuple[tuple[int, int], ...]
     pi0_cost: Fraction
@@ -253,16 +222,15 @@ class WitnessCertificate:
 def certify_witness(
     g: Graph,
     h: TransportBipartite,
-    reg: RegularityCheck,
-    classes: tuple[Matching, ...],
+    irregular: Optional[str],
     class_records: tuple[tuple[ChainRecord, ...], ...],
 ) -> WitnessCertificate:
     """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) on a built H of edge xy.
 
-    ``reg`` is ``check_h_regular(h)``, and ``classes`` and
-    ``class_records`` are the Konig classes of ``h.b`` and the
-    chain records of each class walked, as ``edge_witness`` keeps them.
-    Picks the class through z_1 z_1' and reads its chains from that walk;
+    ``irregular`` is ``check_h_regular(h)``, and ``class_records`` are the
+    chain records of each Konig class of ``h.b`` walked, in order, as
+    ``edge_witness`` keeps them. Picks the class through z_1 z_1' among the
+    classes kept on ``h.b`` and reads its chains from that walk;
     then checks the whole chain of inequalities: regularity, the z_1 z_1'
     membership, chain distance bounds, the sum bound on chain lengths, the
     marginals of pi0, the plan cost bound (d-2)/(d+1), kappa_lb >= 3/d, and
@@ -273,13 +241,13 @@ def certify_witness(
     sources and targets are checked to be B(x) and B(y), and its cost is
     the integer sum of its pairs' BFS distances over d+1.
     """
-    if not reg.ok:
-        raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {reg.offender}")
+    if irregular is not None:
+        raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {irregular}")
     z1l, z1r = h.z1_edge()
-    m = matching_through_edge(h.b, (z1l, z1r))
-    if m.pairs.get(z1l) != z1r:
-        raise WitnessError("matching does not contain the z1 z1' edge")
-    i = classes.index(m)
+    classes = konig_decomposition(h.b)
+    i = next((i for i, m in enumerate(classes) if m[z1l] == z1r), None)
+    if i is None:
+        raise WitnessError("no Konig class contains the z1 z1' edge")
     if i >= len(class_records):
         raise WitnessError(f"chain walk stopped before the z1 z1' class (class {i + 1})")
     records = class_records[i]
@@ -309,7 +277,7 @@ def certify_witness(
     kappa = lly_curvature(g, h.x, h.y)
     if kappa_lb > kappa:
         raise WitnessError(f"lower bound {kappa_lb} exceeds exact curvature {kappa}")
-    return WitnessCertificate(matching=m, chain_records=records, pi0=pi0, pi0_cost=cost,
+    return WitnessCertificate(matching=classes[i], chain_records=records, pi0=pi0, pi0_cost=cost,
                               kappa_lb=kappa_lb, kappa=kappa)
 
 
@@ -320,14 +288,14 @@ class EdgeWitness:
     ``class_records`` holds the chain records of the Konig classes of H, in
     order, up to the first class whose walk raised; ``walk_error`` is that
     class's message, the regularity message if H has no classes, or None if
-    every class was walked. ``certificate`` is the result of
-    ``certify_witness`` on those records, or None with its message in
-    ``certify_error``.
+    every class was walked. ``irregular`` is ``check_h_regular(h)``.
+    ``certificate`` is the result of ``certify_witness`` on those records,
+    or None with its message in ``certify_error``.
     """
 
     h: TransportBipartite
-    regularity: RegularityCheck
-    classes: tuple[Matching, ...]
+    irregular: Optional[str]
+    classes: tuple[tuple[int, ...], ...]
     class_records: tuple[tuple[ChainRecord, ...], ...]
     walk_error: Optional[str]
     certificate: Optional[WitnessCertificate]
@@ -344,10 +312,11 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     and the regularity message is kept as the walk's.
     """
     h = build_transport_bipartite(g, x, y, params)
-    reg = check_h_regular(h)
-    classes = konig_decomposition(h.b) if reg.ok else ()
+    irregular = check_h_regular(h)
+    classes = konig_decomposition(h.b) if irregular is None else ()
     walked: list[tuple[ChainRecord, ...]] = []
-    walk_error = None if reg.ok else f"auxiliary graph is not (beta-1)-regular: {reg.offender}"
+    walk_error = (None if irregular is None
+                  else f"auxiliary graph is not (beta-1)-regular: {irregular}")
     for m in classes:
         try:
             walked.append(tuple(verify_lemma_3_3(g, h, m)))
@@ -357,11 +326,11 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     class_records = tuple(walked)
     certificate, certify_error = None, None
     try:
-        certificate = certify_witness(g, h, reg, classes, class_records)
+        certificate = certify_witness(g, h, irregular, class_records)
     except WitnessError as exc:
         certify_error = str(exc)
     return EdgeWitness(
-        h=h, regularity=reg, classes=classes, class_records=class_records,
+        h=h, irregular=irregular, classes=classes, class_records=class_records,
         walk_error=walk_error, certificate=certificate, certify_error=certify_error,
     )
 
@@ -374,7 +343,7 @@ class DenseMatchCertificate:
     y: int
     kappa: Fraction
     bipartite: Bipartite
-    matching: Matching
+    matching: tuple[int, ...]
 
 
 def prop_3_1_certificate(

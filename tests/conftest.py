@@ -86,10 +86,10 @@ def bipartite_edges(b: Bipartite) -> list[tuple[int, int]]:
 
 
 def is_perfect(m, b) -> bool:
-    """Matching ``m`` covers every vertex of both sides of bipartite ``b`` once, by edges of ``b``."""
+    """Right partners ``m``, by left vertex, cover both sides of ``b`` once, by edges of ``b``."""
     n = b.left_n
-    return (b.right_n == n and sorted(m.pairs) == sorted(m.pairs.values()) == list(range(n))
-            and all(w in b.adj[u] for u, w in m.pairs.items()))
+    return (b.right_n == n and sorted(m) == list(range(n))
+            and all(w in b.adj[u] for u, w in enumerate(m)))
 
 
 def srg_eigenvalues(n: int, d: int, alpha: int, beta: int) -> tuple[float, float, float]:

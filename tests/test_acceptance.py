@@ -141,12 +141,11 @@ def test_criterion_05_witness_pipeline():
         d, beta = params.d, params.beta
         for x, y in g.edges():
             h = build_transport_bipartite(g, x, y, params)
-            reg = check_h_regular(h)
-            assert reg.ok and reg.expected == beta - 1
+            assert check_h_regular(h) is None and h.beta == beta
             classes = konig_decomposition(h.b)
             assert len(classes) == beta - 1
             for m in classes:
-                chains = verify_lemma_3_3(g, h, m)  # bijectivity checked internally
+                chains = verify_lemma_3_3(g, h, m)  # a perfect m walks to a bijection
                 assert sorted(c.w0 for c in chains) == sorted(h.ny)
                 assert all(r.ok for r in chains)
             cert = edge_witness(g, x, y, params).certificate

@@ -31,7 +31,7 @@ from arcurv import (
 
 import arcurv.curvature as curvature_module
 from arcurv.curvature import ASSIGNMENT_CHUNK
-from arcurv.matching import konig_decomposition, matching_through_edge
+from arcurv.matching import konig_decomposition
 from arcurv.witness import (
     WitnessError,
     build_transport_bipartite,
@@ -90,23 +90,24 @@ def _flow_kappa(g, x, y, p):
 
 
 def _pi0_records(g):
-    """The pieces ``certify_witness`` reads for g's first edge, and the z1 z1' class index.
+    """The pieces ``certify_witness`` is given for g's first edge, and the z1 z1' class index.
 
     pi0 is the uniform plan B(x) -> B(y) read off that class's chain records, so
     tampering with one record's v0 or w0 breaks one of pi0's marginals.
     """
     x, y = g.edges()[0]
     h = build_transport_bipartite(g, x, y, detect_amply_params(g))
-    classes = tuple(konig_decomposition(h.b))
+    classes = konig_decomposition(h.b)
     class_records = tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
-    i = classes.index(matching_through_edge(h.b, h.z1_edge()))
-    return (x, y), h, classes, class_records, i
+    z1l, z1r = h.z1_edge()
+    i = next(i for i, m in enumerate(classes) if m[z1l] == z1r)
+    return (x, y), h, class_records, i
 
 
-def _certify_with(g, h, classes, class_records, i, records):
+def _certify_with(g, h, class_records, i, records):
     """``certify_witness`` with class i's chain records replaced by ``records``."""
     tampered = class_records[:i] + (tuple(records),) + class_records[i + 1:]
-    return certify_witness(g, h, check_h_regular(h), classes, tampered)
+    return certify_witness(g, h, check_h_regular(h), tampered)
 
 
 class TestMuP:
@@ -161,8 +162,8 @@ class TestPlanCost:
     def test_uniform_plan_check(self):
         # pi0 of paley13's first edge: three chains, mass 1/7 per pair
         g = gen_paley(13)
-        (x, y), h, classes, class_records, i = _pi0_records(g)
-        good = _certify_with(g, h, classes, class_records, i, class_records[i])
+        (x, y), h, class_records, i = _pi0_records(g)
+        good = _certify_with(g, h, class_records, i, class_records[i])
         unit = Fraction(1, len(good.pi0))
         assert [v for v, _ in good.pi0] == sorted((x,) + g.neighbors(x))
         assert sorted(w for _, w in good.pi0) == sorted((y,) + g.neighbors(y))
@@ -175,13 +176,13 @@ class TestPlanCost:
         ]
         for records in bad:
             with pytest.raises(WitnessError, match="marginals"):
-                _certify_with(g, h, classes, class_records, i, records)
+                _certify_with(g, h, class_records, i, records)
 
     def test_uniform_plan_check_rejects_each_broken_marginal(self):
         # pi0 carries no masses, so a non-uniform mass cannot be written; the
         # source and target cases still are
         g = gen_paley(13)
-        (x, y), h, classes, class_records, i = _pi0_records(g)
+        (x, y), h, class_records, i = _pi0_records(g)
         r0, r1, r2 = class_records[i]
         outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
         bad = [
@@ -190,7 +191,7 @@ class TestPlanCost:
         ]
         for records in bad:
             with pytest.raises(WitnessError, match="marginals"):
-                _certify_with(g, h, classes, class_records, i, records)
+                _certify_with(g, h, class_records, i, records)
 
 
 class TestWasserstein:

@@ -11,9 +11,7 @@ from arcurv import (
     gen_cocktail,
     gen_hamming,
     gen_paley,
-    Matching,
     konig_decomposition,
-    matching_through_edge,
 )
 from arcurv.matching import _kuhn
 from arcurv.witness import build_transport_bipartite
@@ -28,6 +26,11 @@ def complete_bipartite(n: int) -> Bipartite:
 def kuhn_pairs(b: Bipartite) -> dict[int, int]:
     """The matched pairs of Kuhn's search on ``b``, left -> right."""
     return {u: w for u, w in enumerate(_kuhn(b.adj, b.right_n)) if w >= 0}
+
+
+def class_through(b: Bipartite, u: int, w: int):
+    """The Konig class of ``b`` that matches left u to right w, by a scan, or None."""
+    return next((m for m in konig_decomposition(b) if m[u] == w), None)
 
 
 def bipartite_cycle(length: int) -> Bipartite:
@@ -54,7 +57,7 @@ class TestMaxMatching:
         g = gen_cocktail(3)
         params = detect_amply_params(g)
         b = build_transport_bipartite(g, 0, 2, params).b
-        assert is_perfect(Matching(kuhn_pairs(b)), b)
+        assert is_perfect(tuple(_kuhn(b.adj, b.right_n)), b)
 
     def test_no_augmenting_path_on_random_instances(self):
         # maximality: Kuhn's matching is as large as networkx's maximum matching
@@ -108,8 +111,8 @@ class TestKonigDecomposition:
             union = set()
             for m in classes:
                 assert is_perfect(m, b)
-                assert not (set(m.pairs.items()) & union)
-                union |= set(m.pairs.items())
+                assert not (set(enumerate(m)) & union)
+                union |= set(enumerate(m))
             assert union == set(bipartite_edges(b))
 
     def test_deterministic(self):
@@ -118,26 +121,34 @@ class TestKonigDecomposition:
         assert b == c and b is not c
         first, second = konig_decomposition(b), konig_decomposition(c)
         assert first is not second
-        assert [m.pairs for m in first] == [m.pairs for m in second]
+        assert first == second
 
     def test_classes_are_read_only(self):
         b = bipartite_cycle(8)
         classes = konig_decomposition(b)
-        original = [dict(m.pairs) for m in classes]
+        assert all(type(m) is tuple for m in classes)
+        original = list(classes)
         with pytest.raises(TypeError):
-            classes[0].pairs[0] = 1
+            classes[0][0] = 1
         with pytest.raises(TypeError):
-            del classes[0].pairs[0]
-        assert [m.pairs for m in konig_decomposition(b)] == original
+            del classes[0][0]
+        assert konig_decomposition(b) is classes and list(classes) == original
 
-    def test_matching_copies_the_mapping_it_is_given(self):
-        pairs = {0: 1, 1: 0}
-        m = Matching(pairs)
-        pairs[0] = 0
-        assert m.pairs == {0: 1, 1: 0}
+    def test_matching_copies_the_mapping_it_is_given(self, monkeypatch):
+        # each class copies the list Kuhn's search returns, so changing that list later
+        # changes no class
+        found = []
+        kuhn = matching_module._kuhn
+        monkeypatch.setattr(matching_module, "_kuhn",
+                            lambda adj, n: found.append(kuhn(adj, n)) or found[-1])
+        classes = konig_decomposition(bipartite_cycle(8))
+        original = [tuple(m) for m in found]
+        for m in found:
+            m[0] = -1
+        assert list(classes) == original
 
 
-def reference_konig(b: Bipartite) -> list[dict[int, int]]:
+def reference_konig(b: Bipartite) -> tuple[tuple[int, ...], ...]:
     """Konig classes by a plain Kuhn search, checked once after the last round.
 
     Kuhn's search takes a fresh visited list per left vertex and scans left
@@ -167,15 +178,15 @@ def reference_konig(b: Bipartite) -> list[dict[int, int]]:
             try_augment(u, [False] * n)
         for u, w in enumerate(match_l):
             adj[u].remove(w)
-        classes.append(dict(enumerate(match_l)))
+        classes.append(tuple(match_l))
     edges = {(u, w) for u in range(n) for w in b.adj[u]}
     seen = set()
     for c in classes:
-        assert sorted(c) == sorted(c.values()) == list(range(n))
-        assert not set(c.items()) & seen and set(c.items()) <= edges
-        seen |= set(c.items())
+        assert sorted(c) == list(range(n))
+        assert not set(enumerate(c)) & seen and set(enumerate(c)) <= edges
+        seen |= set(enumerate(c))
     assert seen == edges
-    return classes
+    return tuple(classes)
 
 
 def random_regular_bipartite(rng: random.Random, n: int, k: int) -> Bipartite:
@@ -214,7 +225,7 @@ class TestKonigOrder:
         for case in range(100):
             k = 1 + case % 8
             b = random_regular_bipartite(rng, rng.randint(2 * k, 2 * k + 6), k)
-            assert [m.pairs for m in konig_decomposition(b)] == reference_konig(b)
+            assert konig_decomposition(b) == reference_konig(b)
 
     @pytest.mark.parametrize(
         "make",
@@ -224,7 +235,7 @@ class TestKonigOrder:
     )
     def test_every_witness_edge(self, make):
         for b in witness_bipartites(make()):
-            assert [m.pairs for m in konig_decomposition(b)] == reference_konig(b)
+            assert konig_decomposition(b) == reference_konig(b)
 
 
 class TestKonigRoundChecks:
@@ -258,8 +269,8 @@ class TestKonigRoundChecks:
             konig_decomposition(self._fresh_cycle8())
 
     def test_edge_of_an_earlier_class_raises(self, monkeypatch):
-        first = konig_decomposition(bipartite_cycle(8))[0].pairs
-        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [first[u] for u in range(n)])
+        first = konig_decomposition(bipartite_cycle(8))[0]
+        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: list(first))
         with pytest.raises(MatchingError, match="internal error"):
             konig_decomposition(self._fresh_cycle8())
 
@@ -281,45 +292,48 @@ class TestKonigRoundChecks:
 
 
 class TestMatchingThroughEdge:
+    """The perfect matching through an edge is the Konig class that holds it, found by a scan."""
+
     def test_k22(self):
-        m = matching_through_edge(complete_bipartite(2), (0, 1))
-        assert m.pairs == {0: 1, 1: 0}
+        assert class_through(complete_bipartite(2), 0, 1) == (1, 0)
 
     def test_six_cycle_alternating_class(self):
         b = bipartite_cycle(6)
-        m = matching_through_edge(b, (1, 2))
-        assert m.pairs[1] == 2
+        m = class_through(b, 1, 2)
+        assert m[1] == 2
         assert is_perfect(m, b)
 
     def test_every_edge_of_regular_graphs(self):
+        # the classes partition the edges: exactly one class holds each edge
         for b in (complete_bipartite(4), bipartite_cycle(12)):
-            for e in bipartite_edges(b):
-                m = matching_through_edge(b, e)
-                assert m.pairs[e[0]] == e[1] and is_perfect(m, b)
+            for u, w in bipartite_edges(b):
+                assert sum(m[u] == w for m in konig_decomposition(b)) == 1
+                m = class_through(b, u, w)
+                assert m[u] == w and is_perfect(m, b)
 
     def test_h23_transport_graph_is_its_own_matching(self):
         g = gen_hamming(2, 3)
         h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
         b = h.b
         assert b.regular_degree() == 1
-        m = matching_through_edge(b, h.z1_edge())
-        assert set(m.pairs.items()) == set(bipartite_edges(b))
+        m = class_through(b, *h.z1_edge())
+        assert set(enumerate(m)) == set(bipartite_edges(b))
 
     def test_non_edge_rejected(self):
-        with pytest.raises(MatchingError):
-            matching_through_edge(bipartite_cycle(6), (0, 2))
+        assert class_through(bipartite_cycle(6), 0, 2) is None
 
     def test_two_decompositions_share_one_right_degree_count(self):
         b = bipartite_cycle(6)
         degrees = b.right_degrees
         assert degrees == (2, 2, 2)
         konig_decomposition(b)
-        matching_through_edge(b, (0, 0))
+        class_through(b, 0, 0)
         assert b.right_degrees is degrees
 
     def test_two_pinned_calls_share_one_decomposition(self, monkeypatch):
-        # the two calls the witness pipeline makes on one H: Kuhn's search runs beta - 1 = 2
-        # times, once per class, not once per class per call
+        # the two calls the witness pipeline makes on one H, by edge_witness and by
+        # certify_witness: Kuhn's search runs beta - 1 = 2 times, once per class, not once per
+        # class per call, and both calls return the same object
         g = gen_paley(13)  # (13, 6, 2, 3)
         h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
         calls = []
@@ -327,7 +341,9 @@ class TestMatchingThroughEdge:
         monkeypatch.setattr(matching_module, "_kuhn",
                             lambda adj, n: calls.append(n) or kuhn(adj, n))
         classes = konig_decomposition(h.b)
-        m = matching_through_edge(h.b, h.z1_edge())
+        assert konig_decomposition(h.b) is classes
+        assert all(type(m) is tuple for m in classes)
+        m = class_through(h.b, *h.z1_edge())
         assert len(calls) == len(classes) == 2
         assert any(m is c for c in classes)
 
@@ -356,7 +372,7 @@ class TestDensePerfectMatching:
             dense_perfect_matching(b)
 
     def test_empty_graph(self):
-        assert dense_perfect_matching(bipartite_from_edges(0, 0, [])).pairs == {}
+        assert dense_perfect_matching(bipartite_from_edges(0, 0, [])) == ()
 
     @pytest.mark.parametrize(
         "fault",

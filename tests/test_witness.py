@@ -5,6 +5,7 @@ import pytest
 
 import arcurv.cli as cli_module
 import arcurv.curvature as curvature_module
+import arcurv.matching as matching_module
 import arcurv.witness as witness_module
 from arcurv import (
     detect_amply_params,
@@ -18,7 +19,7 @@ from arcurv import (
 )
 from arcurv.cli import _hgraph_payload
 from arcurv.graph import Graph
-from arcurv.matching import konig_decomposition, matching_through_edge
+from arcurv.matching import konig_decomposition
 from arcurv.report import WitnessSummary, verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
@@ -76,14 +77,19 @@ def _certificate(g, x, y, params=None):
 
 
 def _walk(g, h):
-    """The Konig classes of ``h.b`` and every class's chain records, walked afresh."""
-    classes = tuple(konig_decomposition(h.b))
-    return classes, tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
+    """Every Konig class's chain records on ``h``, walked afresh."""
+    return tuple(tuple(verify_lemma_3_3(g, h, m)) for m in konig_decomposition(h.b))
 
 
 def _certify(g, h):
     """``certify_witness`` on ``h`` and fresh class walks."""
-    return certify_witness(g, h, check_h_regular(h), *_walk(g, h))
+    return certify_witness(g, h, check_h_regular(h), _walk(g, h))
+
+
+def _z1_class(h):
+    """Index and class of the Konig class of ``h.b`` through z1 z1', by a scan."""
+    z1l, z1r = h.z1_edge()
+    return next((i, m) for i, m in enumerate(konig_decomposition(h.b)) if m[z1l] == z1r)
 
 
 def _pi0_by_definition(h, records):
@@ -115,23 +121,20 @@ class TestConstruction:
         g = h23()
         h = _build(g, 0, 1)
         # d=4, alpha=1, beta=2: two exclusive neighbors, one common, no copies
-        assert (len(h.nx), len(h.delta), h.num_copies) == (2, 1, 0)
-        assert h.side_size == 3
+        assert (len(h.nx), len(h.delta), h.b.left_n) == (2, 1, 3)
         assert h.z1_edge() == (2, 2)
 
     def test_paley13_layout(self):
         g = gen_paley(13)
         h = _build(g, *g.edges()[0])
         # d=6, alpha=2, beta=3: no synthetic copies
-        assert (len(h.nx), len(h.delta), h.num_copies) == (3, 2, 0)
-        assert h.side_size == 5
+        assert (len(h.nx), len(h.delta), h.b.left_n) == (3, 2, 5)
 
     def test_octahedron_layout(self):
         g = gen_cocktail(3)
         h = _build(g, 0, 2)
         # d=4, alpha=2, beta=4: one exclusive pair, one synthetic copy
-        assert (len(h.nx), len(h.delta), h.num_copies) == (1, 2, 1)
-        assert h.side_size == 4
+        assert (len(h.nx), len(h.delta), h.b.left_n) == (1, 2, 4)
 
     @pytest.mark.parametrize(
         "make",
@@ -168,8 +171,8 @@ class TestConstruction:
 
     def test_names(self):
         h = _build(h23(), 0, 1)
-        left = [h.left_name(i) for i in range(h.side_size)]
-        right = [h.right_name(i) for i in range(h.side_size)]
+        left = [h.left_name(i) for i in range(h.b.left_n)]
+        right = [h.right_name(i) for i in range(h.b.left_n)]
         assert left[-1].startswith("z") and right[-1].endswith("'")
         assert all(n.startswith("v") for n in left[:2])
         assert all(n.startswith("w") for n in right[:2])
@@ -178,27 +181,23 @@ class TestConstruction:
 class TestRegularity:
     def test_h23(self):
         h = _build(h23(), 0, 1)
-        reg = check_h_regular(h)
-        assert reg.ok and reg.expected == 1
+        assert check_h_regular(h) is None and h.beta - 1 == 1
 
     def test_paley13(self):
         g = gen_paley(13)
         for x, y in g.edges()[:5]:
-            reg = check_h_regular(_build(g, x, y))
-            assert reg.ok and reg.expected == 2
+            h = _build(g, x, y)
+            assert check_h_regular(h) is None and h.beta - 1 == 2
 
     def test_octahedron(self):
         h = _build(gen_cocktail(3), 0, 2)
-        reg = check_h_regular(h)
-        assert reg.ok and reg.expected == 3
+        assert check_h_regular(h) is None and h.beta - 1 == 3
         assert {len(row) for row in h.b.adj} == set(h.b.right_degrees) == {3}
 
     def test_corrupted_graph_flagged(self):
         h = _build(gen_cocktail(3), 0, 2)
         assert h.edge_classes[7], "expected at least one copy-copy edge to remove"
-        reg = check_h_regular(_drop_last_copy_edge(h))
-        assert not reg.ok
-        assert reg.offender == "left x_copy1 has degree 2"
+        assert check_h_regular(_drop_last_copy_edge(h)) == "left x_copy1 has degree 2"
 
     def test_irregular_right_side_flagged(self):
         # every row keeps 3 entries, but the x-copy's row (1, 2, 3) moves its
@@ -206,17 +205,14 @@ class TestRegularity:
         h = _build(gen_cocktail(3), 0, 2)
         assert h.b.adj[3] == (1, 2, 3)
         b = dataclasses.replace(h.b, adj=h.b.adj[:3] + ((0, 2, 3),))
-        reg = check_h_regular(dataclasses.replace(h, b=b))
-        assert not reg.ok
-        assert reg.offender == "right w1 has degree 4"
+        assert check_h_regular(dataclasses.replace(h, b=b)) == "right w1 has degree 4"
 
 
 class TestChains:
     def test_h23_direct_chains(self):
         g = h23()
         h = _build(g, 0, 1)
-        m = matching_through_edge(h.b, h.z1_edge())
-        chains = verify_lemma_3_3(g, h, m)
+        chains = verify_lemma_3_3(g, h, _z1_class(h)[1])
         assert len(chains) == 2
         # 1-regular H: every exclusive neighbor matches straight across
         assert all(c.rho == 1 and c.k == 0 for c in chains)
@@ -241,35 +237,44 @@ class TestChains:
             params = detect_amply_params(g)
             x, y = g.edges()[0]
             h = build_transport_bipartite(g, x, y, params)
-            m = matching_through_edge(h.b, h.z1_edge())
-            chains = verify_lemma_3_3(g, h, m)
+            chains = verify_lemma_3_3(g, h, _z1_class(h)[1])
             k_total = sum(c.k for c in chains)
             assert sum(c.rho for c in chains) <= params.d + k_total - 2
 
-    def test_revisiting_chain_rejected(self):
-        # paley13: N_x is left 0..2, Delta is left 3..4; the chain from 0 cycles 3 -> 4 -> 3
-        from arcurv.matching import Matching
+    # paley13: N_x is left 0..2, Delta is left 3..4; the walk refuses a matching that is not a
+    # permutation of H's side before it starts
 
+    def test_revisiting_chain_rejected(self):
+        # right 3 twice: the chain from 0 would cycle 3 -> 4 -> 3
         g = gen_paley(13)
         h = _build(g, *g.edges()[0])
-        assert (len(h.nx), h.side_size) == (3, 5)
-        with pytest.raises(WitnessError, match="revisits"):
-            verify_lemma_3_3(g, h, Matching({0: 3, 1: 1, 2: 2, 3: 4, 4: 3}))
+        assert (len(h.nx), h.b.left_n) == (3, 5)
+        with pytest.raises(WitnessError, match="perfect"):
+            verify_lemma_3_3(g, h, (3, 1, 2, 4, 3))
 
     def test_non_bijective_chain_map_rejected(self):
-        from arcurv.matching import Matching
-
+        # right 0 twice: N_x vertices 0 and 1 would both end at the first N_y vertex
         g = gen_paley(13)
         h = _build(g, *g.edges()[0])
-        with pytest.raises(WitnessError, match="bijection"):
-            verify_lemma_3_3(g, h, Matching({0: 0, 1: 0, 2: 2, 3: 3, 4: 4}))
+        with pytest.raises(WitnessError, match="perfect"):
+            verify_lemma_3_3(g, h, (0, 0, 2, 3, 4))
+
+    @pytest.mark.parametrize(
+        "m",
+        [(-1, 1, 0, 3, 4), (0, 1, 2, 3, 5), (0, 1, 2, 3)],
+        ids=["minus-one", "past-the-side", "short"],
+    )
+    def test_entry_outside_the_side_rejected(self, m):
+        # -1 would wrap to the last N_y vertex and give three chain records; 5 is no index of H
+        g = gen_paley(13)
+        h = _build(g, *g.edges()[0])
+        with pytest.raises(WitnessError, match="perfect"):
+            verify_lemma_3_3(g, h, m)
 
     def test_imperfect_matching_rejected(self):
-        from arcurv.matching import Matching
-
         h = _build(h23(), 0, 1)
         with pytest.raises(WitnessError, match="perfect"):
-            verify_lemma_3_3(h23(), h, Matching({0: 0}))
+            verify_lemma_3_3(h23(), h, (0,))
 
 
 class TestPi0:
@@ -309,16 +314,17 @@ class TestPi0:
             assert sorted(w for _, w in cert.pi0) == sorted((y,) + g.neighbors(y))
 
     def test_requires_z1_edge(self, monkeypatch):
-        # certify_witness rejects a class through matching_through_edge that avoids z1 z1'
+        # certify_witness rejects classes of which none contains z1 z1'
         g = gen_paley(13)
         x, y = g.edges()[0]
         h = _build(g, x, y)
         z1l, z1r = h.z1_edge()
-        others = [m for m in konig_decomposition(h.b) if m.pairs.get(z1l) != z1r]
+        class_records = _walk(g, h)
+        others = tuple(m for m in konig_decomposition(h.b) if m[z1l] != z1r)
         assert others, "decomposition should contain a class avoiding z1 z1'"
-        monkeypatch.setattr(witness_module, "matching_through_edge", lambda b, e: others[0])
+        monkeypatch.setattr(witness_module, "konig_decomposition", lambda b: others)
         with pytest.raises(WitnessError, match="z1"):
-            _certify(g, h)
+            certify_witness(g, h, check_h_regular(h), class_records)
 
 
 class TestWitnessBound:
@@ -391,31 +397,31 @@ class TestCertificateOnBuiltH:
         for x, y in g.edges():
             w = edge_witness(g, x, y, params)
             z1l, z1r = w.h.z1_edge()
-            i = next(i for i, m in enumerate(w.classes) if m.pairs.get(z1l) == z1r)
-            assert w.certificate.matching == w.classes[i]
+            i = next(i for i, m in enumerate(w.classes) if m[z1l] == z1r)
+            assert w.certificate.matching is w.classes[i]
             assert w.certificate.chain_records is w.class_records[i]
 
     def test_reads_the_walk_and_never_walks_again(self, monkeypatch):
         g = gen_paley(13)
         x, y = g.edges()[0]
         h = _build(g, x, y)
-        classes, class_records = _walk(g, h)
+        class_records = _walk(g, h)
 
         def no_walk(*args):
             raise AssertionError("certify_witness walked a class")
 
         monkeypatch.setattr(witness_module, "verify_lemma_3_3", no_walk)
-        cert = certify_witness(g, h, check_h_regular(h), classes, class_records)
+        cert = certify_witness(g, h, check_h_regular(h), class_records)
         assert cert.kappa_lb == Fraction(2, 3)
 
     def test_rejects_a_walk_stopped_before_the_z1_class(self):
         g = gen_paley(13)
         x, y = g.edges()[0]
         h = _build(g, x, y)
-        classes, class_records = _walk(g, h)
-        i = classes.index(matching_through_edge(h.b, h.z1_edge()))
+        class_records = _walk(g, h)
+        i, _ = _z1_class(h)
         with pytest.raises(WitnessError, match="chain walk stopped before the z1 z1' class"):
-            certify_witness(g, h, check_h_regular(h), classes, class_records[:i])
+            certify_witness(g, h, check_h_regular(h), class_records[:i])
 
     def test_rejects_chain_longer_than_its_bound(self):
         # H(2,3), x = (0,0), y = (0,1): reversing N_y sends (1,0) to (2,1), at distance 2 > rho - k = 1
@@ -452,14 +458,17 @@ class TestCertificateOnBuiltH:
         beta = detect_amply_params(g).beta
         names = ["build_transport_bipartite", "check_h_regular", "konig_decomposition",
                  "verify_lemma_3_3"]
-        counts = _count_calls(monkeypatch, [(witness_module, n) for n in names])
+        counts = _count_calls(monkeypatch, [(witness_module, n) for n in names]
+                              + [(matching_module, "_kuhn")])
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
         m = g.num_edges()
-        # beta - 1 classes walked once each; certify_witness reads the z1 class's walk
+        # H is decomposed once, beta - 1 Kuhn rounds, and read twice: by edge_witness and by
+        # certify_witness; beta - 1 classes walked once each; certify_witness reads the z1
+        # class's walk
         assert counts == {
-            "build_transport_bipartite": m, "check_h_regular": m, "konig_decomposition": m,
-            "verify_lemma_3_3": (beta - 1) * m,
+            "build_transport_bipartite": m, "check_h_regular": m, "konig_decomposition": 2 * m,
+            "verify_lemma_3_3": (beta - 1) * m, "_kuhn": (beta - 1) * m,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
@@ -531,7 +540,8 @@ class TestVerifyCountsFailedWitnessSteps:
         monkeypatch.setattr(witness_module, "build_transport_bipartite", dropped_e8)
         g = gen_cocktail(3)
         w = edge_witness(g, 0, 2, detect_amply_params(g))
-        assert not w.regularity.ok and w.classes == () and w.class_records == ()
+        assert w.irregular == "left x_copy1 has degree 2"
+        assert w.classes == () and w.class_records == ()
         assert w.walk_error.startswith("auxiliary graph is not (beta-1)-regular: ")
         assert w.certificate is None and w.certify_error == w.walk_error
         report = verify_graph(g, graph_id="g")
@@ -556,7 +566,7 @@ class TestDenseMatchCertificate:
         g = gen_cocktail(3)
         cert = prop_3_1_certificate(g, 0, 2, lly_curvature(g, 0, 2), detect_amply_params(g))
         assert cert.kappa == Fraction(1)
-        assert sorted(cert.matching.pairs.items()) == [(0, 0)]
+        assert cert.matching == (0,)
         assert cert.bipartite.adj == ((0,),)
 
     def test_cocktail4(self):
