@@ -2,20 +2,24 @@
 
 All masses, costs, and curvature values are `fractions.Fraction` or integers;
 nothing in this module touches floating point. One private core serves
-`lly_curvature`, `ollivier_kappa_p` and `kappa_p_all_edges` on regular edges,
-one edge or all alike. The uniform measures on B(x) and B(y) (or N(x) and
-N(y)) give equal mass to every shared vertex, so mu - nu, and with it W1 by
-Kantorovich-Rubinstein duality, depends only on the symmetric difference.
-Each edge's zone is therefore B(x) - B(y) then B(y) - B(x), or N(x) - N(y)
-then N(y) - N(x), read from the endpoints' adjacency rows; an edge in t
-triangles has d-1-t or d-t points per side. `certify_assignments` solves the
-zones of each size group as integer assignments, each proven optimal by an
-integer Kantorovich potential of equal value, 1-Lipschitz on the zone and so
-(McShane) on the graph; an empty zone costs 0 unsolved. A B-zone cost C gives
-kappa_LLY = (d+1-C)/d, an N-zone cost kappa_0 = (d-C)/d; idleness p runs the
-passes it needs and interpolates by the linearity theorem of Bourne et al.
-(SIAM J. Discrete Math. 32, 2018). The min-cost-flow transportation solve
-serves only irregular graphs and non-adjacent pairs.
+`lly_curvature`, `curvature_all_edges`, `ollivier_kappa_p` and
+`kappa_p_all_edges` on regular edges, one edge or all alike; the two
+all-edge functions certify every edge in one batch. The uniform measures on
+B(x) and B(y) (or N(x) and N(y)) give equal mass to every shared vertex, so
+mu - nu, and with it W1 by Kantorovich-Rubinstein duality, depends only on
+the symmetric difference. Each edge's zone is therefore B(x) - B(y) then
+B(y) - B(x), or N(x) - N(y) then N(y) - N(x), read from the endpoints'
+adjacency rows; an edge in t triangles has d-1-t or d-t points per side.
+`certify_assignments` solves the zones of each size group as integer
+assignments, each proven optimal by an integer Kantorovich potential of
+equal value, 1-Lipschitz on the zone and so (McShane) on the graph; an empty
+zone costs 0 unsolved. A B-zone cost C gives kappa_LLY = (d+1-C)/d, an
+N-zone cost kappa_0 = (d-C)/d; idleness p runs the passes it needs, the B
+pass through kappa_LLY, and interpolates by the linearity theorem of Bourne
+et al. (SIAM J. Discrete Math. 32, 2018). `lly_curvature` and
+`curvature_all_edges` keep each kappa_LLY they certify on its `Graph`. The
+min-cost-flow transportation solve serves only irregular graphs and
+non-adjacent pairs.
 """
 
 from __future__ import annotations
@@ -259,13 +263,8 @@ def kantorovich_potential(
 def _zone_blocks(g: Graph, zones: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BFS rows for ``zones`` (m, 2k), the row of each zone vertex, and the (m, 2k, 2k) blocks.
 
-    A batch reads each distinct vertex's row once. A single zone reads its
-    rows in order and slices its block directly: the dedup step would cost
-    more than it saves on one problem.
+    A batch reads each distinct vertex's row once.
     """
-    if len(zones) == 1:
-        rows = g.distance_rows(zones[0].tolist())
-        return rows, np.arange(zones.shape[1])[None, :], rows[:, zones[0]][None]
     vertices, at = np.unique(zones, return_inverse=True)
     rows = g.distance_rows(vertices.tolist())
     at = at.reshape(zones.shape)
@@ -373,7 +372,7 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
     (SIAM J. Discrete Math. 32, 2018), p -> kappa_p is linear on [0, 1/(d+1)]
     and on [1/(d+1), 1], and kappa_1 = 0:
 
-    - p >= 1/(d+1): (1-p) kappa_LLY, from the B pass alone (as in `_kappa_lly`);
+    - p >= 1/(d+1): (1-p) kappa_LLY, from the B pass (`_kappa_lly`) alone;
     - p = 0: kappa_0 = (d-C)/d, from the N pass alone (W = C/d);
     - 0 < p < 1/(d+1): the line from kappa_0 to (d/(d+1)) kappa_LLY, from both.
 
@@ -384,26 +383,21 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
     pass, and a potential 1-Lipschitz on the zone extends by McShane. An
     empty B difference (an edge of K_n) costs 0 without a solve; the N
     difference is never empty. Each closed form is evaluated once per
-    distinct key: the B cost, the N cost, or for the line the (N cost,
-    B cost) pair.
+    distinct key: kappa_LLY, the N cost, or for the line the (kappa_0,
+    kappa_LLY) pair.
     """
     if not edges:
         return []
     d = g.regular_degree()
     knee = Fraction(1, d + 1)
     if p > 0:
-        b_costs = _difference_costs(g, edges, closed=True)
+        kappas = _kappa_lly(g, edges, d)
         if p >= knee:
-            return _per_cost(b_costs, lambda c: (1 - p) * Fraction(d + 1 - c, d))
-    n_costs = _difference_costs(g, edges, closed=False)
+            return _per_cost(kappas, lambda kappa: (1 - p) * kappa)
+    kappa_0s = _per_cost(_difference_costs(g, edges, closed=False), lambda c: Fraction(d - c, d))
     if p == 0:
-        return _per_cost(n_costs, lambda c: Fraction(d - c, d))
-
-    def line(costs: tuple[int, int]) -> Fraction:
-        kappa_0, kappa_lly = Fraction(d - costs[0], d), Fraction(d + 1 - costs[1], d)
-        return kappa_0 + ((1 - knee) * kappa_lly - kappa_0) * p / knee
-
-    return _per_cost(zip(n_costs, b_costs), line)
+        return kappa_0s
+    return _per_cost(zip(kappa_0s, kappas), lambda k: k[0] + ((1 - knee) * k[1] - k[0]) * p / knee)
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:
@@ -468,14 +462,23 @@ class CurvatureTable:
 
 
 def curvature_all_edges(g: Graph) -> CurvatureTable:
-    """Lin-Lu-Yau curvature of every edge of a connected regular graph."""
+    """Lin-Lu-Yau curvature of every edge of a connected regular graph.
+
+    The edges the graph has not kept yet are certified in one `_kappa_lly`
+    batch, one `certify_assignments` call per zone size, and kept only once
+    the whole batch has passed; the table then reads each edge through
+    `lly_curvature`.
+    """
     if not g.is_connected():
         raise CurvatureError("curvature_all_edges requires a connected graph")
-    if g.regular_degree() is None:
+    d = g.regular_degree()
+    if d is None:
         raise CurvatureError("curvature_all_edges requires a regular graph")
     edges = g.edges()
     if not edges:
         raise CurvatureError("graph has no edges")
+    missing = [e for e in edges if e not in g._lly_cache]
+    g._lly_cache.update(zip(missing, _kappa_lly(g, missing, d)))
     kappas = [lly_curvature(g, u, v) for u, v in edges]
     rows = tuple((u, v, k) for (u, v), k in zip(edges, kappas))
     return CurvatureTable(rows=rows, kappa_min=min(kappas), kappa_max=max(kappas))

@@ -7,12 +7,21 @@ from itertools import product
 from .graph import Graph, GraphError
 
 DEFAULT_SIZE_CAP = 100_000
+EDGE_BOUND = 1_000_000
+"""The most edges a dense family builds, whatever the size cap: the vertex
+cap alone admits K_n with billions of edges."""
 
 
 def _check_size(name: str, n: int, size_cap: int) -> None:
     """Refuse a graph of ``n`` vertices above ``size_cap``, before any of it is built."""
     if n > size_cap:
         raise GraphError(f"{name} has {n} vertices, exceeding cap {size_cap}")
+
+
+def _check_edges(name: str, m: int) -> None:
+    """Refuse a graph of ``m`` edges above ``EDGE_BOUND``, before any of it is built."""
+    if m > EDGE_BOUND:
+        raise GraphError(f"{name} has {m} edges, exceeding the edge bound {EDGE_BOUND}")
 
 
 def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -26,6 +35,7 @@ def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         raise GraphError(f"H({p},{q}) has {q}^{p} vertices, exceeding cap {size_cap}")
     n = q**p
     _check_size(f"H({p},{q})", n, size_cap)
+    _check_edges(f"H({p},{q})", n * p * (q - 1) // 2)
     tuples = list(product(range(q), repeat=p))
     index = {t: i for i, t in enumerate(tuples)}
     edges = []
@@ -71,6 +81,7 @@ def gen_paley(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         raise GraphError(f"gen_paley requires a prime, got {q}")
     if q % 4 != 1:
         raise GraphError(f"gen_paley requires q = 1 (mod 4), got {q}")
+    _check_edges(f"Paley({q})", q * (q - 1) // 4)
     residues = {pow(a, 2, q) for a in range(1, q)}
     edges = [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in residues]
     return Graph(q, edges)
@@ -97,6 +108,7 @@ def gen_cocktail(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         raise GraphError(f"gen_cocktail requires m >= 2, got {m}")
     n = 2 * m
     _check_size(f"cocktail({m})", n, size_cap)
+    _check_edges(f"cocktail({m})", 2 * m * (m - 1))
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if not (u // 2 == v // 2)
     ]
@@ -107,6 +119,7 @@ def gen_complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     if n < 2:
         raise GraphError(f"gen_complete requires n >= 2, got {n}")
     _check_size(f"K_{n}", n, size_cap)
+    _check_edges(f"K_{n}", n * (n - 1) // 2)
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 

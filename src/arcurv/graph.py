@@ -22,8 +22,9 @@ class Graph:
     construction; one BFS distance row per source, computed on first use as a
     read-only int32 numpy array, so that `distance_rows` stacks it without a
     Python loop (row 0 also settles whether the graph is connected); and each
-    edge's certified Lin-Lu-Yau curvature, keyed by (min, max), which only
-    `curvature.lly_curvature` reads and writes.
+    edge's certified Lin-Lu-Yau curvature, keyed by (min, max), which
+    `curvature.curvature_all_edges` fills in one batch and
+    `curvature.lly_curvature` reads and fills.
     """
 
     __slots__ = ("n", "_adj", "_dist_cache", "_connected", "_degree", "_lly_cache")

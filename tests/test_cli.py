@@ -79,6 +79,13 @@ class TestGen:
         assert (code, out) == (EXIT_INPUT, "")
         assert "exceeding cap 10" in err
 
+    def test_edge_bound_refuses_a_dense_family_under_the_size_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "complete", "100000")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: K_100000 has 4999950000 edges, exceeding the edge bound 1000000\n"
+        assert time.perf_counter() - start < 1
+
     def test_negative_size_cap_rejected(self, capsys):
         code, out, err = run(capsys, "--size-cap", "-1", "gen", "complete", "4")
         assert (code, out) == (EXIT_INPUT, "")

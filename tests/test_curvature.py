@@ -59,7 +59,7 @@ def _differences(g, x, y):
 
 
 def _one_zone(g, sources, targets, edge):
-    """W = C/k and the plan of one problem, through `certify_assignments`' one-zone branch.
+    """W = C/k and the plan of one problem, through `certify_assignments` on one zone.
 
     The plan is its sorted ((source, target), 1/k) pairs, as `plan_cost` reads them.
     """
@@ -690,6 +690,19 @@ def _prism():
     return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
 
 
+def _recording_certify(monkeypatch):
+    """Wrap `certify_assignments`; returns the list of each call's zones shape."""
+    shapes = []
+    certify = curvature_module.certify_assignments
+
+    def recording_certify(graph, zones, edges):
+        shapes.append(zones.shape)
+        return certify(graph, zones, edges)
+
+    monkeypatch.setattr(curvature_module, "certify_assignments", recording_certify)
+    return shapes
+
+
 class TestDifferenceZones:
     @pytest.mark.parametrize("g", [
         *_mixed_regular_graphs(5), gen_complete(2), gen_complete(5), gen_cycle(4), gen_cycle(5),
@@ -697,19 +710,12 @@ class TestDifferenceZones:
     ], ids=[*(f"random{i}" for i in range(5)), "K2", "K5", "C4", "C5", "C7", "Q4", "prism"])
     def test_batch_equals_flow_and_per_edge(self, monkeypatch, g):
         d = g.regular_degree()
-        sizes = []
-        certify = curvature_module.certify_assignments
-
-        def recording_certify(graph, zones, edges):
-            sizes.append(zones.shape[1] // 2)
-            return certify(graph, zones, edges)
-
-        monkeypatch.setattr(curvature_module, "certify_assignments", recording_certify)
+        shapes = _recording_certify(monkeypatch)
         for p in (Fraction(0), Fraction(1, 2 * (d + 1)), Fraction(1, d + 1), Fraction(1, 2), Fraction(1)):
-            sizes.clear()
+            shapes.clear()
             batch = kappa_p_all_edges(g, p)
             if p == Fraction(1, 2):  # the B pass alone: one certified group per nonzero size
-                assert sorted(sizes) == sorted(_b_group_sizes(g) - {0})
+                assert sorted(two_k // 2 for _, two_k in shapes) == sorted(_b_group_sizes(g) - {0})
             assert batch == _sorted_edges_kappa_p(g, p)
             assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
             if p == Fraction(1, d + 1):  # kappa_p = (d/(d+1)) kappa_LLY at the knee
@@ -758,11 +764,14 @@ class TestDifferenceZones:
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_lly_matches_brute_force_on_random_regular_graphs(seed):
-    g = random_connected_regular_graph(seed, max_n=10)
+    # per edge on one fresh graph, and as the batched table on another
+    g, fresh = (random_connected_regular_graph(seed, max_n=10) for _ in range(2))
     d = g.regular_degree()
-    for x, y in g.edges():
-        expected = Fraction(d + 1, d) * (1 - brute_regular_wasserstein(g, x, y))
-        assert lly_curvature(g, x, y) == expected
+    expected = [Fraction(d + 1, d) * (1 - brute_regular_wasserstein(g, x, y)) for x, y in g.edges()]
+    assert [lly_curvature(g, x, y) for x, y in g.edges()] == expected
+    table = curvature_all_edges(fresh)
+    assert table.rows == tuple((x, y, k) for (x, y), k in zip(g.edges(), expected))
+    assert (table.kappa_min, table.kappa_max) == (min(expected), max(expected))
 
 
 class TestKappa:
@@ -880,6 +889,37 @@ class TestKeptCurvature:
         calls = _counting_solver(monkeypatch)
         assert lly_curvature(g, 0, 1) == Fraction(2, 3)
         assert len(calls) == 1
+
+    def test_the_table_certifies_every_edge_in_one_batch(self, monkeypatch):
+        # paley13's 39 edges all have 3 + 3 B-zones: one call holds every zone
+        shapes = _recording_certify(monkeypatch)
+        calls = _counting_solver(monkeypatch)
+        g = gen_paley(13)
+        table = curvature_all_edges(g)
+        assert shapes == [(39, 6)] and len(calls) == 39
+        assert g._lly_cache == {(x, y): k for x, y, k in table.rows}
+        assert {k for _, _, k in table.rows} == {Fraction(2, 3)}
+        # every edge kept: a second table and each per-edge call solve nothing
+        assert curvature_all_edges(g) == table
+        assert [lly_curvature(g, x, y) for x, y, _ in table.rows] == [k for _, _, k in table.rows]
+        assert shapes == [(39, 6)] and len(calls) == 39
+
+    def test_the_table_certifies_only_the_edges_not_kept(self, monkeypatch):
+        shapes = _recording_certify(monkeypatch)
+        g = gen_paley(13)
+        lly_curvature(g, 0, 1)
+        curvature_all_edges(g)
+        assert shapes == [(1, 6), (38, 6)]
+
+    def test_a_failed_table_keeps_no_value(self, monkeypatch):
+        _counting_solver(monkeypatch, _worst_assignment)
+        g = gen_paley(13)
+        with pytest.raises(CurvatureError, match=_naming((0, 1), "not optimal")):
+            curvature_all_edges(g)
+        assert g._lly_cache == {}
+        monkeypatch.undo()
+        assert curvature_all_edges(g) == curvature_all_edges(gen_paley(13))
+        assert len(g._lly_cache) == 39
 
     def test_bad_arguments_raise_with_values_kept(self, monkeypatch):
         g = gen_paley(13)

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -15,6 +16,8 @@ from arcurv import (
     gen_paley,
     gen_shrikhande,
 )
+
+import arcurv.generators as generators
 
 
 def test_hamming_instances():
@@ -57,6 +60,57 @@ def test_every_family_honours_the_size_cap(build, size):
     with pytest.raises(GraphError, match=f"{size} vertices, exceeding cap 10"):
         build(10)
     assert build(size).n == size
+
+
+# Each dense family's first size past the edge bound of 1,000,000 with its edge
+# count, and its largest size under the bound with its count.
+EDGE_BOUND_SIZES = [
+    (gen_complete, "K_{}", (1415,), 1000405, (1414,), 998991),
+    (gen_cocktail, "cocktail({})", (708,), 1001112, (707,), 998284),
+    (gen_paley, "Paley({})", (2017,), 1016568, (1997,), 996503),
+    (gen_hamming, "H({},{})", (2, 101), 1020100, (2, 100), 990000),
+]
+
+
+def _refusal(name, count, bound):
+    return rf"^{re.escape(name)} has {count} edges, exceeding the edge bound {bound}$"
+
+
+@pytest.mark.parametrize("build, name, past, past_count, under, under_count", EDGE_BOUND_SIZES)
+def test_every_dense_family_honours_the_edge_bound(monkeypatch, build, name, past, past_count,
+                                                   under, under_count):
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match=_refusal(name.format(*past), past_count, 1000000)):
+        build(*past)
+    assert time.perf_counter() - start < 0.1
+    # The largest size under the bound is admitted: its count, read off the
+    # refusal under a bound one lower, is at most the bound.
+    assert under_count <= generators.EDGE_BOUND
+    monkeypatch.setattr(generators, "EDGE_BOUND", under_count - 1)
+    with pytest.raises(GraphError, match=_refusal(name.format(*under), under_count, under_count - 1)):
+        build(*under)
+
+
+@pytest.mark.parametrize("build, past, under", [
+    (gen_complete, (6,), (5,)),
+    (gen_cocktail, (4,), (3,)),
+    (gen_paley, (13,), (5,)),
+    (gen_hamming, (2, 4), (2, 3)),
+])
+def test_the_edge_bound_admits_its_own_count(monkeypatch, build, past, under):
+    # the bound set to the count of the largest graph under it: that one is
+    # built with exactly that many edges, the next is refused
+    count = build(*under).num_edges()
+    monkeypatch.setattr(generators, "EDGE_BOUND", count)
+    assert build(*under).num_edges() == count
+    with pytest.raises(GraphError, match=rf"edges, exceeding the edge bound {count}$"):
+        build(*past)
+
+
+def test_the_edge_bound_holds_under_any_size_cap():
+    # Q17's 131072 vertices fit a raised size cap; its 1114112 edges do not
+    with pytest.raises(GraphError, match=_refusal("H(17,2)", 1114112, 1000000)):
+        gen_hypercube(17, size_cap=10**6)
 
 
 def test_paley_checks_the_cap_before_primality(monkeypatch):
