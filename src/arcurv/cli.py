@@ -10,13 +10,7 @@ from fractions import Fraction
 
 from . import generators as gen
 from . import witness as wit
-from .curvature import (
-    CurvatureError,
-    curvature_all_edges,
-    kappa_p_all_edges,
-    lly_curvature,
-    ollivier_kappa_p,
-)
+from .curvature import curvature_all_edges, kappa_p_all_edges, lly_curvature, ollivier_kappa_p
 from .graph import (
     AmplyViolation,
     Graph,
@@ -26,15 +20,9 @@ from .graph import (
     edge_list_order,
     load_edge_list,
 )
-from .matching import MatchingError
-from .report import (
-    ReportError,
-    render_text,
-    report_to_dict,
-    verify_graph,
-)
+from .report import render_text, report_to_dict, verify_graph
 from .search import infeasibility_reason, search_amply
-from .spectral import DEFAULT_SPECTRUM_CAP, SpectralError, adjacency_spectrum, check_spectrum_cap
+from .spectral import DEFAULT_SPECTRUM_CAP, adjacency_spectrum, check_spectrum_cap
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -43,19 +31,6 @@ EXIT_INPUT = 2
 # The most digits a --p text may have before any exponent, and the largest exponent
 # magnitude; checked before the text is parsed.
 _P_TEXT_BOUND = 1000
-
-# Output formats each command renders. `gen` and `search` print an edge list
-# (or "none") in every format.
-_FORMATS = {
-    "gen": ("text", "json", "csv"),
-    "params": ("text", "json"),
-    "curvature": ("text", "json", "csv"),
-    "verify": ("text", "json", "csv"),
-    "hgraph": ("text", "json"),
-    "spectrum": ("text", "json"),
-    "diameter": ("text",),
-    "search": ("text", "json", "csv"),
-}
 
 # family -> (argument count, generator); every generator takes ``size_cap``.
 _FAMILIES = {
@@ -96,15 +71,10 @@ def _edge(g: Graph, edge: list[int]) -> tuple[int, int]:
 
 def _cmd_gen(args) -> int:
     if args.family not in _FAMILIES:
-        print(f"error: unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown family {args.family!r}")
     arity, build = _FAMILIES[args.family]
     if len(args.args) != arity:
-        print(
-            f"error: family {args.family!r} takes {arity} argument(s), got {len(args.args)}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise ValueError(f"family {args.family!r} takes {arity} argument(s), got {len(args.args)}")
     g = build(*args.args, size_cap=args.size_cap or gen.DEFAULT_SIZE_CAP)
     sys.stdout.write(dump_edge_list(g))
     return EXIT_OK
@@ -177,11 +147,9 @@ def _curvature_rows(g: Graph, args) -> list[tuple[int, int, Fraction]]:
 
 def _cmd_curvature(args) -> int:
     if not args.all and args.edge is None:
-        print("error: pass --all or --edge u v", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("pass --all or --edge u v")
     if args.all and args.edge is not None:
-        print("error: pass --all or --edge u v, not both", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("pass --all or --edge u v, not both")
     g = _read_graph(args.file, args.size_cap or gen.DEFAULT_SIZE_CAP)
     rows = _curvature_rows(g, args)
     if args.format == "json":
@@ -332,68 +300,67 @@ def build_parser() -> argparse.ArgumentParser:
              f"means the command's own cap: {DEFAULT_SPECTRUM_CAP} for verify and spectrum, "
              f"{gen.DEFAULT_SIZE_CAP} otherwise",
     )
+    # Each command names the formats it renders; `main` refuses any other.
+    # `gen` and `search` print an edge list (or "none") in every format.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit a builtin family as an edge list")
     p_gen.add_argument("family")
     p_gen.add_argument("args", nargs="*", type=int)
-    p_gen.set_defaults(func=_cmd_gen)
+    p_gen.set_defaults(func=_cmd_gen, formats=("text", "json", "csv"))
 
     p_params = sub.add_parser("params", help="detect amply-regular parameters")
     p_params.add_argument("file")
-    p_params.set_defaults(func=_cmd_params)
+    p_params.set_defaults(func=_cmd_params, formats=("text", "json"))
 
     p_curv = sub.add_parser("curvature", help="exact edge curvature")
     p_curv.add_argument("file")
     p_curv.add_argument("--edge", nargs=2, type=int, metavar=("U", "V"))
     p_curv.add_argument("--all", action="store_true")
     p_curv.add_argument("--p", help="idleness as num/den; switches to p-idleness curvature")
-    p_curv.set_defaults(func=_cmd_curvature)
+    p_curv.set_defaults(func=_cmd_curvature, formats=("text", "json", "csv"))
 
     p_verify = sub.add_parser("verify", help="run the full verification report")
     p_verify.add_argument("file")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, formats=("text", "json", "csv"))
 
     p_hgraph = sub.add_parser("hgraph", help="dump the transport-bipartite graph of an edge")
     p_hgraph.add_argument("file")
     p_hgraph.add_argument("--edge", nargs=2, type=int, metavar=("U", "V"), required=True)
-    p_hgraph.set_defaults(func=_cmd_hgraph)
+    p_hgraph.set_defaults(func=_cmd_hgraph, formats=("text", "json"))
 
     p_spec = sub.add_parser("spectrum", help="adjacency eigenvalues")
     p_spec.add_argument("file")
-    p_spec.set_defaults(func=_cmd_spectrum)
+    p_spec.set_defaults(func=_cmd_spectrum, formats=("text", "json"))
 
     p_diam = sub.add_parser("diameter", help="graph diameter")
     p_diam.add_argument("file")
-    p_diam.set_defaults(func=_cmd_diameter)
+    p_diam.set_defaults(func=_cmd_diameter, formats=("text",))
 
     p_search = sub.add_parser("search", help="exhaustive search for an amply regular instance")
     p_search.add_argument("n", type=int)
     p_search.add_argument("d", type=int)
     p_search.add_argument("alpha", type=int)
     p_search.add_argument("beta", type=_search_beta, help="integer, or 'none' for no distance-2 pair")
-    p_search.set_defaults(func=_cmd_search)
+    p_search.set_defaults(func=_cmd_search, formats=("text", "json", "csv"))
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; every refused input is one ``error:`` line on stderr and exit 2.
+
+    Every arcurv error subclasses ``ValueError``, so the one clause covers them all.
+    """
     args = build_parser().parse_args(argv)
-    formats = _FORMATS[args.command]
-    if args.format not in formats:
-        print(
-            f"error: {args.command} does not render --format {args.format}; "
-            f"it renders {', '.join(formats)}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    if args.size_cap < 0:
-        print(f"error: --size-cap must be nonnegative, got {args.size_cap}", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        if args.format not in args.formats:
+            raise ValueError(f"{args.command} does not render --format {args.format}; "
+                             f"it renders {', '.join(args.formats)}")
+        if args.size_cap < 0:
+            raise ValueError(f"--size-cap must be nonnegative, got {args.size_cap}")
         return args.func(args)
-    except (GraphError, CurvatureError, MatchingError, wit.WitnessError,
-            SpectralError, ReportError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -350,8 +350,13 @@ def _per_cost(keys, value) -> list[Fraction]:
     return [table[key] for key in keys]
 
 
+def _lly_of_cost(d: int, c: int) -> Fraction:
+    """kappa_LLY = (d+1)/d * (1 - W) = (d+1-C)/d of an edge whose B difference costs C."""
+    return Fraction(d + 1 - c, d)
+
+
 def _kappa_lly(g: Graph, edges, d: int) -> list[Fraction]:
-    """kappa_LLY = (d+1)/d * (1 - W) = (d+1-C)/d of each edge of a d-regular graph.
+    """kappa_LLY = (d+1-C)/d (`_lly_of_cost`) of each edge of a d-regular graph.
 
     C is the edge's certified cost on B(x) - B(y) -> B(y) - B(x). The uniform
     measures on B(x) and B(y) put the same mass 1/(d+1) on every shared
@@ -362,7 +367,7 @@ def _kappa_lly(g: Graph, edges, d: int) -> list[Fraction]:
     graph with the same value on mu - nu, so no plan is cheaper and
     W = C/(d+1). The closed form is evaluated once per distinct C.
     """
-    return _per_cost(_difference_costs(g, edges, closed=True), lambda c: Fraction(d + 1 - c, d))
+    return _per_cost(_difference_costs(g, edges, closed=True), lambda c: _lly_of_cost(d, c))
 
 
 def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
@@ -382,22 +387,28 @@ def _regular_kappa_p(g: Graph, edges, p: Fraction) -> list[Fraction]:
     x; the mass 1/d on each shared neighbour cancels in mu - nu as in the B
     pass, and a potential 1-Lipschitz on the zone extends by McShane. An
     empty B difference (an edge of K_n) costs 0 without a solve; the N
-    difference is never empty. Each closed form is evaluated once per
-    distinct key: kappa_LLY, the N cost, or for the line the (kappa_0,
-    kappa_LLY) pair.
+    difference is never empty. The closed form p needs is evaluated once
+    per distinct integer pair (B cost, N cost), with 0 for a pass p does
+    not run.
     """
     if not edges:
         return []
     d = g.regular_degree()
     knee = Fraction(1, d + 1)
-    if p > 0:
-        kappas = _kappa_lly(g, edges, d)
+    unrun = [0] * len(edges)
+    b_costs = _difference_costs(g, edges, closed=True) if p > 0 else unrun
+    n_costs = _difference_costs(g, edges, closed=False) if p < knee else unrun
+
+    def kappa_p(costs: tuple[int, int]) -> Fraction:
+        b_cost, n_cost = costs
         if p >= knee:
-            return _per_cost(kappas, lambda kappa: (1 - p) * kappa)
-    kappa_0s = _per_cost(_difference_costs(g, edges, closed=False), lambda c: Fraction(d - c, d))
-    if p == 0:
-        return kappa_0s
-    return _per_cost(zip(kappa_0s, kappas), lambda k: k[0] + ((1 - knee) * k[1] - k[0]) * p / knee)
+            return (1 - p) * _lly_of_cost(d, b_cost)
+        kappa_0 = Fraction(d - n_cost, d)
+        if p == 0:
+            return kappa_0
+        return kappa_0 + ((1 - knee) * _lly_of_cost(d, b_cost) - kappa_0) * p / knee
+
+    return _per_cost(zip(b_costs, n_costs), kappa_p)
 
 
 def ollivier_kappa_p(g: Graph, x: int, y: int, p: Fraction) -> Fraction:

@@ -14,6 +14,7 @@ from typing import Optional
 from . import witness as wit
 from .curvature import CurvatureTable, curvature_all_edges
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
+from .matching import MatchingError
 from .spectral import (
     DEFAULT_SPECTRUM_CAP,
     PsdCertificate,
@@ -293,7 +294,7 @@ def verify_graph(
             try:
                 wit.prop_3_1_certificate(g, u, v, kappa, params)
                 certified += 1
-            except wit.WitnessError:
+            except (wit.WitnessError, MatchingError):
                 pass
         dense_summary = DenseMatchSummary(
             kappa=Fraction(2 + params.alpha, params.d),

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 from .curvature import lly_curvature
 from .graph import AmplyParams, Graph, edge_partition
-from .matching import Bipartite, dense_perfect_matching, konig_decomposition
+from .matching import Bipartite, MatchingError, dense_perfect_matching, konig_decomposition
 
 # edge class indices (1-based, matching the construction below)
 CLASS_NAMES = {
@@ -287,8 +287,9 @@ class EdgeWitness:
 
     ``class_records`` holds the chain records of the Konig classes of H, in
     order, up to the first class whose walk raised; ``walk_error`` is that
-    class's message, the regularity message if H has no classes, or None if
-    every class was walked. ``irregular`` is ``check_h_regular(h)``.
+    class's message, the regularity or decomposition message if H has no
+    classes, or None if every class was walked. ``irregular`` is
+    ``check_h_regular(h)``.
     ``certificate`` is the result of ``certify_witness`` on those records,
     or None with its message in ``certify_error``.
     """
@@ -307,27 +308,29 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
 
     Builds H and its regularity check, decomposes H into
     its Konig classes, checks Lemma 3.3 on each class, and certifies the
-    lower bound from those walks. A failed step's ``WitnessError`` is kept
-    as its message. An H that is not (beta-1)-regular is not decomposed,
-    and the regularity message is kept as the walk's.
+    lower bound from those walks. A failed step's ``WitnessError`` or
+    ``MatchingError`` is kept as its message. An H that is not
+    (beta-1)-regular is not decomposed, and the regularity message is kept
+    as the walk's; a decomposition that raises leaves H with no classes.
     """
     h = build_transport_bipartite(g, x, y, params)
     irregular = check_h_regular(h)
-    classes = konig_decomposition(h.b) if irregular is None else ()
+    classes: tuple[tuple[int, ...], ...] = ()
     walked: list[tuple[ChainRecord, ...]] = []
     walk_error = (None if irregular is None
                   else f"auxiliary graph is not (beta-1)-regular: {irregular}")
-    for m in classes:
-        try:
+    try:
+        if irregular is None:
+            classes = konig_decomposition(h.b)
+        for m in classes:
             walked.append(tuple(verify_lemma_3_3(g, h, m)))
-        except WitnessError as exc:
-            walk_error = str(exc)
-            break
+    except (WitnessError, MatchingError) as exc:
+        walk_error = str(exc)
     class_records = tuple(walked)
     certificate, certify_error = None, None
     try:
         certificate = certify_witness(g, h, irregular, class_records)
-    except WitnessError as exc:
+    except (WitnessError, MatchingError) as exc:
         certify_error = str(exc)
     return EdgeWitness(
         h=h, irregular=irregular, classes=classes, class_records=class_records,

@@ -7,6 +7,12 @@ import pytest
 from arcurv import (dump_edge_list, gen_cocktail, gen_complete, gen_cycle, gen_hamming, gen_paley,
                     load_edge_list)
 from arcurv.cli import EXIT_ASSERTION, EXIT_INPUT, EXIT_OK, main
+from arcurv.curvature import CurvatureError
+from arcurv.graph import GraphError
+from arcurv.matching import MatchingError
+from arcurv.report import ReportError
+from arcurv.spectral import SpectralError
+from arcurv.witness import WitnessError
 
 
 def run(capsys, *argv):
@@ -50,12 +56,13 @@ class TestGen:
         assert load_edge_list(out) == gen_hamming(2, 3)
 
     def test_unknown_family(self, capsys):
-        code, _, err = run(capsys, "gen", "moebius")
-        assert code == EXIT_INPUT and "unknown family" in err
+        code, out, err = run(capsys, "gen", "moebius")
+        assert (code, out, err) == (EXIT_INPUT, "", "error: unknown family 'moebius'\n")
 
     def test_wrong_arity(self, capsys):
-        code, _, err = run(capsys, "gen", "paley")
-        assert code == EXIT_INPUT and "argument" in err
+        code, out, err = run(capsys, "gen", "paley")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: family 'paley' takes 1 argument(s), got 0\n"
 
     def test_hypercube_dimension_error_names_hypercube(self, capsys):
         code, out, err = run(capsys, "gen", "hypercube", "0")
@@ -178,8 +185,8 @@ class TestCurvature:
         assert (code, out) == (EXIT_OK, "0 3 1/3\n")
 
     def test_requires_edge_or_all(self, capsys, h23_file):
-        code, _, err = run(capsys, "curvature", h23_file)
-        assert code == EXIT_INPUT and "--all" in err
+        code, out, err = run(capsys, "curvature", h23_file)
+        assert (code, out, err) == (EXIT_INPUT, "", "error: pass --all or --edge u v\n")
 
     def test_non_edge(self, capsys, h23_file):
         code, _, err = run(capsys, "curvature", h23_file, "--edge", "0", "4")
@@ -293,9 +300,33 @@ def test_edge_out_of_range(capsys, h23_file, command, edge):
     ],
 )
 def test_unrendered_format_rejected(capsys, h23_file, fmt, command, rest):
+    renders = "text" if command == "diameter" else "text, json"
     code, out, err = run(capsys, "--format", fmt, command, h23_file, *rest)
-    assert code == EXIT_INPUT and out == ""
-    assert err.startswith(f"error: {command} does not render --format {fmt}")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"error: {command} does not render --format {fmt}; it renders {renders}\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", ["gen", "curvature", "verify", "search"])
+def test_every_format_is_rendered_by_gen_curvature_verify_and_search(capsys, h23_file, fmt,
+                                                                     command):
+    argv = {"gen": ("gen", "hamming", "2", "3"), "curvature": ("curvature", h23_file, "--all"),
+            "verify": ("verify", h23_file), "search": ("search", "5", "2", "0", "1")}[command]
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    assert (code, err) == (EXIT_OK, "") and out
+
+
+def test_the_format_is_refused_before_the_size_cap(capsys, h23_file):
+    code, out, err = run(capsys, "--size-cap", "-1", "--format", "csv", "diameter", h23_file)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "error: diameter does not render --format csv; it renders text\n"
+
+
+def test_every_arcurv_error_is_a_value_error():
+    # main's one `except (ValueError, OSError)` clause reports each of them
+    for error in (GraphError, CurvatureError, MatchingError, WitnessError, SpectralError,
+                  ReportError):
+        assert issubclass(error, ValueError), error
 
 
 class TestSpectrumDiameterSearch:

@@ -9,6 +9,7 @@ parser. Nothing here is timed.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 
 import arcurv
 from arcurv import dump_edge_list, gen_complete, gen_paley
-from arcurv.cli import _FORMATS, EXIT_INPUT, EXIT_OK, main
+from arcurv.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 
 SOLVER = "scipy.optimize"
 SRC = str(Path(arcurv.__file__).resolve().parents[1])
@@ -98,7 +99,9 @@ print(json.dumps(counts))
 def test_import_builds_no_parser_and_main_builds_it_once():
     imported, first, second = json.loads(_fresh(_PARSERS).stdout)
     assert imported == 0
-    assert first == second == 1 + len(_FORMATS)
+    (subcommands,) = [a.choices for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    assert first == second == 1 + len(subcommands)
 
 
 def test_repeated_main_calls_answer_as_fresh_processes(tmp_path, paley13_file, capsys,

@@ -560,6 +560,48 @@ class TestVerifyCountsFailedWitnessSteps:
         report = verify_graph(make(), graph_id="g")
         assert report.witness == WitnessSummary(m, m, m, m, m, 0, 0, passed=False)
 
+    def test_a_matching_fault_in_the_witness_is_a_failed_step(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # Kuhn's search leaves left vertex 0 unmatched, so every Konig
+        # decomposition raises MatchingError: H is regular but has no classes
+        kuhn = matching_module._kuhn
+
+        def unmatched_first(adj, right_n):
+            return [-1] + kuhn(adj, right_n)[1:]
+
+        monkeypatch.setattr(matching_module, "_kuhn", unmatched_first)
+        g = gen_paley(13)
+        fault = "internal error: Kuhn's search found no perfect matching"
+        w = edge_witness(g, 0, 1, detect_amply_params(g))
+        assert w.irregular is None and w.classes == () and w.class_records == ()
+        assert w.walk_error == w.certify_error == fault and w.certificate is None
+        path = tmp_path / "paley13.txt"
+        path.write_text(dump_edge_list(g))
+        assert cli_module.main(["verify", str(path)]) == cli_module.EXIT_ASSERTION
+        out = capsys.readouterr().out
+        assert ("witness pipeline: 39 edges | regular 39 | classes 0 | bijection 0 | "
+                "chains 0 | pi0 0 | lower bound 0  [FAIL]") in out
+        assert cli_module.main(["hgraph", str(path), "--edge", "0", "1"]) == cli_module.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {fault}\n")
+
+    def test_a_matching_fault_in_the_dense_stage_is_an_uncertified_edge(self, monkeypatch,
+                                                                        tmp_path, capsys):
+        # K_{3,3} is (6,3,0,3): dense regime (2*3 - 0 >= 4), no witness stage
+        def no_matching(b):
+            raise matching_module.MatchingError("internal error: a matched pair is not an edge")
+
+        monkeypatch.setattr(witness_module, "dense_perfect_matching", no_matching)
+        g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+        report = verify_graph(g, graph_id="g")
+        assert report.witness is None
+        assert report.dense_match.edges_certified == 0 and not report.dense_match.passed
+        assert not report.overall_pass
+        path = tmp_path / "k33.txt"
+        path.write_text(dump_edge_list(g))
+        assert cli_module.main(["verify", str(path)]) == cli_module.EXIT_ASSERTION
+        out = capsys.readouterr().out
+        assert "dense-matching certificate: kappa = 2/3 on 0 edges  [FAIL]" in out
+
 
 class TestDenseMatchCertificate:
     def test_octahedron(self):
