@@ -48,13 +48,11 @@ from .spectral import (
 from .witness import (
     EdgeWitness,
     TransportBipartite,
+    WitnessBatch,
     WitnessError,
-    build_transport_bipartite,
-    certify_witness,
-    check_h_regular,
     edge_witness,
     prop_3_1_certificate,
-    verify_lemma_3_3,
+    witness_batches,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

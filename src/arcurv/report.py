@@ -140,23 +140,11 @@ def _edge_checks(kappa: Fraction, params: AmplyParams) -> tuple[EdgeCheck, ...]:
 
 
 def _witness_summary(g: Graph, params: AmplyParams) -> WitnessSummary:
-    """Count, over every edge, the witness steps of its ``EdgeWitness`` that passed."""
-    d = params.d
+    """Count, over every edge, the witness steps that passed, in one batched pass."""
     edges = g.edges()
     passes = [0] * 6
-    for u, v in edges:
-        w = wit.edge_witness(g, u, v, params)
-        cert = w.certificate
-        walked = w.walk_error is None
-        steps = (
-            w.irregular is None,
-            len(w.classes) == params.beta - 1,
-            walked,
-            walked and all(r.ok for records in w.class_records for r in records),
-            cert is not None and cert.pi0_cost <= Fraction(d - 2, d + 1),
-            cert is not None and Fraction(3, d) <= cert.kappa_lb <= cert.kappa,
-        )
-        passes = [count + ok for count, ok in zip(passes, steps)]
+    for batch in wit.witness_batches(g, edges, params):
+        passes = [count + ok for count, ok in zip(passes, batch.steps().sum(axis=0).tolist())]
     return WitnessSummary(len(edges), *passes, passed=all(c == len(edges) for c in passes))
 
 

@@ -4,18 +4,23 @@ For an edge xy of an amply regular graph with beta > alpha >= 1, an auxiliary
 (beta-1)-regular bipartite graph is built from the local structure of xy. Its
 perfect matchings induce bijections N_x -> N_y whose chains bound the graph
 distance, which yields an explicit cheap transport plan and hence a curvature
-lower bound of 3/d. A separate dense-matching certificate pins the curvature
-to (2+alpha)/d when 2*beta - alpha >= d + 1.
+lower bound of 3/d. `witness_batches` runs every step of that construction
+on many edges at once, over whole arrays read from the cached BFS rows;
+`edge_witness` runs it on one edge. A separate dense-matching certificate
+pins the curvature to (2+alpha)/d when 2*beta - alpha >= d + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .curvature import lly_curvature
-from .graph import AmplyParams, Graph, edge_partition
+from .graph import AmplyParams, Graph, GraphError, edge_partition
 from .matching import Bipartite, MatchingError, dense_perfect_matching, konig_decomposition
 
 # edge class indices (1-based, matching the construction below)
@@ -30,9 +35,24 @@ CLASS_NAMES = {
     8: "x-copy to x'-copy",
 }
 
+WITNESS_CHUNK = 64
+"""Edges that `witness_batches` builds and checks together. It bounds the
+(chunk, n) endpoint rows, the (chunk, s, s) biadjacency and the
+(chunk, beta-1, |N_x|) chain temporaries."""
+
 
 class WitnessError(ValueError):
     """Unmet witness hypothesis or a failed internal certificate."""
+
+
+def _name(i: int, ends: Sequence[int], delta: Sequence[int], letter: str, prime: str) -> str:
+    """Side index i of H: an N_x or N_y vertex (``letter``), a z or an x-copy, ``prime`` on the right."""
+    p, a = len(ends), len(delta)
+    if i < p:
+        return f"{letter}{ends[i]}"
+    if i < p + a:
+        return f"z{delta[i - p]}{prime}"
+    return f"x_copy{i - p - a + 1}{prime}"
 
 
 @dataclass(frozen=True)
@@ -44,7 +64,8 @@ class TransportBipartite:
     z_1..z_alpha (resp. their primed copies) in sorted host order, and
     [p+alpha, p+alpha+delta-1) are synthetic copies of x (resp. x'), where
     delta = beta - alpha. Right index i of a z/x-copy is the primed twin of
-    left index i. ``b`` holds H's edges as the sorted rows that Konig reads.
+    left index i. ``b`` holds H's edges as the sorted rows that Konig reads;
+    edges whose H's are equal share one ``b``.
     """
 
     x: int
@@ -86,27 +107,17 @@ class TransportBipartite:
         return (p, p)
 
     def left_name(self, i: int) -> str:
-        p, a = len(self.nx), len(self.delta)
-        if i < p:
-            return f"v{self.nx[i]}"
-        if i < p + a:
-            return f"z{self.delta[i - p]}"
-        return f"x_copy{i - p - a + 1}"
+        return _name(i, self.nx, self.delta, "v", "")
 
     def right_name(self, i: int) -> str:
-        p, a = len(self.ny), len(self.delta)
-        if i < p:
-            return f"w{self.ny[i]}"
-        if i < p + a:
-            return f"z{self.delta[i - p]}'"
-        return f"x_copy{i - p - a + 1}'"
+        return _name(i, self.ny, self.delta, "w", "'")
 
 
 class ChainRecord(NamedTuple):
     """One matched-edge chain from v0 in N_x to w0 in N_y: ok iff d(v0, w0) <= rho - k.
 
     rho counts the chain's left-side members and k the synthetic x-copies
-    among them. A named tuple, cheap to build: ``verify`` makes one per chain.
+    among them.
     """
 
     v0: int
@@ -115,93 +126,6 @@ class ChainRecord(NamedTuple):
     rho: int
     k: int
     ok: bool
-
-
-def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> TransportBipartite:
-    """Construct the auxiliary bipartite graph of edge xy.
-
-    Requires detected parameters with beta present and beta > alpha >= 1.
-    Common neighbors are indexed in sorted host order, which fixes z_1.
-    """
-    if params.beta is None:
-        raise WitnessError("no distance-2 pair: beta is undefined")
-    if not (params.beta > params.alpha >= 1):
-        raise WitnessError(
-            f"construction requires beta > alpha >= 1, got alpha={params.alpha}, beta={params.beta}"
-        )
-    part = edge_partition(g, x, y)
-    p = len(part.nx)
-    a = params.alpha
-    copies = params.beta - params.alpha - 1
-    assert len(part.delta) == a and len(part.ny) == p
-    # Right indices [0, p) are N_y and [p, p+a) are Delta, so one scan of
-    # each N_x and Delta row finds its host edges of E1-E3 and E5. A Delta
-    # row adds its diagonal (E4) and every x'-copy (E7); an x-copy row is
-    # every Delta' and x'-copy (E6, E8).
-    col_index = {w: j for j, w in enumerate(part.ny + part.delta)}
-    adj = g.adjacency
-    s = p + a + copies
-    rows = [tuple(sorted(col_index[w] for w in adj[v] if w in col_index)) for v in part.nx]
-    for i, z in enumerate(part.delta):
-        host = [col_index[w] for w in adj[z] if w in col_index]
-        rows.append(tuple(sorted(host + [p + i])) + tuple(range(p + a, s)))
-    rows += [tuple(range(p, s))] * copies
-    return TransportBipartite(
-        x=x,
-        y=y,
-        d=params.d,
-        beta=params.beta,
-        nx=part.nx,
-        ny=part.ny,
-        delta=part.delta,
-        b=Bipartite(s, s, tuple(rows)),
-    )
-
-
-def check_h_regular(h: TransportBipartite) -> Optional[str]:
-    """None if every auxiliary vertex has degree exactly beta - 1, else the first offender.
-
-    Left degrees are the lengths of ``h.b``'s rows, and right degrees are
-    ``h.b``'s cached count, which Konig reads too.
-    """
-    adj, right, k = h.b.adj, h.b.right_degrees, h.beta - 1
-    for i in range(h.b.left_n):
-        if len(adj[i]) != k:
-            return f"left {h.left_name(i)} has degree {len(adj[i])}"
-        if right[i] != k:
-            return f"right {h.right_name(i)} has degree {right[i]}"
-    return None
-
-
-def verify_lemma_3_3(g: Graph, h: TransportBipartite, m: tuple[int, ...]) -> list[ChainRecord]:
-    """Walk the chain of every N_x vertex through ``m`` and bound its distance.
-
-    ``m`` holds the right partner of each left vertex of H. Matched edges
-    are followed from each N_x vertex until one lands in N_y; a right-side
-    z/x-copy at index i continues through its unprimed left twin at the same
-    index. ``m`` must be a permutation of H's side, so each walk follows
-    the permutation's cycle through its start and stops before it returns:
-    no chain revisits a vertex, and the induced map N_x -> N_y is a
-    bijection. Each chain's endpoints must be connected.
-    """
-    if sorted(m) != list(range(h.b.left_n)):
-        raise WitnessError("chain walk requires a perfect matching")
-    p = len(h.nx)
-    first_copy = p + len(h.delta)
-    records = []
-    for start, v0 in enumerate(h.nx):
-        rho, k = 1, 0
-        current = m[start]
-        while current >= p:  # primed twin shares the index
-            rho += 1
-            k += current >= first_copy
-            current = m[current]
-        w0 = h.ny[current]
-        dist = g.distances_from(v0).item(w0)
-        if dist < 0:
-            raise WitnessError("internal error: chain endpoints disconnected")
-        records.append(ChainRecord(v0, w0, dist, rho, k, dist <= rho - k))
-    return records
 
 
 @dataclass(frozen=True)
@@ -219,79 +143,17 @@ class WitnessCertificate:
     kappa: Fraction
 
 
-def certify_witness(
-    g: Graph,
-    h: TransportBipartite,
-    irregular: Optional[str],
-    class_records: tuple[tuple[ChainRecord, ...], ...],
-) -> WitnessCertificate:
-    """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) on a built H of edge xy.
-
-    ``irregular`` is ``check_h_regular(h)``, and ``class_records`` are the
-    chain records of each Konig class of ``h.b`` walked, in order, as
-    ``edge_witness`` keeps them. Picks the class through z_1 z_1' among the
-    classes kept on ``h.b`` and reads its chains from that walk;
-    then checks the whole chain of inequalities: regularity, the z_1 z_1'
-    membership, chain distance bounds, the sum bound on chain lengths, the
-    marginals of pi0, the plan cost bound (d-2)/(d+1), kappa_lb >= 3/d, and
-    kappa_lb <= the exact curvature.
-
-    pi0 keeps mass 1/(d+1) on every common neighbor and on x and y, and
-    ships each N_x vertex's mass to its chain partner in N_y; its sorted
-    sources and targets are checked to be B(x) and B(y), and its cost is
-    the integer sum of its pairs' BFS distances over d+1.
-    """
-    if irregular is not None:
-        raise WitnessError(f"auxiliary graph is not (beta-1)-regular: {irregular}")
-    z1l, z1r = h.z1_edge()
-    classes = konig_decomposition(h.b)
-    i = next((i for i, m in enumerate(classes) if m[z1l] == z1r), None)
-    if i is None:
-        raise WitnessError("no Konig class contains the z1 z1' edge")
-    if i >= len(class_records):
-        raise WitnessError(f"chain walk stopped before the z1 z1' class (class {i + 1})")
-    records = class_records[i]
-    if not all(r.ok for r in records):
-        bad = next(r for r in records if not r.ok)
-        raise WitnessError(f"chain distance bound failed: {bad}")
-    d = h.d
-    sum_rho = sum(r.rho for r in records)
-    k_total = sum(r.k for r in records)
-    if sum_rho > d + k_total - 2:
-        raise WitnessError(f"chain length sum {sum_rho} exceeds d + k - 2 = {d + k_total - 2}")
-    pi0 = tuple(sorted([(v, v) for v in (*h.delta, h.x, h.y)] + [(r.v0, r.w0) for r in records]))
-    if (
-        [v for v, _ in pi0] != sorted((h.x,) + g.adjacency[h.x])
-        or sorted(w for _, w in pi0) != sorted((h.y,) + g.adjacency[h.y])
-    ):
-        raise WitnessError("plan marginals are not uniform on B(x) and B(y)")
-    dists = [g.distances_from(v).item(w) for v, w in pi0]  # every mass is 1/(d+1)
-    if min(dists) < 0:
-        raise WitnessError(f"plan moves mass between components: {pi0[dists.index(-1)]}")
-    cost = Fraction(sum(dists), d + 1)
-    if cost > Fraction(d - 2, d + 1):
-        raise WitnessError(f"plan cost {cost} exceeds (d-2)/(d+1)")
-    kappa_lb = Fraction(d + 1, d) * (1 - cost)
-    if kappa_lb < Fraction(3, d):
-        raise WitnessError(f"lower bound {kappa_lb} fell below 3/d")
-    kappa = lly_curvature(g, h.x, h.y)
-    if kappa_lb > kappa:
-        raise WitnessError(f"lower bound {kappa_lb} exceeds exact curvature {kappa}")
-    return WitnessCertificate(matching=classes[i], chain_records=records, pi0=pi0, pi0_cost=cost,
-                              kappa_lb=kappa_lb, kappa=kappa)
-
-
 @dataclass(frozen=True)
 class EdgeWitness:
-    """Every witness step of one edge xy, each run once.
+    """Every witness step of one edge xy, as one edge of a `WitnessBatch` holds it.
 
-    ``class_records`` holds the chain records of the Konig classes of H, in
-    order, up to the first class whose walk raised; ``walk_error`` is that
-    class's message, the regularity or decomposition message if H has no
-    classes, or None if every class was walked. ``irregular`` is
-    ``check_h_regular(h)``.
-    ``certificate`` is the result of ``certify_witness`` on those records,
-    or None with its message in ``certify_error``.
+    ``irregular`` is None, or the first side vertex of H, left before right
+    by index, whose degree is not beta - 1. ``classes`` are H's Konig
+    classes; ``class_records`` holds their chain records, in order, up to
+    the first class whose walk raised; ``walk_error`` is that class's
+    message, the regularity or decomposition message if H has no classes,
+    or None if every class was walked. ``certificate`` is the lower-bound
+    certificate, or None with its message in ``certify_error``.
     """
 
     h: TransportBipartite
@@ -303,39 +165,367 @@ class EdgeWitness:
     certify_error: Optional[str]
 
 
-def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
-    """Run the witness pipeline of edge xy once and keep every step's outcome.
+class Walks(NamedTuple):
+    """Lemma 3.3's chains through every Konig class of every edge of a chunk.
 
-    Builds H and its regularity check, decomposes H into
-    its Konig classes, checks Lemma 3.3 on each class, and certifies the
-    lower bound from those walks. A failed step's ``WitnessError`` or
-    ``MatchingError`` is kept as its message. An H that is not
-    (beta-1)-regular is not decomposed, and the regularity message is kept
-    as the walk's; a decomposition that raises leaves H with no classes.
+    ``v0`` to ``ok`` are (m, K, p) arrays of the `ChainRecord` fields: entry
+    (i, c, j) is the chain of edge i's class c from its N_x vertex j, for K
+    the most classes of any edge. ``walked`` (m,) counts each edge's classes
+    walked before the first that raised, and ``error`` is that class's
+    message, or None.
     """
-    h = build_transport_bipartite(g, x, y, params)
-    irregular = check_h_regular(h)
-    classes: tuple[tuple[int, ...], ...] = ()
-    walked: list[tuple[ChainRecord, ...]] = []
-    walk_error = (None if irregular is None
-                  else f"auxiliary graph is not (beta-1)-regular: {irregular}")
-    try:
-        if irregular is None:
-            classes = konig_decomposition(h.b)
-        for m in classes:
-            walked.append(tuple(verify_lemma_3_3(g, h, m)))
-    except (WitnessError, MatchingError) as exc:
-        walk_error = str(exc)
-    class_records = tuple(walked)
-    certificate, certify_error = None, None
-    try:
-        certificate = certify_witness(g, h, irregular, class_records)
-    except (WitnessError, MatchingError) as exc:
-        certify_error = str(exc)
-    return EdgeWitness(
-        h=h, irregular=irregular, classes=classes, class_records=class_records,
-        walk_error=walk_error, certificate=certificate, certify_error=certify_error,
-    )
+
+    v0: np.ndarray
+    w0: np.ndarray
+    distance: np.ndarray
+    rho: np.ndarray
+    k: np.ndarray
+    ok: np.ndarray
+    walked: np.ndarray
+    error: list
+
+
+@dataclass(frozen=True)
+class WitnessBatch:
+    """Every witness step of a chunk of edges, each run once, over whole arrays.
+
+    ``nx``, ``delta`` and ``ny`` are (m, p), (m, alpha) and (m, p) arrays,
+    each row in sorted host order. ``bipartites`` holds each edge's H; edges
+    whose H's are equal share one object, and so one Konig decomposition.
+    ``z1`` is the index of each certified edge's z_1 z_1' class and ``cost``
+    the integer total distance of its plan pi0; ``kappa`` is the exact
+    curvature each certified edge was checked against. `edge` gives one
+    edge's steps as an `EdgeWitness`, and `steps` the outcome of each.
+    """
+
+    params: AmplyParams
+    edges: tuple[tuple[int, int], ...]
+    nx: np.ndarray
+    delta: np.ndarray
+    ny: np.ndarray
+    bipartites: tuple[Bipartite, ...]
+    irregular: tuple[Optional[str], ...]
+    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    walks: Walks
+    walk_error: tuple[Optional[str], ...]
+    z1: np.ndarray
+    cost: np.ndarray
+    kappa: tuple[Optional[Fraction], ...]
+    certify_error: tuple[Optional[str], ...]
+
+    def steps(self) -> np.ndarray:
+        """(m, 6) booleans: H regular, beta - 1 classes, every class walked, every chain
+        within its bound, and the pi0 cost and kappa bounds.
+
+        The last two are both the certificate's outcome, which checks both bounds.
+        """
+        counts = np.array([len(c) for c in self.classes], dtype=np.int64)
+        walked = np.array([e is None for e in self.walk_error])
+        certified = np.array([e is None for e in self.certify_error])
+        unreal = np.arange(self.walks.ok.shape[1]) >= counts[:, None]
+        return np.stack([
+            np.array([r is None for r in self.irregular]),
+            counts == self.params.beta - 1,
+            walked,
+            walked & (self.walks.ok | unreal[:, :, None]).all(axis=(1, 2)),
+            certified,
+            certified,
+        ], axis=1)
+
+    def edge(self, i: int) -> EdgeWitness:
+        """Edge i's steps as Python values: H, the chain records and the certificate."""
+        (x, y), w, d = self.edges[i], self.walks, self.params.d
+        nx, delta, ny = (tuple(a[i].tolist()) for a in (self.nx, self.delta, self.ny))
+        h = TransportBipartite(x, y, d, self.params.beta, nx, ny, delta, self.bipartites[i])
+        class_records = tuple(
+            tuple(map(ChainRecord._make, zip(*(a[i, c].tolist() for a in w[:6]))))
+            for c in range(int(w.walked[i]))
+        )
+        certificate = None
+        if self.certify_error[i] is None:
+            j, cost = int(self.z1[i]), int(self.cost[i])
+            records = class_records[j]
+            pi0 = tuple(sorted([(v, v) for v in (*delta, x, y)] + [(r.v0, r.w0) for r in records]))
+            certificate = WitnessCertificate(self.classes[i][j], records, pi0, Fraction(cost, d + 1),
+                                             Fraction(d + 1 - cost, d), self.kappa[i])
+        return EdgeWitness(h, self.irregular[i], self.classes[i], class_records, self.walk_error[i],
+                           certificate, self.certify_error[i])
+
+
+def _neighbourhoods(xy: np.ndarray, dx: np.ndarray, dy: np.ndarray, params: AmplyParams):
+    """N_x, Delta and N_y of each edge as (m, p), (m, alpha), (m, p) arrays in sorted host order.
+
+    Read off the endpoints' BFS rows ``dx`` and ``dy``: Delta is the common
+    neighbours, N_x the neighbours of x at distance 2 from y, and N_y the
+    other way round. Raises GraphError for a pair that is not an edge, and
+    WitnessError, naming the first offending edge, for sizes other than
+    p = d-1-alpha and alpha.
+    """
+    m, a = len(xy), params.alpha
+    p = params.d - 1 - a
+    apart = dx[np.arange(m), xy[:, 1]] != 1
+    if apart.any():
+        x, y = xy[apart.argmax()].tolist()
+        raise GraphError(f"({x}, {y}) is not an edge")
+    near_x, near_y = dx == 1, dy == 1
+    sets = (near_x & (dy == 2), near_x & near_y, near_y & (dx == 2))
+    sizes = np.stack([s.sum(axis=1) for s in sets], axis=1)
+    wrong = (sizes != (p, a, p)).any(axis=1)
+    if wrong.any():
+        i = int(wrong.argmax())
+        (x, y), (nx, delta, ny) = xy[i].tolist(), sizes[i].tolist()
+        raise WitnessError(f"edge ({x}, {y}): |N_x| = {nx}, |N_y| = {ny}, |Delta| = {delta} "
+                           f"do not match d-1-alpha = {p} and alpha = {a}")
+    return tuple(np.nonzero(s)[1].reshape(m, width) for s, width in zip(sets, (p, a, p)))
+
+
+def _transport_h(host: np.ndarray, p: int, copies: int) -> np.ndarray:
+    """Each edge's H as an (m, s, s) boolean biadjacency.
+
+    ``host`` (m, p+alpha, p+alpha) marks the host edges from N_x then Delta
+    to N_y then Delta' (E1, E2, E3, E5). H adds each Delta diagonal (E4),
+    every Delta vertex to every x'-copy (E7), and every x-copy to every
+    Delta' vertex and x'-copy (E6, E8).
+    """
+    m, t, _ = host.shape
+    h = np.zeros((m, t + copies, t + copies), dtype=bool)
+    h[:, :t, :t] = host
+    z = np.arange(p, t)
+    h[:, z, z] = True
+    h[:, p:t, t:] = True
+    h[:, t:, p:] = True
+    return h
+
+
+def _bipartite(h: np.ndarray) -> Bipartite:
+    """One (s, s) biadjacency as a `Bipartite` with sorted rows."""
+    cols = np.nonzero(h)[1].tolist()
+    ends = np.cumsum(h.sum(axis=1)).tolist()
+    return Bipartite(len(h), len(h), tuple(tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends)))
+
+
+def _walk(rows: np.ndarray, at: np.ndarray, nx: np.ndarray, ny: np.ndarray, perms: np.ndarray,
+          counts: np.ndarray, first_copy: int) -> Walks:
+    """Lemma 3.3's chains through every class of every edge, as whole arrays.
+
+    ``perms`` (m, K, s) holds each edge's classes, right partner by left
+    index, its first ``counts`` rows real; ``rows[at]`` are the BFS rows of
+    ``nx``. Every class is first checked to be a permutation of H's side.
+    Each chain then follows matched edges from its N_x vertex until one
+    lands in N_y; a right-side z/x-copy at index i continues through its
+    unprimed left twin, and indices from ``first_copy`` on are x-copies. A
+    walk follows the permutation's cycle through its start and stops before
+    it returns, so no chain revisits a vertex and the chain map of each
+    class is a bijection. A class raises if it is not a permutation, or if a
+    chain's endpoints are disconnected.
+    """
+    m, slots, s = perms.shape
+    p = nx.shape[1]
+    perfect = (np.sort(perms, axis=2) == np.arange(s)).all(axis=2)
+    perm = np.where(perfect[:, :, None], perms, np.arange(s))  # the identity stands in for the rest
+    end = perm[:, :, :p]
+    rho, k = np.ones_like(end), np.zeros_like(end)
+    for _ in range(s):
+        onward = end >= p
+        if not onward.any():
+            break
+        rho += onward
+        k += end >= first_copy
+        end = np.where(onward, np.take_along_axis(perm, end, axis=2), end)
+    w0 = np.take_along_axis(ny[:, None, :], end, axis=2)
+    distance = rows[at[:, None, :], w0]
+    raised = (np.arange(slots) < counts[:, None]) & (~perfect | (distance < 0).any(axis=2))
+    first = np.concatenate([raised, np.ones((m, 1), bool)], axis=1).argmax(axis=1)
+    walked = np.minimum(first, counts)
+    error: list[Optional[str]] = [None] * m
+    for i in np.flatnonzero(raised.any(axis=1)).tolist():
+        error[i] = ("chain walk requires a perfect matching" if not perfect[i, walked[i]]
+                    else "internal error: chain endpoints disconnected")
+    return Walks(np.broadcast_to(nx[:, None, :], w0.shape), w0, distance, rho, k,
+                 distance <= rho - k, walked, error)
+
+
+def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, balls: tuple[np.ndarray, np.ndarray],
+             rows: np.ndarray, row_of, delta: np.ndarray, walks: Walks,
+             bipartites: Sequence[Bipartite], errors: list) -> tuple[np.ndarray, np.ndarray, list]:
+    """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) of each edge, from its walks.
+
+    ``errors`` holds each edge's regularity message or None, and is filled
+    in with the first check each other edge fails. Each edge reads H's Konig
+    classes, picks the class through z_1 z_1', and reads that class's
+    chains from the walk (a walk stopped before it fails); then, over whole
+    arrays, checks the chain distance bounds, the sum bound on chain
+    lengths, the marginals of pi0 against the sorted balls B(x) and B(y)
+    (``balls``), its connectivity, the plan cost bound (d-2)/(d+1),
+    kappa_lb >= 3/d, and kappa_lb <= the exact curvature. pi0 keeps mass
+    1/(d+1) on every common neighbour and on x and y, and ships each N_x
+    vertex's mass to its chain partner in N_y; its cost is the integer sum
+    of its pairs' BFS distances over d+1. Returns the z_1 z_1' class index
+    and the integer cost of each edge, and the exact curvature of each
+    certified edge.
+    """
+    m, d, p = len(xy), params.d, walks.v0.shape[2]
+    kappa: list[Optional[Fraction]] = [None] * m
+    z1 = np.zeros(m, dtype=np.int64)
+    for i in range(m):
+        if errors[i] is not None:
+            continue
+        try:
+            classes = konig_decomposition(bipartites[i])
+        except MatchingError as exc:
+            errors[i] = str(exc)
+            continue
+        # c[p] == p, read as a slice, so that a short class is no match
+        j = next((j for j, c in enumerate(classes) if c[p:p + 1] == (p,)), None)
+        if j is None:
+            errors[i] = "no Konig class contains the z1 z1' edge"
+        elif j >= walks.walked[i]:
+            errors[i] = f"chain walk stopped before the z1 z1' class (class {j + 1})"
+        else:
+            z1[i] = j
+    live = np.array([e is None for e in errors])
+    v0, w0, distance, rho, k, ok = (a[np.arange(m), z1] for a in walks[:6])
+    stay = np.concatenate([delta, xy], axis=1)
+    sources, targets = np.concatenate([stay, v0], axis=1), np.concatenate([stay, w0], axis=1)
+    dists = rows[row_of(sources), targets]
+    cost = dists.sum(axis=1)
+
+    def fail(bad: np.ndarray, message) -> None:
+        for i in np.flatnonzero(live & bad).tolist():
+            errors[i] = message(i)
+        live[bad] = False
+
+    def record(i: int) -> ChainRecord:
+        j = int(ok[i].argmin())
+        return ChainRecord(*(int(a[i, j]) for a in (v0, w0, distance, rho, k)), False)
+
+    def stranded(i: int) -> tuple[int, int]:
+        pi0 = sorted(zip(sources[i].tolist(), targets[i].tolist()))
+        return next(pair for pair in pi0 if g.distances_from(pair[0]).item(pair[1]) < 0)
+
+    sum_rho, k_total = rho.sum(axis=1), k.sum(axis=1)
+    fail(~ok.all(axis=1), lambda i: f"chain distance bound failed: {record(i)}")
+    fail(sum_rho > d + k_total - 2, lambda i: f"chain length sum {sum_rho[i]} exceeds "
+                                              f"d + k - 2 = {d + k_total[i] - 2}")
+    fail((np.sort(sources, axis=1) != balls[0]).any(axis=1)
+         | (np.sort(targets, axis=1) != balls[1]).any(axis=1),
+         lambda i: "plan marginals are not uniform on B(x) and B(y)")
+    fail((dists < 0).any(axis=1), lambda i: f"plan moves mass between components: {stranded(i)}")
+    fail(cost > d - 2, lambda i: f"plan cost {Fraction(int(cost[i]), d + 1)} exceeds (d-2)/(d+1)")
+    fail(d + 1 - cost < 3,
+         lambda i: f"lower bound {Fraction(d + 1 - int(cost[i]), d)} fell below 3/d")
+    kappa_lb = {c: Fraction(d + 1 - c, d) for c in set(cost[live].tolist())}
+    for i in np.flatnonzero(live).tolist():
+        x, y = xy[i].tolist()
+        kappa[i] = lly_curvature(g, x, y)
+        lb = kappa_lb[int(cost[i])]
+        if lb > kappa[i]:
+            errors[i] = f"lower bound {lb} exceeds exact curvature {kappa[i]}"
+    return z1, cost, kappa
+
+
+def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyParams,
+                   shared: dict[bytes, Bipartite]) -> WitnessBatch:
+    """`witness_batches` on at most ``WITNESS_CHUNK`` edges; ``shared`` holds the call's H's so far."""
+    a, copies = params.alpha, params.beta - params.alpha - 1
+    p = params.d - 1 - a
+    xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    m = len(xy)
+    outside = (xy < 0) | (xy >= g.n)
+    if outside.any():
+        g.check_vertex(int(xy.ravel()[outside.ravel().argmax()]))
+    # one BFS row per vertex of B(x) or B(y) of any edge: every row that H, its chains and pi0 read
+    ends = np.unique(xy).tolist()
+    vertices = np.unique(np.fromiter(chain(ends, *(g.adjacency[v] for v in ends)), dtype=np.int64))
+    rows = g.distance_rows(vertices.tolist())
+
+    def row_of(v: np.ndarray) -> np.ndarray:
+        return np.searchsorted(vertices, v)
+
+    dx, dy = rows[row_of(xy[:, 0])], rows[row_of(xy[:, 1])]
+    nx, delta, ny = _neighbourhoods(xy, dx, dy, params)
+    left, right = np.concatenate([nx, delta], axis=1), np.concatenate([ny, delta], axis=1)
+    h = _transport_h(rows[row_of(left)[:, :, None], right[:, None, :]] == 1, p, copies)
+
+    bipartites = []
+    for hi in h:
+        key = hi.tobytes()
+        if key not in shared:
+            shared[key] = _bipartite(hi)
+        bipartites.append(shared[key])
+
+    # each side index i as left then right: the first of them whose degree is not beta - 1
+    s, k = h.shape[1], params.beta - 1
+    degrees = np.stack([h.sum(axis=2), h.sum(axis=1)], axis=2).reshape(m, 2 * s)
+    off = degrees != k
+    irregular: list[Optional[str]] = [None] * m
+    for i in np.flatnonzero(off.any(axis=1)).tolist():
+        j = int(off[i].argmax())
+        v, on_right = divmod(j, 2)
+        name = (_name(v, ny[i].tolist(), delta[i].tolist(), "w", "'") if on_right
+                else _name(v, nx[i].tolist(), delta[i].tolist(), "v", ""))
+        irregular[i] = f"{'right' if on_right else 'left'} {name} has degree {degrees[i, j]}"
+
+    unmet = [None if r is None else f"auxiliary graph is not (beta-1)-regular: {r}"
+             for r in irregular]
+    walk_error = list(unmet)
+    classes: list[tuple[tuple[int, ...], ...]] = [()] * m
+    for i in range(m):
+        if irregular[i] is None:
+            try:
+                classes[i] = konig_decomposition(bipartites[i])
+            except MatchingError as exc:
+                walk_error[i] = str(exc)
+    counts = np.array([len(c) for c in classes], dtype=np.int64)
+    # at least one class slot, so that every edge has a z1 slot to read; a short class is all -1
+    perms = np.full((m, int(counts.max(initial=1)), s), -1, dtype=np.int64)
+    as_rows: dict[int, np.ndarray] = {}  # by the classes' identity: equal H's share them
+    for i, c in enumerate(classes):
+        if c:
+            if id(c) not in as_rows:
+                as_rows[id(c)] = np.array([cls if len(cls) == s else (-1,) * s for cls in c])
+            perms[i, :len(c)] = as_rows[id(c)]
+    walks = _walk(rows, row_of(nx), nx, ny, perms, counts, p + a)
+    walk_error = [e if e is not None else walks.error[i] for i, e in enumerate(walk_error)]
+
+    balls = tuple(np.nonzero((dv >= 0) & (dv <= 1))[1].reshape(m, params.d + 1) for dv in (dx, dy))
+    certify_error = list(unmet)
+    z1, cost, kappa = _certify(g, xy, params, balls, rows, row_of, delta, walks, bipartites,
+                               certify_error)
+    return WitnessBatch(params, tuple(map(tuple, xy.tolist())), nx, delta, ny, tuple(bipartites),
+                        tuple(irregular), tuple(classes), walks, tuple(walk_error), z1, cost,
+                        tuple(kappa), tuple(certify_error))
+
+
+def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
+                    params: AmplyParams) -> Iterator[WitnessBatch]:
+    """Run the witness pipeline on ``edges``, ``WITNESS_CHUNK`` at a time: one `WitnessBatch` each.
+
+    Requires detected parameters with beta present and beta > alpha >= 1.
+    Each chunk reads the BFS rows of every vertex within distance 1 of an
+    edge once, and from them N_x, Delta and N_y (`_neighbourhoods`) and every
+    H (`_transport_h`) as whole arrays. Equal H's of one call share one
+    `Bipartite`, so Kuhn's beta - 1 rounds run once per distinct H; each
+    edge still reads its classes through `konig_decomposition` twice, for
+    its walks and its certificate. An H that is not (beta-1)-regular is not decomposed, and
+    the regularity message is kept as the walk's; a decomposition that
+    raises leaves H with no classes. Every class is walked (`_walk`), and the
+    certificate (`_certify`) reads the walk. A failed step keeps its message.
+    """
+    if params.beta is None:
+        raise WitnessError("no distance-2 pair: beta is undefined")
+    if not (params.beta > params.alpha >= 1):
+        raise WitnessError(
+            f"construction requires beta > alpha >= 1, got alpha={params.alpha}, beta={params.beta}"
+        )
+    shared: dict[bytes, Bipartite] = {}  # each distinct H of this call, by its biadjacency
+    for lo in range(0, len(edges), WITNESS_CHUNK):
+        yield _witness_chunk(g, edges[lo:lo + WITNESS_CHUNK], params, shared)
+
+
+def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
+    """The witness pipeline on edge xy alone: `witness_batches` on a batch of one."""
+    return next(witness_batches(g, [(x, y)], params)).edge(0)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,7 @@ from arcurv import (
 )
 from arcurv.matching import konig_decomposition
 from arcurv.report import verify_graph
-from arcurv.witness import (
-    build_transport_bipartite,
-    check_h_regular,
-    edge_witness,
-    prop_3_1_certificate,
-    verify_lemma_3_3,
-)
+from arcurv.witness import prop_3_1_certificate, witness_batches
 
 from conftest import brute_regular_wasserstein, is_perfect, random_connected_regular_graph
 
@@ -139,16 +133,19 @@ def test_criterion_05_witness_pipeline():
     for g in (gen_paley(13), gen_cocktail(3), gen_cocktail(4)):
         params = detect_amply_params(g)
         d, beta = params.d, params.beta
-        for x, y in g.edges():
-            h = build_transport_bipartite(g, x, y, params)
-            assert check_h_regular(h) is None and h.beta == beta
-            classes = konig_decomposition(h.b)
-            assert len(classes) == beta - 1
-            for m in classes:
-                chains = verify_lemma_3_3(g, h, m)  # a perfect m walks to a bijection
+        batches = list(witness_batches(g, g.edges(), params))
+        views = [batch.edge(i) for batch in batches for i in range(len(batch.edges))]
+        assert [(w.h.x, w.h.y) for w in views] == g.edges()
+        for w in views:
+            h = w.h
+            assert w.irregular is None and h.beta == beta
+            assert w.classes == konig_decomposition(h.b) and len(w.classes) == beta - 1
+            assert all(is_perfect(m, h.b) for m in w.classes)
+            assert w.walk_error is None and len(w.class_records) == beta - 1
+            for chains in w.class_records:  # a perfect class walks to a bijection
                 assert sorted(c.w0 for c in chains) == sorted(h.ny)
                 assert all(r.ok for r in chains)
-            cert = edge_witness(g, x, y, params).certificate
+            cert = w.certificate
             assert cert.pi0_cost <= Fraction(d - 2, d + 1)
             assert cert.kappa_lb >= Fraction(3, d)
 

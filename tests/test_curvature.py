@@ -30,15 +30,9 @@ from arcurv import (
 )
 
 import arcurv.curvature as curvature_module
+import arcurv.witness as witness_module
 from arcurv.curvature import ASSIGNMENT_CHUNK
-from arcurv.matching import konig_decomposition
-from arcurv.witness import (
-    WitnessError,
-    build_transport_bipartite,
-    certify_witness,
-    check_h_regular,
-    verify_lemma_3_3,
-)
+from arcurv.witness import edge_witness
 from conftest import (
     brute_regular_wasserstein,
     plan_cost,
@@ -89,25 +83,25 @@ def _flow_kappa(g, x, y, p):
     return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p)) / g.distance(x, y)
 
 
-def _pi0_records(g):
-    """The pieces ``certify_witness`` is given for g's first edge, and the z1 z1' class index.
+def _first_edge_witness(monkeypatch, g, name=None, column=None, value=None):
+    """The witness of g's first edge, whose certificate reads pi0 off the walked chains.
 
-    pi0 is the uniform plan B(x) -> B(y) read off that class's chain records, so
-    tampering with one record's v0 or w0 breaks one of pi0's marginals.
+    With ``name`` (v0 or w0), column ``column`` of the walks' (m, K, p) array
+    of that name is set to ``value(array)`` in every class, the z1 z1' class
+    among them, before the certificate reads it: a chain's source or target
+    is moved, so one of pi0's marginals breaks.
     """
-    x, y = g.edges()[0]
-    h = build_transport_bipartite(g, x, y, detect_amply_params(g))
-    classes = konig_decomposition(h.b)
-    class_records = tuple(tuple(verify_lemma_3_3(g, h, m)) for m in classes)
-    z1l, z1r = h.z1_edge()
-    i = next(i for i, m in enumerate(classes) if m[z1l] == z1r)
-    return (x, y), h, class_records, i
+    if name is not None:
+        walk = witness_module._walk
 
+        def tampered(*args):
+            walks = walk(*args)
+            array = getattr(walks, name).copy()
+            array[..., column] = value(array)
+            return walks._replace(**{name: array})
 
-def _certify_with(g, h, class_records, i, records):
-    """``certify_witness`` with class i's chain records replaced by ``records``."""
-    tampered = class_records[:i] + (tuple(records),) + class_records[i + 1:]
-    return certify_witness(g, h, check_h_regular(h), tampered)
+        monkeypatch.setattr(witness_module, "_walk", tampered)
+    return edge_witness(g, *g.edges()[0], detect_amply_params(g))
 
 
 class TestMuP:
@@ -159,39 +153,41 @@ class TestPlanCost:
         with pytest.raises(ValueError, match="negative plan mass"):
             plan_cost(g, plan)
 
-    def test_uniform_plan_check(self):
+    def test_uniform_plan_check(self, monkeypatch):
         # pi0 of paley13's first edge: three chains, mass 1/7 per pair
         g = gen_paley(13)
-        (x, y), h, class_records, i = _pi0_records(g)
-        good = _certify_with(g, h, class_records, i, class_records[i])
+        x, y = g.edges()[0]
+        good = _first_edge_witness(monkeypatch, g).certificate
         unit = Fraction(1, len(good.pi0))
         assert [v for v, _ in good.pi0] == sorted((x,) + g.neighbors(x))
         assert sorted(w for _, w in good.pi0) == sorted((y,) + g.neighbors(y))
         assert plan_cost(g, [(pair, unit) for pair in good.pi0]) == good.pi0_cost
-        r0, r1, r2 = class_records[i]
         bad = [
-            (r0, r1._replace(v0=r0.v0), r2),  # source v0 of r0 ships twice, r1's never
-            (r0, r1._replace(w0=r0.w0), r2),  # target w0 of r1 receives nothing
-            (r0, r1),  # too few pairs
+            ("v0", 1, lambda v0: v0[..., 0]),  # the source of chain 0 ships twice, chain 1's never
+            ("w0", 1, lambda w0: w0[..., 0]),  # the target of chain 1 receives nothing
         ]
-        for records in bad:
-            with pytest.raises(WitnessError, match="marginals"):
-                _certify_with(g, h, class_records, i, records)
+        for tamper in bad:
+            with monkeypatch.context() as patch:
+                w = _first_edge_witness(patch, g, *tamper)
+            assert w.certificate is None
+            assert w.certify_error == "plan marginals are not uniform on B(x) and B(y)"
 
-    def test_uniform_plan_check_rejects_each_broken_marginal(self):
+    def test_uniform_plan_check_rejects_each_broken_marginal(self, monkeypatch):
         # pi0 carries no masses, so a non-uniform mass cannot be written; the
         # source and target cases still are
         g = gen_paley(13)
-        (x, y), h, class_records, i = _pi0_records(g)
-        r0, r1, r2 = class_records[i]
+        x, y = g.edges()[0]
+        r0 = _first_edge_witness(monkeypatch, g).certificate.chain_records[0]
         outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
         bad = [
-            (r0, r1, r2._replace(v0=r0.v0)),  # source v0 of r0 twice, r2's never
-            (r0._replace(w0=outside), r1, r2),  # a target outside B(y)
+            ("v0", 2, lambda v0: v0[..., 0]),  # the source of chain 0 twice, chain 2's never
+            ("w0", 0, lambda w0: outside),  # a target outside B(y)
         ]
-        for records in bad:
-            with pytest.raises(WitnessError, match="marginals"):
-                _certify_with(g, h, class_records, i, records)
+        for tamper in bad:
+            with monkeypatch.context() as patch:
+                w = _first_edge_witness(patch, g, *tamper)
+            assert w.certificate is None
+            assert w.certify_error == "plan marginals are not uniform on B(x) and B(y)"
 
 
 class TestWasserstein:

@@ -14,9 +14,10 @@ from arcurv import (
     konig_decomposition,
 )
 from arcurv.matching import _kuhn
-from arcurv.witness import build_transport_bipartite
+from arcurv.witness import edge_witness, witness_batches
 
 from conftest import bipartite_edges, bipartite_from_edges, is_perfect
+from reference_witness import build_transport_bipartite
 
 
 def complete_bipartite(n: int) -> Bipartite:
@@ -56,7 +57,7 @@ class TestMaxMatching:
     def test_transport_bipartite_always_matchable(self):
         g = gen_cocktail(3)
         params = detect_amply_params(g)
-        b = build_transport_bipartite(g, 0, 2, params).b
+        b = edge_witness(g, 0, 2, params).h.b
         assert is_perfect(tuple(_kuhn(b.adj, b.right_n)), b)
 
     def test_no_augmenting_path_on_random_instances(self):
@@ -95,7 +96,7 @@ class TestKonigDecomposition:
 
     def test_octahedron_transport_graph(self):
         g = gen_cocktail(3)
-        h = build_transport_bipartite(g, 0, 2, detect_amply_params(g))
+        h = edge_witness(g, 0, 2, detect_amply_params(g)).h
         classes = konig_decomposition(h.b)
         assert len(classes) == 3  # beta - 1
 
@@ -213,8 +214,9 @@ def random_regular_bipartite(rng: random.Random, n: int, k: int) -> Bipartite:
 
 
 def witness_bipartites(g):
-    params = detect_amply_params(g)
-    return [build_transport_bipartite(g, x, y, params).b for x, y in g.edges()]
+    """Each edge's H from one batched witness pass, decomposed there."""
+    batches = witness_batches(g, g.edges(), detect_amply_params(g))
+    return [b for batch in batches for b in batch.bipartites]
 
 
 class TestKonigOrder:
@@ -313,7 +315,7 @@ class TestMatchingThroughEdge:
 
     def test_h23_transport_graph_is_its_own_matching(self):
         g = gen_hamming(2, 3)
-        h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
+        h = edge_witness(g, 0, 1, detect_amply_params(g)).h
         b = h.b
         assert b.regular_degree() == 1
         m = class_through(b, *h.z1_edge())
@@ -331,9 +333,10 @@ class TestMatchingThroughEdge:
         assert b.right_degrees is degrees
 
     def test_two_pinned_calls_share_one_decomposition(self, monkeypatch):
-        # the two calls the witness pipeline makes on one H, by edge_witness and by
-        # certify_witness: Kuhn's search runs beta - 1 = 2 times, once per class, not once per
-        # class per call, and both calls return the same object
+        # the two calls the witness pipeline makes on one H, for its walks and for its
+        # certificate: Kuhn's search runs beta - 1 = 2 times, once per class, not once per
+        # class per call, and both calls return the same object. The reference builds a
+        # fresh H, not yet decomposed.
         g = gen_paley(13)  # (13, 6, 2, 3)
         h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
         calls = []

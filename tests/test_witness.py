@@ -1,6 +1,8 @@
 import dataclasses
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import arcurv.cli as cli_module
@@ -15,28 +17,41 @@ from arcurv import (
     gen_hamming,
     gen_hypercube,
     gen_paley,
+    gen_shrikhande,
     lly_curvature,
 )
 from arcurv.cli import _hgraph_payload
 from arcurv.graph import Graph
 from arcurv.matching import konig_decomposition
-from arcurv.report import WitnessSummary, verify_graph
+from arcurv.report import WitnessSummary, _witness_summary, verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
+    WITNESS_CHUNK,
     WitnessCertificate,
     WitnessError,
-    build_transport_bipartite,
-    certify_witness,
-    check_h_regular,
     edge_witness,
     prop_3_1_certificate,
-    verify_lemma_3_3,
+    witness_batches,
 )
 from conftest import plan_cost
+import reference_witness
+from reference_witness import (
+    build_transport_bipartite,
+    reference_edge_witness,
+    reference_summary,
+    verify_lemma_3_3,
+)
 
 
 def h23():
     return gen_hamming(2, 3)
+
+
+def relabelled(g, seed):
+    """``g`` with its vertices permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def _classes_by_definition(g, x, y, params):
@@ -62,28 +77,18 @@ def k333():
     return Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u % 3 != v % 3])
 
 
-def _drop_last_copy_edge(h):
-    """``h`` without the last edge of its last row, an x-copy to x'-copy (E8) edge."""
-    adj = h.b.adj[:-1] + (h.b.adj[-1][:-1],)
-    return dataclasses.replace(h, b=dataclasses.replace(h.b, adj=adj))
+def _views(g, params=None):
+    """Every edge's `EdgeWitness`, in edge order, from one batched pass over all edges."""
+    batches = witness_batches(g, g.edges(), params or detect_amply_params(g))
+    return [batch.edge(i) for batch in batches for i in range(len(batch.edges))]
 
 
 def _build(g, x, y):
-    return build_transport_bipartite(g, x, y, detect_amply_params(g))
+    return edge_witness(g, x, y, detect_amply_params(g)).h
 
 
 def _certificate(g, x, y, params=None):
     return edge_witness(g, x, y, params or detect_amply_params(g)).certificate
-
-
-def _walk(g, h):
-    """Every Konig class's chain records on ``h``, walked afresh."""
-    return tuple(tuple(verify_lemma_3_3(g, h, m)) for m in konig_decomposition(h.b))
-
-
-def _certify(g, h):
-    """``certify_witness`` on ``h`` and fresh class walks."""
-    return certify_witness(g, h, check_h_regular(h), _walk(g, h))
 
 
 def _z1_class(h):
@@ -116,6 +121,62 @@ def _count_calls(monkeypatch, targets):
     return counts
 
 
+def _tamper_h(monkeypatch, tamper):
+    """Apply ``tamper`` to every chunk's (m, s, s) biadjacency of H as it is built."""
+    build = witness_module._transport_h
+
+    def tampered(*args):
+        h = build(*args)
+        tamper(h)
+        return h
+
+    monkeypatch.setattr(witness_module, "_transport_h", tampered)
+
+
+def _tamper_walks(monkeypatch, tamper):
+    """Replace every chunk's walks by ``tamper(walks)`` before the certificate reads them."""
+    walk = witness_module._walk
+    monkeypatch.setattr(witness_module, "_walk", lambda *args: tamper(walk(*args)))
+
+
+def _tamper_v0_w0(monkeypatch, tamper):
+    """Apply ``tamper`` to writable copies of the walks' (m, K, p) v0 and w0 arrays."""
+    def replaced(walks):
+        v0, w0 = walks.v0.copy(), walks.w0.copy()
+        tamper(v0, w0)
+        return walks._replace(v0=v0, w0=w0)
+
+    _tamper_walks(monkeypatch, replaced)
+
+
+def _reverse_ny(monkeypatch, only=None):
+    """Walk the chains to N_y reversed, on every edge or only on the edge whose H is ``only``.
+
+    H is built from the true N_y, so each class is still a perfect matching
+    and each walk a bijection, but the chains end at the wrong vertices.
+    Returns the chunk rows reversed, a list filled as the pass runs.
+    """
+    walk = witness_module._walk
+    hit = []
+
+    def reversed_ny(rows, at, nx, ny, *rest):
+        chosen = np.ones(len(ny), dtype=bool)
+        if only is not None:
+            chosen = (nx == only.nx).all(axis=1) & (ny == only.ny).all(axis=1)
+        hit.extend(np.flatnonzero(chosen).tolist())
+        ny = ny.copy()
+        ny[chosen] = ny[chosen, ::-1]
+        return walk(rows, at, nx, ny, *rest)
+
+    monkeypatch.setattr(witness_module, "_walk", reversed_ny)
+    return hit
+
+
+def _patch_classes(monkeypatch, classes):
+    """Make every read of H's Konig classes return ``classes``."""
+    monkeypatch.setattr(witness_module, "konig_decomposition", lambda b: classes)
+
+
 class TestConstruction:
     def test_h23_layout(self):
         g = h23()
@@ -145,9 +206,9 @@ class TestConstruction:
     def test_classes_equal_definition_in_order(self, make):
         g = make()
         params = detect_amply_params(g)
-        for x, y in g.edges():
-            h = build_transport_bipartite(g, x, y, params)
-            assert h.edge_classes == _classes_by_definition(g, x, y, params)
+        for (x, y), w in zip(g.edges(), _views(g, params)):
+            assert (w.h.x, w.h.y) == (x, y)
+            assert w.h.edge_classes == _classes_by_definition(g, x, y, params)
 
     def test_class_names_cover_all_classes(self):
         assert sorted(CLASS_NAMES) == list(range(1, 9))
@@ -158,7 +219,7 @@ class TestConstruction:
     def test_diagonal_class_size_is_alpha(self):
         for g, e in ((h23(), (0, 1)), (gen_cocktail(3), (0, 2))):
             params = detect_amply_params(g)
-            h = build_transport_bipartite(g, *e, params)
+            h = edge_witness(g, *e, params).h
             assert len(h.edge_classes[3]) == params.alpha
 
     def test_copy_classes_empty_when_beta_is_alpha_plus_one(self):
@@ -177,104 +238,143 @@ class TestConstruction:
         assert all(n.startswith("v") for n in left[:2])
         assert all(n.startswith("w") for n in right[:2])
 
+    def test_parameters_of_another_graph_name_the_edge_and_sizes(self):
+        # paley13 is (13,6,2,3) and paley17 (17,8,3,4): each edge of paley13 has
+        # |N_x| = |N_y| = 3 and |Delta| = 2, where paley17's parameters want 4 and 3
+        params = detect_amply_params(gen_paley(17))
+        with pytest.raises(WitnessError) as exc:
+            edge_witness(gen_paley(13), 0, 1, params)
+        assert str(exc.value) == ("edge (0, 1): |N_x| = 3, |N_y| = 3, |Delta| = 2 "
+                                  "do not match d-1-alpha = 4 and alpha = 3")
+
+    def test_the_size_check_names_the_first_offending_edge(self):
+        # H(2,3) with the extra edge 0-4: edge (0, 1) gains a second common
+        # neighbour, while (5, 8), listed first, keeps H(2,3)'s sizes
+        g = h23()
+        params = detect_amply_params(g)
+        g = Graph(9, g.edges() + [(0, 4)])
+        with pytest.raises(WitnessError) as exc:
+            list(witness_batches(g, [(5, 8), (0, 1), (0, 4)], params))
+        assert str(exc.value) == ("edge (0, 1): |N_x| = 2, |N_y| = 1, |Delta| = 2 "
+                                  "do not match d-1-alpha = 2 and alpha = 1")
+
+    def test_a_pair_that_is_not_an_edge_is_refused(self):
+        from arcurv import GraphError
+
+        with pytest.raises(GraphError, match=r"^\(0, 4\) is not an edge$"):
+            _build(h23(), 0, 4)
+
 
 class TestRegularity:
     def test_h23(self):
-        h = _build(h23(), 0, 1)
-        assert check_h_regular(h) is None and h.beta - 1 == 1
+        w = edge_witness(h23(), 0, 1, detect_amply_params(h23()))
+        assert w.irregular is None and w.h.beta - 1 == 1
 
     def test_paley13(self):
         g = gen_paley(13)
-        for x, y in g.edges()[:5]:
-            h = _build(g, x, y)
-            assert check_h_regular(h) is None and h.beta - 1 == 2
+        for w in _views(g)[:5]:
+            assert w.irregular is None and w.h.beta - 1 == 2
 
     def test_octahedron(self):
-        h = _build(gen_cocktail(3), 0, 2)
-        assert check_h_regular(h) is None and h.beta - 1 == 3
-        assert {len(row) for row in h.b.adj} == set(h.b.right_degrees) == {3}
+        g = gen_cocktail(3)
+        w = edge_witness(g, 0, 2, detect_amply_params(g))
+        assert w.irregular is None and w.h.beta - 1 == 3
+        assert {len(row) for row in w.h.b.adj} == set(w.h.b.right_degrees) == {3}
 
-    def test_corrupted_graph_flagged(self):
-        h = _build(gen_cocktail(3), 0, 2)
-        assert h.edge_classes[7], "expected at least one copy-copy edge to remove"
-        assert check_h_regular(_drop_last_copy_edge(h)) == "left x_copy1 has degree 2"
+    def test_corrupted_graph_flagged(self, monkeypatch):
+        g = gen_cocktail(3)
+        assert _build(g, 0, 2).edge_classes[7] == ((3, 3),), "expected one copy-copy edge to remove"
 
-    def test_irregular_right_side_flagged(self):
+        def drop_e8(h):
+            h[:, -1, -1] = False
+
+        _tamper_h(monkeypatch, drop_e8)
+        assert edge_witness(g, 0, 2, detect_amply_params(g)).irregular == "left x_copy1 has degree 2"
+
+    def test_irregular_right_side_flagged(self, monkeypatch):
         # every row keeps 3 entries, but the x-copy's row (1, 2, 3) moves its
         # edge to z4' onto w1, which then has degree 4
-        h = _build(gen_cocktail(3), 0, 2)
-        assert h.b.adj[3] == (1, 2, 3)
-        b = dataclasses.replace(h.b, adj=h.b.adj[:3] + ((0, 2, 3),))
-        assert check_h_regular(dataclasses.replace(h, b=b)) == "right w1 has degree 4"
+        g = gen_cocktail(3)
+        assert _build(g, 0, 2).b.adj[3] == (1, 2, 3)
+
+        def move(h):
+            h[:, 3, 1], h[:, 3, 0] = False, True
+
+        _tamper_h(monkeypatch, move)
+        assert edge_witness(g, 0, 2, detect_amply_params(g)).irregular == "right w1 has degree 4"
 
 
 class TestChains:
     def test_h23_direct_chains(self):
-        g = h23()
-        h = _build(g, 0, 1)
-        chains = verify_lemma_3_3(g, h, _z1_class(h)[1])
+        chains = _certificate(h23(), 0, 1).chain_records
         assert len(chains) == 2
         # 1-regular H: every exclusive neighbor matches straight across
         assert all(c.rho == 1 and c.k == 0 for c in chains)
 
     def test_chain_map_is_bijection(self):
         for g in (gen_paley(13), gen_cocktail(3), gen_cocktail(4)):
-            x, y = g.edges()[0]
-            h = _build(g, x, y)
-            for m in konig_decomposition(h.b):
-                chains = verify_lemma_3_3(g, h, m)
-                assert sorted(c.w0 for c in chains) == sorted(h.ny)
+            for w in _views(g):
+                assert len(w.class_records) == len(w.classes) == w.h.beta - 1
+                for chains in w.class_records:
+                    assert sorted(c.w0 for c in chains) == sorted(w.h.ny)
 
     def test_distance_bound_every_matching(self):
         for g in (h23(), gen_paley(13), gen_cocktail(3), gen_paley(17)):
-            x, y = g.edges()[0]
-            h = _build(g, x, y)
-            for m in konig_decomposition(h.b):
-                assert all(r.ok for r in verify_lemma_3_3(g, h, m))
+            for w in _views(g):
+                assert all(r.ok for chains in w.class_records for r in chains)
 
     def test_chain_sum_bound_for_z1_matching(self):
         for g in (h23(), gen_paley(13), gen_cocktail(3), gen_paley(17)):
             params = detect_amply_params(g)
-            x, y = g.edges()[0]
-            h = build_transport_bipartite(g, x, y, params)
-            chains = verify_lemma_3_3(g, h, _z1_class(h)[1])
-            k_total = sum(c.k for c in chains)
-            assert sum(c.rho for c in chains) <= params.d + k_total - 2
+            for w in _views(g, params):
+                chains = w.certificate.chain_records
+                k_total = sum(c.k for c in chains)
+                assert sum(c.rho for c in chains) <= params.d + k_total - 2
 
-    # paley13: N_x is left 0..2, Delta is left 3..4; the walk refuses a matching that is not a
-    # permutation of H's side before it starts
+    # paley13: N_x is left 0..2, Delta is left 3..4; the walk refuses a class that is not a
+    # permutation of H's side before it starts, and keeps no chain records of it
 
-    def test_revisiting_chain_rejected(self):
+    @staticmethod
+    def _walk_error(monkeypatch, g, classes):
+        _patch_classes(monkeypatch, classes)
+        w = edge_witness(g, *g.edges()[0], detect_amply_params(g))
+        assert w.class_records == () and w.certificate is None
+        return w.walk_error
+
+    def test_revisiting_chain_rejected(self, monkeypatch):
         # right 3 twice: the chain from 0 would cycle 3 -> 4 -> 3
         g = gen_paley(13)
         h = _build(g, *g.edges()[0])
         assert (len(h.nx), h.b.left_n) == (3, 5)
-        with pytest.raises(WitnessError, match="perfect"):
-            verify_lemma_3_3(g, h, (3, 1, 2, 4, 3))
+        assert self._walk_error(monkeypatch, g, ((3, 1, 2, 4, 3),)) == (
+            "chain walk requires a perfect matching")
 
-    def test_non_bijective_chain_map_rejected(self):
+    def test_non_bijective_chain_map_rejected(self, monkeypatch):
         # right 0 twice: N_x vertices 0 and 1 would both end at the first N_y vertex
-        g = gen_paley(13)
-        h = _build(g, *g.edges()[0])
-        with pytest.raises(WitnessError, match="perfect"):
-            verify_lemma_3_3(g, h, (0, 0, 2, 3, 4))
+        assert self._walk_error(monkeypatch, gen_paley(13), ((0, 0, 2, 3, 4),)) == (
+            "chain walk requires a perfect matching")
 
     @pytest.mark.parametrize(
         "m",
         [(-1, 1, 0, 3, 4), (0, 1, 2, 3, 5), (0, 1, 2, 3)],
         ids=["minus-one", "past-the-side", "short"],
     )
-    def test_entry_outside_the_side_rejected(self, m):
+    def test_entry_outside_the_side_rejected(self, monkeypatch, m):
         # -1 would wrap to the last N_y vertex and give three chain records; 5 is no index of H
-        g = gen_paley(13)
-        h = _build(g, *g.edges()[0])
-        with pytest.raises(WitnessError, match="perfect"):
-            verify_lemma_3_3(g, h, m)
+        assert self._walk_error(monkeypatch, gen_paley(13), (m,)) == (
+            "chain walk requires a perfect matching")
 
-    def test_imperfect_matching_rejected(self):
-        h = _build(h23(), 0, 1)
-        with pytest.raises(WitnessError, match="perfect"):
-            verify_lemma_3_3(h23(), h, (0,))
+    def test_imperfect_matching_rejected(self, monkeypatch):
+        assert self._walk_error(monkeypatch, h23(), ((0,),)) == "chain walk requires a perfect matching"
+
+    def test_a_class_after_a_bad_one_is_not_walked(self, monkeypatch):
+        # paley13's two classes, the first with right 0 twice: no class is walked
+        g = gen_paley(13)
+        classes = konig_decomposition(_build(g, *g.edges()[0]).b)
+        bad = (classes[0][1],) + classes[0][1:]
+        _patch_classes(monkeypatch, (classes[1], bad))
+        w = edge_witness(g, *g.edges()[0], detect_amply_params(g))
+        assert len(w.class_records) == 1 and w.walk_error == "chain walk requires a perfect matching"
 
 
 class TestPi0:
@@ -300,11 +400,11 @@ class TestPi0:
         ids=["h23", "h33", "paley13", "cocktail3"],
     )
     def test_integer_cost_equals_plan_cost(self, make):
-        # certify_witness sums BFS distances in integers; plan_cost sums d(v, w) * mass
+        # the batch sums BFS distances in integers; plan_cost sums d(v, w) * mass
         g = make()
         params = detect_amply_params(g)
-        for x, y in g.edges():
-            cert = _certificate(g, x, y, params)
+        for (x, y), w in zip(g.edges(), _views(g, params)):
+            cert = w.certificate
             assert cert.pi0_cost == plan_cost(g, _pi0_plan(cert, params.d))
             assert len(cert.pi0) == params.d + 1
             assert cert.pi0 == tuple(sorted(cert.pi0))
@@ -314,17 +414,16 @@ class TestPi0:
             assert sorted(w for _, w in cert.pi0) == sorted((y,) + g.neighbors(y))
 
     def test_requires_z1_edge(self, monkeypatch):
-        # certify_witness rejects classes of which none contains z1 z1'
+        # the certificate rejects classes of which none contains z1 z1'
         g = gen_paley(13)
-        x, y = g.edges()[0]
-        h = _build(g, x, y)
+        h = _build(g, *g.edges()[0])
         z1l, z1r = h.z1_edge()
-        class_records = _walk(g, h)
         others = tuple(m for m in konig_decomposition(h.b) if m[z1l] != z1r)
         assert others, "decomposition should contain a class avoiding z1 z1'"
-        monkeypatch.setattr(witness_module, "konig_decomposition", lambda b: others)
-        with pytest.raises(WitnessError, match="z1"):
-            certify_witness(g, h, check_h_regular(h), class_records)
+        _patch_classes(monkeypatch, others)
+        w = edge_witness(g, *g.edges()[0], detect_amply_params(g))
+        assert w.walk_error is None and w.class_records
+        assert w.certificate is None and w.certify_error == "no Konig class contains the z1 z1' edge"
 
 
 class TestWitnessBound:
@@ -360,10 +459,8 @@ class TestWitnessBound:
             assert cert.kappa_lb >= Fraction(3, params.d)
 
     def test_every_edge_of_paley13(self):
-        g = gen_paley(13)
-        for x, y in g.edges():
-            cert = _certificate(g, x, y)
-            assert cert.kappa_lb == Fraction(2, 3)
+        for w in _views(gen_paley(13)):
+            assert w.certificate.kappa_lb == Fraction(2, 3)
 
 
 class TestCertificateOnBuiltH:
@@ -373,18 +470,16 @@ class TestCertificateOnBuiltH:
         ids=["h23", "paley13", "cocktail3", "h33"],
     )
     def test_equals_certificate_on_fresh_bipartite(self, make):
+        # the reference builds its own H and decomposes it afresh, edge by edge
         g = make()
         params = detect_amply_params(g)
-        for x, y in g.edges():
-            h = build_transport_bipartite(g, x, y, params)
-            # edge_witness decomposes h.b before certifying; these walks are fresh
-            cert = _certify(g, h)
-            ref = _certificate(g, x, y, params)
+        for (x, y), w in zip(g.edges(), _views(g, params)):
+            cert = w.certificate
+            ref = reference_edge_witness(g, x, y, params).certificate
             for f in dataclasses.fields(WitnessCertificate):
                 assert getattr(cert, f.name) == getattr(ref, f.name), f.name
-            m = cert.matching
-            assert list(cert.chain_records) == verify_lemma_3_3(g, h, m)
-            assert cert.pi0 == _pi0_by_definition(h, cert.chain_records)
+            assert list(cert.chain_records) == verify_lemma_3_3(g, w.h, cert.matching)
+            assert cert.pi0 == _pi0_by_definition(w.h, cert.chain_records)
 
     @pytest.mark.parametrize(
         "make",
@@ -392,103 +487,173 @@ class TestCertificateOnBuiltH:
         ids=["h23", "paley13", "cocktail3", "h33"],
     )
     def test_chain_records_are_the_z1_class_records(self, make):
-        g = make()
-        params = detect_amply_params(g)
-        for x, y in g.edges():
-            w = edge_witness(g, x, y, params)
+        for w in _views(make()):
             z1l, z1r = w.h.z1_edge()
             i = next(i for i, m in enumerate(w.classes) if m[z1l] == z1r)
             assert w.certificate.matching is w.classes[i]
             assert w.certificate.chain_records is w.class_records[i]
 
     def test_reads_the_walk_and_never_walks_again(self, monkeypatch):
+        # one walk per chunk: the certificate reads its chains and walks no class itself
         g = gen_paley(13)
-        x, y = g.edges()[0]
-        h = _build(g, x, y)
-        class_records = _walk(g, h)
+        counts = _count_calls(monkeypatch, [(witness_module, "_walk")])
+        assert _certificate(g, *g.edges()[0]).kappa_lb == Fraction(2, 3)
+        assert counts == {"_walk": 1}
 
-        def no_walk(*args):
-            raise AssertionError("certify_witness walked a class")
-
-        monkeypatch.setattr(witness_module, "verify_lemma_3_3", no_walk)
-        cert = certify_witness(g, h, check_h_regular(h), class_records)
-        assert cert.kappa_lb == Fraction(2, 3)
-
-    def test_rejects_a_walk_stopped_before_the_z1_class(self):
+    def test_rejects_a_walk_stopped_before_the_z1_class(self, monkeypatch):
+        # the z1 class, with right partners of left 0 and 1 made equal, is no permutation:
+        # the walk stops there, and the certificate names it
         g = gen_paley(13)
-        x, y = g.edges()[0]
-        h = _build(g, x, y)
-        class_records = _walk(g, h)
-        i, _ = _z1_class(h)
-        with pytest.raises(WitnessError, match="chain walk stopped before the z1 z1' class"):
-            certify_witness(g, h, check_h_regular(h), class_records[:i])
+        h = _build(g, *g.edges()[0])
+        classes = konig_decomposition(h.b)
+        i, m = _z1_class(h)
+        bad = (m[1],) + m[1:]
+        _patch_classes(monkeypatch, classes[:i] + (bad,) + classes[i + 1:])
+        w = edge_witness(g, *g.edges()[0], detect_amply_params(g))
+        assert len(w.class_records) == i and w.walk_error == "chain walk requires a perfect matching"
+        assert w.certify_error == f"chain walk stopped before the z1 z1' class (class {i + 1})"
 
-    def test_rejects_chain_longer_than_its_bound(self):
-        # H(2,3), x = (0,0), y = (0,1): reversing N_y sends (1,0) to (2,1), at distance 2 > rho - k = 1
+    def test_rejects_chain_longer_than_its_bound(self, monkeypatch):
+        # H(2,3), x = (0,0), y = (0,1): reversing N_y sends 3 = (1,0) to 7 = (2,1), at distance
+        # 2 > rho - k = 1
         g = h23()
-        h = _build(g, 0, 1)
-        swapped = dataclasses.replace(h, ny=h.ny[::-1])
-        with pytest.raises(WitnessError, match="chain distance bound failed"):
-            _certify(g, swapped)
+        _reverse_ny(monkeypatch)
+        w = edge_witness(g, 0, 1, detect_amply_params(g))
+        assert w.walk_error is None and w.certificate is None
+        assert w.certify_error == ("chain distance bound failed: "
+                                   "ChainRecord(v0=3, w0=7, distance=2, rho=1, k=0, ok=False)")
 
-    def test_rejects_chain_sum_over_bound(self):
-        # sum rho = d + k - 2 holds with equality on H(2,3); one less degree breaks it
+    def test_rejects_chain_sum_over_bound(self, monkeypatch):
+        # sum rho = d + k - 2 holds with equality on H(2,3); one more member in a chain breaks it
         g = h23()
-        h = _build(g, 0, 1)
-        with pytest.raises(WitnessError, match="chain length sum"):
-            _certify(g, dataclasses.replace(h, d=h.d - 1))
+
+        def longer(walks):
+            rho = walks.rho.copy()
+            rho[..., 0] += 1
+            return walks._replace(rho=rho)
+
+        _tamper_walks(monkeypatch, longer)
+        w = edge_witness(g, 0, 1, detect_amply_params(g))
+        assert w.certify_error == "chain length sum 3 exceeds d + k - 2 = 2"
 
     def test_rejects_pi0_off_the_balls(self, monkeypatch):
-        # vertex 8 = (2,2) is at distance 2 from x: mass kept there leaves B(x)
+        # vertex 8 = (2,2) is at distance 2 from y: mass shipped there leaves B(y)
         g = h23()
-        h = _build(g, 0, 1)
-        moved = dataclasses.replace(h, delta=(8,))
-        with pytest.raises(WitnessError, match="marginals"):
-            _certify(g, moved)
-        # edge_witness keeps the message, as it keeps every failed step's
-        monkeypatch.setattr(witness_module, "build_transport_bipartite", lambda *args: moved)
+        assert g.distance(8, 1) == 2
+
+        def to_eight(v0, w0):
+            w0[..., 0] = 8
+
+        _tamper_v0_w0(monkeypatch, to_eight)
         w = edge_witness(g, 0, 1, detect_amply_params(g))
-        assert w.certificate is None and "marginals" in w.certify_error
+        assert w.certificate is None
+        assert w.certify_error == "plan marginals are not uniform on B(x) and B(y)"
 
     @pytest.mark.parametrize(
         "make", [lambda: gen_paley(13), lambda: gen_hamming(3, 3)], ids=["paley13", "h33"]
     )
     def test_verify_builds_each_witness_fact_once_per_edge(self, monkeypatch, make):
         g = make()
-        beta = detect_amply_params(g).beta
-        names = ["build_transport_bipartite", "check_h_regular", "konig_decomposition",
-                 "verify_lemma_3_3"]
+        params = detect_amply_params(g)
+        m = g.num_edges()
+        distinct = len({build_transport_bipartite(g, x, y, params).b.adj for x, y in g.edges()})
+        names = ["_neighbourhoods", "_transport_h", "_walk", "_certify", "konig_decomposition",
+                 "lly_curvature"]
         counts = _count_calls(monkeypatch, [(witness_module, n) for n in names]
                               + [(matching_module, "_kuhn")])
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
-        m = g.num_edges()
-        # H is decomposed once, beta - 1 Kuhn rounds, and read twice: by edge_witness and by
-        # certify_witness; beta - 1 classes walked once each; certify_witness reads the z1
-        # class's walk
+        chunks = -(-m // WITNESS_CHUNK)
+        # each chunk reads the neighbourhoods, builds its H's, walks and certifies once; each
+        # edge reads its classes twice, for its walks and its certificate, and its curvature
+        # once; Kuhn runs beta - 1 rounds per distinct H
         assert counts == {
-            "build_transport_bipartite": m, "check_h_regular": m, "konig_decomposition": 2 * m,
-            "verify_lemma_3_3": (beta - 1) * m, "_kuhn": (beta - 1) * m,
+            "_neighbourhoods": chunks, "_transport_h": chunks, "_walk": chunks, "_certify": chunks,
+            "konig_decomposition": 2 * m, "lly_curvature": m, "_kuhn": (params.beta - 1) * distinct,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
         g = gen_paley(13)
-        names = ["build_transport_bipartite", "check_h_regular", "verify_lemma_3_3"]
+        names = ["_neighbourhoods", "_transport_h", "_walk", "konig_decomposition"]
         counts = _count_calls(
             monkeypatch,
-            [(cli_module, "detect_amply_params")] + [(witness_module, n) for n in names],
+            [(cli_module, "detect_amply_params")] + [(witness_module, n) for n in names]
+            + [(matching_module, "_kuhn")],
         )
         _hgraph_payload(g, *g.edges()[0])
-        # paley13 has beta = 3: two Konig classes, each walked once
+        # paley13 has beta = 3: two Konig rounds, read twice
         assert counts == {
-            "detect_amply_params": 1, "build_transport_bipartite": 1, "check_h_regular": 1,
-            "verify_lemma_3_3": 2,
+            "detect_amply_params": 1, "_neighbourhoods": 1, "_transport_h": 1, "_walk": 1,
+            "konig_decomposition": 2, "_kuhn": 2,
         }
+
+    def test_equal_hs_share_one_decomposition_on_relabelled_cocktail8(self, monkeypatch):
+        # cocktail(8) is (16,14,12,14): beta - 1 = 13 Kuhn rounds per distinct H
+        g = relabelled(gen_cocktail(8), 3)
+        params = detect_amply_params(g)
+        m = g.num_edges()
+        distinct = len({build_transport_bipartite(g, x, y, params).b.adj for x, y in g.edges()})
+        assert 1 < distinct < m
+        counts = _count_calls(monkeypatch, [(witness_module, "konig_decomposition"),
+                                            (matching_module, "_kuhn")])
+        batches = list(witness_batches(g, g.edges(), params))
+        assert len({id(b) for batch in batches for b in batch.bipartites}) == distinct
+        assert counts == {"konig_decomposition": 2 * m, "_kuhn": 13 * distinct}
+
+
+
+ORACLE_GRAPHS = {
+    "h23": h23, "h33": lambda: gen_hamming(3, 3), "paley13": lambda: gen_paley(13),
+    "paley29": lambda: gen_paley(29), "paley37": lambda: gen_paley(37),
+    "cocktail3": lambda: gen_cocktail(3), "cocktail8": lambda: gen_cocktail(8),
+}
+
+
+def _understate_curvature(monkeypatch):
+    for module in (witness_module, reference_witness):
+        monkeypatch.setattr(module, "lly_curvature", lambda g, x, y: Fraction(0))
+
+
+def _leave_left_zero_unmatched(monkeypatch):
+    kuhn = matching_module._kuhn
+    monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [-1] + kuhn(adj, n)[1:])
+
+
+class TestBatchMatchesReference:
+    """The batched pass against the per-edge reference pipeline, edge by edge."""
+
+    @staticmethod
+    def _check(g):
+        params = detect_amply_params(g)
+        views = _views(g, params)
+        assert len(views) == g.num_edges()
+        for (x, y), w in zip(g.edges(), views):
+            ref = reference_edge_witness(g, x, y, params)
+            assert w.h == ref.h
+            assert (w.irregular, w.walk_error, w.certify_error) == (
+                ref.irregular, ref.walk_error, ref.certify_error)
+            assert w.classes == ref.classes
+            assert w.class_records == ref.class_records
+            assert w.certificate == ref.certificate
+        assert _witness_summary(g, params) == reference_summary(g, params)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["natural", "seed1", "seed2", "seed3"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_every_edge(self, name, seed):
+        g = ORACLE_GRAPHS[name]()
+        self._check(g if seed is None else relabelled(g, seed))
+
+    @pytest.mark.parametrize("fault", [_understate_curvature, _leave_left_zero_unmatched],
+                             ids=["understated-curvature", "kuhn-fault"])
+    @pytest.mark.parametrize("name", ["h23", "paley13", "cocktail3"])
+    def test_every_edge_under_a_fault(self, monkeypatch, name, fault):
+        fault(monkeypatch)
+        self._check(relabelled(ORACLE_GRAPHS[name](), 1))
 
 
 def test_verify_solves_each_edge_once(monkeypatch):
     # paley13 is (13,6,2,3): every edge has a 3 + 3 B-zone to solve. The
-    # table certifies each edge's curvature; certify_witness's call on the
+    # table certifies each edge's curvature; the witness certificate's call on the
     # same graph reads the kept value.
     from scipy.optimize import linear_sum_assignment
 
@@ -515,29 +680,32 @@ class TestVerifyCountsFailedWitnessSteps:
     def test_reversed_ny_fails_chains_and_everything_after(self, monkeypatch, name):
         # reversing N_y keeps H regular and every class walk a bijection, but
         # sends chains to the wrong endpoints, so every chain-bound check fails
-        build = witness_module.build_transport_bipartite
-
-        def reversed_ny(*args, **kwargs):
-            h = build(*args, **kwargs)
-            return dataclasses.replace(h, ny=h.ny[::-1])
-
-        monkeypatch.setattr(witness_module, "build_transport_bipartite", reversed_ny)
+        _reverse_ny(monkeypatch)
         make, m = self.GRAPHS[name]
         report = verify_graph(make(), graph_id="g")
         assert report.witness == WitnessSummary(m, m, m, m, 0, 0, 0, passed=False)
         assert not report.overall_pass
 
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_one_corrupted_edge_drops_each_failed_count_by_one(self, monkeypatch, name):
+        # N_y reversed on one edge only, in the second chunk of H(3,3)'s 81 edges: only
+        # that edge's chain, pi0 and lower-bound steps fail
+        make, m = self.GRAPHS[name]
+        g = make()
+        edge = g.edges()[min(m - 1, WITNESS_CHUNK + 5)]
+        hit = _reverse_ny(monkeypatch, only=_build(g, *edge))
+        report = verify_graph(g, graph_id="g")
+        assert len(hit) == 1
+        assert report.witness == WitnessSummary(m, m, m, m, m - 1, m - 1, m - 1, passed=False)
+
     def test_irregular_h_is_not_decomposed(self, monkeypatch, tmp_path, capsys):
         # cocktail(3)'s H has one copy-copy (E8) edge; without it H is not
         # 3-regular, has no Konig classes and keeps the regularity message
-        build = witness_module.build_transport_bipartite
+        def drop_e8(h):
+            assert h[:, -1, -1].all()  # the x-copy to x'-copy edge of every H
+            h[:, -1, -1] = False
 
-        def dropped_e8(*args, **kwargs):
-            h = build(*args, **kwargs)
-            assert len(h.edge_classes[7]) == 1
-            return _drop_last_copy_edge(h)
-
-        monkeypatch.setattr(witness_module, "build_transport_bipartite", dropped_e8)
+        _tamper_h(monkeypatch, drop_e8)
         g = gen_cocktail(3)
         w = edge_witness(g, 0, 2, detect_amply_params(g))
         assert w.irregular == "left x_copy1 has degree 2"
@@ -554,7 +722,7 @@ class TestVerifyCountsFailedWitnessSteps:
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_understated_exact_curvature_fails_only_the_certificate(self, monkeypatch, name):
-        # every chain passes; certify_witness then finds kappa_lb above "exact"
+        # every chain passes; the certificate then finds kappa_lb above "exact"
         monkeypatch.setattr(witness_module, "lly_curvature", lambda g, x, y: Fraction(0))
         make, m = self.GRAPHS[name]
         report = verify_graph(make(), graph_id="g")
@@ -583,6 +751,18 @@ class TestVerifyCountsFailedWitnessSteps:
                 "chains 0 | pi0 0 | lower bound 0  [FAIL]") in out
         assert cli_module.main(["hgraph", str(path), "--edge", "0", "1"]) == cli_module.EXIT_INPUT
         assert capsys.readouterr() == ("", f"error: {fault}\n")
+
+    def test_a_matching_fault_on_a_shared_h_fails_every_edge_that_reads_it(self, monkeypatch):
+        # a decomposition that raises is not kept, so each read of a shared H searches again
+        # and raises again: every edge keeps the fault, on both of its reads
+        g = relabelled(gen_cocktail(8), 3)
+        kuhn = matching_module._kuhn
+        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [-1] + kuhn(adj, n)[1:])
+        counts = _count_calls(monkeypatch, [(matching_module, "_kuhn")])
+        m = g.num_edges()
+        assert _witness_summary(g, detect_amply_params(g)) == WitnessSummary(
+            m, m, 0, 0, 0, 0, 0, passed=False)
+        assert counts == {"_kuhn": 2 * m}
 
     def test_a_matching_fault_in_the_dense_stage_is_an_uncertified_edge(self, monkeypatch,
                                                                         tmp_path, capsys):
@@ -636,7 +816,7 @@ class TestDenseMatchCertificate:
 
     def test_verify_certifies_on_the_table_kappa_without_probes(self, monkeypatch):
         # cocktail(4) is in both the witness and the dense regime: one
-        # lly_curvature call per edge for the table, one inside certify_witness
+        # lly_curvature call per edge for the table, one in the witness certificate
         g = gen_cocktail(4)
         calls = {"lly": 0, "certificate": 0, "probes": 0}
         inside = [False]
