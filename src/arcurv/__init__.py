@@ -24,7 +24,6 @@ from .generators import (
 from .graph import (
     AmplyParams,
     AmplyViolation,
-    EdgeNeighborhoodPartition,
     Graph,
     GraphError,
     detect_amply_params,

@@ -8,8 +8,9 @@ all-edge functions certify every edge in one batch. The uniform measures on
 B(x) and B(y) (or N(x) and N(y)) give equal mass to every shared vertex, so
 mu - nu, and with it W1 by Kantorovich-Rubinstein duality, depends only on
 the symmetric difference. Each edge's zone is therefore B(x) - B(y) then
-B(y) - B(x), or N(x) - N(y) then N(y) - N(x), read from the endpoints'
-adjacency rows; an edge in t triangles has d-1-t or d-t points per side.
+B(y) - B(x), or N(x) - N(y) then N(y) - N(x), read from the partition of
+its neighbourhood (`graph.edge_partition`); an edge in t triangles has d-1-t
+or d-t points per side.
 `certify_assignments` solves the zones of each size group as integer
 assignments, each proven optimal by an integer Kantorovich potential of
 equal value, 1-Lipschitz on the zone and so (McShane) on the graph; an empty
@@ -31,7 +32,7 @@ from math import lcm
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, edge_partition
 
 
 class CurvatureError(ValueError):
@@ -318,28 +319,30 @@ def certify_assignments(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray,
 def _difference_costs(g: Graph, edges, closed: bool) -> list[int]:
     """Each edge's certified cost on its difference zone, in edge order.
 
-    Edge (x, y) sends B(x) - B(y) to B(y) - B(x), or N(x) - N(y) to
-    N(y) - N(x) when not ``closed``, read off the endpoints' adjacency rows
-    (z is in B(v) iff z = v or z is a neighbour of v). One
+    Edge (x, y) sends B(x) - B(y) = N_x to B(y) - B(x) = N_y, or, when not
+    ``closed``, N(x) - N(y) = N_x + y to N(y) - N(x) = N_y + x, from
+    `edge_partition` on ``ASSIGNMENT_CHUNK`` edges at a time. One
     `certify_assignments` call per zone size; an empty zone costs 0 unsolved.
     """
-    adj = g.adjacency
-    balls: dict[int, set[int]] = {}
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for i, (x, y) in enumerate(edges):
-        for v in (x, y):
-            if v not in balls:
-                balls[v] = {v, *adj[v]} if closed else set(adj[v])
-        sources = [z for z in adj[x] if z not in balls[y]]
-        at, zones = groups.setdefault(len(sources), ([], []))
-        at.append(i)
-        zones.append(sources + [z for z in adj[y] if z not in balls[x]])
+    groups: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    for lo in range(0, len(edges), ASSIGNMENT_CHUNK):
+        xy = np.array(edges[lo:lo + ASSIGNMENT_CHUNK], dtype=np.int64)
+        nx, _, ny = edge_partition(g, xy)
+        if not closed:
+            nx[np.arange(len(xy)), xy[:, 1]] = ny[np.arange(len(xy)), xy[:, 0]] = True
+        sizes = nx.sum(axis=1)
+        for k in filter(None, dict.fromkeys(sizes.tolist())):  # nonzero sizes, first seen first
+            at, zones = groups.setdefault(k, ([], []))
+            rows = sizes == k
+            at.append(lo + np.flatnonzero(rows))
+            zones.append(np.concatenate([np.nonzero(side[rows])[1].reshape(-1, k)
+                                         for side in (nx, ny)], axis=1))
     costs = [0] * len(edges)
-    for k, (at, zones) in groups.items():
-        if k:
-            group_costs, _ = certify_assignments(g, np.array(zones), [edges[i] for i in at])
-            for i, c in zip(at, group_costs.tolist()):
-                costs[i] = c
+    for at, zones in groups.values():
+        at = np.concatenate(at).tolist()
+        group_costs, _ = certify_assignments(g, np.concatenate(zones), [edges[i] for i in at])
+        for i, c in zip(at, group_costs.tolist()):
+            costs[i] = c
     return costs
 
 

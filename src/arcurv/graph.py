@@ -235,21 +235,6 @@ class AmplyViolation:
                 f"(found {self.found}, expected {self.expected})")
 
 
-@dataclass(frozen=True)
-class EdgeNeighborhoodPartition:
-    """The three disjoint neighbor sets of an edge xy.
-
-    delta = common neighbors, nx = neighbors of x outside y's closed
-    neighborhood, ny symmetrically.
-    """
-
-    x: int
-    y: int
-    delta: tuple[int, ...]
-    nx: tuple[int, ...]
-    ny: tuple[int, ...]
-
-
 DetectResult = Union[AmplyParams, AmplyViolation]
 
 
@@ -360,15 +345,20 @@ def detect_amply_params(g: Graph) -> DetectResult:
     )
 
 
-def edge_partition(g: Graph, x: int, y: int) -> EdgeNeighborhoodPartition:
-    """Split the neighborhoods around edge xy into delta / nx / ny."""
-    g.check_vertex(x)
-    g.check_vertex(y)
-    gx = set(g.neighbors(x))
-    if y not in gx:
+def edge_partition(g: Graph, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """N_x, Delta and N_y of each edge (x, y) of ``edges``, as (m, n) boolean masks.
+
+    Read off the endpoints' cached BFS rows: Delta is the common neighbours,
+    N_x the neighbours of x at distance 2 from y, and N_y the other way
+    round; so B(x) - B(y) is N_x and N(x) - N(y) is N_x with y. Raises
+    GraphError for the first vertex outside the graph, x before y, then for
+    the first pair that is not an edge.
+    """
+    xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    dx, dy = g.distance_rows(xy.ravel().tolist()).reshape(len(xy), 2, g.n).transpose(1, 0, 2)
+    apart = dx[np.arange(len(xy)), xy[:, 1]] != 1
+    if apart.any():
+        x, y = xy[apart.argmax()].tolist()
         raise GraphError(f"({x}, {y}) is not an edge")
-    gy = set(g.neighbors(y))
-    delta = tuple(sorted(gx & gy))
-    nx = tuple(sorted(gx - gy - {y}))
-    ny = tuple(sorted(gy - gx - {x}))
-    return EdgeNeighborhoodPartition(x=x, y=y, delta=delta, nx=nx, ny=ny)
+    near_x, near_y = dx == 1, dy == 1
+    return near_x & (dy == 2), near_x & near_y, near_y & (dx == 2)

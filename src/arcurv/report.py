@@ -14,7 +14,6 @@ from typing import Optional
 from . import witness as wit
 from .curvature import CurvatureTable, curvature_all_edges
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
-from .matching import MatchingError
 from .spectral import (
     DEFAULT_SPECTRUM_CAP,
     PsdCertificate,
@@ -277,18 +276,13 @@ def verify_graph(
         witness_summary = _witness_summary(g, params)
     dense_summary: Optional[DenseMatchSummary] = None
     if params.beta is not None and 2 * params.beta - params.alpha >= params.d + 1:
-        certified = 0
-        for u, v, kappa in table.rows:
-            try:
-                wit.prop_3_1_certificate(g, u, v, kappa, params)
-                certified += 1
-            except (wit.WitnessError, MatchingError):
-                pass
-        dense_summary = DenseMatchSummary(
-            kappa=Fraction(2 + params.alpha, params.d),
-            edges_certified=certified,
-            passed=certified == len(table.rows),
-        )
+        edges, kappas = [(u, v) for u, v, _ in table.rows], [k for _, _, k in table.rows]
+        chunk = wit.WITNESS_CHUNK
+        certified = sum(not isinstance(r, str) for lo in range(0, len(edges), chunk)
+                        for r in wit.prop_3_1_certificate(g, edges[lo:lo + chunk],
+                                                          kappas[lo:lo + chunk], params))
+        dense_summary = DenseMatchSummary(Fraction(2 + params.alpha, params.d), certified,
+                                          passed=certified == len(edges))
     diameter_row = _diameter_row(g, params)
     spectral_row = _spectral_row(g, params, table.kappa_min, spectrum_cap)
     conference = _conference_note(params, table)

@@ -6,8 +6,10 @@ perfect matchings induce bijections N_x -> N_y whose chains bound the graph
 distance, which yields an explicit cheap transport plan and hence a curvature
 lower bound of 3/d. `witness_batches` runs every step of that construction
 on many edges at once, over whole arrays read from the cached BFS rows;
-`edge_witness` runs it on one edge. A separate dense-matching certificate
-pins the curvature to (2+alpha)/d when 2*beta - alpha >= d + 1.
+`edge_witness` runs it on one edge. A separate dense-matching certificate,
+also one chunk of edges at a time, pins the curvature to (2+alpha)/d when
+2*beta - alpha >= d + 1. Both read each edge's N_x, Delta and N_y from
+`graph.edge_partition`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .curvature import lly_curvature
-from .graph import AmplyParams, Graph, GraphError, edge_partition
+from .graph import AmplyParams, Graph, edge_partition
 from .matching import Bipartite, MatchingError, dense_perfect_matching, konig_decomposition
 
 # edge class indices (1-based, matching the construction below)
@@ -252,23 +254,16 @@ class WitnessBatch:
                            certificate, self.certify_error[i])
 
 
-def _neighbourhoods(xy: np.ndarray, dx: np.ndarray, dy: np.ndarray, params: AmplyParams):
+def _neighbourhoods(g: Graph, xy: np.ndarray, params: AmplyParams):
     """N_x, Delta and N_y of each edge as (m, p), (m, alpha), (m, p) arrays in sorted host order.
 
-    Read off the endpoints' BFS rows ``dx`` and ``dy``: Delta is the common
-    neighbours, N_x the neighbours of x at distance 2 from y, and N_y the
-    other way round. Raises GraphError for a pair that is not an edge, and
-    WitnessError, naming the first offending edge, for sizes other than
-    p = d-1-alpha and alpha.
+    Split by `edge_partition`, which raises GraphError for a vertex outside
+    the graph or a pair that is not an edge. Raises WitnessError, naming the
+    first offending edge, for sizes other than p = d-1-alpha and alpha.
     """
     m, a = len(xy), params.alpha
     p = params.d - 1 - a
-    apart = dx[np.arange(m), xy[:, 1]] != 1
-    if apart.any():
-        x, y = xy[apart.argmax()].tolist()
-        raise GraphError(f"({x}, {y}) is not an edge")
-    near_x, near_y = dx == 1, dy == 1
-    sets = (near_x & (dy == 2), near_x & near_y, near_y & (dx == 2))
+    sets = edge_partition(g, xy)
     sizes = np.stack([s.sum(axis=1) for s in sets], axis=1)
     wrong = (sizes != (p, a, p)).any(axis=1)
     if wrong.any():
@@ -431,9 +426,7 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     p = params.d - 1 - a
     xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
     m = len(xy)
-    outside = (xy < 0) | (xy >= g.n)
-    if outside.any():
-        g.check_vertex(int(xy.ravel()[outside.ravel().argmax()]))
+    nx, delta, ny = _neighbourhoods(g, xy, params)
     # one BFS row per vertex of B(x) or B(y) of any edge: every row that H, its chains and pi0 read
     ends = np.unique(xy).tolist()
     vertices = np.unique(np.fromiter(chain(ends, *(g.adjacency[v] for v in ends)), dtype=np.int64))
@@ -442,8 +435,6 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     def row_of(v: np.ndarray) -> np.ndarray:
         return np.searchsorted(vertices, v)
 
-    dx, dy = rows[row_of(xy[:, 0])], rows[row_of(xy[:, 1])]
-    nx, delta, ny = _neighbourhoods(xy, dx, dy, params)
     left, right = np.concatenate([nx, delta], axis=1), np.concatenate([ny, delta], axis=1)
     h = _transport_h(rows[row_of(left)[:, :, None], right[:, None, :]] == 1, p, copies)
 
@@ -488,7 +479,8 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     walks = _walk(rows, row_of(nx), nx, ny, perms, counts, p + a)
     walk_error = [e if e is not None else walks.error[i] for i, e in enumerate(walk_error)]
 
-    balls = tuple(np.nonzero((dv >= 0) & (dv <= 1))[1].reshape(m, params.d + 1) for dv in (dx, dy))
+    balls = tuple(np.nonzero((dv >= 0) & (dv <= 1))[1].reshape(m, params.d + 1)
+                  for dv in (rows[row_of(xy[:, 0])], rows[row_of(xy[:, 1])]))
     certify_error = list(unmet)
     z1, cost, kappa = _certify(g, xy, params, balls, rows, row_of, delta, walks, bipartites,
                                certify_error)
@@ -502,10 +494,11 @@ def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
     """Run the witness pipeline on ``edges``, ``WITNESS_CHUNK`` at a time: one `WitnessBatch` each.
 
     Requires detected parameters with beta present and beta > alpha >= 1.
-    Each chunk reads the BFS rows of every vertex within distance 1 of an
-    edge once, and from them N_x, Delta and N_y (`_neighbourhoods`) and every
-    H (`_transport_h`) as whole arrays. Equal H's of one call share one
-    `Bipartite`, so Kuhn's beta - 1 rounds run once per distinct H; each
+    Each chunk splits its edges' neighbourhoods into N_x, Delta and N_y once
+    (`edge_partition`, through the size check of `_neighbourhoods`), reads
+    the BFS rows of every vertex within distance 1 of an edge once, and from
+    them builds every H (`_transport_h`) as whole arrays. Equal H's of one
+    call share one `Bipartite`, so Kuhn's beta - 1 rounds run once per distinct H; each
     edge still reads its classes through `konig_decomposition` twice, for
     its walks and its certificate. An H that is not (beta-1)-regular is not decomposed, and
     the regularity message is kept as the walk's; a decomposition that
@@ -528,25 +521,17 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
     return next(witness_batches(g, [(x, y)], params)).edge(0)
 
 
-@dataclass(frozen=True)
-class DenseMatchCertificate:
-    """Certificate that kappa = (2+alpha)/d via a perfect matching of the N_x-N_y graph."""
+def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Sequence[Fraction],
+                         params: AmplyParams) -> list[Union[tuple[int, ...], str]]:
+    """Exact-curvature certificates of a chunk of edges, for the regime 2*beta - alpha >= d + 1.
 
-    x: int
-    y: int
-    kappa: Fraction
-    bipartite: Bipartite
-    matching: tuple[int, ...]
-
-
-def prop_3_1_certificate(
-    g: Graph, x: int, y: int, kappa: Fraction, params: AmplyParams
-) -> DenseMatchCertificate:
-    """Exact-curvature certificate for the regime 2*beta - alpha >= d + 1.
-
-    ``kappa`` is the exact curvature of xy. Builds the bipartite graph of
-    host edges between N_x and N_y, extracts a perfect matching under the
-    dense-matching degree condition, and asserts kappa = (2+alpha)/d.
+    ``kappas`` holds each edge's exact curvature, as the curvature table
+    gives it. N_x and N_y come through the witness's size check
+    (`_neighbourhoods`), and each edge's host edges between them, read off
+    the BFS rows of N_x, form a bipartite graph whose perfect matching
+    `dense_perfect_matching` extracts under the dense degree condition; then
+    kappa = (2+alpha)/d is asserted. Returns each edge's matching, right
+    partners by left index, or the message of the first check it fails.
     alpha = 0 is allowed.
     """
     if params.beta is None:
@@ -556,14 +541,18 @@ def prop_3_1_certificate(
             f"requires 2*beta - alpha >= d + 1, got "
             f"2*{params.beta} - {params.alpha} < {params.d} + 1"
         )
-    part = edge_partition(g, x, y)
-    p = len(part.nx)
-    # N_y and each adjacency row are in sorted host order, so each row's indices ascend.
-    col_index = {w: j for j, w in enumerate(part.ny)}
-    b = Bipartite(p, p, tuple(tuple(col_index[w] for w in g.adjacency[v] if w in col_index)
-                              for v in part.nx))
-    m = dense_perfect_matching(b)
+    nx, _, ny = _neighbourhoods(g, np.array(edges, dtype=np.int64).reshape(-1, 2), params)
+    m, p = nx.shape
+    rows = g.distance_rows(nx.ravel().tolist()).reshape(m, p, g.n)
+    host = np.take_along_axis(rows, ny[:, None, :], axis=2) == 1
     upper = Fraction(2 + params.alpha, params.d)
-    if kappa != upper:
-        raise WitnessError(f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
-    return DenseMatchCertificate(x=x, y=y, kappa=upper, bipartite=b, matching=m)
+    results: list[Union[tuple[int, ...], str]] = []
+    for h, kappa in zip(host, kappas):
+        try:
+            matching = dense_perfect_matching(_bipartite(h))
+        except MatchingError as exc:
+            results.append(str(exc))
+            continue
+        results.append(matching if kappa == upper
+                       else f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
+    return results

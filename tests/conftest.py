@@ -128,6 +128,27 @@ def random_connected_regular_graph(seed: int, max_n: int = 16) -> Graph:
             return from_networkx(h)
 
 
+def relabelled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertices permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def mixed_regular_graphs(count: int) -> list[Graph]:
+    """The first ``count`` seeded random connected regular graphs (n <= 12) whose edges
+    lie in two or more triangle counts t below d - 1, so that their B-pass difference
+    zones, of d-1-t points per side, come in two or more nonzero sizes."""
+    graphs, seed = [], 0
+    while len(graphs) < count:
+        g = random_connected_regular_graph(seed, max_n=12)
+        d = g.regular_degree()
+        if len({d - 1 - len(g.common_neighbors(x, y)) for x, y in g.edges()} - {0}) >= 2:
+            graphs.append(g)
+        seed += 1
+    return graphs
+
+
 @pytest.fixture
 def petersen() -> Graph:
     return from_networkx(nx.petersen_graph())

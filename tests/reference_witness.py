@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from arcurv.curvature import lly_curvature
-from arcurv.graph import AmplyParams, Graph, edge_partition
+from arcurv.graph import AmplyParams, Graph, GraphError
 from arcurv.matching import Bipartite, MatchingError, konig_decomposition
 from arcurv.witness import (
     ChainRecord,
@@ -24,6 +24,28 @@ from arcurv.witness import (
     WitnessCertificate,
     WitnessError,
 )
+
+
+def edge_partition(g: Graph, x: int, y: int) -> tuple[tuple[int, ...], ...]:
+    """N_x, Delta and N_y of edge xy, from the neighbour sets of x and y, each sorted.
+
+    Delta is the common neighbours, N_x the neighbours of x outside y's
+    closed neighbourhood, and N_y the other way round.
+    """
+    g.check_vertex(x)
+    g.check_vertex(y)
+    gx = set(g.neighbors(x))
+    if y not in gx:
+        raise GraphError(f"({x}, {y}) is not an edge")
+    gy = set(g.neighbors(y))
+    return tuple(sorted(gx - gy - {y})), tuple(sorted(gx & gy)), tuple(sorted(gy - gx - {x}))
+
+
+def dense_bipartite(g: Graph, x: int, y: int) -> Bipartite:
+    """The host edges between N_x and N_y of edge xy, by is_edge probes, indexed in sorted order."""
+    nx, _, ny = edge_partition(g, x, y)
+    return Bipartite(len(nx), len(ny), tuple(tuple(j for j, w in enumerate(ny) if g.is_edge(v, w))
+                                             for v in nx))
 
 
 def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> TransportBipartite:
@@ -38,20 +60,20 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
         raise WitnessError(
             f"construction requires beta > alpha >= 1, got alpha={params.alpha}, beta={params.beta}"
         )
-    part = edge_partition(g, x, y)
-    p = len(part.nx)
+    nx, delta, ny = edge_partition(g, x, y)
+    p = len(nx)
     a = params.alpha
     copies = params.beta - params.alpha - 1
-    assert len(part.delta) == a and len(part.ny) == p
+    assert len(delta) == a and len(ny) == p
     # Right indices [0, p) are N_y and [p, p+a) are Delta, so one scan of
     # each N_x and Delta row finds its host edges of E1-E3 and E5. A Delta
     # row adds its diagonal (E4) and every x'-copy (E7); an x-copy row is
     # every Delta' and x'-copy (E6, E8).
-    col_index = {w: j for j, w in enumerate(part.ny + part.delta)}
+    col_index = {w: j for j, w in enumerate(ny + delta)}
     adj = g.adjacency
     s = p + a + copies
-    rows = [tuple(sorted(col_index[w] for w in adj[v] if w in col_index)) for v in part.nx]
-    for i, z in enumerate(part.delta):
+    rows = [tuple(sorted(col_index[w] for w in adj[v] if w in col_index)) for v in nx]
+    for i, z in enumerate(delta):
         host = [col_index[w] for w in adj[z] if w in col_index]
         rows.append(tuple(sorted(host + [p + i])) + tuple(range(p + a, s)))
     rows += [tuple(range(p, s))] * copies
@@ -60,9 +82,9 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
         y=y,
         d=params.d,
         beta=params.beta,
-        nx=part.nx,
-        ny=part.ny,
-        delta=part.delta,
+        nx=nx,
+        ny=ny,
+        delta=delta,
         b=Bipartite(s, s, tuple(rows)),
     )
 

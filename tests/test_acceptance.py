@@ -29,6 +29,7 @@ from arcurv.report import verify_graph
 from arcurv.witness import prop_3_1_certificate, witness_batches
 
 from conftest import brute_regular_wasserstein, is_perfect, random_connected_regular_graph
+from reference_witness import dense_bipartite
 
 SPECTRAL_TOL = 1e-9
 
@@ -102,10 +103,11 @@ def test_criterion_04_dense_certificates():
     ]
     for g, want in cases:
         params = detect_amply_params(g)
-        for x, y in g.edges():
-            cert = prop_3_1_certificate(g, x, y, lly_curvature(g, x, y), params)
-            assert cert.kappa == want
-            assert is_perfect(cert.matching, cert.bipartite)
+        edges = g.edges()
+        kappas = [lly_curvature(g, x, y) for x, y in edges]
+        assert set(kappas) == {want} and want == Fraction(2 + params.alpha, params.d)
+        for (x, y), matching in zip(edges, prop_3_1_certificate(g, edges, kappas, params)):
+            assert is_perfect(matching, dense_bipartite(g, x, y))
     # no (8,5,2,4) graph exists: it would have 8*5*2/6 = 40/3 triangles
     assert not _triangle_count_integral(8, 5, 2)
     assert search_amply(8, 5, 2, 4) is None, (
@@ -120,12 +122,11 @@ def test_criterion_04_dense_certificates():
         assert found is not None, f"search found no ({n},{d},{alpha},{beta}) graph"
         params = detect_amply_params(found)
         assert (params.n, params.d, params.alpha, params.beta) == (n, d, alpha, beta)
-        want = Fraction(2 + alpha, d)
-        for x, y in found.edges():
-            brute = Fraction(d + 1, d) * (1 - brute_regular_wasserstein(found, x, y))
-            cert = prop_3_1_certificate(found, x, y, brute, params)
-            assert cert.kappa == want == brute
-            assert is_perfect(cert.matching, cert.bipartite)
+        edges = found.edges()
+        brute = [Fraction(d + 1, d) * (1 - brute_regular_wasserstein(found, x, y)) for x, y in edges]
+        assert set(brute) == {Fraction(2 + alpha, d)}
+        for (x, y), matching in zip(edges, prop_3_1_certificate(found, edges, brute, params)):
+            assert is_perfect(matching, dense_bipartite(found, x, y))
 
 
 @criterion(5, "full matching-witness pipeline on every edge of paley13/octahedron/cocktail(4)", 10.0)

@@ -35,9 +35,11 @@ from arcurv.curvature import ASSIGNMENT_CHUNK
 from arcurv.witness import edge_witness
 from conftest import (
     brute_regular_wasserstein,
+    mixed_regular_graphs,
     plan_cost,
     random_connected_graph,
     random_connected_regular_graph,
+    relabelled,
 )
 
 
@@ -362,12 +364,13 @@ class TestAssignmentWasserstein:
             lly_curvature(g, 0, 1)
 
     def test_reads_bfs_rows_of_the_two_balls_only(self):
-        # Only the rows of B(x) symmetric-difference B(y): not even x's or y's own.
+        # Only x's and y's rows, which split the neighbourhoods, and the rows of
+        # B(x) symmetric-difference B(y), which the transport reads.
         cases = ((gen_cycle(10**5), 500, 501, 0), (gen_hypercube(10), 0, 1, Fraction(1, 5)))
         for g, x, y, kappa in cases:
             assert lly_curvature(g, x, y) == kappa
-            assert set(g._dist_cache) == set().union(*_differences(g, x, y))
-        assert set(cases[0][0]._dist_cache) == {499, 502}
+            assert set(g._dist_cache) == {x, y}.union(*_differences(g, x, y))
+        assert set(cases[0][0]._dist_cache) == {499, 500, 501, 502}
 
     def test_idleness_zero_supports(self):
         # N(0) = {1, 5} -> N(1) = {0, 2} on C6: 1 -> 2, 5 -> 0 costs 1 + 1,
@@ -658,18 +661,6 @@ def _b_group_sizes(g):
     return {d - 1 - len(g.common_neighbors(x, y)) for x, y in g.edges()}
 
 
-def _mixed_regular_graphs(count):
-    """The first ``count`` seeded random connected regular graphs with two or more
-    nonzero B-pass group sizes, so each pass certifies several groups."""
-    graphs, seed = [], 0
-    while len(graphs) < count:
-        g = random_connected_regular_graph(seed, max_n=12)
-        if len(_b_group_sizes(g) - {0}) >= 2:
-            graphs.append(g)
-        seed += 1
-    return graphs
-
-
 def _cost_pairs_outnumber_each_pass(g):
     """Whether both passes of g have two or more distinct costs and g's distinct
     (N cost, B cost) pairs outnumber the distinct costs of either pass, so some
@@ -701,7 +692,7 @@ def _recording_certify(monkeypatch):
 
 class TestDifferenceZones:
     @pytest.mark.parametrize("g", [
-        *_mixed_regular_graphs(5), gen_complete(2), gen_complete(5), gen_cycle(4), gen_cycle(5),
+        *mixed_regular_graphs(5), gen_complete(2), gen_complete(5), gen_cycle(4), gen_cycle(5),
         gen_cycle(7), gen_hypercube(4), _prism(),
     ], ids=[*(f"random{i}" for i in range(5)), "K2", "K5", "C4", "C5", "C7", "Q4", "prism"])
     def test_batch_equals_flow_and_per_edge(self, monkeypatch, g):
@@ -736,14 +727,17 @@ class TestDifferenceZones:
 
     def test_the_line_below_the_knee_is_keyed_by_both_costs(self):
         # For 0 < p < 1/(d+1), kappa_p is one value per (N cost, B cost) pair;
-        # on this graph a value kept per B cost or per N cost alone would be
-        # wrong on some edge.
-        g = next(g for g in (random_connected_regular_graph(seed, max_n=10) for seed in range(100))
-                 if _cost_pairs_outnumber_each_pass(g))
-        d = g.regular_degree()
-        for p in (Fraction(1, 2 * (d + 1)), Fraction(1, 3 * (d + 1))):
-            batch = kappa_p_all_edges(g, p)
-            assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
+        # on the first graph a value kept per B cost or per N cost alone would be
+        # wrong on some edge. The mixed graphs, natural and relabelled, add zones
+        # of several sizes to each pass.
+        found = next(g for g in (random_connected_regular_graph(seed, max_n=10)
+                                 for seed in range(100)) if _cost_pairs_outnumber_each_pass(g))
+        mixed = mixed_regular_graphs(5)
+        for g in (found, *mixed, *(relabelled(g, 5) for g in mixed)):
+            d = g.regular_degree()
+            for p in (Fraction(1, 2 * (d + 1)), Fraction(1, 3 * (d + 1))):
+                batch = kappa_p_all_edges(g, p)
+                assert [k for _, _, k in batch] == [_flow_kappa(g, x, y, p) for x, y in g.edges()]
 
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2)])
     def test_names_the_edge_of_a_bad_answer_in_the_second_group(self, monkeypatch, p):

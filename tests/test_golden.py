@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from arcurv import dump_edge_list, gen_cocktail, gen_hamming, gen_paley, gen_shrikhande
+from arcurv import (
+    dump_edge_list, gen_cocktail, gen_hamming, gen_hypercube, gen_paley, gen_shrikhande,
+)
 from arcurv.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -33,6 +35,7 @@ GRAPHS = {
     "h33": lambda: gen_hamming(3, 3),
     "cocktail8": lambda: gen_cocktail(8),
     "paley29": lambda: gen_paley(29),
+    "q3": lambda: gen_hypercube(3),
 }
 
 ALL_KINDS = (
@@ -47,6 +50,9 @@ KINDS = {
     "h33": ("verify.txt", "verify.json"),
     "cocktail8": ("verify.txt", "verify.json"),
     "paley29": ("verify.txt", "verify.json", "curvature.json"),
+    # Q3 (8,3,0,2) is the one golden graph with alpha = 0: no witness, but the dense
+    # certificate (2*2 - 0 >= d + 1), and zones at girth 4 in both passes.
+    "q3": ("verify.txt", "verify.json", "verify.csv", "curvature.json", "curvature-p0.json"),
 }
 
 # `search` tuples (n, d, alpha, beta): seven hits, among them the Petersen

@@ -1,6 +1,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,13 @@ from arcurv import (
     load_edge_list,
 )
 
+import reference_witness
 from conftest import (
     from_networkx,
+    mixed_regular_graphs,
     random_connected_graph,
     random_connected_regular_graph,
+    relabelled,
     to_networkx,
 )
 
@@ -302,45 +306,71 @@ class TestDetect:
             assert (g.girth() == 3) == has_triangle
 
 
+def _sizes(g, edge):
+    """(|N_x|, |Delta|, |N_y|) of one edge, from the batched partition."""
+    return tuple(int(mask.sum()) for mask in edge_partition(g, [edge]))
+
+
+PARTITION_GRAPHS = {
+    "h23": lambda: gen_hamming(2, 3), "paley13": lambda: gen_paley(13),
+    "cocktail3": lambda: gen_cocktail(3), "q4": lambda: gen_hypercube(4),
+    "shrikhande": gen_shrikhande,
+    **{f"random{i}": (lambda g=g: g) for i, g in enumerate(mixed_regular_graphs(5))},
+}
+
+
 class TestEdgePartition:
     def test_h23_sizes(self):
         g = gen_hamming(2, 3)
-        part = edge_partition(g, *g.edges()[0])
-        assert (len(part.delta), len(part.nx), len(part.ny)) == (1, 2, 2)
+        assert _sizes(g, g.edges()[0]) == (2, 1, 2)
 
     def test_octahedron_sizes(self):
         g = gen_cocktail(3)
-        part = edge_partition(g, *g.edges()[0])
-        assert (len(part.delta), len(part.nx), len(part.ny)) == (2, 1, 1)
+        assert _sizes(g, g.edges()[0]) == (1, 2, 1)
 
     def test_complete_no_exclusive(self):
-        g = gen_complete(4)
-        part = edge_partition(g, 0, 1)
-        assert part.delta == (2, 3) and part.nx == () and part.ny == ()
+        nx_, delta, ny = edge_partition(gen_complete(4), [(0, 1)])
+        assert np.flatnonzero(delta[0]).tolist() == [2, 3] and not nx_.any() and not ny.any()
 
     def test_not_an_edge(self):
-        with pytest.raises(GraphError):
-            edge_partition(gen_cycle(5), 0, 2)
+        # alone, and as the first of two non-edges in a batch
+        for batch in ([(0, 2)], [(0, 1), (0, 2), (1, 2), (1, 3)]):
+            with pytest.raises(GraphError, match=r"^\(0, 2\) is not an edge$"):
+                edge_partition(gen_cycle(5), batch)
+
+    def test_an_empty_batch_has_no_rows(self):
+        assert [mask.shape for mask in edge_partition(gen_cycle(6), [])] == [(0, 6)] * 3
 
     @pytest.mark.parametrize("bad", [6, -1, -7])
     def test_rejects_a_vertex_outside_the_graph(self, bad):
-        # (-1, 0) would otherwise read vertex 5's neighbours as x's.
+        # (-1, 0) would otherwise read vertex 5's row as x's.
         g = gen_cycle(6)
         for x, y in ((bad, 0), (0, bad)):
             with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
-                edge_partition(g, x, y)
+                edge_partition(g, [(x, y)])
 
     def test_regular_size_identity(self):
         for g in (gen_shrikhande(), gen_hamming(2, 3), gen_cocktail(4)):
-            d = g.regular_degree()
-            for u, v in g.edges():
-                part = edge_partition(g, u, v)
-                assert len(part.delta) + len(part.nx) + 1 == d
-                assert len(part.nx) == len(part.ny)
-                sets = [set(part.delta), set(part.nx), set(part.ny)]
-                assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
-                assert u not in sets[0] | sets[1] | sets[2]
-                assert v not in sets[0] | sets[1] | sets[2]
+            d, edges = g.regular_degree(), np.array(g.edges())
+            nx_, delta, ny = edge_partition(g, edges)
+            assert (nx_.sum(axis=1) + delta.sum(axis=1) + 1 == d).all()
+            assert (nx_.sum(axis=1) == ny.sum(axis=1)).all()
+            assert not (nx_ & delta | nx_ & ny | delta & ny).any()
+            at = np.arange(len(edges))
+            for mask in (nx_, delta, ny):
+                assert not (mask[at, edges[:, 0]] | mask[at, edges[:, 1]]).any()
+
+    @pytest.mark.parametrize("relabel", [None, 5], ids=["natural", "relabelled"])
+    @pytest.mark.parametrize("name", PARTITION_GRAPHS)
+    def test_matches_the_neighbour_sets_on_every_edge(self, name, relabel):
+        # each edge in both orientations, so N_x and N_y trade places
+        g = PARTITION_GRAPHS[name]()
+        g = g if relabel is None else relabelled(g, relabel)
+        edges = g.edges() + [(y, x) for x, y in g.edges()]
+        masks = edge_partition(g, edges)
+        got = [tuple(tuple(np.flatnonzero(mask[i]).tolist()) for mask in masks)
+               for i in range(len(edges))]
+        assert got == [reference_witness.edge_partition(g, x, y) for x, y in edges]
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,4 @@
 import dataclasses
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +9,9 @@ import arcurv.curvature as curvature_module
 import arcurv.matching as matching_module
 import arcurv.witness as witness_module
 from arcurv import (
+    curvature_all_edges,
     detect_amply_params,
     dump_edge_list,
-    edge_partition,
     gen_cocktail,
     gen_hamming,
     gen_hypercube,
@@ -33,7 +32,7 @@ from arcurv.witness import (
     prop_3_1_certificate,
     witness_batches,
 )
-from conftest import plan_cost
+from conftest import is_perfect, plan_cost, relabelled
 import reference_witness
 from reference_witness import (
     build_transport_bipartite,
@@ -47,17 +46,9 @@ def h23():
     return gen_hamming(2, 3)
 
 
-def relabelled(g, seed):
-    """``g`` with its vertices permuted by a seeded shuffle."""
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def _classes_by_definition(g, x, y, params):
     """E1-E8 of H from is_edge probes over N_x, Delta and N_y in sorted host order."""
-    part = edge_partition(g, x, y)
-    nx, delta, ny = part.nx, part.delta, part.ny
+    nx, delta, ny = reference_witness.edge_partition(g, x, y)
     p, a, copies = len(nx), params.alpha, params.beta - params.alpha - 1
     return (
         tuple((i, j) for i, v in enumerate(nx) for j, w in enumerate(ny) if g.is_edge(v, w)),
@@ -263,6 +254,12 @@ class TestConstruction:
 
         with pytest.raises(GraphError, match=r"^\(0, 4\) is not an edge$"):
             _build(h23(), 0, 4)
+        # a vertex outside the graph is named before any non-edge, and before
+        # it can wrap to n-1 in an adjacency read
+        g = h23()
+        for bad in (9, -1):
+            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.8$"):
+                list(witness_batches(g, [(0, 4), (0, 1), (1, bad)], detect_amply_params(g)))
 
 
 class TestRegularity:
@@ -557,24 +554,24 @@ class TestCertificateOnBuiltH:
         params = detect_amply_params(g)
         m = g.num_edges()
         distinct = len({build_transport_bipartite(g, x, y, params).b.adj for x, y in g.edges()})
-        names = ["_neighbourhoods", "_transport_h", "_walk", "_certify", "konig_decomposition",
+        names = ["edge_partition", "_transport_h", "_walk", "_certify", "konig_decomposition",
                  "lly_curvature"]
         counts = _count_calls(monkeypatch, [(witness_module, n) for n in names]
                               + [(matching_module, "_kuhn")])
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
         chunks = -(-m // WITNESS_CHUNK)
-        # each chunk reads the neighbourhoods, builds its H's, walks and certifies once; each
+        # each chunk splits the neighbourhoods, builds its H's, walks and certifies once; each
         # edge reads its classes twice, for its walks and its certificate, and its curvature
         # once; Kuhn runs beta - 1 rounds per distinct H
         assert counts == {
-            "_neighbourhoods": chunks, "_transport_h": chunks, "_walk": chunks, "_certify": chunks,
+            "edge_partition": chunks, "_transport_h": chunks, "_walk": chunks, "_certify": chunks,
             "konig_decomposition": 2 * m, "lly_curvature": m, "_kuhn": (params.beta - 1) * distinct,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
         g = gen_paley(13)
-        names = ["_neighbourhoods", "_transport_h", "_walk", "konig_decomposition"]
+        names = ["edge_partition", "_transport_h", "_walk", "konig_decomposition"]
         counts = _count_calls(
             monkeypatch,
             [(cli_module, "detect_amply_params")] + [(witness_module, n) for n in names]
@@ -583,7 +580,7 @@ class TestCertificateOnBuiltH:
         _hgraph_payload(g, *g.edges()[0])
         # paley13 has beta = 3: two Konig rounds, read twice
         assert counts == {
-            "detect_amply_params": 1, "_neighbourhoods": 1, "_transport_h": 1, "_walk": 1,
+            "detect_amply_params": 1, "edge_partition": 1, "_transport_h": 1, "_walk": 1,
             "konig_decomposition": 2, "_kuhn": 2,
         }
 
@@ -783,36 +780,79 @@ class TestVerifyCountsFailedWitnessSteps:
         assert "dense-matching certificate: kappa = 2/3 on 0 edges  [FAIL]" in out
 
 
+def _recording_dense(monkeypatch, fail_on=None):
+    """Wrap the dense certificate's `dense_perfect_matching`; returns the list of the
+    bipartite graphs it is called on. Call ``fail_on`` (0-based) raises instead."""
+    seen = []
+    original = witness_module.dense_perfect_matching
+
+    def recording(b):
+        seen.append(b)
+        if len(seen) - 1 == fail_on:
+            raise matching_module.MatchingError("internal error: a matched pair is not an edge")
+        return original(b)
+
+    monkeypatch.setattr(witness_module, "dense_perfect_matching", recording)
+    return seen
+
+
+def _dense_table(g):
+    """prop_3_1_certificate on every edge of g, one call, with the curvature table's kappas."""
+    table = curvature_all_edges(g)
+    return prop_3_1_certificate(g, [(u, v) for u, v, _ in table.rows],
+                                [k for _, _, k in table.rows], detect_amply_params(g))
+
+
 class TestDenseMatchCertificate:
-    def test_octahedron(self):
+    def test_octahedron(self, monkeypatch):
         g = gen_cocktail(3)
-        cert = prop_3_1_certificate(g, 0, 2, lly_curvature(g, 0, 2), detect_amply_params(g))
-        assert cert.kappa == Fraction(1)
-        assert cert.matching == (0,)
-        assert cert.bipartite.adj == ((0,),)
+        seen = _recording_dense(monkeypatch)
+        assert lly_curvature(g, 0, 2) == Fraction(1)
+        assert prop_3_1_certificate(g, [(0, 2)], [Fraction(1)], detect_amply_params(g)) == [(0,)]
+        assert [b.adj for b in seen] == [((0,),)]
 
     def test_cocktail4(self):
         g = gen_cocktail(4)
         x, y = g.edges()[0]
-        cert = prop_3_1_certificate(g, x, y, Fraction(1), detect_amply_params(g))
-        assert cert.kappa == Fraction(1)
-        assert cert.kappa == lly_curvature(g, x, y)
+        assert lly_curvature(g, x, y) == Fraction(1)
+        [matching] = prop_3_1_certificate(g, [(x, y)], [Fraction(1)], detect_amply_params(g))
+        assert matching == (0,)
 
-    def test_hypercube_alpha_zero(self):
-        # d=3, alpha=0, beta=2: 2*2 - 0 >= 4, certificate gives kappa = 2/3
+    def test_hypercube_alpha_zero(self, monkeypatch):
+        # d=3, alpha=0, beta=2: 2*2 - 0 >= 4, so every edge's kappa is certified 2/3 on
+        # the two host edges between N_x and N_y
         g = gen_hypercube(3)
-        cert = prop_3_1_certificate(g, 0, 1, lly_curvature(g, 0, 1), detect_amply_params(g))
-        assert cert.kappa == Fraction(2, 3)
+        seen = _recording_dense(monkeypatch)
+        assert {k for _, _, k in curvature_all_edges(g).rows} == {Fraction(2, 3)}
+        results = _dense_table(g)
+        assert len(results) == len(seen) == 12
+        assert all(is_perfect(m, b) for m, b in zip(results, seen))
 
     def test_regime_guard(self):
         g = gen_paley(13)
         with pytest.raises(WitnessError, match="2\\*beta"):
-            prop_3_1_certificate(g, *g.edges()[0], Fraction(1), detect_amply_params(g))
+            prop_3_1_certificate(g, g.edges()[:1], [Fraction(1)], detect_amply_params(g))
 
     def test_rejects_kappa_off_the_dense_value(self):
         g = gen_cocktail(4)
-        with pytest.raises(WitnessError, match="differs from"):
-            prop_3_1_certificate(g, *g.edges()[0], Fraction(5, 6), detect_amply_params(g))
+        results = prop_3_1_certificate(g, g.edges()[:2], [Fraction(1), Fraction(5, 6)],
+                                       detect_amply_params(g))
+        assert results == [(0,), "exact curvature 5/6 differs from (2+alpha)/d = 1"]
+
+    def test_a_matching_fault_on_one_edge_keeps_its_reason(self, monkeypatch, tmp_path, capsys):
+        # the stand-in raises on the fifth edge of cocktail(4); every other edge is certified
+        g = gen_cocktail(4)
+        m = g.num_edges()
+        path = tmp_path / "cocktail4.txt"
+        path.write_text(dump_edge_list(g))
+        _recording_dense(monkeypatch, fail_on=4)
+        assert cli_module.main(["verify", str(path)]) == cli_module.EXIT_ASSERTION
+        out = capsys.readouterr().out
+        assert f"dense-matching certificate: kappa = 1 on {m - 1} edges  [FAIL]" in out
+        seen = _recording_dense(monkeypatch, fail_on=4)
+        results = _dense_table(g)
+        assert results[4] == "internal error: a matched pair is not an edge"
+        assert all(is_perfect(r, b) for i, (r, b) in enumerate(zip(results, seen)) if i != 4)
 
     def test_verify_certifies_on_the_table_kappa_without_probes(self, monkeypatch):
         # cocktail(4) is in both the witness and the dense regime: one
@@ -846,11 +886,19 @@ class TestDenseMatchCertificate:
         report = verify_graph(g, graph_id="g")
         assert report.dense_match is not None and report.dense_match.passed
         m = g.num_edges()
-        assert calls == {"lly": 2 * m, "certificate": m, "probes": 0}
+        # one certificate call per chunk of edges
+        assert calls == {"lly": 2 * m, "certificate": -(-m // WITNESS_CHUNK), "probes": 0}
 
-    def test_min_degree_meets_dense_condition(self):
-        g = gen_cocktail(4)
-        x, y = g.edges()[0]
-        cert = prop_3_1_certificate(g, x, y, Fraction(1), detect_amply_params(g))
-        p = len(cert.bipartite.adj)
-        assert 2 * cert.bipartite.min_degree() >= p
+    def test_min_degree_meets_dense_condition(self, monkeypatch):
+        # each host block is the reference's N_x-N_y graph; cocktail(8)'s 112 edges
+        # span two chunks
+        for g in (gen_cocktail(4), gen_cocktail(8)):
+            seen = _recording_dense(monkeypatch)
+            params = detect_amply_params(g)
+            results = _dense_table(g)
+            p = params.d - 1 - params.alpha
+            assert len(seen) == len(results) == g.num_edges()
+            for (x, y), b, matching in zip(g.edges(), seen, results):
+                assert b.left_n == b.right_n == p and 2 * b.min_degree() >= p
+                assert b.adj == reference_witness.dense_bipartite(g, x, y).adj
+                assert is_perfect(matching, b)
