@@ -155,7 +155,7 @@ def wasserstein(g: Graph, mu1: dict[int, Fraction], mu2: dict[int, Fraction]) ->
     supplies = [int(m * scale) for m in masses1]
     demands = [int(m * scale) for m in masses2]
     a, b = len(sources), len(targets)
-    dmat = g.distance_rows(sources)[:, targets]
+    dmat = g.distances(np.array(sources)[:, None], targets)
     if (dmat < 0).any():
         raise CurvatureError("measure supports lie in different components")
     dmat = dmat.tolist()
@@ -261,21 +261,10 @@ def kantorovich_potential(
     return f, c_total
 
 
-def _zone_blocks(g: Graph, zones: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BFS rows for ``zones`` (m, 2k), the row of each zone vertex, and the (m, 2k, 2k) blocks.
-
-    A batch reads each distinct vertex's row once.
-    """
-    vertices, at = np.unique(zones, return_inverse=True)
-    rows = g.distance_rows(vertices.tolist())
-    at = at.reshape(zones.shape)
-    return rows, at, rows[at[:, :, None], zones[:, None, :]]
-
-
 def _certify_chunk(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     """`certify_assignments` on at most ``ASSIGNMENT_CHUNK`` zones."""
     m, k = zones.shape[0], zones.shape[1] // 2
-    rows, at, dist = _zone_blocks(g, zones)
+    dist = g.distances(zones[:, :, None], zones[:, None, :])
     _fail(dist < 0, edges, "supports lie in different components")
     cost = dist[:, :k, k:]
     sigma = np.full((m, k), -1, dtype=np.int64)
@@ -286,7 +275,7 @@ def _certify_chunk(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.n
     plan_targets = zones[:, k:][np.arange(m)[:, None], sigma]
     _fail(np.sort(plan_targets, axis=1) != np.sort(zones[:, k:], axis=1), edges,
           "plan marginals are not uniform on the two supports")
-    _fail(rows[at[:, :k], plan_targets].sum(axis=1) != c_total, edges,
+    _fail(g.distances(zones[:, :k], plan_targets).sum(axis=1) != c_total, edges,
           "internal error: plan cost disagrees with assignment value")
     return c_total, plan_targets
 
@@ -297,13 +286,13 @@ def certify_assignments(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray,
     Row i of ``zones`` (m, 2k) holds problem i's k sources followed by its k
     targets. Returns the integer cost of each optimal bijection, as total BFS
     distance, and the plans (m, k): entry (i, j) is the target vertex that
-    source j of problem i is sent to. Each zone is read as a distance block
-    from the graph's cached BFS rows; a vertex in both halves appears twice,
+    source j of problem i is sent to. Each zone is read as one distance
+    block (`Graph.distances`); a vertex in both halves appears twice,
     which the 1-Lipschitz test allows (its two rows are equal, at distance
     0). `linear_sum_assignment` solves each problem; then, over whole arrays
     of ``ASSIGNMENT_CHUNK`` problems, `kantorovich_potential` proves every
     assignment optimal, each plan's targets are checked to be its target set,
-    and each plan's cost is re-summed from the BFS rows at its vertex pairs.
+    and each plan's cost is re-summed from the distances of its vertex pairs.
     A failed check raises CurvatureError naming ``edges[i]``, the edge of
     problem i.
     """

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -20,10 +20,10 @@ class Graph:
     Adjacency is stored as sorted tuples. Three facts are cached, because the
     graph never changes: the common degree (None if irregular), found once at
     construction; one BFS distance row per source, computed on first use as a
-    read-only int32 numpy array, so that `distance_rows` stacks it without a
-    Python loop (row 0 also settles whether the graph is connected); and each
-    edge's certified Lin-Lu-Yau curvature, keyed by (min, max), which
-    `curvature.curvature_all_edges` fills in one batch and
+    read-only int32 numpy array, from which `distances` answers every batched
+    distance read in the package (row 0 also settles whether the graph is
+    connected); and each edge's certified Lin-Lu-Yau curvature, keyed by
+    (min, max), which `curvature.curvature_all_edges` fills in one batch and
     `curvature.lly_curvature` reads and fills.
     """
 
@@ -101,11 +101,25 @@ class Graph:
         self._dist_cache[source] = row
         return row
 
-    def distance_rows(self, vertices: Sequence[int]) -> np.ndarray:
-        """The cached BFS rows of ``vertices`` (repeats allowed), stacked in their order as int64."""
-        cache = self._dist_cache
-        rows = [cache[v] if v in cache else self.distances_from(v) for v in vertices]
-        return np.array(rows, dtype=np.int64)
+    def distances(self, u, v) -> np.ndarray:
+        """d(u, v) elementwise over the broadcast integer arrays ``u`` and ``v``, as int64.
+
+        -1 marks an unreachable pair. The cached BFS row of each distinct
+        vertex of ``u`` is read once. Raises GraphError naming the first
+        vertex outside 0..n-1, in ``u`` before ``v``, in C order; a negative
+        column would otherwise wrap to a vertex of the graph.
+        """
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        for a in (u, v):
+            outside = a[(a < 0) | (a >= self.n)]
+            if outside.size:
+                self.check_vertex(int(outside[0]))
+        seen = np.zeros(self.n, dtype=bool)
+        seen[u] = True
+        at = np.cumsum(seen) - 1  # vertex w's row, if w is in u: no sort, unlike np.unique
+        rows = np.array([self.distances_from(s) for s in np.flatnonzero(seen).tolist()],
+                        dtype=np.int64)
+        return rows.reshape(len(rows), self.n)[at[u], v]
 
     def distance(self, u: int, v: int) -> Optional[int]:
         """Shortest-path length, or None if u and v are in different components."""
@@ -348,14 +362,15 @@ def detect_amply_params(g: Graph) -> DetectResult:
 def edge_partition(g: Graph, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """N_x, Delta and N_y of each edge (x, y) of ``edges``, as (m, n) boolean masks.
 
-    Read off the endpoints' cached BFS rows: Delta is the common neighbours,
-    N_x the neighbours of x at distance 2 from y, and N_y the other way
-    round; so B(x) - B(y) is N_x and N(x) - N(y) is N_x with y. Raises
+    Read off the endpoints' distances to every vertex: Delta is the common
+    neighbours, N_x the neighbours of x at distance 2 from y, and N_y the
+    other way round; so B(x) - B(y) is N_x and N(x) - N(y) is N_x with y. Raises
     GraphError for the first vertex outside the graph, x before y, then for
     the first pair that is not an edge.
     """
     xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    dx, dy = g.distance_rows(xy.ravel().tolist()).reshape(len(xy), 2, g.n).transpose(1, 0, 2)
+    ends = g.distances(xy[:, :, None], np.arange(g.n))
+    dx, dy = ends[:, 0], ends[:, 1]
     apart = dx[np.arange(len(xy)), xy[:, 1]] != 1
     if apart.any():
         x, y = xy[apart.argmax()].tolist()

@@ -277,10 +277,8 @@ def verify_graph(
     dense_summary: Optional[DenseMatchSummary] = None
     if params.beta is not None and 2 * params.beta - params.alpha >= params.d + 1:
         edges, kappas = [(u, v) for u, v, _ in table.rows], [k for _, _, k in table.rows]
-        chunk = wit.WITNESS_CHUNK
-        certified = sum(not isinstance(r, str) for lo in range(0, len(edges), chunk)
-                        for r in wit.prop_3_1_certificate(g, edges[lo:lo + chunk],
-                                                          kappas[lo:lo + chunk], params))
+        certified = sum(not isinstance(r, str)
+                        for r in wit.prop_3_1_certificate(g, edges, kappas, params))
         dense_summary = DenseMatchSummary(Fraction(2 + params.alpha, params.d), certified,
                                           passed=certified == len(edges))
     diameter_row = _diameter_row(g, params)

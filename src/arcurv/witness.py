@@ -5,7 +5,7 @@ For an edge xy of an amply regular graph with beta > alpha >= 1, an auxiliary
 perfect matchings induce bijections N_x -> N_y whose chains bound the graph
 distance, which yields an explicit cheap transport plan and hence a curvature
 lower bound of 3/d. `witness_batches` runs every step of that construction
-on many edges at once, over whole arrays read from the cached BFS rows;
+on many edges at once, over whole arrays of distances (`Graph.distances`);
 `edge_witness` runs it on one edge. A separate dense-matching certificate,
 also one chunk of edges at a time, pins the curvature to (2+alpha)/d when
 2*beta - alpha >= d + 1. Both read each edge's N_x, Delta and N_y from
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -38,9 +37,9 @@ CLASS_NAMES = {
 }
 
 WITNESS_CHUNK = 64
-"""Edges that `witness_batches` builds and checks together. It bounds the
-(chunk, n) endpoint rows, the (chunk, s, s) biadjacency and the
-(chunk, beta-1, |N_x|) chain temporaries."""
+"""Edges that `witness_batches` and `prop_3_1_certificate` build and check
+together. It bounds the (chunk, 2, n) endpoint distances, the (chunk, s, s)
+biadjacency and the (chunk, beta-1, |N_x|) chain temporaries."""
 
 
 class WitnessError(ValueError):
@@ -299,15 +298,15 @@ def _bipartite(h: np.ndarray) -> Bipartite:
     return Bipartite(len(h), len(h), tuple(tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends)))
 
 
-def _walk(rows: np.ndarray, at: np.ndarray, nx: np.ndarray, ny: np.ndarray, perms: np.ndarray,
-          counts: np.ndarray, first_copy: int) -> Walks:
+def _walk(g: Graph, nx: np.ndarray, ny: np.ndarray, perms: np.ndarray, counts: np.ndarray,
+          first_copy: int) -> Walks:
     """Lemma 3.3's chains through every class of every edge, as whole arrays.
 
     ``perms`` (m, K, s) holds each edge's classes, right partner by left
-    index, its first ``counts`` rows real; ``rows[at]`` are the BFS rows of
-    ``nx``. Every class is first checked to be a permutation of H's side.
-    Each chain then follows matched edges from its N_x vertex until one
-    lands in N_y; a right-side z/x-copy at index i continues through its
+    index, its first ``counts`` rows real. Every class is first checked to
+    be a permutation of H's side. Each chain then follows matched edges
+    from its N_x vertex until one lands in N_y, where ``g.distances`` reads
+    its length; a right-side z/x-copy at index i continues through its
     unprimed left twin, and indices from ``first_copy`` on are x-copies. A
     walk follows the permutation's cycle through its start and stops before
     it returns, so no chain revisits a vertex and the chain map of each
@@ -328,7 +327,7 @@ def _walk(rows: np.ndarray, at: np.ndarray, nx: np.ndarray, ny: np.ndarray, perm
         k += end >= first_copy
         end = np.where(onward, np.take_along_axis(perm, end, axis=2), end)
     w0 = np.take_along_axis(ny[:, None, :], end, axis=2)
-    distance = rows[at[:, None, :], w0]
+    distance = g.distances(nx[:, None, :], w0)
     raised = (np.arange(slots) < counts[:, None]) & (~perfect | (distance < 0).any(axis=2))
     first = np.concatenate([raised, np.ones((m, 1), bool)], axis=1).argmax(axis=1)
     walked = np.minimum(first, counts)
@@ -340,8 +339,7 @@ def _walk(rows: np.ndarray, at: np.ndarray, nx: np.ndarray, ny: np.ndarray, perm
                  distance <= rho - k, walked, error)
 
 
-def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, balls: tuple[np.ndarray, np.ndarray],
-             rows: np.ndarray, row_of, delta: np.ndarray, walks: Walks,
+def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, delta: np.ndarray, walks: Walks,
              bipartites: Sequence[Bipartite], errors: list) -> tuple[np.ndarray, np.ndarray, list]:
     """The lower-bound certificate (d+1)/d * (1 - cost(pi0)) of each edge, from its walks.
 
@@ -350,12 +348,12 @@ def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, balls: tuple[np.ndar
     classes, picks the class through z_1 z_1', and reads that class's
     chains from the walk (a walk stopped before it fails); then, over whole
     arrays, checks the chain distance bounds, the sum bound on chain
-    lengths, the marginals of pi0 against the sorted balls B(x) and B(y)
-    (``balls``), its connectivity, the plan cost bound (d-2)/(d+1),
+    lengths, the marginals of pi0 against the balls B(x) and B(y), read off
+    the adjacency, its connectivity, the plan cost bound (d-2)/(d+1),
     kappa_lb >= 3/d, and kappa_lb <= the exact curvature. pi0 keeps mass
     1/(d+1) on every common neighbour and on x and y, and ships each N_x
     vertex's mass to its chain partner in N_y; its cost is the integer sum
-    of its pairs' BFS distances over d+1. Returns the z_1 z_1' class index
+    of its pairs' distances over d+1. Returns the z_1 z_1' class index
     and the integer cost of each edge, and the exact curvature of each
     certified edge.
     """
@@ -382,7 +380,7 @@ def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, balls: tuple[np.ndar
     v0, w0, distance, rho, k, ok = (a[np.arange(m), z1] for a in walks[:6])
     stay = np.concatenate([delta, xy], axis=1)
     sources, targets = np.concatenate([stay, v0], axis=1), np.concatenate([stay, w0], axis=1)
-    dists = rows[row_of(sources), targets]
+    dists = g.distances(sources, targets)
     cost = dists.sum(axis=1)
 
     def fail(bad: np.ndarray, message) -> None:
@@ -395,13 +393,14 @@ def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, balls: tuple[np.ndar
         return ChainRecord(*(int(a[i, j]) for a in (v0, w0, distance, rho, k)), False)
 
     def stranded(i: int) -> tuple[int, int]:
-        pi0 = sorted(zip(sources[i].tolist(), targets[i].tolist()))
-        return next(pair for pair in pi0 if g.distances_from(pair[0]).item(pair[1]) < 0)
+        return min((s, t) for s, t, dist in zip(sources[i].tolist(), targets[i].tolist(),
+                                                dists[i].tolist()) if dist < 0)
 
     sum_rho, k_total = rho.sum(axis=1), k.sum(axis=1)
     fail(~ok.all(axis=1), lambda i: f"chain distance bound failed: {record(i)}")
     fail(sum_rho > d + k_total - 2, lambda i: f"chain length sum {sum_rho[i]} exceeds "
                                               f"d + k - 2 = {d + k_total[i] - 2}")
+    balls = [np.array([sorted((v, *g.adjacency[v])) for v in end]) for end in xy.T.tolist()]
     fail((np.sort(sources, axis=1) != balls[0]).any(axis=1)
          | (np.sort(targets, axis=1) != balls[1]).any(axis=1),
          lambda i: "plan marginals are not uniform on B(x) and B(y)")
@@ -427,16 +426,8 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
     m = len(xy)
     nx, delta, ny = _neighbourhoods(g, xy, params)
-    # one BFS row per vertex of B(x) or B(y) of any edge: every row that H, its chains and pi0 read
-    ends = np.unique(xy).tolist()
-    vertices = np.unique(np.fromiter(chain(ends, *(g.adjacency[v] for v in ends)), dtype=np.int64))
-    rows = g.distance_rows(vertices.tolist())
-
-    def row_of(v: np.ndarray) -> np.ndarray:
-        return np.searchsorted(vertices, v)
-
     left, right = np.concatenate([nx, delta], axis=1), np.concatenate([ny, delta], axis=1)
-    h = _transport_h(rows[row_of(left)[:, :, None], right[:, None, :]] == 1, p, copies)
+    h = _transport_h(g.distances(left[:, :, None], right[:, None, :]) == 1, p, copies)
 
     bipartites = []
     for hi in h:
@@ -476,14 +467,11 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
             if id(c) not in as_rows:
                 as_rows[id(c)] = np.array([cls if len(cls) == s else (-1,) * s for cls in c])
             perms[i, :len(c)] = as_rows[id(c)]
-    walks = _walk(rows, row_of(nx), nx, ny, perms, counts, p + a)
+    walks = _walk(g, nx, ny, perms, counts, p + a)
     walk_error = [e if e is not None else walks.error[i] for i, e in enumerate(walk_error)]
 
-    balls = tuple(np.nonzero((dv >= 0) & (dv <= 1))[1].reshape(m, params.d + 1)
-                  for dv in (rows[row_of(xy[:, 0])], rows[row_of(xy[:, 1])]))
     certify_error = list(unmet)
-    z1, cost, kappa = _certify(g, xy, params, balls, rows, row_of, delta, walks, bipartites,
-                               certify_error)
+    z1, cost, kappa = _certify(g, xy, params, delta, walks, bipartites, certify_error)
     return WitnessBatch(params, tuple(map(tuple, xy.tolist())), nx, delta, ny, tuple(bipartites),
                         tuple(irregular), tuple(classes), walks, tuple(walk_error), z1, cost,
                         tuple(kappa), tuple(certify_error))
@@ -495,9 +483,9 @@ def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
 
     Requires detected parameters with beta present and beta > alpha >= 1.
     Each chunk splits its edges' neighbourhoods into N_x, Delta and N_y once
-    (`edge_partition`, through the size check of `_neighbourhoods`), reads
-    the BFS rows of every vertex within distance 1 of an edge once, and from
-    them builds every H (`_transport_h`) as whole arrays. Equal H's of one
+    (`edge_partition`, through the size check of `_neighbourhoods`), and
+    builds every H (`_transport_h`) from one block of distances between
+    N_x + Delta and N_y + Delta. Equal H's of one
     call share one `Bipartite`, so Kuhn's beta - 1 rounds run once per distinct H; each
     edge still reads its classes through `konig_decomposition` twice, for
     its walks and its certificate. An H that is not (beta-1)-regular is not decomposed, and
@@ -523,16 +511,16 @@ def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
 
 def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Sequence[Fraction],
                          params: AmplyParams) -> list[Union[tuple[int, ...], str]]:
-    """Exact-curvature certificates of a chunk of edges, for the regime 2*beta - alpha >= d + 1.
+    """Exact-curvature certificates of ``edges``, for the regime 2*beta - alpha >= d + 1.
 
     ``kappas`` holds each edge's exact curvature, as the curvature table
-    gives it. N_x and N_y come through the witness's size check
-    (`_neighbourhoods`), and each edge's host edges between them, read off
-    the BFS rows of N_x, form a bipartite graph whose perfect matching
-    `dense_perfect_matching` extracts under the dense degree condition; then
-    kappa = (2+alpha)/d is asserted. Returns each edge's matching, right
-    partners by left index, or the message of the first check it fails.
-    alpha = 0 is allowed.
+    gives it. The edges are taken ``WITNESS_CHUNK`` at a time: N_x and N_y
+    come through the witness's size check (`_neighbourhoods`), and each
+    edge's host edges between them form a bipartite graph whose perfect
+    matching `dense_perfect_matching` extracts under the dense degree
+    condition; then kappa = (2+alpha)/d is asserted. Returns each edge's
+    matching, right partners by left index, or the message of the first
+    check it fails. alpha = 0 is allowed.
     """
     if params.beta is None:
         raise WitnessError("no distance-2 pair: beta is undefined")
@@ -541,18 +529,18 @@ def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Seq
             f"requires 2*beta - alpha >= d + 1, got "
             f"2*{params.beta} - {params.alpha} < {params.d} + 1"
         )
-    nx, _, ny = _neighbourhoods(g, np.array(edges, dtype=np.int64).reshape(-1, 2), params)
-    m, p = nx.shape
-    rows = g.distance_rows(nx.ravel().tolist()).reshape(m, p, g.n)
-    host = np.take_along_axis(rows, ny[:, None, :], axis=2) == 1
     upper = Fraction(2 + params.alpha, params.d)
     results: list[Union[tuple[int, ...], str]] = []
-    for h, kappa in zip(host, kappas):
-        try:
-            matching = dense_perfect_matching(_bipartite(h))
-        except MatchingError as exc:
-            results.append(str(exc))
-            continue
-        results.append(matching if kappa == upper
-                       else f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
+    for lo in range(0, len(edges), WITNESS_CHUNK):
+        xy = np.array(edges[lo:lo + WITNESS_CHUNK], dtype=np.int64).reshape(-1, 2)
+        nx, _, ny = _neighbourhoods(g, xy, params)
+        host = g.distances(nx[:, :, None], ny[:, None, :]) == 1
+        for h, kappa in zip(host, kappas[lo:lo + WITNESS_CHUNK]):
+            try:
+                matching = dense_perfect_matching(_bipartite(h))
+            except MatchingError as exc:
+                results.append(str(exc))
+                continue
+            results.append(matching if kappa == upper
+                           else f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
     return results

@@ -391,8 +391,8 @@ class TestAssignmentWasserstein:
 
 def _edge_blocks(g, edges):
     """Zone blocks B(x) then B(y) of ``edges`` as one batch, with optimal assignments."""
-    zones = [bx + by for bx, by in (_balls(g, x, y) for x, y in edges)]
-    dist = np.array([g.distance_rows(zone)[:, zone] for zone in zones])
+    zones = np.array([bx + by for bx, by in (_balls(g, x, y) for x, y in edges)])
+    dist = g.distances(zones[:, :, None], zones[:, None, :])
     k = dist.shape[1] // 2
     sigma = np.array([linear_sum_assignment(block[:k, k:])[1] for block in dist])
     return dist, sigma
@@ -634,23 +634,23 @@ class TestBatchedAssignments:
             kantorovich_potential(dist, sigma, edges)
 
     def test_names_the_edge_of_a_wrong_re_sum(self, monkeypatch):
-        import arcurv.curvature as curvature
-
         g = gen_hamming(3, 3)
         edge = g.edges()[66]
         target = np.concatenate(_differences(g, *edge))
-        gather = curvature._zone_blocks
+        distances = Graph.distances
 
-        def shifted_gather(graph, zones):
-            # One member's block is read one too far apart off the diagonal: still
-            # a metric, so every other check passes, but not the graph's distances.
-            rows, at, dist = gather(graph, zones)
-            dist = dist.copy()
-            for i in np.flatnonzero((zones == target).all(axis=1)):
-                dist[i] += 1 - np.eye(len(target), dtype=dist.dtype)
-            return rows, at, dist
+        def shifted_block(graph, u, v):
+            # One member's zone block is read one too far apart off the diagonal: still
+            # a metric, so every other check passes, but not the graph's distances. Only
+            # the (m, 2k, 2k) blocks shift; the re-sum reads true (m, k) distances.
+            dist = distances(graph, u, v)
+            if dist.shape[1:] == (len(target),) * 2:
+                dist = dist.copy()
+                for i in np.flatnonzero((u[:, :, 0] == target).all(axis=1)):
+                    dist[i] += 1 - np.eye(len(target), dtype=dist.dtype)
+            return dist
 
-        monkeypatch.setattr(curvature, "_zone_blocks", shifted_gather)
+        monkeypatch.setattr(Graph, "distances", shifted_block)
         with pytest.raises(CurvatureError, match=_naming(edge, "plan cost")):
             kappa_p_all_edges(g, Fraction(1, 2))
 

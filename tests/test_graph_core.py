@@ -186,7 +186,7 @@ class TestMetrics:
         assert gen_hamming(2, 3).regular_degree() == 4
 
     def test_distance_block_matches_networkx(self):
-        # the block of the cached rows read at the zone's own columns
+        # the block of the zone against itself, through Graph.distances
         # gnp graphs are often disconnected: -1 marks an unreachable pair
         for seed in range(25):
             rng = random.Random(seed)
@@ -194,7 +194,7 @@ class TestMetrics:
             g = from_networkx(nx.gnp_random_graph(n, rng.uniform(0.05, 0.3), seed=seed))
             lengths = dict(nx.shortest_path_length(to_networkx(g)))
             zone = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats too
-            block = g.distance_rows(zone)[:, zone]
+            block = g.distances(np.array(zone)[:, None], zone)
             assert block.shape == (len(zone), len(zone))
             assert block.tolist() == [[lengths[a].get(b, -1) for b in zone] for a in zone]
 
@@ -371,6 +371,71 @@ class TestEdgePartition:
         got = [tuple(tuple(np.flatnonzero(mask[i]).tolist()) for mask in masks)
                for i in range(len(edges))]
         assert got == [reference_witness.edge_partition(g, x, y) for x, y in edges]
+
+
+class TestDistances:
+    """`Graph.distances` against networkx BFS, in each shape its callers read."""
+
+    @pytest.mark.parametrize("relabel", [None, 5], ids=["natural", "relabelled"])
+    def test_matches_networkx_on_every_pair(self, relabel):
+        # a triangle beside a path: -1 across the components
+        two_components = Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
+        for g in (*mixed_regular_graphs(5), two_components):
+            g = g if relabel is None else relabelled(g, relabel)
+            lengths = dict(nx.shortest_path_length(to_networkx(g)))
+            every = np.arange(g.n)
+            got = g.distances(every[:, None], every)
+            assert got.dtype == np.int64
+            assert got.tolist() == [[lengths[a].get(b, -1) for b in every] for a in every]
+
+    def test_blocks_and_elementwise_pairs(self):
+        # (m, k, 1) x (m, 1, k) blocks and (m, k) x (m, k) pairs, with repeated sources
+        g = gen_paley(13)
+        lengths = dict(nx.shortest_path_length(to_networkx(g)))
+        u, v = np.random.default_rng(0).integers(0, g.n, (2, 4, 5))
+        u[0] = u[0, 0]
+        block = g.distances(u[:, :, None], v[:, None, :])
+        assert block.shape == (4, 5, 5)
+        assert block.tolist() == [[[lengths[a][b] for b in vi] for a in ui]
+                                  for ui, vi in zip(u.tolist(), v.tolist())]
+        pairs = g.distances(u, v)
+        assert pairs.shape == (4, 5)
+        assert pairs.tolist() == [[lengths[a][b] for a, b in zip(ui, vi)]
+                                  for ui, vi in zip(u.tolist(), v.tolist())]
+
+    def test_empty_arrays(self):
+        g = gen_cycle(6)
+        assert g.distances([], []).shape == (0,)
+        assert g.distances(np.empty((0, 2, 1), dtype=np.int64), np.arange(6)).shape == (0, 2, 6)
+        assert g.distances(np.empty((3, 0, 1), dtype=np.int64),
+                           np.empty((3, 1, 0), dtype=np.int64)).shape == (3, 0, 0)
+        assert Graph(0, []).distances([], []).shape == (0,)
+        assert not g._dist_cache
+
+    def test_reads_the_row_of_each_distinct_source_once(self, monkeypatch):
+        g = gen_cycle(100)
+        read, original = [], Graph.distances_from
+
+        def recording(self, source):
+            read.append(source)
+            return original(self, source)
+
+        monkeypatch.setattr(Graph, "distances_from", recording)
+        got = g.distances(np.array([[7, 3], [7, 7]])[:, :, None], [0, 50, 99])
+        assert sorted(read) == [3, 7] and set(g._dist_cache) == {3, 7}
+        assert got.tolist() == [[[7, 43, 8], [3, 47, 4]], [[7, 43, 8]] * 2]
+
+    @pytest.mark.parametrize("u, v, named", [
+        ([[0], [6]], [1], 6), ([[0]], [1, -1], -1), ([[-7]], [8], -7), ([[6]], [-1], 6),
+        ([[0, 1]], [[2, 9], [-2, 3]], 9),
+    ], ids=["in u", "in v", "below 0 in u", "u before v", "first in v"])
+    def test_refuses_a_vertex_outside_the_graph(self, u, v, named):
+        # the first in u, then the first in v, before any row is read; a column of -1
+        # would otherwise read vertex 5
+        g = gen_cycle(6)
+        with pytest.raises(GraphError, match=rf"^vertex {named} out of range 0\.\.5$"):
+            g.distances(u, v)
+        assert not g._dist_cache
 
 
 @settings(max_examples=25, deadline=None)

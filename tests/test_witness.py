@@ -150,14 +150,14 @@ def _reverse_ny(monkeypatch, only=None):
     walk = witness_module._walk
     hit = []
 
-    def reversed_ny(rows, at, nx, ny, *rest):
+    def reversed_ny(g, nx, ny, *rest):
         chosen = np.ones(len(ny), dtype=bool)
         if only is not None:
             chosen = (nx == only.nx).all(axis=1) & (ny == only.ny).all(axis=1)
         hit.extend(np.flatnonzero(chosen).tolist())
         ny = ny.copy()
         ny[chosen] = ny[chosen, ::-1]
-        return walk(rows, at, nx, ny, *rest)
+        return walk(g, nx, ny, *rest)
 
     monkeypatch.setattr(witness_module, "_walk", reversed_ny)
     return hit
@@ -886,8 +886,22 @@ class TestDenseMatchCertificate:
         report = verify_graph(g, graph_id="g")
         assert report.dense_match is not None and report.dense_match.passed
         m = g.num_edges()
-        # one certificate call per chunk of edges
-        assert calls == {"lly": 2 * m, "certificate": -(-m // WITNESS_CHUNK), "probes": 0}
+        # one certificate call for every edge
+        assert calls == {"lly": 2 * m, "certificate": 1, "probes": 0}
+
+    def test_works_through_the_edges_a_chunk_at_a_time(self, monkeypatch):
+        # cocktail(8)'s 112 edges in one call: split as witness_batches splits them
+        sizes, split = [], witness_module._neighbourhoods
+
+        def recording(g, xy, params):
+            sizes.append(len(xy))
+            return split(g, xy, params)
+
+        monkeypatch.setattr(witness_module, "_neighbourhoods", recording)
+        g = gen_cocktail(8)
+        results = _dense_table(g)
+        assert sizes == [WITNESS_CHUNK, g.num_edges() - WITNESS_CHUNK]
+        assert len(results) == g.num_edges() and not any(isinstance(r, str) for r in results)
 
     def test_min_degree_meets_dense_condition(self, monkeypatch):
         # each host block is the reference's N_x-N_y graph; cocktail(8)'s 112 edges
