@@ -13,12 +13,14 @@ from .curvature import (
     wasserstein,
 )
 from .generators import (
+    gen_clebsch,
     gen_cocktail,
     gen_complete,
     gen_cycle,
     gen_hamming,
     gen_hypercube,
     gen_paley,
+    gen_product,
     gen_shrikhande,
 )
 from .graph import (
@@ -35,14 +37,19 @@ from .matching import Bipartite, MatchingError, dense_perfect_matching, konig_de
 from .report import VerificationReport, verify_graph
 from .search import infeasibility_reason, search_amply
 from .spectral import (
+    IntersectionArray,
+    NotDistanceRegular,
     PsdCertificate,
     PsdFailure,
     SpectralError,
     Spectrum,
     adjacency_spectrum,
+    distance_regular,
     lambda1,
     second_largest,
     sigma2_at_most,
+    sigma2_bareiss,
+    sigma2_sturm,
 )
 from .witness import (
     EdgeWitness,

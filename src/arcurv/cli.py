@@ -32,32 +32,47 @@ EXIT_INPUT = 2
 # magnitude; checked before the text is parsed.
 _P_TEXT_BOUND = 1000
 
-# family -> (argument count, generator); every generator takes ``size_cap``.
-_FAMILIES = {
-    "hamming": (2, gen.gen_hamming),
-    "hypercube": (1, gen.gen_hypercube),
-    "paley": (1, gen.gen_paley),
-    "shrikhande": (0, gen.gen_shrikhande),
-    "cocktail": (1, gen.gen_cocktail),
-    "complete": (1, gen.gen_complete),
-    "cycle": (1, gen.gen_cycle),
-}
-
-
 def _check_size_cap(n: int, cap: int) -> None:
     if n > cap:
         raise GraphError(f"graph size {n} exceeds size cap {cap}")
 
 
+def _read_text(path: str) -> str:
+    """The text of ``path``; "-" is stdin."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _read_graph(path: str, cap: int, check_cap=_check_size_cap) -> Graph:
     """The graph in ``path`` ("-" is stdin), refused by ``check_cap`` past ``cap`` unbuilt."""
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read_text(path)
     check_cap(edge_list_order(text), cap)
     return load_edge_list(text)
+
+
+def _gen_product(a: str, b: str, size_cap: int) -> Graph:
+    """`gen product A B`: the product's vertex count, from the two headers, is checked
+    against the cap before either factor is built; `gen_product` checks the edge bound."""
+    texts = [_read_text(path) for path in (a, b)]
+    _check_size_cap(edge_list_order(texts[0]) * edge_list_order(texts[1]), size_cap)
+    return gen.gen_product(*map(load_edge_list, texts), size_cap=size_cap)
+
+
+# family -> (argument count, generator); every generator takes ``size_cap``, and every
+# family but `product`, whose arguments are edge-list files, takes integers.
+_FAMILIES = {
+    "hamming": (2, gen.gen_hamming),
+    "hypercube": (1, gen.gen_hypercube),
+    "paley": (1, gen.gen_paley),
+    "shrikhande": (0, gen.gen_shrikhande),
+    "clebsch": (0, gen.gen_clebsch),
+    "cocktail": (1, gen.gen_cocktail),
+    "complete": (1, gen.gen_complete),
+    "cycle": (1, gen.gen_cycle),
+    "product": (2, _gen_product),
+}
 
 
 def _edge(g: Graph, edge: list[int]) -> tuple[int, int]:
@@ -69,13 +84,21 @@ def _edge(g: Graph, edge: list[int]) -> tuple[int, int]:
     return u, v
 
 
+def _integer_argument(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer argument, got {text!r}") from None
+
+
 def _cmd_gen(args) -> int:
     if args.family not in _FAMILIES:
         raise ValueError(f"unknown family {args.family!r}")
     arity, build = _FAMILIES[args.family]
     if len(args.args) != arity:
         raise ValueError(f"family {args.family!r} takes {arity} argument(s), got {len(args.args)}")
-    g = build(*args.args, size_cap=args.size_cap or gen.DEFAULT_SIZE_CAP)
+    values = args.args if build is _gen_product else list(map(_integer_argument, args.args))
+    g = build(*values, size_cap=args.size_cap or gen.DEFAULT_SIZE_CAP)
     sys.stdout.write(dump_edge_list(g))
     return EXIT_OK
 
@@ -304,9 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     # `gen` and `search` print an edge list (or "none") in every format.
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", help="emit a builtin family as an edge list")
+    p_gen = sub.add_parser("gen", help="emit a builtin family, or the product of two edge-list "
+                                        "files (gen product A B), as an edge list")
     p_gen.add_argument("family")
-    p_gen.add_argument("args", nargs="*", type=int)
+    p_gen.add_argument("args", nargs="*")
     p_gen.set_defaults(func=_cmd_gen, formats=("text", "json", "csv"))
 
     p_params = sub.add_parser("params", help="detect amply-regular parameters")

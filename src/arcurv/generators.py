@@ -102,6 +102,33 @@ def gen_shrikhande(size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     return Graph(16, edges)
 
 
+def gen_clebsch(size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+    """Clebsch graph (16,5,0,2), the folded 5-cube: u ~ v on 0..15 iff popcount(u xor v)
+    is 1 or 4."""
+    _check_size("the Clebsch graph", 16, size_cap)
+    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                      if bin(u ^ v).count("1") in (1, 4)])
+
+
+def gen_product(g: Graph, h: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+    """Cartesian product G x H: (a, b), numbered a * |H| + b, is adjacent to (a', b) for a ~ a'
+    and to (a, b') for b ~ b'. The size cap and the edge bound are checked before it is built.
+
+    If G and H are amply regular with the same alpha, each with beta = 2 or
+    complete, the product is amply regular with that alpha and beta = 2, and
+    in general not distance-regular. With alpha = 0, as for the Clebsch graph
+    times K2, C4 or itself, these products sit in the paper's girth-4 regime:
+    any two edges from different factors span a 4-cycle, and there are no
+    triangles.
+    """
+    name, n = f"the product of a {g.n}-vertex and a {h.n}-vertex graph", g.n * h.n
+    _check_size(name, n, size_cap)
+    _check_edges(name, g.num_edges() * h.n + h.num_edges() * g.n)
+    edges = [(a * h.n + b, c * h.n + b) for a, c in g.edges() for b in range(h.n)]
+    edges += [(a * h.n + b, a * h.n + c) for b, c in h.edges() for a in range(g.n)]
+    return Graph(n, edges)
+
+
 def gen_cocktail(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Cocktail-party graph K_{m x 2}: 2m vertices, 2i and 2i+1 non-adjacent."""
     if m < 2:

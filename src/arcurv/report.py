@@ -16,8 +16,12 @@ from .curvature import CurvatureTable, curvature_all_edges
 from .graph import AmplyParams, AmplyViolation, Graph, detect_amply_params
 from .spectral import (
     DEFAULT_SPECTRUM_CAP,
+    DistanceRegularity,
+    IntersectionArray,
     PsdCertificate,
+    check_bareiss_cap,
     check_spectrum_cap,
+    distance_regular,
     lambda1,
     second_largest,
     sigma2_at_most,
@@ -108,8 +112,13 @@ class ConferenceNote:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Every check of `verify_graph`. ``distance_regular`` is the graph's intersection
+    array, or the first pair that refutes one; the spectral certificate and the
+    distance-regular comparison both read it."""
+
     graph_id: str
     params: AmplyParams
+    distance_regular: DistanceRegularity
     edges: tuple[EdgeRow, ...]
     diameter: DiameterRow
     spectral: SpectralRow
@@ -147,7 +156,7 @@ def _witness_summary(g: Graph, params: AmplyParams) -> WitnessSummary:
     return WitnessSummary(len(edges), *passes, passed=all(c == len(edges) for c in passes))
 
 
-def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
+def _diameter_row(g: Graph, params: AmplyParams, structure: DistanceRegularity) -> DiameterRow:
     diam = g.diameter()
     d, a, b = params.d, params.alpha, params.beta
     bound_general = d if (b is not None and b != 1 and b >= a) else None
@@ -158,16 +167,16 @@ def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
     if bound_strict is not None:
         passed = passed and diam <= bound_strict
     comparisons: list[CompareColumn] = []
-    eq3_applicable = b is not None and d >= 3 and b != 1 and b > a
-    comparisons.append(
-        CompareColumn(
-            "distance-regular-linear",
-            eq3_applicable,
-            f"diam <= d - beta + 2 = {d - b + 2} (distance-regular hypothesis not verified)"
-            if eq3_applicable
-            else "requires d >= 3 and 1 != beta > alpha",
-        )
-    )
+    eq3_params = b is not None and d >= 3 and b != 1 and b > a
+    drg = isinstance(structure, IntersectionArray)
+    if not eq3_params:
+        eq3_detail = "requires d >= 3 and 1 != beta > alpha"
+    elif drg:
+        eq3_detail = (f"diam <= d - beta + 2 = {d - b + 2} "
+                      f"(distance-regular, intersection array {structure} verified)")
+    else:
+        eq3_detail = f"requires a distance-regular graph: {structure}"
+    comparisons.append(CompareColumn("distance-regular-linear", eq3_params and drg, eq3_detail))
     eq4_applicable = b is not None and b != 1 and b >= a and diam >= 4
     comparisons.append(
         CompareColumn(
@@ -195,14 +204,15 @@ def _diameter_row(g: Graph, params: AmplyParams) -> DiameterRow:
 
 
 def _spectral_row(
-    g: Graph, params: AmplyParams, kappa_min: Fraction,
+    g: Graph, params: AmplyParams, kappa_min: Fraction, structure: DistanceRegularity,
     spectrum_cap: int = DEFAULT_SPECTRUM_CAP,
 ) -> SpectralRow:
     """Decide sigma_2 <= bound and Lichnerowicz, lambda_1 >= kappa_min, exactly.
 
     On a d-regular graph lambda_1 = 1 - sigma_2/d, so Lichnerowicz is
     sigma_2 <= d(1 - kappa_min). The smaller t is tested first; if it holds,
-    both claims hold and the larger t needs no test.
+    both claims hold and the larger t needs no test. ``structure`` picks the
+    route of each test (`sigma2_at_most`).
     """
     sigma = second_largest(g, cap=spectrum_cap)
     lam = lambda1(g, cap=spectrum_cap)
@@ -214,9 +224,9 @@ def _spectral_row(
         bound = d - 2
     lich_t = d * (1 - kappa_min)
     targets = sorted({lich_t} if bound is None else {lich_t, Fraction(bound)})
-    certificates = [sigma2_at_most(g, targets[0])]
+    certificates = [sigma2_at_most(g, targets[0], structure)]
     if not certificates[0].psd and len(targets) > 1:
-        certificates.append(sigma2_at_most(g, targets[1]))
+        certificates.append(sigma2_at_most(g, targets[1], structure))
 
     def holds(t: Fraction) -> bool:
         return any(c.psd for c in certificates if c.t <= t)
@@ -256,7 +266,10 @@ def verify_graph(
     """Run every applicable check against a connected amply regular graph.
 
     ``spectrum_cap`` bounds the vertex count of the spectral checks; a larger
-    graph is refused before any other work.
+    graph is refused before any other work. Right after parameter detection,
+    `distance_regular` decides the spectral route once; a graph that is not
+    distance-regular and exceeds the Bareiss cap is refused before any
+    per-edge work. Each distinct curvature value's checks are built once.
     """
     if not g.is_connected():
         raise ReportError("verification requires a connected graph")
@@ -264,13 +277,14 @@ def verify_graph(
     params = detect_amply_params(g)
     if isinstance(params, AmplyViolation):
         raise ReportError(f"not amply regular: {params}")
+    structure = distance_regular(g)
+    if not isinstance(structure, IntersectionArray):
+        check_bareiss_cap(g.n)
     table = curvature_all_edges(g)
-    edge_rows = []
-    for u, v, kappa in table.rows:
-        checks = _edge_checks(kappa, params)
-        edge_rows.append(
-            EdgeRow(u=u, v=v, kappa=kappa, checks=checks, passed=all(c.passed for c in checks))
-        )
+    checks = {kappa: _edge_checks(kappa, params) for kappa in {k for _, _, k in table.rows}}
+    passed = {kappa: all(c.passed for c in cs) for kappa, cs in checks.items()}
+    edge_rows = [EdgeRow(u=u, v=v, kappa=kappa, checks=checks[kappa], passed=passed[kappa])
+                 for u, v, kappa in table.rows]
     witness_summary: Optional[WitnessSummary] = None
     if params.beta is not None and params.beta > params.alpha >= 1:
         witness_summary = _witness_summary(g, params)
@@ -281,8 +295,8 @@ def verify_graph(
                         for r in wit.prop_3_1_certificate(g, edges, kappas, params))
         dense_summary = DenseMatchSummary(Fraction(2 + params.alpha, params.d), certified,
                                           passed=certified == len(edges))
-    diameter_row = _diameter_row(g, params)
-    spectral_row = _spectral_row(g, params, table.kappa_min, spectrum_cap)
+    diameter_row = _diameter_row(g, params, structure)
+    spectral_row = _spectral_row(g, params, table.kappa_min, structure, spectrum_cap)
     conference = _conference_note(params, table)
     overall = (
         all(r.passed for r in edge_rows)
@@ -294,6 +308,7 @@ def verify_graph(
     return VerificationReport(
         graph_id=graph_id,
         params=params,
+        distance_regular=structure,
         edges=tuple(edge_rows),
         diameter=diameter_row,
         spectral=spectral_row,

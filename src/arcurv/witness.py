@@ -291,11 +291,17 @@ def _transport_h(host: np.ndarray, p: int, copies: int) -> np.ndarray:
     return h
 
 
-def _bipartite(h: np.ndarray) -> Bipartite:
-    """One (s, s) biadjacency as a `Bipartite` with sorted rows."""
-    cols = np.nonzero(h)[1].tolist()
-    ends = np.cumsum(h.sum(axis=1)).tolist()
-    return Bipartite(len(h), len(h), tuple(tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends)))
+def _bipartites(h: np.ndarray) -> list[Bipartite]:
+    """Each (s, t) biadjacency of the stack ``h`` as a `Bipartite` with sorted rows.
+
+    One ``np.nonzero`` and one running sum of row degrees over the whole
+    stack; each edge's rows are then slices of the one column list.
+    """
+    m, s, t = h.shape
+    cols = np.nonzero(h)[2].tolist()
+    ends = np.cumsum(h.sum(axis=2)).tolist()
+    rows = [tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return [Bipartite(s, t, tuple(rows[i * s:(i + 1) * s])) for i in range(m)]
 
 
 def _walk(g: Graph, nx: np.ndarray, ny: np.ndarray, perms: np.ndarray, counts: np.ndarray,
@@ -429,12 +435,10 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     left, right = np.concatenate([nx, delta], axis=1), np.concatenate([ny, delta], axis=1)
     h = _transport_h(g.distances(left[:, :, None], right[:, None, :]) == 1, p, copies)
 
-    bipartites = []
-    for hi in h:
-        key = hi.tobytes()
-        if key not in shared:
-            shared[key] = _bipartite(hi)
-        bipartites.append(shared[key])
+    keys = [hi.tobytes() for hi in h]
+    fresh = {key: i for i, key in enumerate(keys) if key not in shared}  # this chunk's new H's
+    shared.update(zip(fresh, _bipartites(h[list(fresh.values())])))
+    bipartites = [shared[key] for key in keys]
 
     # each side index i as left then right: the first of them whose degree is not beta - 1
     s, k = h.shape[1], params.beta - 1
@@ -535,9 +539,9 @@ def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Seq
         xy = np.array(edges[lo:lo + WITNESS_CHUNK], dtype=np.int64).reshape(-1, 2)
         nx, _, ny = _neighbourhoods(g, xy, params)
         host = g.distances(nx[:, :, None], ny[:, None, :]) == 1
-        for h, kappa in zip(host, kappas[lo:lo + WITNESS_CHUNK]):
+        for b, kappa in zip(_bipartites(host), kappas[lo:lo + WITNESS_CHUNK]):
             try:
-                matching = dense_perfect_matching(_bipartite(h))
+                matching = dense_perfect_matching(b)
             except MatchingError as exc:
                 results.append(str(exc))
                 continue

@@ -24,6 +24,7 @@ from arcurv import (
     second_largest,
     wasserstein,
 )
+import arcurv.report as report_module
 from arcurv.matching import konig_decomposition
 from arcurv.report import verify_graph
 from arcurv.witness import prop_3_1_certificate, witness_batches
@@ -233,3 +234,17 @@ def test_verify_sharp_spectral_bounds_rest_on_exact_certificates():
         assert s.bound_passed and s.lichnerowicz_passed and s.passed
         (cert,) = s.certificates
         assert (cert.t, cert.psd, cert.zero_pivots, cert.failure) == (5, True, multiplicity, None)
+
+
+def test_verify_builds_each_curvature_values_checks_once(monkeypatch):
+    # every Paley edge has kappa = 1/2 + 1/(2 gamma), so paley13 builds one tuple, shared
+    calls, build = [], report_module._edge_checks
+
+    def recording(kappa, params):
+        calls.append(kappa)
+        return build(kappa, params)
+
+    monkeypatch.setattr(report_module, "_edge_checks", recording)
+    report = verify_graph(gen_paley(13), graph_id="g")
+    assert calls == [Fraction(2, 3)]
+    assert all(row.checks is report.edges[0].checks for row in report.edges)

@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from arcurv import (dump_edge_list, gen_cocktail, gen_complete, gen_cycle, gen_hamming, gen_paley,
-                    load_edge_list)
+from arcurv import (dump_edge_list, gen_clebsch, gen_cocktail, gen_complete, gen_cycle, gen_hamming,
+                    gen_paley, gen_product, load_edge_list)
 from arcurv.cli import EXIT_ASSERTION, EXIT_INPUT, EXIT_OK, main
 from arcurv.curvature import CurvatureError
 from arcurv.graph import GraphError
@@ -97,6 +97,47 @@ class TestGen:
         code, out, err = run(capsys, "--size-cap", "-1", "gen", "complete", "4")
         assert (code, out) == (EXIT_INPUT, "")
         assert err == "error: --size-cap must be nonnegative, got -1\n"
+
+    def test_non_integer_argument(self, capsys):
+        code, out, err = run(capsys, "gen", "paley", "x")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: expected an integer argument, got 'x'\n"
+
+    def test_clebsch(self, capsys):
+        code, out, _ = run(capsys, "gen", "clebsch")
+        assert code == EXIT_OK and load_edge_list(out) == gen_clebsch()
+
+    def test_product_of_two_files(self, capsys, tmp_path):
+        a, b = tmp_path / "c4.txt", tmp_path / "clebsch.txt"
+        a.write_text(dump_edge_list(gen_cycle(4)))
+        b.write_text(dump_edge_list(gen_clebsch()))
+        code, out, _ = run(capsys, "gen", "product", str(a), str(b))
+        assert code == EXIT_OK and load_edge_list(out) == gen_product(gen_cycle(4), gen_clebsch())
+
+    def test_product_checks_the_size_cap_before_building_a_factor(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        a = tmp_path / "clebsch.txt"
+        a.write_text(dump_edge_list(gen_clebsch()))
+
+        def no_build(text):
+            raise AssertionError("a factor was built past the size cap")
+
+        monkeypatch.setattr("arcurv.cli.load_edge_list", no_build)
+        code, out, err = run(capsys, "--size-cap", "255", "gen", "product", str(a), str(a))
+        assert (code, out, err) == (EXIT_INPUT, "", "error: graph size 256 exceeds size cap 255\n")
+
+    def test_product_checks_the_edge_bound(self, capsys, tmp_path, monkeypatch):
+        a = tmp_path / "clebsch.txt"
+        a.write_text(dump_edge_list(gen_clebsch()))
+        monkeypatch.setattr("arcurv.generators.EDGE_BOUND", 1279)  # 40 * 16 * 2 = 1280 edges
+        code, out, err = run(capsys, "gen", "product", str(a), str(a))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == ("error: the product of a 16-vertex and a 16-vertex graph has 1280 edges, "
+                       "exceeding the edge bound 1279\n")
+
+    def test_product_of_a_missing_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen", "product", str(tmp_path / "nope.txt"), "-")
+        assert (code, out) == (EXIT_INPUT, "") and "No such file" in err
 
 
 class TestParams:

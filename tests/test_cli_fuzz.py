@@ -153,8 +153,8 @@ ARGUMENT = st.one_of(st.integers(-3, 5), HUGE, st.integers(-(10**30), -4)).map(s
 @SETTINGS
 @given(
     prefix=st.tuples(CAPS, FORMATS).map(lambda t: t[0] + t[1]),
-    family=st.sampled_from(["hamming", "hypercube", "paley", "shrikhande", "cocktail", "complete",
-                            "cycle", "moebius"]),
+    family=st.sampled_from(["hamming", "hypercube", "paley", "shrikhande", "clebsch", "cocktail",
+                            "complete", "cycle", "product", "moebius"]),
     args=st.lists(ARGUMENT, max_size=3),
 )
 def test_gen_keeps_the_input_contract(prefix, family, args):

@@ -8,12 +8,14 @@ from arcurv import (
     GraphError,
     detect_amply_params,
     dump_edge_list,
+    gen_clebsch,
     gen_cocktail,
     gen_complete,
     gen_cycle,
     gen_hamming,
     gen_hypercube,
     gen_paley,
+    gen_product,
     gen_shrikhande,
 )
 
@@ -55,6 +57,9 @@ def test_hamming_cap_boundary():
     (lambda cap: gen_cocktail(6, size_cap=cap), 12),
     (lambda cap: gen_paley(13, size_cap=cap), 13),
     (lambda cap: gen_shrikhande(size_cap=cap), 16),
+    pytest.param(lambda cap: gen_clebsch(size_cap=cap), 16, id="clebsch"),
+    pytest.param(lambda cap: gen_product(gen_complete(3), gen_complete(4), size_cap=cap), 12,
+                 id="product"),
 ])
 def test_every_family_honours_the_size_cap(build, size):
     with pytest.raises(GraphError, match=f"{size} vertices, exceeding cap 10"):
@@ -163,6 +168,45 @@ def test_shrikhande():
     assert detect_amply_params(g) == AmplyParams(16, 6, 2, 2, girth=3)
 
 
+def test_clebsch_is_the_folded_5_cube():
+    g = gen_clebsch()
+    assert detect_amply_params(g) == AmplyParams(16, 5, 0, 2, girth=4)
+    assert all(bin(u ^ v).count("1") in (1, 4) for u, v in g.edges())
+    assert g.num_edges() == 40
+
+
+def test_product_numbers_pairs_factor_major():
+    g, h = gen_cycle(4), gen_complete(3)
+    p = gen_product(g, h)
+    assert (p.n, p.num_edges()) == (12, 4 * 3 + 3 * 4)
+    for a in range(4):
+        for b in range(3):
+            assert set(p.neighbors(3 * a + b)) == (
+                {3 * c + b for c in g.neighbors(a)} | {3 * a + c for c in h.neighbors(b)})
+
+
+@pytest.mark.parametrize("g, h, params", [
+    (gen_clebsch(), gen_complete(2), AmplyParams(32, 6, 0, 2, girth=4)),
+    (gen_cycle(4), gen_clebsch(), AmplyParams(64, 7, 0, 2, girth=4)),
+    (gen_clebsch(), gen_clebsch(), AmplyParams(256, 10, 0, 2, girth=4)),
+])
+def test_products_in_the_girth_4_regime(g, h, params):
+    assert detect_amply_params(gen_product(g, h)) == params
+
+
+def test_product_checks_the_edge_bound_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("product built past the edge bound")
+
+    clebsch, k2 = gen_clebsch(), gen_complete(2)
+    monkeypatch.setattr(generators, "EDGE_BOUND", 95)
+    monkeypatch.setattr(generators, "Graph", no_build)
+    # Clebsch x K2: 40 * 2 + 1 * 16 = 96 edges
+    with pytest.raises(GraphError, match=_refusal("the product of a 16-vertex and a 2-vertex graph",
+                                                  96, 95)):
+        gen_product(clebsch, k2)
+
+
 def test_cocktail():
     assert detect_amply_params(gen_cocktail(3)) == AmplyParams(6, 4, 2, 4, girth=3)
     # cocktail(2) is a 4-cycle (up to relabeling)
@@ -190,6 +234,8 @@ def test_generators_connected_and_deterministic():
         lambda: gen_cocktail(3),
         lambda: gen_cycle(7),
         lambda: gen_complete(5),
+        gen_clebsch,
+        lambda: gen_product(gen_clebsch(), gen_complete(2)),
     ]
     for build in builds:
         g1, g2 = build(), build()

@@ -21,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from arcurv import (
-    dump_edge_list, gen_cocktail, gen_hamming, gen_hypercube, gen_paley, gen_shrikhande,
+    dump_edge_list, gen_clebsch, gen_cocktail, gen_complete, gen_hamming, gen_hypercube, gen_paley,
+    gen_product, gen_shrikhande,
 )
 from arcurv.cli import main
 
@@ -36,6 +37,7 @@ GRAPHS = {
     "cocktail8": lambda: gen_cocktail(8),
     "paley29": lambda: gen_paley(29),
     "q3": lambda: gen_hypercube(3),
+    "clebsch-k2": lambda: gen_product(gen_clebsch(), gen_complete(2)),
 }
 
 ALL_KINDS = (
@@ -53,6 +55,8 @@ KINDS = {
     # Q3 (8,3,0,2) is the one golden graph with alpha = 0: no witness, but the dense
     # certificate (2*2 - 0 >= d + 1), and zones at girth 4 in both passes.
     "q3": ("verify.txt", "verify.json", "verify.csv", "curvature.json", "curvature-p0.json"),
+    # Clebsch x K2 (32,6,0,2) is not distance-regular: the one golden on the Bareiss route.
+    "clebsch-k2": ("verify.txt", "verify.json"),
 }
 
 # `search` tuples (n, d, alpha, beta): seven hits, among them the Petersen

@@ -916,3 +916,32 @@ class TestDenseMatchCertificate:
                 assert b.left_n == b.right_n == p and 2 * b.min_degree() >= p
                 assert b.adj == reference_witness.dense_bipartite(g, x, y).adj
                 assert is_perfect(matching, b)
+
+
+class TestBipartitesFromOneScan:
+    def test_each_layer_is_its_own_bipartite(self):
+        rng = np.random.default_rng(3)
+        stack = rng.random((5, 4, 6)) < 0.4
+        built = witness_module._bipartites(stack)
+        assert len(built) == 5
+        for layer, b in zip(stack, built):
+            assert (b.left_n, b.right_n) == (4, 6)
+            assert b.adj == tuple(tuple(np.flatnonzero(row).tolist()) for row in layer)
+        assert witness_module._bipartites(stack[:0]) == []
+
+    @pytest.mark.parametrize("run, make", [
+        (lambda g: list(witness_batches(g, g.edges(), detect_amply_params(g))),
+         lambda: gen_paley(29)),
+        (_dense_table, lambda: gen_cocktail(8)),
+    ])
+    def test_one_call_per_chunk(self, monkeypatch, run, make):
+        calls, build = [], witness_module._bipartites
+
+        def recording(h):
+            calls.append(len(h))
+            return build(h)
+
+        monkeypatch.setattr(witness_module, "_bipartites", recording)
+        g = make()
+        run(g)
+        assert len(calls) == -(-g.num_edges() // WITNESS_CHUNK)
