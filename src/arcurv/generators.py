@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain
+from math import isqrt, prod
+from typing import Iterable
+
+import numpy as np
 
 from .graph import Graph, GraphError
 
 DEFAULT_SIZE_CAP = 100_000
 EDGE_BOUND = 1_000_000
-"""The most edges a dense family builds, whatever the size cap: the vertex
-cap alone admits K_n with billions of edges."""
+"""The most edges any family but the cycle builds, whatever the size cap: the
+vertex cap alone admits K_n with billions of edges."""
 
 
 def _check_size(name: str, n: int, size_cap: int) -> None:
@@ -24,30 +28,41 @@ def _check_edges(name: str, m: int) -> None:
         raise GraphError(f"{name} has {m} edges, exceeding the edge bound {EDGE_BOUND}")
 
 
+def _cayley(name: str, radices: tuple, degree: int, connection: Iterable, size_cap: int) -> Graph:
+    """Cayley graph on Z_{r1} x ... x Z_{rk}: u ~ u + s for each s in ``connection``, a set of
+    ``degree`` nonzero elements closed under negation, each given by its k coordinates.
+
+    Vertex u is the mixed-radix number of its coordinates, the first most significant. The
+    size cap and the edge bound are checked before ``connection`` is read, so it may be a
+    generator; the edges are then streamed into the graph one connection element at a time.
+    """
+    n = prod(radices)
+    _check_size(name, n, size_cap)
+    _check_edges(name, n * degree // 2)
+    digits = np.indices(radices).reshape(len(radices), n)
+    u = np.arange(n)
+    labels = u.astype(object)  # one int per vertex, shared by its edges: less memory, faster dump
+
+    def joins(s):
+        v = np.ravel_multi_index(digits + np.reshape(s, (-1, 1)), radices, mode="wrap")
+        keep = u < v
+        return zip(labels[keep].tolist(), labels[v[keep]].tolist())
+
+    return Graph(n, chain.from_iterable(map(joins, connection)))
+
+
 def gen_hamming(p: int, q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Hamming graph H(p, q): p-tuples over {0..q-1}, adjacency = Hamming distance 1.
 
-    Vertices are indexed in lexicographic tuple order.
+    The Cayley graph on Z_q^p with connection set {c e_i : c != 0}; vertices are indexed in
+    lexicographic tuple order.
     """
     if p < 1 or q < 2:
         raise GraphError(f"gen_hamming requires p >= 1, q >= 2, got ({p}, {q})")
     if q > size_cap or p > size_cap.bit_length():  # then q**p > size_cap: refused uncomputed
         raise GraphError(f"H({p},{q}) has {q}^{p} vertices, exceeding cap {size_cap}")
-    n = q**p
-    _check_size(f"H({p},{q})", n, size_cap)
-    _check_edges(f"H({p},{q})", n * p * (q - 1) // 2)
-    tuples = list(product(range(q), repeat=p))
-    index = {t: i for i, t in enumerate(tuples)}
-    edges = []
-    for i, t in enumerate(tuples):
-        for c in range(p):
-            for b in range(q):
-                if b == t[c]:
-                    continue
-                j = index[t[:c] + (b,) + t[c + 1 :]]
-                if j > i:
-                    edges.append((i, j))
-    return Graph(n, edges)
+    return _cayley(f"H({p},{q})", (q,) * p, p * (q - 1),
+                   (c * e for e in np.eye(p, dtype=int) for c in range(1, q)), size_cap)
 
 
 def gen_hypercube(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -58,16 +73,7 @@ def gen_hypercube(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    return q > 1 and all(q % f for f in range(2, isqrt(q) + 1))
 
 
 def gen_paley(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -81,33 +87,22 @@ def gen_paley(q: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
         raise GraphError(f"gen_paley requires a prime, got {q}")
     if q % 4 != 1:
         raise GraphError(f"gen_paley requires q = 1 (mod 4), got {q}")
-    _check_edges(f"Paley({q})", q * (q - 1) // 4)
-    residues = {pow(a, 2, q) for a in range(1, q)}
-    edges = [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in residues]
-    return Graph(q, edges)
+    # a and -a have the same square, so the (q-1)/2 nonzero squares are those of 1..(q-1)/2
+    return _cayley(f"Paley({q})", (q,), (q - 1) // 2,
+                   ((a * a % q,) for a in range(1, (q + 1) // 2)), size_cap)
 
 
 def gen_shrikhande(size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Shrikhande graph: Cayley graph on Z4 x Z4 with connection set {+-(1,0), +-(0,1), +-(1,1)}."""
-    _check_size("the Shrikhande graph", 16, size_cap)
-    conn = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = []
-    for a in range(4):
-        for b in range(4):
-            i = 4 * a + b
-            for da, db in conn:
-                j = 4 * ((a + da) % 4) + (b + db) % 4
-                if j > i:
-                    edges.append((i, j))
-    return Graph(16, edges)
+    return _cayley("the Shrikhande graph", (4, 4), 6,
+                   [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)], size_cap)
 
 
 def gen_clebsch(size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
     """Clebsch graph (16,5,0,2), the folded 5-cube: u ~ v on 0..15 iff popcount(u xor v)
-    is 1 or 4."""
-    _check_size("the Clebsch graph", 16, size_cap)
-    return Graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
-                      if bin(u ^ v).count("1") in (1, 4)])
+    is 1 or 4, the Cayley graph on Z2^4 with connection set {e_i} and 1111."""
+    return _cayley("the Clebsch graph", (2,) * 4, 5, [*np.eye(4, dtype=int), (1, 1, 1, 1)],
+                   size_cap)
 
 
 def gen_product(g: Graph, h: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
@@ -130,16 +125,12 @@ def gen_product(g: Graph, h: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 
 
 def gen_cocktail(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
-    """Cocktail-party graph K_{m x 2}: 2m vertices, 2i and 2i+1 non-adjacent."""
+    """Cocktail-party graph K_{m x 2}: 2m vertices, 2i and 2i+1 non-adjacent; the Cayley
+    graph on Z_m x Z2 with connection set {(i, b) : i != 0}."""
     if m < 2:
         raise GraphError(f"gen_cocktail requires m >= 2, got {m}")
-    n = 2 * m
-    _check_size(f"cocktail({m})", n, size_cap)
-    _check_edges(f"cocktail({m})", 2 * m * (m - 1))
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if not (u // 2 == v // 2)
-    ]
-    return Graph(n, edges)
+    return _cayley(f"cocktail({m})", (m, 2), 2 * (m - 1),
+                   ((i, b) for i in range(1, m) for b in (0, 1)), size_cap)
 
 
 def gen_complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:

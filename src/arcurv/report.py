@@ -7,7 +7,7 @@ columns for the literature bounds that are reported but never asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -323,8 +323,10 @@ def verify_graph(
 
 
 def _encode(value):
-    if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    # a dataclass's field table; no encoded class has a ClassVar or InitVar pseudo-field
+    table = getattr(type(value), "__dataclass_fields__", None)
+    if table is not None:
+        return {name: _encode(getattr(value, name)) for name in table}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, tuple):

@@ -1,5 +1,7 @@
 import re
 import time
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -110,6 +112,19 @@ def test_the_edge_bound_admits_its_own_count(monkeypatch, build, past, under):
     assert build(*under).num_edges() == count
     with pytest.raises(GraphError, match=rf"edges, exceeding the edge bound {count}$"):
         build(*past)
+
+
+@pytest.mark.parametrize("build, name, count", [
+    pytest.param(gen_shrikhande, "the Shrikhande graph", 48, id="shrikhande"),
+    pytest.param(gen_clebsch, "the Clebsch graph", 40, id="clebsch"),
+])
+def test_the_fixed_cayley_families_honour_the_edge_bound(monkeypatch, build, name, count):
+    # they count their edges like the dense families: one under their count is refused
+    monkeypatch.setattr(generators, "EDGE_BOUND", count - 1)
+    with pytest.raises(GraphError, match=_refusal(name, count, count - 1)):
+        build()
+    monkeypatch.setattr(generators, "EDGE_BOUND", count)
+    assert build().num_edges() == count
 
 
 def test_the_edge_bound_holds_under_any_size_cap():
@@ -241,3 +256,70 @@ def test_generators_connected_and_deterministic():
         g1, g2 = build(), build()
         assert g1.is_connected()
         assert dump_edge_list(g1) == dump_edge_list(g2)
+
+
+# Each family built through the abelian Cayley constructor, against its textbook adjacency
+# rule: the group Z_{r1} x ... x Z_{rk} (vertex u is the mixed-radix number of its
+# coordinates, the first most significant) and the edge set the rule gives.
+
+
+def _hamming_rule(p, q):
+    """Pairs of p-tuples over range(q) at Hamming distance 1, numbered in lexicographic order."""
+    tuples = list(product(range(q), repeat=p))
+    index = {t: i for i, t in enumerate(tuples)}
+    return {(i, index[t[:c] + (b,) + t[c + 1:]])
+            for i, t in enumerate(tuples) for c in range(p) for b in range(t[c] + 1, q)}
+
+
+def _pairs(n, rule):
+    return {(u, v) for u in range(n) for v in range(u + 1, n) if rule(u, v)}
+
+
+def _paley_rule(q):
+    squares = {a * a % q for a in range(1, q)}
+    return _pairs(q, lambda u, v: (v - u) % q in squares)
+
+
+# H(1, q) = K_q for small q, and every H(p, q) with p >= 2, q >= 3, q^p <= 20000 and at most
+# 50000 edges; Q_k = H(k, 2) is listed on its own
+HAMMING = [(1, q) for q in range(3, 12)] + [
+    (p, q) for p in range(2, 10) for q in range(3, 142)
+    if q ** p <= 20000 and q ** p * p * (q - 1) // 2 <= 50_000]
+
+SHRIKHANDE_DIFFERENCES = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+CAYLEY_CASES = [
+    *(pytest.param(lambda p=p, q=q: gen_hamming(p, q), (q,) * p,
+                   lambda p=p, q=q: _hamming_rule(p, q), id=f"H({p},{q})")
+      for p, q in HAMMING),
+    *(pytest.param(lambda k=k: gen_hypercube(k), (2,) * k, lambda k=k: _hamming_rule(k, 2),
+                   id=f"Q{k}") for k in range(1, 14)),
+    *(pytest.param(lambda q=q: gen_paley(q), (q,), lambda q=q: _paley_rule(q), id=f"paley{q}")
+      for q in range(5, 400, 4) if all(q % f for f in range(2, q))),
+    pytest.param(gen_shrikhande, (4, 4), lambda: _pairs(16, lambda u, v: (
+        ((v // 4 - u // 4) % 4, (v - u) % 4) in SHRIKHANDE_DIFFERENCES)), id="shrikhande"),
+    pytest.param(gen_clebsch, (2, 2, 2, 2),
+                 lambda: _pairs(16, lambda u, v: bin(u ^ v).count("1") in (1, 4)), id="clebsch"),
+    *(pytest.param(lambda m=m: gen_cocktail(m), (m, 2),
+                   lambda m=m: _pairs(2 * m, lambda u, v: u // 2 != v // 2), id=f"cocktail({m})")
+      for m in range(2, 60)),
+]
+
+
+def _translate(u, radices, i):
+    """u + e_i: coordinate i of u plus one, modulo its radix."""
+    w = prod(radices[i + 1:])
+    return u + w if (u // w) % radices[i] < radices[i] - 1 else u - (radices[i] - 1) * w
+
+
+@pytest.mark.parametrize("build, radices, rule", CAYLEY_CASES)
+def test_cayley_families_follow_their_adjacency_rule(build, radices, rule):
+    g = build()
+    edges = set(g.edges())
+    assert g.n == prod(radices)
+    assert edges == rule()
+    # the translation by each generator e_i of the group is an automorphism
+    for i in range(len(radices)):
+        moved = {tuple(sorted((_translate(u, radices, i), _translate(v, radices, i))))
+                 for u, v in edges}
+        assert moved == edges
