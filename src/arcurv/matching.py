@@ -1,10 +1,17 @@
-"""Bipartite matching: augmenting paths, Konig decomposition, dense perfect matchings."""
+"""Bipartite matching: one batched Hopcroft-Karp call, Konig decomposition, dense perfect matchings.
+
+Every matching comes from `perfect_matchings`, which matches a whole stack of
+biadjacencies in one Hopcroft-Karp call (Hopcroft & Karp, SIAM J. Comput. 2,
+1973) on their block-diagonal graph, and checks each graph's result on its own.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 
 class MatchingError(ValueError):
@@ -29,121 +36,160 @@ class Bipartite:
                 if not 0 <= w < self.right_n:
                     raise MatchingError(f"right index {w} out of range at left {u}")
 
-    @cached_property
-    def right_degrees(self) -> tuple[int, ...]:
-        """Degree of each right vertex, counted at the first use and kept."""
-        degs = [0] * self.right_n
-        for u in range(self.left_n):
-            for w in self.adj[u]:
-                degs[w] += 1
-        return tuple(degs)
-
-    def min_degree(self) -> int:
-        """Smallest degree over both sides; 0 on an empty side."""
-        return min(min(map(len, self.adj), default=0), min(self.right_degrees, default=0))
-
-    def regular_degree(self) -> Optional[int]:
-        """Common degree if k-regular with equal sides, else None."""
-        if self.left_n != self.right_n or self.left_n == 0:
-            return None
-        left = {len(a) for a in self.adj}
-        right = set(self.right_degrees)
-        if len(left) == 1 and left == right:
-            return left.pop()
-        return None
+    def biadjacency(self) -> np.ndarray:
+        """The (left_n, right_n) boolean biadjacency."""
+        h = np.zeros((self.left_n, self.right_n), dtype=bool)
+        h[[u for u, row in enumerate(self.adj) for _ in row], [w for row in self.adj for w in row]] = True
+        return h
 
     @cached_property
     def konig_classes(self) -> tuple[tuple[int, ...], ...]:
         """The k perfect matchings that partition a k-regular graph's edges, made once and kept.
 
-        Each class is a tuple of right partners, indexed by left vertex. Each
-        round extracts the perfect matching that Kuhn's search finds in the
-        remaining graph and removes it, leaving a (k-1)-regular graph. Every
-        round is checked as it runs: ``_perfect`` checks that each left vertex
-        is matched and no right vertex twice, and each matched edge is removed
-        from the remaining edges, so a non-edge or an edge of an earlier class
-        raises. With no edge left over after k rounds, the classes are perfect,
-        pairwise edge-disjoint, and their union is exactly the edge set. A run
-        that raises keeps nothing, so the next read runs again.
+        Each class is a tuple of right partners, indexed by left vertex. The
+        first read runs `konig_stack` on every graph that `decompose_together`
+        registered with this one, and keeps each graph's classes; a graph
+        registered with none decomposes as a stack of one. A graph whose run
+        fails keeps nothing, so its next read runs again, alone.
         """
-        k = self.regular_degree()
-        if k is None or k < 1:
-            raise MatchingError("konig_decomposition requires a k-regular bipartite graph, k >= 1")
-        n = self.left_n
-        adj = [sorted(nbrs) for nbrs in self.adj]
-        classes: list[tuple[int, ...]] = []
-        for _ in range(k):
-            match_l = _perfect(_kuhn(adj, n), n)
-            try:
-                list(map(list.remove, adj, match_l))  # adj[u].remove(match_l[u]) for every u
-            except ValueError:  # a non-edge, or an edge of an earlier class
-                raise MatchingError("internal error: class uses a removed or missing edge") from None
-            classes.append(tuple(match_l))
-        if any(adj):
-            raise MatchingError("internal error: leftover edges after decomposition")
-        return tuple(classes)
+        group, h = vars(self).pop("_group", None) or ((self,), self.biadjacency()[None])
+        results = konig_stack(h)
+        for b, classes in zip(group, results):
+            vars(b).pop("_group", None)
+            if not isinstance(classes, str):
+                vars(b)["konig_classes"] = classes
+        if isinstance(mine := results[[b is self for b in group].index(True)], str):
+            raise MatchingError(mine)
+        return mine
 
 
-def _kuhn(adj, right_n: int) -> list[int]:
-    """Kuhn's augmenting-path search over plain adjacency lists.
+def _hopcroft_karp(h: np.ndarray) -> np.ndarray:
+    """scipy's Hopcroft-Karp maximum matching on the block-diagonal graph of the stack ``h``.
 
-    Left vertices and their neighbor lists are scanned in stored order, so
-    the result is deterministic. A left vertex that fails to augment is
-    skipped, not fatal: the result is maximum, not just maximal. One stamp
-    array serves every search: ``visited[w] == root`` marks w as reached in
-    the search from ``root``. Returns the right partner of each left vertex,
-    -1 where unmatched.
+    Graph i of the (m, s, t) stack has its left vertex u at row i*s + u and
+    its right vertex w at column i*t + w. Returns the column matched to each
+    row, -1 where unmatched. scipy is imported at the first call, so that
+    importing arcurv does not import `scipy.sparse`.
     """
-    match_r = [-1] * right_n
-    match_l = [-1] * len(adj)
-    visited = [-1] * right_n
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    def try_augment(u: int) -> bool:
-        for w in adj[u]:
-            if visited[w] == root:
-                continue
-            visited[w] = root
-            if match_r[w] < 0 or try_augment(match_r[w]):
-                match_r[w] = u
-                match_l[u] = w
-                return True
-        return False
-
-    for root in range(len(adj)):
-        try_augment(root)
-    return match_l
+    m, s, t = h.shape
+    flat = np.flatnonzero(h).astype(np.int32)  # (i*s + u)*t + w, in row order
+    indptr = np.concatenate([[0], np.cumsum(h.sum(axis=2, dtype=np.int32))], dtype=np.int32)
+    graph = csr_array((np.ones(len(flat), dtype=np.int8), flat // (s * t) * t + flat % t, indptr),
+                      shape=(m * s, m * t))
+    return maximum_bipartite_matching(graph, perm_type="column")
 
 
-def _perfect(match_l: list[int], n: int) -> list[int]:
-    """Kuhn's result ``match_l``, checked perfect on n left vertices: each matched, no two alike."""
-    if len(match_l) != n or min(match_l, default=0) < 0 or len(set(match_l)) != n:
-        raise MatchingError("internal error: Kuhn's search found no perfect matching")
-    return match_l
+def perfect_matchings(h: np.ndarray) -> tuple[np.ndarray, list[Optional[str]]]:
+    """A perfect matching of every (s, s) biadjacency of the stack ``h``, from one call.
+
+    `_hopcroft_karp` matches the stack's block-diagonal graph. The blocks
+    share no vertex, so each graph's matching is the one it would get alone.
+    Each graph's result is then checked on its own: every left vertex is
+    matched, its partner lies in its own block, the partners are a
+    permutation of the right side, and every pair is an edge of ``h``.
+    Returns the right partners (m, s), by left vertex, and for each
+    graph None or the "internal error" message of its first failed check;
+    the row of a graph with a message means nothing.
+    """
+    m, s, t = h.shape
+    if s != t:
+        raise MatchingError("perfect matchings require equal side sizes")
+    found = np.asarray(_hopcroft_karp(h)) if m * s else np.zeros(0, dtype=np.int64)
+    if found.shape != (m * s,):
+        message = f"Hopcroft-Karp returned {found.size} partners for {m * s} left vertices"
+        return np.zeros((m, s), dtype=np.int64), [f"internal error: {message}"] * m
+    found, rows = found.reshape(m, s), np.arange(m)[:, None]
+    own = (found >= rows * t) & (found < rows * t + t)
+    partners = np.where(own, found - rows * t, 0)
+    errors: list[Optional[str]] = [None] * m
+    for bad, message in reversed((  # the first failed check is written last
+        (found < 0, "left vertex {u} has no partner"),
+        (~own, "left vertex {u} is matched outside its own graph"),
+        (np.sort(partners, axis=1) != np.arange(s), "the partners are not a permutation"),
+        (~h[rows, np.arange(s), partners], "matched pair ({u}, {w}) is not an edge"),
+    )):
+        for i in np.flatnonzero(bad.any(axis=1)).tolist():
+            u = int(bad[i].argmax())
+            errors[i] = "internal error: " + message.format(u=u, w=int(partners[i, u]))
+    return partners, errors
+
+
+def konig_stack(h: np.ndarray) -> list[Union[tuple[tuple[int, ...], ...], str]]:
+    """Konig classes of every biadjacency of the stack ``h``, or the message of its failure.
+
+    Graph i must be k_i-regular, k_i >= 1, with equal sides. Round r matches
+    every graph with more than r classes that has not failed, in one
+    `perfect_matchings` call, and removes each graph's matched edges from
+    what remains of it, so that an edge of an earlier class is no edge. A
+    graph whose round fails keeps that round's message and drops out; the
+    others go on. After a graph's last round no edge of it may be left over.
+    With every round checked, each graph's classes are perfect, pairwise
+    edge-disjoint, and their union is exactly its edge set.
+    """
+    m, s, _ = h.shape
+    sums = np.concatenate([h.sum(axis=2), h.sum(axis=1)], axis=1)
+    degree = sums.max(axis=1, initial=0)
+    live = (degree >= 1) & (sums == degree[:, None]).all(axis=1)
+    results = {i: None if ok else "konig_decomposition requires a k-regular bipartite graph, k >= 1"
+               for i, ok in enumerate(live.tolist())}
+    remaining, found = h.copy(), np.zeros((m, int(degree.max(initial=0)), s), dtype=np.int64)
+    for r in range(found.shape[1]):
+        run = np.flatnonzero(live & (degree > r))
+        if not len(run):
+            break
+        partners, errors = perfect_matchings(remaining[run])
+        results.update(zip(run.tolist(), errors))
+        live[run] = matched = np.array([e is None for e in errors], dtype=bool)
+        run, partners = run[matched], partners[matched]
+        remaining[run[:, None], np.arange(s), partners] = False
+        found[run, r] = partners
+    return [e or ("internal error: leftover edges after decomposition" if remaining[i].any()
+                  else tuple(map(tuple, found[i, :degree[i]].tolist()))) for i, e in results.items()]
+
+
+def decompose_together(group: Sequence[Bipartite], h: np.ndarray) -> None:
+    """Defer the decomposition of ``group`` to one `konig_stack` run on ``h``, their biadjacencies.
+
+    ``h[i]`` is ``group[i]``'s biadjacency. The run happens at the first
+    `konig_decomposition` read of any graph of the group.
+    """
+    for b in group:
+        vars(b)["_group"] = (tuple(group), h)
 
 
 def konig_decomposition(b: Bipartite) -> tuple[tuple[int, ...], ...]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
     Returns ``b.konig_classes``: the decomposition runs, with every round
-    checked, at the first call on ``b`` and is kept on it, so later calls on
-    the same object read the same classes. The classes are immutable.
+    checked, at the first read of ``b`` or of a graph registered with it
+    (`decompose_together`), and is kept on ``b``, so later calls on the same
+    object read the same classes. The classes are immutable.
     """
     return b.konig_classes
 
 
-def dense_perfect_matching(b: Bipartite) -> tuple[int, ...]:
-    """Perfect matching of a balanced bipartite graph with min degree >= n/2.
+def dense_perfect_matchings(h: np.ndarray) -> list[Union[tuple[int, ...], str]]:
+    """A perfect matching of each (p, p) biadjacency of the stack ``h`` with min degree >= p/2.
 
-    Returns Kuhn's result, right partners by left vertex, checked perfect by
-    ``_perfect`` and each of its pairs checked to be an edge.
+    The min degree of each graph, over both sides, is checked first; the
+    graphs that meet it are matched by one `perfect_matchings` call, whose
+    checks stand. Returns each graph's matching, right partners by left
+    vertex, or the message of the check it fails.
     """
-    if b.left_n != b.right_n:
-        raise MatchingError("dense_perfect_matching requires equal side sizes")
-    n = b.left_n
-    min_deg = b.min_degree()
-    if 2 * min_deg < n:
-        raise MatchingError(f"min degree {min_deg} below n/2 = {n}/2")
-    match_l = _perfect(_kuhn(b.adj, n), n)
-    if any(w not in row for row, w in zip(b.adj, match_l)):
-        raise MatchingError("internal error: a matched pair is not an edge")
-    return tuple(match_l)
+    s = h.shape[1]
+    min_degree = np.minimum(h.sum(axis=2).min(axis=1, initial=s), h.sum(axis=1).min(axis=1, initial=s))
+    dense = 2 * min_degree >= s
+    matched = iter(e or tuple(row.tolist()) for row, e in zip(*perfect_matchings(h[dense])))
+    return [next(matched) if ok else f"min degree {degree} below n/2 = {s}/2"
+            for ok, degree in zip(dense.tolist(), min_degree.tolist())]
+
+
+def dense_perfect_matching(b: Bipartite) -> tuple[int, ...]:
+    """`dense_perfect_matchings` on ``b`` alone; raises MatchingError for a failed check."""
+    [result] = dense_perfect_matchings(b.biadjacency()[None])
+    if isinstance(result, str):
+        raise MatchingError(result)
+    return result

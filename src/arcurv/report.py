@@ -322,21 +322,27 @@ def verify_graph(
 # --- serialization ---------------------------------------------------------
 
 
-def _encode(value):
+def _encode(value, memo: dict):
     # a dataclass's field table; no encoded class has a ClassVar or InitVar pseudo-field
     table = getattr(type(value), "__dataclass_fields__", None)
     if table is not None:
-        return {name: _encode(getattr(value, name)) for name in table}
+        return {name: _encode(getattr(value, name), memo) for name in table}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, tuple):
-        return [_encode(v) for v in value]
+        if id(value) not in memo:  # a tuple that several fields share is encoded once
+            memo[id(value)] = [_encode(v, memo) for v in value]
+        return memo[id(value)]
     return value
 
 
 def report_to_dict(r: VerificationReport) -> dict:
-    """JSON-ready dict: field names as keys, Fractions as "p/q", tuples as lists."""
-    return _encode(r)
+    """JSON-ready dict: field names as keys, Fractions as "p/q", tuples as lists.
+
+    A tuple that several fields of ``r`` share, such as the checks of the
+    edges with one curvature value, becomes one list that they all hold.
+    """
+    return _encode(r, {})
 
 
 def _display(x: float) -> str:

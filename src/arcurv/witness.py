@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import lly_curvature
 from .graph import AmplyParams, Graph, edge_partition
-from .matching import Bipartite, MatchingError, dense_perfect_matching, konig_decomposition
+from .matching import Bipartite, MatchingError, decompose_together, dense_perfect_matchings, konig_decomposition
 
 # edge class indices (1-based, matching the construction below)
 CLASS_NAMES = {
@@ -192,7 +192,8 @@ class WitnessBatch:
 
     ``nx``, ``delta`` and ``ny`` are (m, p), (m, alpha) and (m, p) arrays,
     each row in sorted host order. ``bipartites`` holds each edge's H; edges
-    whose H's are equal share one object, and so one Konig decomposition.
+    whose H's are equal share one object, and so one Konig decomposition,
+    which runs in one batched run with the chunk's other fresh H's.
     ``z1`` is the index of each certified edge's z_1 z_1' class and ``cost``
     the integer total distance of its plan pi0; ``kappa`` is the exact
     curvature each certified edge was checked against. `edge` gives one
@@ -435,11 +436,6 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     left, right = np.concatenate([nx, delta], axis=1), np.concatenate([ny, delta], axis=1)
     h = _transport_h(g.distances(left[:, :, None], right[:, None, :]) == 1, p, copies)
 
-    keys = [hi.tobytes() for hi in h]
-    fresh = {key: i for i, key in enumerate(keys) if key not in shared}  # this chunk's new H's
-    shared.update(zip(fresh, _bipartites(h[list(fresh.values())])))
-    bipartites = [shared[key] for key in keys]
-
     # each side index i as left then right: the first of them whose degree is not beta - 1
     s, k = h.shape[1], params.beta - 1
     degrees = np.stack([h.sum(axis=2), h.sum(axis=1)], axis=2).reshape(m, 2 * s)
@@ -451,6 +447,13 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
         name = (_name(v, ny[i].tolist(), delta[i].tolist(), "w", "'") if on_right
                 else _name(v, nx[i].tolist(), delta[i].tolist(), "v", ""))
         irregular[i] = f"{'right' if on_right else 'left'} {name} has degree {degrees[i, j]}"
+
+    keys = [hi.tobytes() for hi in h]
+    fresh = {key: i for i, key in enumerate(keys) if key not in shared}  # this chunk's new H's
+    shared.update(zip(fresh, _bipartites(h[list(fresh.values())])))
+    bipartites = [shared[key] for key in keys]
+    regular = [i for i in fresh.values() if irregular[i] is None]
+    decompose_together([bipartites[i] for i in regular], h[regular])
 
     unmet = [None if r is None else f"auxiliary graph is not (beta-1)-regular: {r}"
              for r in irregular]
@@ -465,12 +468,8 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
     counts = np.array([len(c) for c in classes], dtype=np.int64)
     # at least one class slot, so that every edge has a z1 slot to read; a short class is all -1
     perms = np.full((m, int(counts.max(initial=1)), s), -1, dtype=np.int64)
-    as_rows: dict[int, np.ndarray] = {}  # by the classes' identity: equal H's share them
     for i, c in enumerate(classes):
-        if c:
-            if id(c) not in as_rows:
-                as_rows[id(c)] = np.array([cls if len(cls) == s else (-1,) * s for cls in c])
-            perms[i, :len(c)] = as_rows[id(c)]
+        perms[i, :len(c)] = np.reshape([cls if len(cls) == s else (-1,) * s for cls in c], (-1, s))
     walks = _walk(g, nx, ny, perms, counts, p + a)
     walk_error = [e if e is not None else walks.error[i] for i, e in enumerate(walk_error)]
 
@@ -489,13 +488,16 @@ def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
     Each chunk splits its edges' neighbourhoods into N_x, Delta and N_y once
     (`edge_partition`, through the size check of `_neighbourhoods`), and
     builds every H (`_transport_h`) from one block of distances between
-    N_x + Delta and N_y + Delta. Equal H's of one
-    call share one `Bipartite`, so Kuhn's beta - 1 rounds run once per distinct H; each
-    edge still reads its classes through `konig_decomposition` twice, for
-    its walks and its certificate. An H that is not (beta-1)-regular is not decomposed, and
-    the regularity message is kept as the walk's; a decomposition that
-    raises leaves H with no classes. Every class is walked (`_walk`), and the
-    certificate (`_certify`) reads the walk. A failed step keeps its message.
+    N_x + Delta and N_y + Delta. Equal H's of one call share one
+    `Bipartite`. The chunk's fresh, regular H's are decomposed together
+    (`decompose_together`): beta - 1 rounds of one batched matching call
+    each, for the whole chunk, at its first `konig_decomposition` read.
+    Each edge still reads its classes through `konig_decomposition` twice,
+    for its walks and its certificate. An H that is not (beta-1)-regular is
+    not decomposed, and the regularity message is kept as the walk's; a
+    decomposition that raises leaves H with no classes. Every class is
+    walked (`_walk`), and the certificate (`_certify`) reads the walk. A
+    failed step keeps its message.
     """
     if params.beta is None:
         raise WitnessError("no distance-2 pair: beta is undefined")
@@ -520,11 +522,11 @@ def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Seq
     ``kappas`` holds each edge's exact curvature, as the curvature table
     gives it. The edges are taken ``WITNESS_CHUNK`` at a time: N_x and N_y
     come through the witness's size check (`_neighbourhoods`), and each
-    edge's host edges between them form a bipartite graph whose perfect
-    matching `dense_perfect_matching` extracts under the dense degree
-    condition; then kappa = (2+alpha)/d is asserted. Returns each edge's
-    matching, right partners by left index, or the message of the first
-    check it fails. alpha = 0 is allowed.
+    edge's host edges between them form a bipartite graph; the chunk's
+    graphs are checked against the dense degree condition and matched by
+    one `dense_perfect_matchings` call; then kappa = (2+alpha)/d is
+    asserted. Returns each edge's matching, right partners by left index,
+    or the message of the first check it fails. alpha = 0 is allowed.
     """
     if params.beta is None:
         raise WitnessError("no distance-2 pair: beta is undefined")
@@ -539,12 +541,7 @@ def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Seq
         xy = np.array(edges[lo:lo + WITNESS_CHUNK], dtype=np.int64).reshape(-1, 2)
         nx, _, ny = _neighbourhoods(g, xy, params)
         host = g.distances(nx[:, :, None], ny[:, None, :]) == 1
-        for b, kappa in zip(_bipartites(host), kappas[lo:lo + WITNESS_CHUNK]):
-            try:
-                matching = dense_perfect_matching(b)
-            except MatchingError as exc:
-                results.append(str(exc))
-                continue
-            results.append(matching if kappa == upper
+        for matching, kappa in zip(dense_perfect_matchings(host), kappas[lo:lo + WITNESS_CHUNK]):
+            results.append(matching if isinstance(matching, str) or kappa == upper
                            else f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
     return results

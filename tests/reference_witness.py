@@ -11,6 +11,7 @@ every edge.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -93,9 +94,10 @@ def check_h_regular(h: TransportBipartite) -> Optional[str]:
     """None if every auxiliary vertex has degree exactly beta - 1, else the first offender.
 
     Left degrees are the lengths of ``h.b``'s rows, and right degrees are
-    ``h.b``'s cached count, which Konig reads too.
+    counted over those rows.
     """
-    adj, right, k = h.b.adj, h.b.right_degrees, h.beta - 1
+    adj, k = h.b.adj, h.beta - 1
+    right = Counter(w for row in adj for w in row)
     for i in range(h.b.left_n):
         if len(adj[i]) != k:
             return f"left {h.left_name(i)} has degree {len(adj[i])}"

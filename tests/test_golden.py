@@ -11,11 +11,13 @@ Regenerate the files only for an intended output change, with
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from arcurv import (
     gen_product, gen_shrikhande,
 )
 from arcurv.cli import main
+from arcurv.report import report_to_dict, verify_graph
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -157,7 +160,28 @@ def test_golden_output(case, inputs, monkeypatch):
     assert out == golden
 
 
-def regenerate() -> None:
+def _plain(value):
+    """A report field as JSON data, encoded afresh at every occurrence: the field-by-field
+    encoding, with Fractions as "p/q" and tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name", ["paley29", "cocktail8"])
+def test_shared_checks_are_encoded_once_into_the_same_json(name):
+    report = verify_graph(GRAPHS[name](), graph_id=f"{name}.txt")
+    encoded = report_to_dict(report)
+    assert json.dumps(encoded, sort_keys=True) == json.dumps(_plain(report), sort_keys=True)
+    # every edge of these graphs has one curvature value, so one checks tuple, one list
+    tuples = {id(row.checks) for row in report.edges}
+    lists = {id(row["checks"]) for row in encoded["edges"]}
+    assert len(tuples) == len(lists) == 1 and len(report.edges) > 1
+
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
     cwd = os.getcwd()

@@ -1,6 +1,10 @@
 import random
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arcurv.matching as matching_module
 from arcurv import (
@@ -13,7 +17,8 @@ from arcurv import (
     gen_paley,
     konig_decomposition,
 )
-from arcurv.matching import _kuhn
+from arcurv.matching import (decompose_together, dense_perfect_matchings, konig_stack,
+                             perfect_matchings)
 from arcurv.witness import edge_witness, witness_batches
 
 from conftest import bipartite_edges, bipartite_from_edges, is_perfect
@@ -24,9 +29,29 @@ def complete_bipartite(n: int) -> Bipartite:
     return bipartite_from_edges(n, n, [(u, w) for u in range(n) for w in range(n)])
 
 
-def kuhn_pairs(b: Bipartite) -> dict[int, int]:
-    """The matched pairs of Kuhn's search on ``b``, left -> right."""
-    return {u: w for u, w in enumerate(_kuhn(b.adj, b.right_n)) if w >= 0}
+def hopcroft_karp_pairs(b: Bipartite) -> dict[int, int]:
+    """The matched pairs of the Hopcroft-Karp call on ``b`` alone, left -> right."""
+    found = matching_module._hopcroft_karp(b.biadjacency()[None])
+    return {u: int(w) for u, w in enumerate(found) if w >= 0}
+
+
+def faulty_hopcroft_karp(monkeypatch, fault):
+    """Pass every Hopcroft-Karp result, as (m, s) global columns, through ``fault``."""
+    original = matching_module._hopcroft_karp
+
+    def faulty(h):
+        found = original(h).reshape(h.shape[:2])
+        return np.asarray(fault(found)).ravel()
+
+    monkeypatch.setattr(matching_module, "_hopcroft_karp", faulty)
+
+
+def count_hopcroft_karp(monkeypatch) -> list:
+    """Record the stack shape of every Hopcroft-Karp call from now on."""
+    calls, original = [], matching_module._hopcroft_karp
+    monkeypatch.setattr(matching_module, "_hopcroft_karp",
+                        lambda h: calls.append(h.shape) or original(h))
+    return calls
 
 
 def class_through(b: Bipartite, u: int, w: int):
@@ -42,26 +67,28 @@ def bipartite_cycle(length: int) -> Bipartite:
 
 
 class TestMaxMatching:
-    """Kuhn's search finds a maximum matching."""
+    """The Hopcroft-Karp call finds a maximum matching."""
 
     def test_k33(self):
-        assert len(kuhn_pairs(complete_bipartite(3))) == 3
+        assert len(hopcroft_karp_pairs(complete_bipartite(3))) == 3
 
     def test_shared_single_neighbor(self):
         b = bipartite_from_edges(2, 1, [(0, 0), (1, 0)])
-        assert len(kuhn_pairs(b)) == 1
+        assert len(hopcroft_karp_pairs(b)) == 1
 
     def test_six_cycle(self):
-        assert len(kuhn_pairs(bipartite_cycle(6))) == 3
+        assert len(hopcroft_karp_pairs(bipartite_cycle(6))) == 3
 
     def test_transport_bipartite_always_matchable(self):
         g = gen_cocktail(3)
         params = detect_amply_params(g)
         b = edge_witness(g, 0, 2, params).h.b
-        assert is_perfect(tuple(_kuhn(b.adj, b.right_n)), b)
+        partners, errors = perfect_matchings(b.biadjacency()[None])
+        assert errors == [None]
+        assert is_perfect(tuple(partners[0].tolist()), b)
 
     def test_no_augmenting_path_on_random_instances(self):
-        # maximality: Kuhn's matching is as large as networkx's maximum matching
+        # maximality: the matching is as large as networkx's maximum matching
         for seed in range(30):
             rng = random.Random(seed)
             ln = rng.randint(1, 12)
@@ -71,18 +98,63 @@ class TestMaxMatching:
                 for _ in range(rng.randint(0, ln * rn))
             }
             b = bipartite_from_edges(ln, rn, edges)
-            pairs = kuhn_pairs(b)
+            pairs = hopcroft_karp_pairs(b)
             assert len(set(pairs.values())) == len(pairs)
             assert all(w in b.adj[u] for u, w in pairs.items())
             # checked against networkx's independent implementation
-            import networkx as nx
-
             h = nx.Graph()
             h.add_nodes_from(("L", u) for u in range(ln))
             h.add_nodes_from(("R", w) for w in range(rn))
             h.add_edges_from((("L", u), ("R", w)) for u, w in bipartite_edges(b))
             ref = nx.bipartite.maximum_matching(h, top_nodes=[("L", u) for u in range(ln)])
             assert len(pairs) == len(ref) // 2
+
+
+class TestPerfectMatchings:
+    """One call matches a whole stack; each graph's result is checked on its own."""
+
+    def test_requires_equal_sides(self):
+        with pytest.raises(MatchingError, match="equal side sizes"):
+            perfect_matchings(np.ones((2, 2, 3), dtype=bool))
+
+    def test_empty_stack_and_empty_sides(self):
+        partners, errors = perfect_matchings(np.ones((0, 3, 3), dtype=bool))
+        assert partners.shape == (0, 3) and errors == []
+        partners, errors = perfect_matchings(np.ones((2, 0, 0), dtype=bool))
+        assert partners.shape == (2, 0) and errors == [None, None]
+
+    def test_one_call_per_stack(self, monkeypatch):
+        calls = count_hopcroft_karp(monkeypatch)
+        stack = np.stack([complete_bipartite(4).biadjacency(), bipartite_cycle(8).biadjacency()])
+        partners, errors = perfect_matchings(stack)
+        assert calls == [(2, 4, 4)] and errors == [None, None]
+        assert is_perfect(tuple(partners[1].tolist()), bipartite_cycle(8))
+
+    def test_a_graph_without_a_perfect_matching_is_named_and_the_others_go_on(self):
+        # graph 1's left vertices 0 and 1 share their one neighbour 0
+        lonely = bipartite_from_edges(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
+        graphs = [bipartite_cycle(6), lonely, complete_bipartite(3)]
+        alone = [perfect_matchings(b.biadjacency()[None]) for b in graphs]
+        partners, errors = perfect_matchings(np.stack([b.biadjacency() for b in graphs]))
+        assert errors[1] == "internal error: left vertex 1 has no partner"
+        for i in (0, 2):
+            assert errors[i] is None and alone[i][1] == [None]
+            assert partners[i].tolist() == alone[i][0][0].tolist()
+            assert is_perfect(tuple(partners[i].tolist()), graphs[i])
+
+    def test_a_partner_in_another_graphs_block_is_refused(self, monkeypatch):
+        graphs = [bipartite_cycle(8), complete_bipartite(4)]
+        alone = [perfect_matchings(b.biadjacency()[None])[0][0].tolist() for b in graphs]
+
+        def borrow(found):
+            if len(found) > 1:
+                found[0, 0] = found[1, 0]  # graph 0's left vertex 0 takes graph 1's partner
+            return found
+
+        faulty_hopcroft_karp(monkeypatch, borrow)
+        partners, errors = perfect_matchings(np.stack([b.biadjacency() for b in graphs]))
+        assert errors == ["internal error: left vertex 0 is matched outside its own graph", None]
+        assert partners[1].tolist() == alone[1]
 
 
 class TestKonigDecomposition:
@@ -136,17 +208,17 @@ class TestKonigDecomposition:
         assert konig_decomposition(b) is classes and list(classes) == original
 
     def test_matching_copies_the_mapping_it_is_given(self, monkeypatch):
-        # each class copies the list Kuhn's search returns, so changing that list later
-        # changes no class
+        # each class copies the array the Hopcroft-Karp call returns, so changing that array
+        # later changes no class
         found = []
-        kuhn = matching_module._kuhn
-        monkeypatch.setattr(matching_module, "_kuhn",
-                            lambda adj, n: found.append(kuhn(adj, n)) or found[-1])
+        original = matching_module._hopcroft_karp
+        monkeypatch.setattr(matching_module, "_hopcroft_karp",
+                            lambda h: found.append(original(h)) or found[-1])
         classes = konig_decomposition(bipartite_cycle(8))
-        original = [tuple(m) for m in found]
+        original_rows = [tuple(m.tolist()) for m in found]
         for m in found:
             m[0] = -1
-        assert list(classes) == original
+        assert list(classes) == original_rows
 
 
 def reference_konig(b: Bipartite) -> tuple[tuple[int, ...], ...]:
@@ -219,72 +291,155 @@ def witness_bipartites(g):
     return [b for batch in batches for b in batch.bipartites]
 
 
+def assert_konig(b: Bipartite, classes) -> None:
+    """``classes`` are a Konig decomposition of the k-regular ``b``, checked from scratch.
+
+    There are k of them, each a perfect matching of ``b`` by its edges; no two
+    share an edge, and together they cover every edge. ``reference_konig``
+    must decompose ``b`` too.
+    """
+    edges = set(bipartite_edges(b))
+    k = len(b.adj[0])
+    assert len(classes) == k
+    seen: set[tuple[int, int]] = set()
+    for m in classes:
+        pairs = set(enumerate(m))
+        assert is_perfect(m, b) and pairs <= edges
+        assert not pairs & seen
+        seen |= pairs
+    assert seen == edges
+    assert len(reference_konig(b)) == k
+
+
+WITNESS_GRAPHS = pytest.mark.parametrize(
+    "make",
+    [lambda: gen_hamming(3, 3), lambda: gen_paley(13), lambda: gen_paley(29),
+     lambda: gen_cocktail(3), lambda: gen_cocktail(8)],
+    ids=["h33", "paley13", "paley29", "cocktail3", "cocktail8"],
+)
+
+
 class TestKonigOrder:
-    """``konig_decomposition`` gives the reference classes, in the same order."""
+    """``konig_decomposition`` gives k perfect matchings that partition H's edges."""
 
     def test_random_regular_bipartite_graphs(self):
         rng = random.Random(20261018)
         for case in range(100):
             k = 1 + case % 8
             b = random_regular_bipartite(rng, rng.randint(2 * k, 2 * k + 6), k)
-            assert konig_decomposition(b) == reference_konig(b)
+            assert_konig(b, konig_decomposition(b))
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: gen_hamming(3, 3), lambda: gen_paley(13), lambda: gen_paley(29),
-         lambda: gen_cocktail(3), lambda: gen_cocktail(8)],
-        ids=["h33", "paley13", "paley29", "cocktail3", "cocktail8"],
-    )
+    @WITNESS_GRAPHS
     def test_every_witness_edge(self, make):
         for b in witness_bipartites(make()):
-            assert konig_decomposition(b) == reference_konig(b)
+            assert_konig(b, konig_decomposition(b))
+
+
+class TestKonigStack:
+    """A stack decomposes as each of its graphs does alone."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6), n=st.integers(1, 9))
+    def test_a_stack_equals_each_graph_alone_in_any_order(self, seed, count, n):
+        rng = random.Random(seed)
+        graphs = [random_regular_bipartite(rng, n, rng.randint(1, n)) for _ in range(count)]
+        stack = np.stack([b.biadjacency() for b in graphs])
+        alone = [konig_stack(h[None])[0] for h in stack]
+        for b, classes in zip(graphs, alone):
+            assert_konig(b, classes)
+        order = list(range(count))
+        rng.shuffle(order)
+        assert konig_stack(stack[order]) == [alone[i] for i in order]
+
+    @WITNESS_GRAPHS
+    def test_every_witness_chunk_equals_its_graphs_alone(self, make):
+        for b in witness_bipartites(make()):
+            assert konig_decomposition(b) == konig_stack(b.biadjacency()[None])[0]
+
+    def test_the_first_read_decomposes_the_whole_group(self, monkeypatch):
+        graphs = [bipartite_cycle(8), complete_bipartite(4), bipartite_cycle(8)]
+        alone = [konig_stack(b.biadjacency()[None])[0] for b in graphs]
+        decompose_together(graphs, np.stack([b.biadjacency() for b in graphs]))
+        calls = count_hopcroft_karp(monkeypatch)
+        classes = konig_decomposition(graphs[1])
+        # four rounds for K_{4,4}; the two cycles drop out after their second
+        assert calls == [(3, 4, 4), (3, 4, 4), (1, 4, 4), (1, 4, 4)]
+        assert [konig_decomposition(b) for b in graphs] == alone
+        assert konig_decomposition(graphs[1]) is classes and len(calls) == 4
+
+    def test_an_irregular_graph_is_refused_alone(self):
+        irregular = bipartite_from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
+        graphs = [bipartite_cycle(4), irregular]
+        results = konig_stack(np.stack([b.biadjacency() for b in graphs]))
+        assert results[0] == konig_decomposition(bipartite_cycle(4))
+        assert results[1] == "konig_decomposition requires a k-regular bipartite graph, k >= 1"
+
+    def test_a_graph_that_fails_a_round_drops_out_and_the_others_go_on(self, monkeypatch):
+        # graph 1 loses its second round's partner of left vertex 0; graphs 0 and 2 go on
+        graphs = [complete_bipartite(4), bipartite_cycle(8), complete_bipartite(4)]
+        alone = [konig_decomposition(bipartite_from_edges(4, 4, bipartite_edges(b)))
+                 for b in graphs]
+        rounds = []
+
+        def second_round_of_graph_1(found):
+            rounds.append(len(found))
+            if len(rounds) == 2:
+                found[1, 0] = -1
+            return found
+
+        faulty_hopcroft_karp(monkeypatch, second_round_of_graph_1)
+        decompose_together(graphs, np.stack([b.biadjacency() for b in graphs]))
+        with pytest.raises(MatchingError, match="internal error: left vertex 0 has no partner"):
+            konig_decomposition(graphs[1])
+        assert rounds == [3, 3, 2, 2]
+        assert "konig_classes" not in vars(graphs[1])
+        assert [konig_decomposition(graphs[i]) for i in (0, 2)] == [alone[0], alone[2]]
+        assert len(rounds) == 4  # kept: read without a further call
+        assert konig_decomposition(graphs[1]) == alone[1]  # run again, alone, past the fault
 
 
 class TestKonigRoundChecks:
-    """A faulty Kuhn round raises an internal MatchingError when it is made."""
-
-    @staticmethod
-    def _faulty(monkeypatch, fault):
-        kuhn = matching_module._kuhn
-        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: fault(kuhn(adj, n)))
+    """A faulty Hopcroft-Karp round raises an internal MatchingError when it is made."""
 
     @staticmethod
     def _fresh_cycle8() -> Bipartite:
-        """C8 as a new Bipartite with no decomposition kept, so the faulty search runs on it."""
-        b = bipartite_cycle(8)  # edges (i, i) and (i, i+1 mod 4); Kuhn's first class is i -> i
+        """C8 as a new Bipartite with no decomposition kept, so the faulty round runs on it."""
+        b = bipartite_cycle(8)  # edges (i, i) and (i, i+1 mod 4)
         assert "konig_classes" not in vars(b)
         return b
 
     @pytest.mark.parametrize(
         "fault",
         [
-            lambda m: [m[1]] + m[1:],  # right vertex m[1] covered twice
-            lambda m: m[::-1],  # a permutation, but (0, 3) is not an edge
-            lambda m: [-1] + m[1:],  # left vertex 0 unmatched
-            lambda m: m[:-1],  # left vertex n-1 missing
+            lambda m: np.concatenate([m[:, 1:2], m[:, 1:]], axis=1),  # right vertex m[1] twice
+            lambda m: m[:, ::-1],  # a permutation, but (0, 3) or (0, 2) is not an edge
+            lambda m: np.concatenate([[[-1]] * len(m), m[:, 1:]], axis=1),  # left 0 unmatched
+            lambda m: m[:, :-1],  # left vertex n-1 missing
         ],
         ids=["repeated-right", "non-edge", "unmatched", "short"],
     )
     def test_faulty_round_raises(self, monkeypatch, fault):
-        self._faulty(monkeypatch, fault)
+        faulty_hopcroft_karp(monkeypatch, fault)
         with pytest.raises(MatchingError, match="internal error"):
             konig_decomposition(self._fresh_cycle8())
 
     def test_edge_of_an_earlier_class_raises(self, monkeypatch):
         first = konig_decomposition(bipartite_cycle(8))[0]
-        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: list(first))
-        with pytest.raises(MatchingError, match="internal error"):
+        faulty_hopcroft_karp(monkeypatch, lambda m: np.array([first]))
+        with pytest.raises(MatchingError, match="internal error: matched pair .* is not an edge"):
+            konig_decomposition(self._fresh_cycle8())
+
+    def test_edges_left_over_after_the_last_round_raise(self, monkeypatch):
+        # a stand-in matching that passes its non-edges (0, 3) and (2, 1) off as edges: the
+        # two rounds remove only (1, 2) and (3, 0), and the edges left over are refused
+        monkeypatch.setattr(matching_module, "perfect_matchings",
+                            lambda h: (np.tile([3, 2, 1, 0], (len(h), 1)), [None] * len(h)))
+        with pytest.raises(MatchingError, match="internal error: leftover edges"):
             konig_decomposition(self._fresh_cycle8())
 
     def test_a_decomposition_that_raises_is_not_kept(self, monkeypatch):
-        calls = []
-        kuhn = matching_module._kuhn
-
-        def faulty(adj, n):
-            calls.append(n)
-            return [-1] + kuhn(adj, n)[1:]  # left vertex 0 unmatched
-
-        monkeypatch.setattr(matching_module, "_kuhn", faulty)
+        faulty_hopcroft_karp(monkeypatch, lambda m: np.concatenate([[[-1]], m[:, 1:]], axis=1))
+        calls = count_hopcroft_karp(monkeypatch)
         b = self._fresh_cycle8()
         for attempt in (1, 2):
             with pytest.raises(MatchingError, match="internal error"):
@@ -317,32 +472,21 @@ class TestMatchingThroughEdge:
         g = gen_hamming(2, 3)
         h = edge_witness(g, 0, 1, detect_amply_params(g)).h
         b = h.b
-        assert b.regular_degree() == 1
+        assert {len(row) for row in b.adj} == {1} and len(konig_decomposition(b)) == 1
         m = class_through(b, *h.z1_edge())
         assert set(enumerate(m)) == set(bipartite_edges(b))
 
     def test_non_edge_rejected(self):
         assert class_through(bipartite_cycle(6), 0, 2) is None
 
-    def test_two_decompositions_share_one_right_degree_count(self):
-        b = bipartite_cycle(6)
-        degrees = b.right_degrees
-        assert degrees == (2, 2, 2)
-        konig_decomposition(b)
-        class_through(b, 0, 0)
-        assert b.right_degrees is degrees
-
     def test_two_pinned_calls_share_one_decomposition(self, monkeypatch):
         # the two calls the witness pipeline makes on one H, for its walks and for its
-        # certificate: Kuhn's search runs beta - 1 = 2 times, once per class, not once per
+        # certificate: Hopcroft-Karp runs beta - 1 = 2 times, once per class, not once per
         # class per call, and both calls return the same object. The reference builds a
         # fresh H, not yet decomposed.
         g = gen_paley(13)  # (13, 6, 2, 3)
         h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
-        calls = []
-        kuhn = matching_module._kuhn
-        monkeypatch.setattr(matching_module, "_kuhn",
-                            lambda adj, n: calls.append(n) or kuhn(adj, n))
+        calls = count_hopcroft_karp(monkeypatch)
         classes = konig_decomposition(h.b)
         assert konig_decomposition(h.b) is classes
         assert all(type(m) is tuple for m in classes)
@@ -365,9 +509,11 @@ class TestDensePerfectMatching:
     def test_min_degree_counts_both_sides(self):
         # every left vertex has degree 2, but right vertex 2 has degree 0
         b = bipartite_from_edges(3, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
-        assert b.min_degree() == 0
-        assert complete_bipartite(3).min_degree() == 3
-        assert bipartite_from_edges(0, 0, []).min_degree() == 0
+        with pytest.raises(MatchingError, match="min degree 0 below n/2 = 3/2"):
+            dense_perfect_matching(b)
+        assert is_perfect(dense_perfect_matching(complete_bipartite(3)), complete_bipartite(3))
+        assert dense_perfect_matchings(np.stack([b.biadjacency(), b.biadjacency().T])) == [
+            "min degree 0 below n/2 = 3/2"] * 2
 
     def test_degree_precondition(self):
         b = bipartite_from_edges(4, 4, [(i, i) for i in range(4)])
@@ -377,21 +523,36 @@ class TestDensePerfectMatching:
     def test_empty_graph(self):
         assert dense_perfect_matching(bipartite_from_edges(0, 0, [])) == ()
 
+    def test_requires_equal_sides(self):
+        with pytest.raises(MatchingError, match="equal side sizes"):
+            dense_perfect_matching(bipartite_from_edges(2, 3, [(0, 0), (1, 1)]))
+
+    def test_a_stack_is_matched_in_one_call_past_its_sparse_graphs(self, monkeypatch):
+        sparse = bipartite_from_edges(4, 4, [(i, i) for i in range(4)])
+        graphs = [complete_bipartite(4), sparse, bipartite_cycle(8)]
+        calls = count_hopcroft_karp(monkeypatch)
+        results = dense_perfect_matchings(np.stack([b.biadjacency() for b in graphs]))
+        assert calls == [(2, 4, 4)]
+        assert results[1] == "min degree 1 below n/2 = 4/2"
+        assert [results[0], results[2]] == [dense_perfect_matching(graphs[0]),
+                                            dense_perfect_matching(graphs[2])]
+        assert is_perfect(results[0], graphs[0]) and is_perfect(results[2], graphs[2])
+
     @pytest.mark.parametrize(
         "fault",
         [
-            lambda m: [m[1]] + m[1:],  # right vertex m[1] covered twice
-            lambda m: [(w + 2) % 4 for w in m],  # a permutation, but (0, 2) is not an edge
-            lambda m: [-1] + m[1:],  # left vertex 0 unmatched
-            lambda m: m[:-1],  # left vertex n-1 missing
+            lambda m: np.concatenate([m[:, 1:2], m[:, 1:]], axis=1),  # right vertex m[1] twice
+            lambda m: (m + 2) % 4,  # a permutation, but (0, 2) is not an edge
+            lambda m: np.concatenate([[[-1]], m[:, 1:]], axis=1),  # left vertex 0 unmatched
+            lambda m: m[:, :-1],  # left vertex n-1 missing
         ],
         ids=["repeated-right", "non-edge", "unmatched", "short"],
     )
     def test_faulty_kuhn_result_raises(self, monkeypatch, fault):
-        # two 4-cycles: left {0, 1} ~ right {0, 1} and left {2, 3} ~ right {2, 3}
+        # two 4-cycles: left {0, 1} ~ right {0, 1} and left {2, 3} ~ right {2, 3}; each
+        # fault corrupts the Hopcroft-Karp result before its checks
         b = bipartite_from_edges(4, 4, [(u, w) for u in range(4) for w in range(4)
                                         if u // 2 == w // 2])
-        kuhn = matching_module._kuhn
-        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: fault(kuhn(adj, n)))
+        faulty_hopcroft_karp(monkeypatch, fault)
         with pytest.raises(MatchingError, match="internal error"):
             dense_perfect_matching(b)

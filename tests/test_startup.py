@@ -1,6 +1,6 @@
-"""The start-up path: which commands import scipy's assignment solver, when
-the CLI's parser is built, and that repeated `main` calls in one process
-answer as fresh processes do.
+"""The start-up path: which commands import scipy's assignment solver and its
+sparse matching, when the CLI's parser is built, and that repeated `main`
+calls in one process answer as fresh processes do.
 
 Each case runs in a fresh interpreter (``sys.executable -c`` or ``-m``),
 since the test process itself has long since imported scipy and built the
@@ -23,6 +23,7 @@ from arcurv import dump_edge_list, gen_complete, gen_paley
 from arcurv.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 
 SOLVER = "scipy.optimize"
+SPARSE, MATCHER = "scipy.sparse", "scipy.sparse.csgraph"
 SRC = str(Path(arcurv.__file__).resolve().parents[1])
 
 # Runs cli.main on argv, then prints its exit code, stdout, stderr and
@@ -72,6 +73,33 @@ def k5_file(tmp_path_factory):
 def test_import_leaves_the_solver_out():
     done = _fresh(f"import sys, arcurv.cli; print({SOLVER!r} in sys.modules)")
     assert done.stdout == "False\n"
+
+
+def test_import_leaves_scipy_sparse_out():
+    done = _fresh(f"import sys, arcurv.cli; print({SPARSE!r} in sys.modules)")
+    assert done.stdout == "False\n"
+
+
+# Runs cli.main on argv with stdout discarded, then prints its exit code and
+# whether scipy's sparse matching was imported.
+_MATCHER = """
+import contextlib, io, sys
+from arcurv.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, %r in sys.modules)
+""" % MATCHER
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (["curvature", "{file}", "--all"], False),  # assignments, but no matching
+    (["curvature", "{file}", "--all", "--p", "1/2"], False),
+    (["search", "10", "3", "0", "1"], False),
+    (["verify", "{file}"], True),  # the witness's Konig rounds match
+])
+def test_only_a_matching_imports_the_sparse_matcher(paley13_file, argv, imported):
+    argv = [a.format(file=paley13_file) for a in argv]
+    assert _fresh(_MATCHER, *argv).stdout == f"{EXIT_OK} {imported}\n"
 
 
 # Counts the argparse parsers built by importing arcurv.cli, then by a first

@@ -98,6 +98,17 @@ def _pi0_plan(cert, d):
     return [(pair, Fraction(1, d + 1)) for pair in cert.pi0]
 
 
+def _fresh_chunks(g, params) -> int:
+    """The chunks of ``g``'s edges, ``WITNESS_CHUNK`` at a time, that hold an H of no earlier edge."""
+    seen, chunks = set(), set()
+    for i, (x, y) in enumerate(g.edges()):
+        adj = build_transport_bipartite(g, x, y, params).b.adj
+        if adj not in seen:
+            seen.add(adj)
+            chunks.add(i // WITNESS_CHUNK)
+    return len(chunks)
+
+
 def _count_calls(monkeypatch, targets):
     """Wrap ``owner.<name>`` for each (owner, name); the returned dict counts the calls."""
     counts = {name: 0 for _, name in targets}
@@ -276,7 +287,9 @@ class TestRegularity:
         g = gen_cocktail(3)
         w = edge_witness(g, 0, 2, detect_amply_params(g))
         assert w.irregular is None and w.h.beta - 1 == 3
-        assert {len(row) for row in w.h.b.adj} == set(w.h.b.right_degrees) == {3}
+        b = w.h.b
+        right = [sum(r in row for row in b.adj) for r in range(b.right_n)]
+        assert {len(row) for row in b.adj} == set(right) == {3}
 
     def test_corrupted_graph_flagged(self, monkeypatch):
         g = gen_cocktail(3)
@@ -553,20 +566,21 @@ class TestCertificateOnBuiltH:
         g = make()
         params = detect_amply_params(g)
         m = g.num_edges()
-        distinct = len({build_transport_bipartite(g, x, y, params).b.adj for x, y in g.edges()})
+        fresh = _fresh_chunks(g, params)
         names = ["edge_partition", "_transport_h", "_walk", "_certify", "konig_decomposition",
                  "lly_curvature"]
         counts = _count_calls(monkeypatch, [(witness_module, n) for n in names]
-                              + [(matching_module, "_kuhn")])
+                              + [(matching_module, "perfect_matchings")])
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
         chunks = -(-m // WITNESS_CHUNK)
         # each chunk splits the neighbourhoods, builds its H's, walks and certifies once; each
         # edge reads its classes twice, for its walks and its certificate, and its curvature
-        # once; Kuhn runs beta - 1 rounds per distinct H
+        # once; each chunk with fresh H's decomposes them in beta - 1 matching calls
         assert counts == {
             "edge_partition": chunks, "_transport_h": chunks, "_walk": chunks, "_certify": chunks,
-            "konig_decomposition": 2 * m, "lly_curvature": m, "_kuhn": (params.beta - 1) * distinct,
+            "konig_decomposition": 2 * m, "lly_curvature": m,
+            "perfect_matchings": (params.beta - 1) * fresh,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
@@ -575,27 +589,29 @@ class TestCertificateOnBuiltH:
         counts = _count_calls(
             monkeypatch,
             [(cli_module, "detect_amply_params")] + [(witness_module, n) for n in names]
-            + [(matching_module, "_kuhn")],
+            + [(matching_module, "perfect_matchings")],
         )
         _hgraph_payload(g, *g.edges()[0])
         # paley13 has beta = 3: two Konig rounds, read twice
         assert counts == {
             "detect_amply_params": 1, "edge_partition": 1, "_transport_h": 1, "_walk": 1,
-            "konig_decomposition": 2, "_kuhn": 2,
+            "konig_decomposition": 2, "perfect_matchings": 2,
         }
 
     def test_equal_hs_share_one_decomposition_on_relabelled_cocktail8(self, monkeypatch):
-        # cocktail(8) is (16,14,12,14): beta - 1 = 13 Kuhn rounds per distinct H
+        # cocktail(8) is (16,14,12,14): beta - 1 = 13 rounds per chunk with fresh H's, each
+        # one matching call on all of that chunk's fresh H's
         g = relabelled(gen_cocktail(8), 3)
         params = detect_amply_params(g)
         m = g.num_edges()
         distinct = len({build_transport_bipartite(g, x, y, params).b.adj for x, y in g.edges()})
         assert 1 < distinct < m
         counts = _count_calls(monkeypatch, [(witness_module, "konig_decomposition"),
-                                            (matching_module, "_kuhn")])
+                                            (matching_module, "perfect_matchings")])
         batches = list(witness_batches(g, g.edges(), params))
         assert len({id(b) for batch in batches for b in batch.bipartites}) == distinct
-        assert counts == {"konig_decomposition": 2 * m, "_kuhn": 13 * distinct}
+        assert counts == {"konig_decomposition": 2 * m,
+                          "perfect_matchings": 13 * _fresh_chunks(g, params)}
 
 
 
@@ -612,8 +628,15 @@ def _understate_curvature(monkeypatch):
 
 
 def _leave_left_zero_unmatched(monkeypatch):
-    kuhn = matching_module._kuhn
-    monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [-1] + kuhn(adj, n)[1:])
+    """Every Hopcroft-Karp call leaves left vertex 0 of each graph of its stack unmatched."""
+    original = matching_module._hopcroft_karp
+
+    def unmatched(h):
+        found = original(h).reshape(h.shape[:2])
+        found[:, 0] = -1
+        return found.ravel()
+
+    monkeypatch.setattr(matching_module, "_hopcroft_karp", unmatched)
 
 
 class TestBatchMatchesReference:
@@ -727,16 +750,11 @@ class TestVerifyCountsFailedWitnessSteps:
 
     def test_a_matching_fault_in_the_witness_is_a_failed_step(self, monkeypatch, tmp_path,
                                                               capsys):
-        # Kuhn's search leaves left vertex 0 unmatched, so every Konig
+        # the Hopcroft-Karp call leaves left vertex 0 unmatched, so every Konig
         # decomposition raises MatchingError: H is regular but has no classes
-        kuhn = matching_module._kuhn
-
-        def unmatched_first(adj, right_n):
-            return [-1] + kuhn(adj, right_n)[1:]
-
-        monkeypatch.setattr(matching_module, "_kuhn", unmatched_first)
+        _leave_left_zero_unmatched(monkeypatch)
         g = gen_paley(13)
-        fault = "internal error: Kuhn's search found no perfect matching"
+        fault = "internal error: left vertex 0 has no partner"
         w = edge_witness(g, 0, 1, detect_amply_params(g))
         assert w.irregular is None and w.classes == () and w.class_records == ()
         assert w.walk_error == w.certify_error == fault and w.certificate is None
@@ -751,23 +769,21 @@ class TestVerifyCountsFailedWitnessSteps:
 
     def test_a_matching_fault_on_a_shared_h_fails_every_edge_that_reads_it(self, monkeypatch):
         # a decomposition that raises is not kept, so each read of a shared H searches again
-        # and raises again: every edge keeps the fault, on both of its reads
+        # and raises again: every edge keeps the fault, on both of its reads. Each chunk's
+        # first read runs its fresh H's together, and every later read runs one H alone.
         g = relabelled(gen_cocktail(8), 3)
-        kuhn = matching_module._kuhn
-        monkeypatch.setattr(matching_module, "_kuhn", lambda adj, n: [-1] + kuhn(adj, n)[1:])
-        counts = _count_calls(monkeypatch, [(matching_module, "_kuhn")])
+        _leave_left_zero_unmatched(monkeypatch)
+        counts = _count_calls(monkeypatch, [(matching_module, "perfect_matchings")])
         m = g.num_edges()
         assert _witness_summary(g, detect_amply_params(g)) == WitnessSummary(
             m, m, 0, 0, 0, 0, 0, passed=False)
-        assert counts == {"_kuhn": 2 * m}
+        assert counts == {"perfect_matchings": 2 * m}
 
     def test_a_matching_fault_in_the_dense_stage_is_an_uncertified_edge(self, monkeypatch,
                                                                         tmp_path, capsys):
-        # K_{3,3} is (6,3,0,3): dense regime (2*3 - 0 >= 4), no witness stage
-        def no_matching(b):
-            raise matching_module.MatchingError("internal error: a matched pair is not an edge")
-
-        monkeypatch.setattr(witness_module, "dense_perfect_matching", no_matching)
+        # K_{3,3} is (6,3,0,3): dense regime (2*3 - 0 >= 4), no witness stage; the
+        # Hopcroft-Karp call leaves left vertex 0 of every host graph unmatched
+        _leave_left_zero_unmatched(monkeypatch)
         g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         report = verify_graph(g, graph_id="g")
         assert report.witness is None
@@ -781,18 +797,29 @@ class TestVerifyCountsFailedWitnessSteps:
 
 
 def _recording_dense(monkeypatch, fail_on=None):
-    """Wrap the dense certificate's `dense_perfect_matching`; returns the list of the
-    bipartite graphs it is called on. Call ``fail_on`` (0-based) raises instead."""
+    """Wrap the dense certificate's `dense_perfect_matchings`; returns the list of the
+    bipartite graphs of every stack it is called on. Graph ``fail_on`` (0-based) loses its
+    left vertex 0's partner in the Hopcroft-Karp call; every graph of its stack must be
+    dense, so that the call's stack is the whole stack."""
     seen = []
-    original = witness_module.dense_perfect_matching
+    original = witness_module.dense_perfect_matchings
+    hopcroft_karp = matching_module._hopcroft_karp
 
-    def recording(b):
-        seen.append(b)
-        if len(seen) - 1 == fail_on:
-            raise matching_module.MatchingError("internal error: a matched pair is not an edge")
-        return original(b)
+    def recording(h):
+        first = len(seen)
+        seen.extend(witness_module._bipartites(h))
+        with monkeypatch.context() as patch:
+            if fail_on is not None and first <= fail_on < len(seen):
+                def unmatched(stack):
+                    assert len(stack) == len(h)
+                    found = hopcroft_karp(stack).reshape(stack.shape[:2])
+                    found[fail_on - first, 0] = -1
+                    return found.ravel()
 
-    monkeypatch.setattr(witness_module, "dense_perfect_matching", recording)
+                patch.setattr(matching_module, "_hopcroft_karp", unmatched)
+            return original(h)
+
+    monkeypatch.setattr(witness_module, "dense_perfect_matchings", recording)
     return seen
 
 
@@ -851,7 +878,7 @@ class TestDenseMatchCertificate:
         assert f"dense-matching certificate: kappa = 1 on {m - 1} edges  [FAIL]" in out
         seen = _recording_dense(monkeypatch, fail_on=4)
         results = _dense_table(g)
-        assert results[4] == "internal error: a matched pair is not an edge"
+        assert results[4] == "internal error: left vertex 0 has no partner"
         assert all(is_perfect(r, b) for i, (r, b) in enumerate(zip(results, seen)) if i != 4)
 
     def test_verify_certifies_on_the_table_kappa_without_probes(self, monkeypatch):
@@ -903,6 +930,19 @@ class TestDenseMatchCertificate:
         assert sizes == [WITNESS_CHUNK, g.num_edges() - WITNESS_CHUNK]
         assert len(results) == g.num_edges() and not any(isinstance(r, str) for r in results)
 
+    def test_one_matching_call_per_chunk(self, monkeypatch):
+        # cocktail(8)'s 112 edges: every host graph of a chunk is matched in one call
+        g = gen_cocktail(8)
+        counts = _count_calls(monkeypatch, [(witness_module, "dense_perfect_matchings")])
+        calls, hopcroft_karp = [], matching_module._hopcroft_karp
+        monkeypatch.setattr(matching_module, "_hopcroft_karp",
+                            lambda h: calls.append(h.shape) or hopcroft_karp(h))
+        results = _dense_table(g)
+        p = 14 - 1 - 12
+        assert counts == {"dense_perfect_matchings": 2}
+        assert calls == [(WITNESS_CHUNK, p, p), (g.num_edges() - WITNESS_CHUNK, p, p)]
+        assert not any(isinstance(r, str) for r in results)
+
     def test_min_degree_meets_dense_condition(self, monkeypatch):
         # each host block is the reference's N_x-N_y graph; cocktail(8)'s 112 edges
         # span two chunks
@@ -913,7 +953,8 @@ class TestDenseMatchCertificate:
             p = params.d - 1 - params.alpha
             assert len(seen) == len(results) == g.num_edges()
             for (x, y), b, matching in zip(g.edges(), seen, results):
-                assert b.left_n == b.right_n == p and 2 * b.min_degree() >= p
+                right = [sum(w in row for row in b.adj) for w in range(b.right_n)]
+                assert b.left_n == b.right_n == p and 2 * min(*map(len, b.adj), *right) >= p
                 assert b.adj == reference_witness.dense_bipartite(g, x, y).adj
                 assert is_perfect(matching, b)
 
@@ -932,7 +973,6 @@ class TestBipartitesFromOneScan:
     @pytest.mark.parametrize("run, make", [
         (lambda g: list(witness_batches(g, g.edges(), detect_amply_params(g))),
          lambda: gen_paley(29)),
-        (_dense_table, lambda: gen_cocktail(8)),
     ])
     def test_one_call_per_chunk(self, monkeypatch, run, make):
         calls, build = [], witness_module._bipartites
