@@ -215,8 +215,8 @@ def _hgraph_payload(g: Graph, x: int, y: int) -> dict:
     h, cert = record.h, record.certificate
     return {
         "edge": [x, y],
-        "left": [h.left_name(i) for i in range(h.b.left_n)],
-        "right": [h.right_name(i) for i in range(h.b.left_n)],
+        "left": [h.left_name(i) for i in range(len(h.b.biadjacency))],
+        "right": [h.right_name(i) for i in range(len(h.b.biadjacency))],
         "regular": record.irregular is None,
         "degree": h.beta - 1,
         "edge_classes": {

@@ -3,13 +3,14 @@
 Every matching comes from `perfect_matchings`, which matches a whole stack of
 biadjacencies in one Hopcroft-Karp call (Hopcroft & Karp, SIAM J. Comput. 2,
 1973) on their block-diagonal graph, and checks each graph's result on its own.
+A `Bipartite` is one graph's boolean biadjacency and the Konig classes that
+`konig_stack`, the decomposition of a whole stack, made for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -18,49 +19,22 @@ class MatchingError(ValueError):
     """Unmet matching precondition or an internal consistency failure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bipartite:
-    """Bipartite graph; edges stored as per-left-vertex sorted right-neighbor tuples."""
+    """Bipartite graph as its (left_n, right_n) boolean biadjacency, with its Konig classes.
 
-    left_n: int
-    right_n: int
-    adj: tuple[tuple[int, ...], ...]
+    ``konig`` holds the graph's Konig classes, each a tuple of right partners
+    indexed by left vertex, or the message of the decomposition's failure, or
+    None for a graph not yet decomposed. `witness_batches` fills it from one
+    `konig_stack` call per chunk of H's.
+    """
+
+    biadjacency: np.ndarray
+    konig: Union[tuple[tuple[int, ...], ...], str, None] = None
 
     def __post_init__(self):
-        if len(self.adj) != self.left_n:
-            raise MatchingError("adjacency size does not match left side")
-        for u, nbrs in enumerate(self.adj):
-            if len(set(nbrs)) != len(nbrs):
-                raise MatchingError(f"duplicate edges at left vertex {u}")
-            for w in nbrs:
-                if not 0 <= w < self.right_n:
-                    raise MatchingError(f"right index {w} out of range at left {u}")
-
-    def biadjacency(self) -> np.ndarray:
-        """The (left_n, right_n) boolean biadjacency."""
-        h = np.zeros((self.left_n, self.right_n), dtype=bool)
-        h[[u for u, row in enumerate(self.adj) for _ in row], [w for row in self.adj for w in row]] = True
-        return h
-
-    @cached_property
-    def konig_classes(self) -> tuple[tuple[int, ...], ...]:
-        """The k perfect matchings that partition a k-regular graph's edges, made once and kept.
-
-        Each class is a tuple of right partners, indexed by left vertex. The
-        first read runs `konig_stack` on every graph that `decompose_together`
-        registered with this one, and keeps each graph's classes; a graph
-        registered with none decomposes as a stack of one. A graph whose run
-        fails keeps nothing, so its next read runs again, alone.
-        """
-        group, h = vars(self).pop("_group", None) or ((self,), self.biadjacency()[None])
-        results = konig_stack(h)
-        for b, classes in zip(group, results):
-            vars(b).pop("_group", None)
-            if not isinstance(classes, str):
-                vars(b)["konig_classes"] = classes
-        if isinstance(mine := results[[b is self for b in group].index(True)], str):
-            raise MatchingError(mine)
-        return mine
+        if not (isinstance(h := self.biadjacency, np.ndarray) and h.dtype == bool and h.ndim == 2):
+            raise MatchingError("biadjacency must be a 2-D boolean ndarray")
 
 
 def _hopcroft_karp(h: np.ndarray) -> np.ndarray:
@@ -150,25 +124,20 @@ def konig_stack(h: np.ndarray) -> list[Union[tuple[tuple[int, ...], ...], str]]:
                   else tuple(map(tuple, found[i, :degree[i]].tolist()))) for i, e in results.items()]
 
 
-def decompose_together(group: Sequence[Bipartite], h: np.ndarray) -> None:
-    """Defer the decomposition of ``group`` to one `konig_stack` run on ``h``, their biadjacencies.
-
-    ``h[i]`` is ``group[i]``'s biadjacency. The run happens at the first
-    `konig_decomposition` read of any graph of the group.
-    """
-    for b in group:
-        vars(b)["_group"] = (tuple(group), h)
-
-
 def konig_decomposition(b: Bipartite) -> tuple[tuple[int, ...], ...]:
     """Partition a k-regular bipartite graph's edges into k perfect matchings.
 
-    Returns ``b.konig_classes``: the decomposition runs, with every round
-    checked, at the first read of ``b`` or of a graph registered with it
-    (`decompose_together`), and is kept on ``b``, so later calls on the same
-    object read the same classes. The classes are immutable.
+    Returns ``b.konig``, the classes `witness_batches` made for ``b`` with
+    every round checked, and raises its message if that run failed; a run's
+    failure is kept and raised again, for the graphs of a stack share no
+    vertex and a run alone would fail the same way. A standalone ``b``
+    (``konig`` None) is decomposed as a stack of one, at every call. The
+    classes are immutable.
     """
-    return b.konig_classes
+    result = konig_stack(b.biadjacency[None])[0] if b.konig is None else b.konig
+    if isinstance(result, str):
+        raise MatchingError(result)
+    return result
 
 
 def dense_perfect_matchings(h: np.ndarray) -> list[Union[tuple[int, ...], str]]:
@@ -189,7 +158,7 @@ def dense_perfect_matchings(h: np.ndarray) -> list[Union[tuple[int, ...], str]]:
 
 def dense_perfect_matching(b: Bipartite) -> tuple[int, ...]:
     """`dense_perfect_matchings` on ``b`` alone; raises MatchingError for a failed check."""
-    [result] = dense_perfect_matchings(b.biadjacency()[None])
+    [result] = dense_perfect_matchings(b.biadjacency[None])
     if isinstance(result, str):
         raise MatchingError(result)
     return result

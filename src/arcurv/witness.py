@@ -5,11 +5,12 @@ For an edge xy of an amply regular graph with beta > alpha >= 1, an auxiliary
 perfect matchings induce bijections N_x -> N_y whose chains bound the graph
 distance, which yields an explicit cheap transport plan and hence a curvature
 lower bound of 3/d. `witness_batches` runs every step of that construction
-on many edges at once, over whole arrays of distances (`Graph.distances`);
-`edge_witness` runs it on one edge. A separate dense-matching certificate,
-also one chunk of edges at a time, pins the curvature to (2+alpha)/d when
-2*beta - alpha >= d + 1. Both read each edge's N_x, Delta and N_y from
-`graph.edge_partition`.
+on many edges at once, over whole arrays of distances (`Graph.distances`):
+each H is a boolean biadjacency, and one `konig_stack` call per chunk
+decomposes the H's not seen before. `edge_witness` runs it on one edge. A
+separate dense-matching certificate, also one chunk of edges at a time,
+pins the curvature to (2+alpha)/d when 2*beta - alpha >= d + 1. Both read
+each edge's N_x, Delta and N_y from `graph.edge_partition`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .curvature import lly_curvature
 from .graph import AmplyParams, Graph, edge_partition
-from .matching import Bipartite, MatchingError, decompose_together, dense_perfect_matchings, konig_decomposition
+from .matching import Bipartite, MatchingError, dense_perfect_matchings, konig_decomposition, konig_stack
 
 # edge class indices (1-based, matching the construction below)
 CLASS_NAMES = {
@@ -65,8 +66,8 @@ class TransportBipartite:
     z_1..z_alpha (resp. their primed copies) in sorted host order, and
     [p+alpha, p+alpha+delta-1) are synthetic copies of x (resp. x'), where
     delta = beta - alpha. Right index i of a z/x-copy is the primed twin of
-    left index i. ``b`` holds H's edges as the sorted rows that Konig reads;
-    edges whose H's are equal share one ``b``.
+    left index i. ``b`` holds H's biadjacency and its Konig classes; edges
+    whose H's are equal share one ``b``.
     """
 
     x: int
@@ -80,15 +81,16 @@ class TransportBipartite:
 
     @property
     def edge_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """E1..E8 of H, read off ``b`` by the index range of each end.
+        """E1..E8 of H, read off ``b``'s biadjacency by the index range of each end.
 
         Each class is in (left, right) order, except E7 (Delta to x'-copy),
         which is in copy-major order: by x'-copy, then by z.
         """
-        p, a, s = len(self.nx), len(self.delta), self.b.left_n
+        h = self.b.biadjacency
+        p, a, s = len(self.nx), len(self.delta), len(h)
 
         def block(lo: int, hi: int, r_lo: int, r_hi: int) -> tuple[tuple[int, int], ...]:
-            return tuple((l, r) for l in range(lo, hi) for r in self.b.adj[l] if r_lo <= r < r_hi)
+            return tuple(map(tuple, (np.argwhere(h[lo:hi, r_lo:r_hi]) + (lo, r_lo)).tolist()))
 
         delta_pairs = block(p, p + a, p, p + a)
         return (
@@ -191,9 +193,9 @@ class WitnessBatch:
     """Every witness step of a chunk of edges, each run once, over whole arrays.
 
     ``nx``, ``delta`` and ``ny`` are (m, p), (m, alpha) and (m, p) arrays,
-    each row in sorted host order. ``bipartites`` holds each edge's H; edges
-    whose H's are equal share one object, and so one Konig decomposition,
-    which runs in one batched run with the chunk's other fresh H's.
+    each row in sorted host order. ``bipartites`` holds each edge's H with
+    its Konig classes; edges whose H's are equal share one object, and so
+    one decomposition, made by the chunk's one `konig_stack` call.
     ``z1`` is the index of each certified edge's z_1 z_1' class and ``cost``
     the integer total distance of its plan pi0; ``kappa`` is the exact
     curvature each certified edge was checked against. `edge` gives one
@@ -290,19 +292,6 @@ def _transport_h(host: np.ndarray, p: int, copies: int) -> np.ndarray:
     h[:, p:t, t:] = True
     h[:, t:, p:] = True
     return h
-
-
-def _bipartites(h: np.ndarray) -> list[Bipartite]:
-    """Each (s, t) biadjacency of the stack ``h`` as a `Bipartite` with sorted rows.
-
-    One ``np.nonzero`` and one running sum of row degrees over the whole
-    stack; each edge's rows are then slices of the one column list.
-    """
-    m, s, t = h.shape
-    cols = np.nonzero(h)[2].tolist()
-    ends = np.cumsum(h.sum(axis=2)).tolist()
-    rows = [tuple(cols[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-    return [Bipartite(s, t, tuple(rows[i * s:(i + 1) * s])) for i in range(m)]
 
 
 def _walk(g: Graph, nx: np.ndarray, ny: np.ndarray, perms: np.ndarray, counts: np.ndarray,
@@ -450,10 +439,10 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
 
     keys = [hi.tobytes() for hi in h]
     fresh = {key: i for i, key in enumerate(keys) if key not in shared}  # this chunk's new H's
-    shared.update(zip(fresh, _bipartites(h[list(fresh.values())])))
+    if fresh:
+        stack = h[list(fresh.values())]
+        shared.update(zip(fresh, map(Bipartite, stack, konig_stack(stack))))
     bipartites = [shared[key] for key in keys]
-    regular = [i for i in fresh.values() if irregular[i] is None]
-    decompose_together([bipartites[i] for i in regular], h[regular])
 
     unmet = [None if r is None else f"auxiliary graph is not (beta-1)-regular: {r}"
              for r in irregular]
@@ -489,13 +478,14 @@ def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
     (`edge_partition`, through the size check of `_neighbourhoods`), and
     builds every H (`_transport_h`) from one block of distances between
     N_x + Delta and N_y + Delta. Equal H's of one call share one
-    `Bipartite`. The chunk's fresh, regular H's are decomposed together
-    (`decompose_together`): beta - 1 rounds of one batched matching call
-    each, for the whole chunk, at its first `konig_decomposition` read.
-    Each edge still reads its classes through `konig_decomposition` twice,
-    for its walks and its certificate. An H that is not (beta-1)-regular is
-    not decomposed, and the regularity message is kept as the walk's; a
-    decomposition that raises leaves H with no classes. Every class is
+    `Bipartite`. The H's new to the call are decomposed by one `konig_stack`
+    call per chunk, one batched matching call per round (beta - 1 rounds on
+    regular H's), and each `Bipartite` keeps its classes or its failure
+    message.
+    Each edge reads its classes through `konig_decomposition` twice, for its
+    walks and its certificate. An H that is not (beta-1)-regular keeps the
+    regularity message as the walk's, and its classes are not read; a
+    decomposition that failed leaves H with no classes. Every class is
     walked (`_walk`), and the certificate (`_certify`) reads the walk. A
     failed step keeps its message.
     """

@@ -14,6 +14,7 @@ from itertools import permutations
 from math import sqrt
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from arcurv import Bipartite, Graph
@@ -72,24 +73,24 @@ def plan_cost(g: Graph, plan) -> Fraction:
 def bipartite_from_edges(left_n: int, right_n: int, edges) -> Bipartite:
     """The ``Bipartite`` on ``left_n`` + ``right_n`` vertices with the (left, right) pairs ``edges``.
 
-    Repeated pairs count once; each left row is sorted.
+    Repeated pairs count once.
     """
-    rows: list[set[int]] = [set() for _ in range(left_n)]
+    h = np.zeros((left_n, right_n), dtype=bool)
     for u, w in edges:
-        rows[u].add(w)
-    return Bipartite(left_n, right_n, tuple(tuple(sorted(r)) for r in rows))
+        h[u, w] = True
+    return Bipartite(h)
 
 
 def bipartite_edges(b: Bipartite) -> list[tuple[int, int]]:
     """The (left, right) edges of ``b``, left-major in row order."""
-    return [(u, w) for u in range(b.left_n) for w in b.adj[u]]
+    return list(zip(*(side.tolist() for side in np.nonzero(b.biadjacency))))
 
 
 def is_perfect(m, b) -> bool:
     """Right partners ``m``, by left vertex, cover both sides of ``b`` once, by edges of ``b``."""
-    n = b.left_n
-    return (b.right_n == n and sorted(m) == list(range(n))
-            and all(w in b.adj[u] for u, w in enumerate(m)))
+    n, right_n = b.biadjacency.shape
+    return (right_n == n and sorted(m) == list(range(n))
+            and all(b.biadjacency[u, w] for u, w in enumerate(m)))
 
 
 def srg_eigenvalues(n: int, d: int, alpha: int, beta: int) -> tuple[float, float, float]:

@@ -1,6 +1,6 @@
 """The per-edge witness pipeline, kept as a reference for the batched pass.
 
-One edge at a time, in plain Python: build H from the sorted adjacency rows
+One edge at a time, in plain Python: build H from the adjacency rows
 of N_x and Delta, check it (beta-1)-regular, decompose it by Konig, walk
 Lemma 3.3's chains through every class, and certify the 3/d lower bound from
 those walks. ``reference_edge_witness`` returns the same ``EdgeWitness``
@@ -11,9 +11,10 @@ every edge.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from arcurv.curvature import lly_curvature
 from arcurv.graph import AmplyParams, Graph, GraphError
@@ -45,8 +46,8 @@ def edge_partition(g: Graph, x: int, y: int) -> tuple[tuple[int, ...], ...]:
 def dense_bipartite(g: Graph, x: int, y: int) -> Bipartite:
     """The host edges between N_x and N_y of edge xy, by is_edge probes, indexed in sorted order."""
     nx, _, ny = edge_partition(g, x, y)
-    return Bipartite(len(nx), len(ny), tuple(tuple(j for j, w in enumerate(ny) if g.is_edge(v, w))
-                                             for v in nx))
+    h = np.array([[g.is_edge(v, w) for w in ny] for v in nx], dtype=bool)
+    return Bipartite(h.reshape(len(nx), len(ny)))
 
 
 def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> TransportBipartite:
@@ -73,11 +74,14 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
     col_index = {w: j for j, w in enumerate(ny + delta)}
     adj = g.adjacency
     s = p + a + copies
-    rows = [tuple(sorted(col_index[w] for w in adj[v] if w in col_index)) for v in nx]
+    rows = [[col_index[w] for w in adj[v] if w in col_index] for v in nx]
     for i, z in enumerate(delta):
         host = [col_index[w] for w in adj[z] if w in col_index]
-        rows.append(tuple(sorted(host + [p + i])) + tuple(range(p + a, s)))
-    rows += [tuple(range(p, s))] * copies
+        rows.append(host + [p + i] + list(range(p + a, s)))
+    rows += [list(range(p, s))] * copies
+    biadjacency = np.zeros((s, s), dtype=bool)
+    for u, row in enumerate(rows):
+        biadjacency[u, row] = True
     return TransportBipartite(
         x=x,
         y=y,
@@ -86,21 +90,21 @@ def build_transport_bipartite(g: Graph, x: int, y: int, params: AmplyParams) -> 
         nx=nx,
         ny=ny,
         delta=delta,
-        b=Bipartite(s, s, tuple(rows)),
+        b=Bipartite(biadjacency),
     )
 
 
 def check_h_regular(h: TransportBipartite) -> Optional[str]:
     """None if every auxiliary vertex has degree exactly beta - 1, else the first offender.
 
-    Left degrees are the lengths of ``h.b``'s rows, and right degrees are
-    counted over those rows.
+    Left degrees are the row sums of ``h.b``'s biadjacency, and right
+    degrees its column sums.
     """
-    adj, k = h.b.adj, h.beta - 1
-    right = Counter(w for row in adj for w in row)
-    for i in range(h.b.left_n):
-        if len(adj[i]) != k:
-            return f"left {h.left_name(i)} has degree {len(adj[i])}"
+    biadjacency, k = h.b.biadjacency, h.beta - 1
+    left, right = biadjacency.sum(axis=1).tolist(), biadjacency.sum(axis=0).tolist()
+    for i in range(len(biadjacency)):
+        if left[i] != k:
+            return f"left {h.left_name(i)} has degree {left[i]}"
         if right[i] != k:
             return f"right {h.right_name(i)} has degree {right[i]}"
     return None
@@ -117,7 +121,7 @@ def verify_lemma_3_3(g: Graph, h: TransportBipartite, m: tuple[int, ...]) -> lis
     no chain revisits a vertex, and the induced map N_x -> N_y is a
     bijection. Each chain's endpoints must be connected.
     """
-    if sorted(m) != list(range(h.b.left_n)):
+    if sorted(m) != list(range(len(h.b.biadjacency))):
         raise WitnessError("chain walk requires a perfect matching")
     p = len(h.nx)
     first_copy = p + len(h.delta)

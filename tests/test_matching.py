@@ -17,12 +17,10 @@ from arcurv import (
     gen_paley,
     konig_decomposition,
 )
-from arcurv.matching import (decompose_together, dense_perfect_matchings, konig_stack,
-                             perfect_matchings)
+from arcurv.matching import dense_perfect_matchings, konig_stack, perfect_matchings
 from arcurv.witness import edge_witness, witness_batches
 
 from conftest import bipartite_edges, bipartite_from_edges, is_perfect
-from reference_witness import build_transport_bipartite
 
 
 def complete_bipartite(n: int) -> Bipartite:
@@ -31,7 +29,7 @@ def complete_bipartite(n: int) -> Bipartite:
 
 def hopcroft_karp_pairs(b: Bipartite) -> dict[int, int]:
     """The matched pairs of the Hopcroft-Karp call on ``b`` alone, left -> right."""
-    found = matching_module._hopcroft_karp(b.biadjacency()[None])
+    found = matching_module._hopcroft_karp(b.biadjacency[None])
     return {u: int(w) for u, w in enumerate(found) if w >= 0}
 
 
@@ -66,6 +64,14 @@ def bipartite_cycle(length: int) -> Bipartite:
     return bipartite_from_edges(n, n, [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)])
 
 
+class TestBipartite:
+    @pytest.mark.parametrize("biadjacency", [np.ones(3, dtype=bool), np.ones((2, 2), dtype=int),
+                                             [[True]]], ids=["1-d", "int", "list"])
+    def test_refuses_all_but_a_2d_boolean_array(self, biadjacency):
+        with pytest.raises(MatchingError, match="biadjacency must be a 2-D boolean ndarray"):
+            Bipartite(biadjacency)
+
+
 class TestMaxMatching:
     """The Hopcroft-Karp call finds a maximum matching."""
 
@@ -83,7 +89,7 @@ class TestMaxMatching:
         g = gen_cocktail(3)
         params = detect_amply_params(g)
         b = edge_witness(g, 0, 2, params).h.b
-        partners, errors = perfect_matchings(b.biadjacency()[None])
+        partners, errors = perfect_matchings(b.biadjacency[None])
         assert errors == [None]
         assert is_perfect(tuple(partners[0].tolist()), b)
 
@@ -100,7 +106,7 @@ class TestMaxMatching:
             b = bipartite_from_edges(ln, rn, edges)
             pairs = hopcroft_karp_pairs(b)
             assert len(set(pairs.values())) == len(pairs)
-            assert all(w in b.adj[u] for u, w in pairs.items())
+            assert all(b.biadjacency[u, w] for u, w in pairs.items())
             # checked against networkx's independent implementation
             h = nx.Graph()
             h.add_nodes_from(("L", u) for u in range(ln))
@@ -125,7 +131,7 @@ class TestPerfectMatchings:
 
     def test_one_call_per_stack(self, monkeypatch):
         calls = count_hopcroft_karp(monkeypatch)
-        stack = np.stack([complete_bipartite(4).biadjacency(), bipartite_cycle(8).biadjacency()])
+        stack = np.stack([complete_bipartite(4).biadjacency, bipartite_cycle(8).biadjacency])
         partners, errors = perfect_matchings(stack)
         assert calls == [(2, 4, 4)] and errors == [None, None]
         assert is_perfect(tuple(partners[1].tolist()), bipartite_cycle(8))
@@ -134,8 +140,8 @@ class TestPerfectMatchings:
         # graph 1's left vertices 0 and 1 share their one neighbour 0
         lonely = bipartite_from_edges(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
         graphs = [bipartite_cycle(6), lonely, complete_bipartite(3)]
-        alone = [perfect_matchings(b.biadjacency()[None]) for b in graphs]
-        partners, errors = perfect_matchings(np.stack([b.biadjacency() for b in graphs]))
+        alone = [perfect_matchings(b.biadjacency[None]) for b in graphs]
+        partners, errors = perfect_matchings(np.stack([b.biadjacency for b in graphs]))
         assert errors[1] == "internal error: left vertex 1 has no partner"
         for i in (0, 2):
             assert errors[i] is None and alone[i][1] == [None]
@@ -144,7 +150,7 @@ class TestPerfectMatchings:
 
     def test_a_partner_in_another_graphs_block_is_refused(self, monkeypatch):
         graphs = [bipartite_cycle(8), complete_bipartite(4)]
-        alone = [perfect_matchings(b.biadjacency()[None])[0][0].tolist() for b in graphs]
+        alone = [perfect_matchings(b.biadjacency[None])[0][0].tolist() for b in graphs]
 
         def borrow(found):
             if len(found) > 1:
@@ -152,7 +158,7 @@ class TestPerfectMatchings:
             return found
 
         faulty_hopcroft_karp(monkeypatch, borrow)
-        partners, errors = perfect_matchings(np.stack([b.biadjacency() for b in graphs]))
+        partners, errors = perfect_matchings(np.stack([b.biadjacency for b in graphs]))
         assert errors == ["internal error: left vertex 0 is matched outside its own graph", None]
         assert partners[1].tolist() == alone[1]
 
@@ -191,7 +197,7 @@ class TestKonigDecomposition:
     def test_deterministic(self):
         # two equal but distinct objects, so the two decompositions are two runs, not one kept
         b, c = bipartite_cycle(10), bipartite_cycle(10)
-        assert b == c and b is not c
+        assert np.array_equal(b.biadjacency, c.biadjacency) and b is not c
         first, second = konig_decomposition(b), konig_decomposition(c)
         assert first is not second
         assert first == second
@@ -205,7 +211,7 @@ class TestKonigDecomposition:
             classes[0][0] = 1
         with pytest.raises(TypeError):
             del classes[0][0]
-        assert konig_decomposition(b) is classes and list(classes) == original
+        assert list(classes) == original
 
     def test_matching_copies_the_mapping_it_is_given(self, monkeypatch):
         # each class copies the array the Hopcroft-Karp call returns, so changing that array
@@ -229,8 +235,8 @@ def reference_konig(b: Bipartite) -> tuple[tuple[int, ...], ...]:
     asserts that the classes are perfect, pairwise edge-disjoint and cover
     exactly the edge set.
     """
-    n = b.left_n
-    adj = [sorted(nbrs) for nbrs in b.adj]
+    n = len(b.biadjacency)
+    adj = [np.flatnonzero(row).tolist() for row in b.biadjacency]
     classes = []
     for _ in range(len(adj[0])):
         match_r = [-1] * n
@@ -252,7 +258,7 @@ def reference_konig(b: Bipartite) -> tuple[tuple[int, ...], ...]:
         for u, w in enumerate(match_l):
             adj[u].remove(w)
         classes.append(tuple(match_l))
-    edges = {(u, w) for u in range(n) for w in b.adj[u]}
+    edges = set(bipartite_edges(b))
     seen = set()
     for c in classes:
         assert sorted(c) == list(range(n))
@@ -299,7 +305,7 @@ def assert_konig(b: Bipartite, classes) -> None:
     must decompose ``b`` too.
     """
     edges = set(bipartite_edges(b))
-    k = len(b.adj[0])
+    k = int(b.biadjacency[0].sum())
     assert len(classes) == k
     seen: set[tuple[int, int]] = set()
     for m in classes:
@@ -343,7 +349,7 @@ class TestKonigStack:
     def test_a_stack_equals_each_graph_alone_in_any_order(self, seed, count, n):
         rng = random.Random(seed)
         graphs = [random_regular_bipartite(rng, n, rng.randint(1, n)) for _ in range(count)]
-        stack = np.stack([b.biadjacency() for b in graphs])
+        stack = np.stack([b.biadjacency for b in graphs])
         alone = [konig_stack(h[None])[0] for h in stack]
         for b, classes in zip(graphs, alone):
             assert_konig(b, classes)
@@ -354,31 +360,19 @@ class TestKonigStack:
     @WITNESS_GRAPHS
     def test_every_witness_chunk_equals_its_graphs_alone(self, make):
         for b in witness_bipartites(make()):
-            assert konig_decomposition(b) == konig_stack(b.biadjacency()[None])[0]
-
-    def test_the_first_read_decomposes_the_whole_group(self, monkeypatch):
-        graphs = [bipartite_cycle(8), complete_bipartite(4), bipartite_cycle(8)]
-        alone = [konig_stack(b.biadjacency()[None])[0] for b in graphs]
-        decompose_together(graphs, np.stack([b.biadjacency() for b in graphs]))
-        calls = count_hopcroft_karp(monkeypatch)
-        classes = konig_decomposition(graphs[1])
-        # four rounds for K_{4,4}; the two cycles drop out after their second
-        assert calls == [(3, 4, 4), (3, 4, 4), (1, 4, 4), (1, 4, 4)]
-        assert [konig_decomposition(b) for b in graphs] == alone
-        assert konig_decomposition(graphs[1]) is classes and len(calls) == 4
+            assert konig_decomposition(b) == konig_stack(b.biadjacency[None])[0]
 
     def test_an_irregular_graph_is_refused_alone(self):
         irregular = bipartite_from_edges(2, 2, [(0, 0), (0, 1), (1, 0)])
         graphs = [bipartite_cycle(4), irregular]
-        results = konig_stack(np.stack([b.biadjacency() for b in graphs]))
+        results = konig_stack(np.stack([b.biadjacency for b in graphs]))
         assert results[0] == konig_decomposition(bipartite_cycle(4))
         assert results[1] == "konig_decomposition requires a k-regular bipartite graph, k >= 1"
 
     def test_a_graph_that_fails_a_round_drops_out_and_the_others_go_on(self, monkeypatch):
         # graph 1 loses its second round's partner of left vertex 0; graphs 0 and 2 go on
         graphs = [complete_bipartite(4), bipartite_cycle(8), complete_bipartite(4)]
-        alone = [konig_decomposition(bipartite_from_edges(4, 4, bipartite_edges(b)))
-                 for b in graphs]
+        alone = [konig_decomposition(b) for b in graphs]
         rounds = []
 
         def second_round_of_graph_1(found):
@@ -388,14 +382,10 @@ class TestKonigStack:
             return found
 
         faulty_hopcroft_karp(monkeypatch, second_round_of_graph_1)
-        decompose_together(graphs, np.stack([b.biadjacency() for b in graphs]))
-        with pytest.raises(MatchingError, match="internal error: left vertex 0 has no partner"):
-            konig_decomposition(graphs[1])
+        results = konig_stack(np.stack([b.biadjacency for b in graphs]))
+        assert results[1] == "internal error: left vertex 0 has no partner"
         assert rounds == [3, 3, 2, 2]
-        assert "konig_classes" not in vars(graphs[1])
-        assert [konig_decomposition(graphs[i]) for i in (0, 2)] == [alone[0], alone[2]]
-        assert len(rounds) == 4  # kept: read without a further call
-        assert konig_decomposition(graphs[1]) == alone[1]  # run again, alone, past the fault
+        assert [results[0], results[2]] == [alone[0], alone[2]]
 
 
 class TestKonigRoundChecks:
@@ -405,7 +395,7 @@ class TestKonigRoundChecks:
     def _fresh_cycle8() -> Bipartite:
         """C8 as a new Bipartite with no decomposition kept, so the faulty round runs on it."""
         b = bipartite_cycle(8)  # edges (i, i) and (i, i+1 mod 4)
-        assert "konig_classes" not in vars(b)
+        assert b.konig is None
         return b
 
     @pytest.mark.parametrize(
@@ -445,7 +435,16 @@ class TestKonigRoundChecks:
             with pytest.raises(MatchingError, match="internal error"):
                 konig_decomposition(b)
             assert len(calls) == attempt  # the second call searched again
-        assert "konig_classes" not in vars(b)
+        assert b.konig is None
+
+    def test_a_kept_failure_is_raised_again_without_a_search(self, monkeypatch):
+        calls = count_hopcroft_karp(monkeypatch)
+        message = "internal error: left vertex 0 has no partner"
+        b = Bipartite(bipartite_cycle(8).biadjacency, message)
+        for _ in (1, 2):
+            with pytest.raises(MatchingError, match=message):
+                konig_decomposition(b)
+        assert calls == []
 
 
 class TestMatchingThroughEdge:
@@ -472,7 +471,7 @@ class TestMatchingThroughEdge:
         g = gen_hamming(2, 3)
         h = edge_witness(g, 0, 1, detect_amply_params(g)).h
         b = h.b
-        assert {len(row) for row in b.adj} == {1} and len(konig_decomposition(b)) == 1
+        assert set(b.biadjacency.sum(axis=1).tolist()) == {1} and len(konig_decomposition(b)) == 1
         m = class_through(b, *h.z1_edge())
         assert set(enumerate(m)) == set(bipartite_edges(b))
 
@@ -482,15 +481,14 @@ class TestMatchingThroughEdge:
     def test_two_pinned_calls_share_one_decomposition(self, monkeypatch):
         # the two calls the witness pipeline makes on one H, for its walks and for its
         # certificate: Hopcroft-Karp runs beta - 1 = 2 times, once per class, not once per
-        # class per call, and both calls return the same object. The reference builds a
-        # fresh H, not yet decomposed.
+        # class per call, and every later read returns the classes kept on H.
         g = gen_paley(13)  # (13, 6, 2, 3)
-        h = build_transport_bipartite(g, 0, 1, detect_amply_params(g))
         calls = count_hopcroft_karp(monkeypatch)
-        classes = konig_decomposition(h.b)
-        assert konig_decomposition(h.b) is classes
+        w = edge_witness(g, 0, 1, detect_amply_params(g))
+        classes = konig_decomposition(w.h.b)
+        assert classes is w.classes is w.h.b.konig
         assert all(type(m) is tuple for m in classes)
-        m = class_through(h.b, *h.z1_edge())
+        m = class_through(w.h.b, *w.h.z1_edge())
         assert len(calls) == len(classes) == 2
         assert any(m is c for c in classes)
 
@@ -512,7 +510,7 @@ class TestDensePerfectMatching:
         with pytest.raises(MatchingError, match="min degree 0 below n/2 = 3/2"):
             dense_perfect_matching(b)
         assert is_perfect(dense_perfect_matching(complete_bipartite(3)), complete_bipartite(3))
-        assert dense_perfect_matchings(np.stack([b.biadjacency(), b.biadjacency().T])) == [
+        assert dense_perfect_matchings(np.stack([b.biadjacency, b.biadjacency.T])) == [
             "min degree 0 below n/2 = 3/2"] * 2
 
     def test_degree_precondition(self):
@@ -531,7 +529,7 @@ class TestDensePerfectMatching:
         sparse = bipartite_from_edges(4, 4, [(i, i) for i in range(4)])
         graphs = [complete_bipartite(4), sparse, bipartite_cycle(8)]
         calls = count_hopcroft_karp(monkeypatch)
-        results = dense_perfect_matchings(np.stack([b.biadjacency() for b in graphs]))
+        results = dense_perfect_matchings(np.stack([b.biadjacency for b in graphs]))
         assert calls == [(2, 4, 4)]
         assert results[1] == "min degree 1 below n/2 = 4/2"
         assert [results[0], results[2]] == [dense_perfect_matching(graphs[0]),

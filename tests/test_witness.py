@@ -21,7 +21,7 @@ from arcurv import (
 )
 from arcurv.cli import _hgraph_payload
 from arcurv.graph import Graph
-from arcurv.matching import konig_decomposition
+from arcurv.matching import Bipartite, MatchingError, konig_decomposition
 from arcurv.report import WitnessSummary, _witness_summary, verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
@@ -102,9 +102,9 @@ def _fresh_chunks(g, params) -> int:
     """The chunks of ``g``'s edges, ``WITNESS_CHUNK`` at a time, that hold an H of no earlier edge."""
     seen, chunks = set(), set()
     for i, (x, y) in enumerate(g.edges()):
-        adj = build_transport_bipartite(g, x, y, params).b.adj
-        if adj not in seen:
-            seen.add(adj)
+        key = build_transport_bipartite(g, x, y, params).b.biadjacency.tobytes()
+        if key not in seen:
+            seen.add(key)
             chunks.add(i // WITNESS_CHUNK)
     return len(chunks)
 
@@ -184,20 +184,20 @@ class TestConstruction:
         g = h23()
         h = _build(g, 0, 1)
         # d=4, alpha=1, beta=2: two exclusive neighbors, one common, no copies
-        assert (len(h.nx), len(h.delta), h.b.left_n) == (2, 1, 3)
+        assert (len(h.nx), len(h.delta), len(h.b.biadjacency)) == (2, 1, 3)
         assert h.z1_edge() == (2, 2)
 
     def test_paley13_layout(self):
         g = gen_paley(13)
         h = _build(g, *g.edges()[0])
         # d=6, alpha=2, beta=3: no synthetic copies
-        assert (len(h.nx), len(h.delta), h.b.left_n) == (3, 2, 5)
+        assert (len(h.nx), len(h.delta), len(h.b.biadjacency)) == (3, 2, 5)
 
     def test_octahedron_layout(self):
         g = gen_cocktail(3)
         h = _build(g, 0, 2)
         # d=4, alpha=2, beta=4: one exclusive pair, one synthetic copy
-        assert (len(h.nx), len(h.delta), h.b.left_n) == (1, 2, 4)
+        assert (len(h.nx), len(h.delta), len(h.b.biadjacency)) == (1, 2, 4)
 
     @pytest.mark.parametrize(
         "make",
@@ -234,8 +234,8 @@ class TestConstruction:
 
     def test_names(self):
         h = _build(h23(), 0, 1)
-        left = [h.left_name(i) for i in range(h.b.left_n)]
-        right = [h.right_name(i) for i in range(h.b.left_n)]
+        left = [h.left_name(i) for i in range(len(h.b.biadjacency))]
+        right = [h.right_name(i) for i in range(len(h.b.biadjacency))]
         assert left[-1].startswith("z") and right[-1].endswith("'")
         assert all(n.startswith("v") for n in left[:2])
         assert all(n.startswith("w") for n in right[:2])
@@ -287,9 +287,8 @@ class TestRegularity:
         g = gen_cocktail(3)
         w = edge_witness(g, 0, 2, detect_amply_params(g))
         assert w.irregular is None and w.h.beta - 1 == 3
-        b = w.h.b
-        right = [sum(r in row for row in b.adj) for r in range(b.right_n)]
-        assert {len(row) for row in b.adj} == set(right) == {3}
+        h = w.h.b.biadjacency
+        assert set(h.sum(axis=1).tolist()) == set(h.sum(axis=0).tolist()) == {3}
 
     def test_corrupted_graph_flagged(self, monkeypatch):
         g = gen_cocktail(3)
@@ -305,7 +304,7 @@ class TestRegularity:
         # every row keeps 3 entries, but the x-copy's row (1, 2, 3) moves its
         # edge to z4' onto w1, which then has degree 4
         g = gen_cocktail(3)
-        assert _build(g, 0, 2).b.adj[3] == (1, 2, 3)
+        assert np.flatnonzero(_build(g, 0, 2).b.biadjacency[3]).tolist() == [1, 2, 3]
 
         def move(h):
             h[:, 3, 1], h[:, 3, 0] = False, True
@@ -355,7 +354,7 @@ class TestChains:
         # right 3 twice: the chain from 0 would cycle 3 -> 4 -> 3
         g = gen_paley(13)
         h = _build(g, *g.edges()[0])
-        assert (len(h.nx), h.b.left_n) == (3, 5)
+        assert (len(h.nx), len(h.b.biadjacency)) == (3, 5)
         assert self._walk_error(monkeypatch, g, ((3, 1, 2, 4, 3),)) == (
             "chain walk requires a perfect matching")
 
@@ -604,7 +603,8 @@ class TestCertificateOnBuiltH:
         g = relabelled(gen_cocktail(8), 3)
         params = detect_amply_params(g)
         m = g.num_edges()
-        distinct = len({build_transport_bipartite(g, x, y, params).b.adj for x, y in g.edges()})
+        distinct = len({build_transport_bipartite(g, x, y, params).b.biadjacency.tobytes()
+                        for x, y in g.edges()})
         assert 1 < distinct < m
         counts = _count_calls(monkeypatch, [(witness_module, "konig_decomposition"),
                                             (matching_module, "perfect_matchings")])
@@ -612,6 +612,54 @@ class TestCertificateOnBuiltH:
         assert len({id(b) for batch in batches for b in batch.bipartites}) == distinct
         assert counts == {"konig_decomposition": 2 * m,
                           "perfect_matchings": 13 * _fresh_chunks(g, params)}
+
+    def test_a_chunk_of_kept_hs_decomposes_nothing(self, monkeypatch):
+        # paley29's first chunk of edges, then the same edges again: the second chunk
+        # finds every H kept, so only the first chunk calls konig_stack
+        g = gen_paley(29)  # (29, 14, 6, 7)
+        params = detect_amply_params(g)
+        chunk = g.edges()[:WITNESS_CHUNK]
+        counts = _count_calls(monkeypatch, [(witness_module, "konig_stack")])
+        calls, hopcroft_karp = [], matching_module._hopcroft_karp
+        monkeypatch.setattr(matching_module, "_hopcroft_karp",
+                            lambda h: calls.append(len(h)) or hopcroft_karp(h))
+        batches = witness_batches(g, chunk + chunk, params)
+        first = next(batches)
+        assert counts == {"konig_stack": 1} and len(calls) == params.beta - 1
+        second = next(batches)
+        assert counts == {"konig_stack": 1} and len(calls) == params.beta - 1
+        assert all(a is b for a, b in zip(first.bipartites, second.bipartites))
+        assert second.classes == first.classes and second.steps().all()
+
+    def test_a_round_fault_on_one_h_fails_only_its_edge(self, monkeypatch):
+        # graph 1 of the chunk's first round loses left vertex 0's partner: it drops out of
+        # the later rounds, and its kept message fails both reads of its classes
+        g = gen_paley(29)  # (29, 14, 6, 7), every H distinct
+        params = detect_amply_params(g)
+        edges = g.edges()[:10]
+        clean = next(witness_batches(g, edges, params))
+        assert len({b.biadjacency.tobytes() for b in clean.bipartites}) == len(edges)
+        rounds, hopcroft_karp = [], matching_module._hopcroft_karp
+
+        def faulty(h):
+            found = hopcroft_karp(h).reshape(h.shape[:2])
+            rounds.append(len(h))
+            if len(rounds) == 1:
+                found[1, 0] = -1
+            return found.ravel()
+
+        monkeypatch.setattr(matching_module, "_hopcroft_karp", faulty)
+        [batch] = witness_batches(g, edges, params)
+        message = "internal error: left vertex 0 has no partner"
+        assert rounds == [10] + [9] * (params.beta - 2)
+        assert batch.walk_error[1] == batch.certify_error[1] == message
+        assert batch.classes[1] == () and batch.bipartites[1].konig == message
+        with pytest.raises(MatchingError, match=message):
+            konig_decomposition(batch.bipartites[1])
+        assert len(rounds) == params.beta - 1
+        others = [i for i in range(len(edges)) if i != 1]
+        assert [batch.classes[i] for i in others] == [clean.classes[i] for i in others]
+        assert batch.steps()[others].all() and not batch.steps()[1].all()
 
 
 
@@ -649,7 +697,8 @@ class TestBatchMatchesReference:
         assert len(views) == g.num_edges()
         for (x, y), w in zip(g.edges(), views):
             ref = reference_edge_witness(g, x, y, params)
-            assert w.h == ref.h
+            assert np.array_equal(w.h.b.biadjacency, ref.h.b.biadjacency)
+            assert dataclasses.replace(w.h, b=ref.h.b) == ref.h
             assert (w.irregular, w.walk_error, w.certify_error) == (
                 ref.irregular, ref.walk_error, ref.certify_error)
             assert w.classes == ref.classes
@@ -768,16 +817,16 @@ class TestVerifyCountsFailedWitnessSteps:
         assert capsys.readouterr() == ("", f"error: {fault}\n")
 
     def test_a_matching_fault_on_a_shared_h_fails_every_edge_that_reads_it(self, monkeypatch):
-        # a decomposition that raises is not kept, so each read of a shared H searches again
-        # and raises again: every edge keeps the fault, on both of its reads. Each chunk's
-        # first read runs its fresh H's together, and every later read runs one H alone.
+        # a decomposition's failure is kept on its H and raised again at each read: every
+        # edge keeps the fault, on both of its reads. Each chunk's fresh H's all fail the
+        # first round of its one decomposition, and no read searches again.
         g = relabelled(gen_cocktail(8), 3)
         _leave_left_zero_unmatched(monkeypatch)
         counts = _count_calls(monkeypatch, [(matching_module, "perfect_matchings")])
         m = g.num_edges()
         assert _witness_summary(g, detect_amply_params(g)) == WitnessSummary(
             m, m, 0, 0, 0, 0, 0, passed=False)
-        assert counts == {"perfect_matchings": 2 * m}
+        assert counts == {"perfect_matchings": -(-m // WITNESS_CHUNK)}
 
     def test_a_matching_fault_in_the_dense_stage_is_an_uncertified_edge(self, monkeypatch,
                                                                         tmp_path, capsys):
@@ -807,7 +856,7 @@ def _recording_dense(monkeypatch, fail_on=None):
 
     def recording(h):
         first = len(seen)
-        seen.extend(witness_module._bipartites(h))
+        seen.extend(map(Bipartite, h))
         with monkeypatch.context() as patch:
             if fail_on is not None and first <= fail_on < len(seen):
                 def unmatched(stack):
@@ -836,7 +885,7 @@ class TestDenseMatchCertificate:
         seen = _recording_dense(monkeypatch)
         assert lly_curvature(g, 0, 2) == Fraction(1)
         assert prop_3_1_certificate(g, [(0, 2)], [Fraction(1)], detect_amply_params(g)) == [(0,)]
-        assert [b.adj for b in seen] == [((0,),)]
+        assert [b.biadjacency.tolist() for b in seen] == [[[True]]]
 
     def test_cocktail4(self):
         g = gen_cocktail(4)
@@ -953,35 +1002,7 @@ class TestDenseMatchCertificate:
             p = params.d - 1 - params.alpha
             assert len(seen) == len(results) == g.num_edges()
             for (x, y), b, matching in zip(g.edges(), seen, results):
-                right = [sum(w in row for row in b.adj) for w in range(b.right_n)]
-                assert b.left_n == b.right_n == p and 2 * min(*map(len, b.adj), *right) >= p
-                assert b.adj == reference_witness.dense_bipartite(g, x, y).adj
+                h = b.biadjacency
+                assert h.shape == (p, p) and 2 * min(*h.sum(axis=1), *h.sum(axis=0)) >= p
+                assert np.array_equal(h, reference_witness.dense_bipartite(g, x, y).biadjacency)
                 assert is_perfect(matching, b)
-
-
-class TestBipartitesFromOneScan:
-    def test_each_layer_is_its_own_bipartite(self):
-        rng = np.random.default_rng(3)
-        stack = rng.random((5, 4, 6)) < 0.4
-        built = witness_module._bipartites(stack)
-        assert len(built) == 5
-        for layer, b in zip(stack, built):
-            assert (b.left_n, b.right_n) == (4, 6)
-            assert b.adj == tuple(tuple(np.flatnonzero(row).tolist()) for row in layer)
-        assert witness_module._bipartites(stack[:0]) == []
-
-    @pytest.mark.parametrize("run, make", [
-        (lambda g: list(witness_batches(g, g.edges(), detect_amply_params(g))),
-         lambda: gen_paley(29)),
-    ])
-    def test_one_call_per_chunk(self, monkeypatch, run, make):
-        calls, build = [], witness_module._bipartites
-
-        def recording(h):
-            calls.append(len(h))
-            return build(h)
-
-        monkeypatch.setattr(witness_module, "_bipartites", recording)
-        g = make()
-        run(g)
-        assert len(calls) == -(-g.num_edges() // WITNESS_CHUNK)
