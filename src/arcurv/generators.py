@@ -134,11 +134,10 @@ def gen_cocktail(m: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
 
 
 def gen_complete(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:
+    """Complete graph K_n: the Cayley graph on Z_n with connection set Z_n - {0}."""
     if n < 2:
         raise GraphError(f"gen_complete requires n >= 2, got {n}")
-    _check_size(f"K_{n}", n, size_cap)
-    _check_edges(f"K_{n}", n * (n - 1) // 2)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return _cayley(f"K_{n}", (n,), n - 1, ((s,) for s in range(1, n)), size_cap)
 
 
 def gen_cycle(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Graph:

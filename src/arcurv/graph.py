@@ -20,7 +20,7 @@ class Graph:
     Adjacency is stored as sorted tuples. Three facts are cached, because the
     graph never changes: the common degree (None if irregular), found once at
     construction; one BFS distance row per source, computed on first use as a
-    read-only int32 numpy array, from which `distances` answers every batched
+    read-only int32 numpy array, from which `distances` answers every
     distance read in the package (row 0 also settles whether the graph is
     connected); and each edge's certified Lin-Lu-Yau curvature, keyed by
     (min, max), which `curvature.curvature_all_edges` fills in one batch and
@@ -121,12 +121,6 @@ class Graph:
                         dtype=np.int64)
         return rows.reshape(len(rows), self.n)[at[u], v]
 
-    def distance(self, u: int, v: int) -> Optional[int]:
-        """Shortest-path length, or None if u and v are in different components."""
-        self.check_vertex(v)  # distances_from checks u; a bad v would wrap or overrun the row
-        d = int(self.distances_from(u)[v])
-        return None if d < 0 else d
-
     def is_connected(self) -> bool:
         if self._connected is None:
             self._connected = self.n <= 1 or bool((self.distances_from(0) >= 0).all())
@@ -190,14 +184,6 @@ class Graph:
                             best = cycle
             delete(root)
         return best
-
-    def common_neighbors(self, u: int, v: int) -> list[int]:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        if u == v:
-            raise GraphError("common_neighbors requires distinct vertices")
-        su, sv = set(self._adj[u]), set(self._adj[v])
-        return sorted(su & sv)
 
     def __eq__(self, other) -> bool:
         return (
@@ -318,7 +304,9 @@ def dump_edge_list(g: Graph) -> str:
 def detect_amply_params(g: Graph) -> DetectResult:
     """Check amply regularity and return parameters or the first violation.
 
-    Disconnected input is a hard error; a violation is a value.
+    The first violation is the first alpha pair in edge order that breaks
+    alpha, else the first pair at distance 2 that breaks beta. Disconnected
+    input is a hard error; a violation is a value.
     """
     if g.n == 0:
         raise GraphError("empty graph")
@@ -329,34 +317,31 @@ def detect_amply_params(g: Graph) -> DetectResult:
     for v in range(1, g.n):
         if len(adj[v]) != d:
             return AmplyViolation("not-regular", (0, v), len(adj[v]), d)
+    # The walks u - w - v with v > u count the common neighbours of each pair (u, v):
+    # at the neighbours of u they give alpha, at the other vertices they reach (those at
+    # distance 2) beta; O(n d^2) in all, each scanned in the order u ascending, then v
+    # ascending. The first beta violation is kept until every edge has been scanned.
     alpha: Optional[int] = None
-    for u, v in g.edges():
-        c = len(g.common_neighbors(u, v))
-        if alpha is None:
-            alpha = c
-        elif c != alpha:
-            return AmplyViolation("alpha", (u, v), c, alpha)
-    # The pairs at distance 2 from u are N(N(u)) minus B(u), and the number of
-    # walks u - w - v counts their common neighbors: O(n d^2) in all, scanned
-    # in the order u ascending, then v ascending.
     beta: Optional[int] = None
+    beta_violation: Optional[AmplyViolation] = None
     for u in range(g.n):
-        ball = {u, *adj[u]}
-        common = Counter(v for w in adj[u] for v in adj[w] if v > u and v not in ball)
-        for v in sorted(common):
+        common = Counter(v for w in adj[u] for v in adj[w] if v > u)
+        for v in adj[u]:
+            if v > u:
+                c = common[v]
+                if alpha is None:
+                    alpha = c
+                elif c != alpha:
+                    return AmplyViolation("alpha", (u, v), c, alpha)
+        for v in sorted(common.keys() - adj[u]):
             c = common[v]
             if beta is None:
                 beta = c
-            elif c != beta:
-                return AmplyViolation("beta", (u, v), c, beta)
-    return AmplyParams(
-        n=g.n,
-        d=d,
-        alpha=alpha if alpha is not None else 0,
-        beta=beta,
-        girth=g.girth(),
-        connected=True,
-    )
+            elif c != beta and beta_violation is None:
+                beta_violation = AmplyViolation("beta", (u, v), c, beta)
+    if beta_violation is not None:
+        return beta_violation
+    return AmplyParams(n=g.n, d=d, alpha=alpha or 0, beta=beta, girth=g.girth())
 
 
 def edge_partition(g: Graph, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -264,12 +264,9 @@ def sigma2_sturm(g: Graph, array: IntersectionArray, t: Fraction) -> PsdCertific
     return PsdCertificate(t, failure is None, multiplicity, failure, "sturm")
 
 
-def sigma2_at_most(g: Graph, t: Fraction,
-                   structure: Optional[DistanceRegularity] = None) -> PsdCertificate:
+def sigma2_at_most(g: Graph, t: Fraction, structure: DistanceRegularity) -> PsdCertificate:
     """Decide sigma_{n-1} <= t exactly: `sigma2_sturm` if the graph is distance-regular,
-    else `sigma2_bareiss`. ``structure`` is `distance_regular`'s result, found here if None."""
-    if structure is None:
-        structure = distance_regular(g)
+    else `sigma2_bareiss`. ``structure`` is `distance_regular(g)`."""
     if isinstance(structure, IntersectionArray):
         return sigma2_sturm(g, structure, t)
     return sigma2_bareiss(g, t)

@@ -345,8 +345,8 @@ def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, delta: np.ndarray, w
     chains from the walk (a walk stopped before it fails); then, over whole
     arrays, checks the chain distance bounds, the sum bound on chain
     lengths, the marginals of pi0 against the balls B(x) and B(y), read off
-    the adjacency, its connectivity, the plan cost bound (d-2)/(d+1),
-    kappa_lb >= 3/d, and kappa_lb <= the exact curvature. pi0 keeps mass
+    the adjacency, its connectivity, the plan cost bound (d-2)/(d+1), which
+    is kappa_lb >= 3/d, and kappa_lb <= the exact curvature. pi0 keeps mass
     1/(d+1) on every common neighbour and on x and y, and ships each N_x
     vertex's mass to its chain partner in N_y; its cost is the integer sum
     of its pairs' distances over d+1. Returns the z_1 z_1' class index
@@ -402,8 +402,6 @@ def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, delta: np.ndarray, w
          lambda i: "plan marginals are not uniform on B(x) and B(y)")
     fail((dists < 0).any(axis=1), lambda i: f"plan moves mass between components: {stranded(i)}")
     fail(cost > d - 2, lambda i: f"plan cost {Fraction(int(cost[i]), d + 1)} exceeds (d-2)/(d+1)")
-    fail(d + 1 - cost < 3,
-         lambda i: f"lower bound {Fraction(d + 1 - int(cost[i]), d)} fell below 3/d")
     kappa_lb = {c: Fraction(d + 1 - c, d) for c in set(cost[live].tolist())}
     for i in np.flatnonzero(live).tolist():
         x, y = xy[i].tolist()

@@ -41,13 +41,14 @@ def brute_regular_wasserstein(g: Graph, x: int, y: int) -> Fraction:
     assert d is not None and d + 1 <= 8
     bx = sorted((x,) + g.neighbors(x))
     by = sorted((y,) + g.neighbors(y))
+    block = g.distances(np.array(bx)[:, None], by)
+    assert (block >= 0).all()
+    block = block.tolist()
     best = None
     for perm in permutations(range(d + 1)):
         total = 0
         for i, j in enumerate(perm):
-            dist = g.distance(bx[i], by[j])
-            assert dist is not None
-            total += dist
+            total += block[i][j]
         if best is None or total < best:
             best = total
     return Fraction(best, d + 1)
@@ -144,7 +145,8 @@ def mixed_regular_graphs(count: int) -> list[Graph]:
     while len(graphs) < count:
         g = random_connected_regular_graph(seed, max_n=12)
         d = g.regular_degree()
-        if len({d - 1 - len(g.common_neighbors(x, y)) for x, y in g.edges()} - {0}) >= 2:
+        triangles = [len(set(g.neighbors(x)) & set(g.neighbors(y))) for x, y in g.edges()]
+        if len({d - 1 - t for t in triangles} - {0}) >= 2:
             graphs.append(g)
         seed += 1
     return graphs

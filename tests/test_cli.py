@@ -161,6 +161,15 @@ class TestParams:
         code, out, _ = run(capsys, "params", str(path))
         assert code == EXIT_INPUT and "violation" in out
 
+    def test_an_alpha_violation_outranks_an_earlier_beta_violation(self, capsys, tmp_path):
+        # the distance-2 pair (0, 3) breaks beta (2 common neighbours, not 1) before the
+        # edge (0, 6) breaks alpha; the alpha violation is the one reported
+        path = tmp_path / "cubic8.txt"
+        path.write_text("8 12\n0 1\n0 6\n0 7\n1 3\n1 7\n2 4\n2 5\n2 7\n3 4\n3 6\n4 5\n5 6\n")
+        code, out, err = run(capsys, "params", str(path))
+        assert (code, out, err) == (
+            EXIT_INPUT, "violation: alpha at pair (0, 6) (found 0, expected 1)\n", "")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "params", "/nonexistent/graph.txt")
         assert code == EXIT_INPUT and err.startswith("error:")

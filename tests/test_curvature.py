@@ -82,7 +82,7 @@ def _marginals(plan):
 
 def _flow_kappa(g, x, y, p):
     """kappa_p by the min-cost flow, the reference for the regular-edge formula."""
-    return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p)) / g.distance(x, y)
+    return 1 - wasserstein(g, mu_p(g, x, p), mu_p(g, y, p)) / int(g.distances(x, y))
 
 
 def _first_edge_witness(monkeypatch, g, name=None, column=None, value=None):
@@ -180,7 +180,7 @@ class TestPlanCost:
         g = gen_paley(13)
         x, y = g.edges()[0]
         r0 = _first_edge_witness(monkeypatch, g).certificate.chain_records[0]
-        outside = next(v for v in range(g.n) if g.distance(v, y) == 2 and v != r0.w0)
+        outside = next(v for v in range(g.n) if g.distances(v, y) == 2 and v != r0.w0)
         bad = [
             ("v0", 2, lambda v0: v0[..., 0]),  # the source of chain 0 twice, chain 2's never
             ("w0", 0, lambda w0: outside),  # a target outside B(y)
@@ -658,7 +658,7 @@ class TestBatchedAssignments:
 def _b_group_sizes(g):
     """The sizes d-1-t of the B-pass difference zones, one per edge in t triangles."""
     d = g.regular_degree()
-    return {d - 1 - len(g.common_neighbors(x, y)) for x, y in g.edges()}
+    return {d - 1 - len(set(g.neighbors(x)) & set(g.neighbors(y))) for x, y in g.edges()}
 
 
 def _cost_pairs_outnumber_each_pass(g):

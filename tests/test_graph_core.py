@@ -71,11 +71,11 @@ class TestLoadEdgeList:
 class TestMetrics:
     def test_hypercube_antipodal(self):
         g = gen_hypercube(3)
-        assert g.distance(0, 7) == 3
+        assert g.distances(0, 7) == 3
 
     def test_self_distance(self):
         g = gen_cycle(5)
-        assert g.distance(2, 2) == 0
+        assert g.distances(2, 2) == 0
 
     @pytest.mark.parametrize("bad", [6, -1, -7])
     def test_distance_rejects_a_vertex_outside_the_graph(self, bad):
@@ -83,7 +83,7 @@ class TestMetrics:
         g = gen_cycle(6)
         for u, v in ((0, bad), (bad, 0)):
             with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
-                g.distance(u, v)
+                g.distances(u, v)
 
     @pytest.mark.parametrize("bad", [6, -1, -7])
     def test_is_edge_rejects_a_vertex_outside_the_graph(self, bad):
@@ -92,14 +92,6 @@ class TestMetrics:
         for u, v in ((0, bad), (bad, 0)):
             with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
                 g.is_edge(u, v)
-
-    @pytest.mark.parametrize("bad", [6, -1, -7])
-    def test_common_neighbors_rejects_a_vertex_outside_the_graph(self, bad):
-        # common_neighbors(-1, 1) would otherwise answer [0], as for vertex 5.
-        g = gen_cycle(6)
-        for u, v in ((1, bad), (bad, 1), (bad, bad)):
-            with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.5$"):
-                g.common_neighbors(u, v)
 
     @pytest.mark.parametrize("bad", [6, -1, -7])
     def test_neighbors_and_degree_reject_a_vertex_outside_the_graph(self, bad):
@@ -113,7 +105,7 @@ class TestMetrics:
     def test_h23_double_difference(self):
         g = gen_hamming(2, 3)
         # vertices 0 = (0,0) and 4 = (1,1) differ in both coordinates
-        assert g.distance(0, 4) == 2
+        assert g.distances(0, 4) == 2
 
     def test_distance_matches_networkx(self):
         for seed in range(20):
@@ -122,11 +114,11 @@ class TestMetrics:
             lengths = dict(nx.all_pairs_shortest_path_length(h))
             for u in range(g.n):
                 for v in range(g.n):
-                    assert g.distance(u, v) == lengths[u][v]
+                    assert g.distances(u, v) == lengths[u][v]
 
     def test_unreachable(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert g.distance(0, 2) is None
+        assert g.distances(0, 2) == -1
         with pytest.raises(GraphError):
             g.diameter()
 
@@ -170,12 +162,12 @@ class TestMetrics:
 
     def test_common_neighbors(self):
         k4 = gen_complete(4)
-        assert k4.common_neighbors(0, 1) == [2, 3]
+        assert set(k4.neighbors(0)) & set(k4.neighbors(1)) == {2, 3}
         q3 = gen_hypercube(3)
-        assert q3.common_neighbors(0, 1) == []
+        assert not set(q3.neighbors(0)) & set(q3.neighbors(1))
         sh = gen_shrikhande()
         u, v = sh.edges()[0]
-        assert len(sh.common_neighbors(u, v)) == 2
+        assert len(set(sh.neighbors(u)) & set(sh.neighbors(v))) == 2
 
     def test_regular_degree(self):
         assert Graph(0, []).regular_degree() is None
@@ -202,7 +194,7 @@ class TestMetrics:
         g = gen_cycle(6)
         with pytest.raises(ValueError):
             g.distances_from(0)[3] = 1
-        assert g.distance(0, 3) == 3
+        assert g.distances(0, 3) == 3
 
 
 def _detect_by_pair_scan(g):
@@ -297,11 +289,28 @@ class TestDetect:
             kinds.add(getattr(result, "kind", "params"))
         assert kinds == {"alpha", "beta", "params"}
 
+    @pytest.mark.parametrize("edges, beta, alpha", [
+        ([(0, 1), (0, 6), (0, 7), (1, 3), (1, 7), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6),
+          (4, 5), (5, 6)], ((0, 3), 2, 1), ((0, 6), 0, 1)),
+        ([(0, 1), (0, 5), (0, 7), (1, 2), (1, 3), (2, 4), (2, 7), (3, 5), (3, 6), (4, 6),
+          (4, 7), (5, 6)], ((0, 4), 1, 2), ((2, 4), 1, 0)),
+    ], ids=["same-row", "later-row"])
+    def test_an_alpha_violation_outranks_an_earlier_beta_violation(self, edges, beta, alpha):
+        # Two cubic graphs on 8 vertices whose first beta violation comes before their
+        # first alpha violation in (u, v) order: in the same row u, and in an earlier one.
+        g = Graph(8, edges)
+        pairs = [(u, v) for u in range(8) for v in range(u + 1, 8) if g.distances(u, v) == 2]
+        counts = [len(set(g.neighbors(u)) & set(g.neighbors(v))) for u, v in pairs]
+        first = next(i for i, c in enumerate(counts) if c != counts[0])
+        assert (pairs[first], counts[first], counts[0]) == beta
+        expected = AmplyViolation("alpha", *alpha)
+        assert detect_amply_params(g) == expected == _detect_by_pair_scan(g)
+
     def test_girth3_iff_common_neighbor(self):
         for seed in range(15):
             g = random_connected_graph(seed + 100, max_n=12)
             has_triangle = any(
-                len(g.common_neighbors(u, v)) > 0 for u, v in g.edges()
+                set(g.neighbors(u)) & set(g.neighbors(v)) for u, v in g.edges()
             )
             assert (g.girth() == 3) == has_triangle
 
@@ -447,6 +456,6 @@ def test_distance_is_a_metric(seed):
     rng = _r.Random(seed)
     verts = [rng.randrange(g.n) for _ in range(3)]
     u, v, w = verts
-    assert g.distance(u, v) == g.distance(v, u)
-    assert (g.distance(u, v) == 0) == (u == v)
-    assert g.distance(u, w) <= g.distance(u, v) + g.distance(v, w)
+    assert g.distances(u, v) == g.distances(v, u)
+    assert (g.distances(u, v) == 0) == (u == v)
+    assert g.distances(u, w) <= g.distances(u, v) + g.distances(v, w)

@@ -369,9 +369,10 @@ class TestSturmRoute:
     def test_sharp_bounds(self, name):
         make, t, multiplicity = SHARP[name]
         g = make()
-        cert = sigma2_at_most(g, Fraction(t))
+        structure = distance_regular(g)
+        cert = sigma2_at_most(g, Fraction(t), structure)
         assert cert == sigma2_sturm(g, distance_regular(g), t) and cert.zero_pivots == multiplicity
-        below = sigma2_at_most(g, t - Fraction(1, 100))
+        below = sigma2_at_most(g, t - Fraction(1, 100), structure)
         assert not below.psd and below.failure.kind == "sign-change"
 
     def test_the_failure_names_the_block_with_two_eigenvalues_above_t(self):
@@ -389,7 +390,7 @@ class TestSturmRoute:
 
     def test_not_distance_regular_takes_bareiss(self):
         g = clebsch_k2()
-        assert sigma2_at_most(g, Fraction(4)).method == "bareiss"
+        assert sigma2_at_most(g, Fraction(4), distance_regular(g)).method == "bareiss"
 
     def test_an_intersection_number_off_by_one_is_refused(self):
         g = gen_hamming(3, 3)

@@ -548,7 +548,7 @@ class TestCertificateOnBuiltH:
     def test_rejects_pi0_off_the_balls(self, monkeypatch):
         # vertex 8 = (2,2) is at distance 2 from y: mass shipped there leaves B(y)
         g = h23()
-        assert g.distance(8, 1) == 2
+        assert g.distances(8, 1) == 2
 
         def to_eight(v0, w0):
             w0[..., 0] = 8
