@@ -9,9 +9,9 @@ B(x) and B(y) (or N(x) and N(y)) give equal mass to every shared vertex, so
 mu - nu, and with it W1 by Kantorovich-Rubinstein duality, depends only on
 the symmetric difference. Each edge's zone is therefore B(x) - B(y) then
 B(y) - B(x), or N(x) - N(y) then N(y) - N(x), read from the partition of
-its neighbourhood (`graph.edge_partition`); an edge in t triangles has d-1-t
-or d-t points per side.
-`certify_assignments` solves the zones of each size group as integer
+its neighbourhood that `graph.edge_chunks` gives a chunk of edges at a time;
+an edge in t triangles has d-1-t or d-t points per side.
+`certify_assignments` solves the zones of each size in a chunk as integer
 assignments, each proven optimal by an integer Kantorovich potential of
 equal value, 1-Lipschitz on the zone and so (McShane) on the graph; an empty
 zone costs 0 unsolved. A B-zone cost C gives kappa_LLY = (d+1-C)/d, an
@@ -32,7 +32,7 @@ from math import lcm
 
 import numpy as np
 
-from .graph import Graph, edge_partition
+from .graph import Graph, edge_chunks
 
 
 class CurvatureError(ValueError):
@@ -184,11 +184,6 @@ def wasserstein(g: Graph, mu1: dict[int, Fraction], mu2: dict[int, Fraction]) ->
     return Fraction(total, scale)
 
 
-ASSIGNMENT_CHUNK = 64
-"""Problems that `certify_assignments` solves and checks together. It bounds
-the (chunk, 2k, 2k) temporaries of the whole-array checks."""
-
-
 def _first_solve(cost):
     """scipy's `linear_sum_assignment` on ``cost``, imported at the first solve.
 
@@ -262,8 +257,24 @@ def kantorovich_potential(
     return f, c_total
 
 
-def _certify_chunk(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """`certify_assignments` on at most ``ASSIGNMENT_CHUNK`` zones."""
+def certify_assignments(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Certified cheapest bijections for one chunk of equal-size transport problems.
+
+    Row i of ``zones`` (m, 2k) holds problem i's k sources followed by its k
+    targets; callers pass one chunk (`graph.EDGE_CHUNK` problems at most),
+    which bounds the (m, 2k, 2k) temporaries of the whole-array checks.
+    Returns the integer cost of each optimal bijection, as total BFS
+    distance, and the plans (m, k): entry (i, j) is the target vertex that
+    source j of problem i is sent to. Each zone is read as one distance
+    block (`Graph.distances`); a vertex in both halves appears twice,
+    which the 1-Lipschitz test allows (its two rows are equal, at distance
+    0). `linear_sum_assignment` solves each problem; then, over whole
+    arrays, `kantorovich_potential` proves every assignment optimal (it
+    refuses any assignment that is not a permutation, so each plan's
+    targets are its target set), and each plan's cost is re-summed from
+    the distances of its vertex pairs. A failed check raises
+    CurvatureError naming ``edges[i]``, the edge of problem i.
+    """
     m, k = zones.shape[0], zones.shape[1] // 2
     dist = g.distances(zones[:, :, None], zones[:, None, :])
     _fail(dist < 0, edges, "supports lie in different components")
@@ -274,66 +285,31 @@ def _certify_chunk(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.n
         sigma[i, solved_rows] = solved_cols
     _, c_total = kantorovich_potential(dist, sigma, edges)
     plan_targets = zones[:, k:][np.arange(m)[:, None], sigma]
-    _fail(np.sort(plan_targets, axis=1) != np.sort(zones[:, k:], axis=1), edges,
-          "plan marginals are not uniform on the two supports")
     _fail(g.distances(zones[:, :k], plan_targets).sum(axis=1) != c_total, edges,
           "internal error: plan cost disagrees with assignment value")
     return c_total, plan_targets
-
-
-def certify_assignments(g: Graph, zones: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Certified cheapest bijections for many equal-size transport problems.
-
-    Row i of ``zones`` (m, 2k) holds problem i's k sources followed by its k
-    targets. Returns the integer cost of each optimal bijection, as total BFS
-    distance, and the plans (m, k): entry (i, j) is the target vertex that
-    source j of problem i is sent to. Each zone is read as one distance
-    block (`Graph.distances`); a vertex in both halves appears twice,
-    which the 1-Lipschitz test allows (its two rows are equal, at distance
-    0). `linear_sum_assignment` solves each problem; then, over whole arrays
-    of ``ASSIGNMENT_CHUNK`` problems, `kantorovich_potential` proves every
-    assignment optimal, each plan's targets are checked to be its target set,
-    and each plan's cost is re-summed from the distances of its vertex pairs.
-    A failed check raises CurvatureError naming ``edges[i]``, the edge of
-    problem i.
-    """
-    m, k = zones.shape[0], zones.shape[1] // 2
-    costs = np.empty(m, dtype=np.int64)
-    plans = np.empty((m, k), dtype=zones.dtype)
-    for lo in range(0, m, ASSIGNMENT_CHUNK):
-        hi = lo + ASSIGNMENT_CHUNK
-        costs[lo:hi], plans[lo:hi] = _certify_chunk(g, zones[lo:hi], edges[lo:hi])
-    return costs, plans
 
 
 def _difference_costs(g: Graph, edges, closed: bool) -> list[int]:
     """Each edge's certified cost on its difference zone, in edge order.
 
     Edge (x, y) sends B(x) - B(y) = N_x to B(y) - B(x) = N_y, or, when not
-    ``closed``, N(x) - N(y) = N_x + y to N(y) - N(x) = N_y + x, from
-    `edge_partition` on ``ASSIGNMENT_CHUNK`` edges at a time. One
-    `certify_assignments` call per zone size; an empty zone costs 0 unsolved.
+    ``closed``, N(x) - N(y) = N_x + y to N(y) - N(x) = N_y + x, one
+    `graph.edge_chunks` chunk at a time. Each chunk makes one
+    `certify_assignments` call per nonzero zone size, first seen first; an
+    empty zone costs 0 unsolved.
     """
-    groups: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-    for lo in range(0, len(edges), ASSIGNMENT_CHUNK):
-        xy = np.array(edges[lo:lo + ASSIGNMENT_CHUNK], dtype=np.int64)
-        nx, _, ny = edge_partition(g, xy)
+    costs = np.zeros(len(edges), dtype=np.int64)
+    for lo, xy, (nx, _, ny) in edge_chunks(g, edges):
         if not closed:
             nx[np.arange(len(xy)), xy[:, 1]] = ny[np.arange(len(xy)), xy[:, 0]] = True
         sizes = nx.sum(axis=1)
-        for k in filter(None, dict.fromkeys(sizes.tolist())):  # nonzero sizes, first seen first
-            at, zones = groups.setdefault(k, ([], []))
-            rows = sizes == k
-            at.append(lo + np.flatnonzero(rows))
-            zones.append(np.concatenate([np.nonzero(side[rows])[1].reshape(-1, k)
-                                         for side in (nx, ny)], axis=1))
-    costs = [0] * len(edges)
-    for at, zones in groups.values():
-        at = np.concatenate(at).tolist()
-        group_costs, _ = certify_assignments(g, np.concatenate(zones), [edges[i] for i in at])
-        for i, c in zip(at, group_costs.tolist()):
-            costs[i] = c
-    return costs
+        for k in filter(None, dict.fromkeys(sizes.tolist())):
+            at = np.flatnonzero(sizes == k)
+            zones = np.concatenate([np.nonzero(side[at])[1].reshape(-1, k) for side in (nx, ny)],
+                                   axis=1)
+            costs[lo + at], _ = certify_assignments(g, zones, [edges[lo + i] for i in at.tolist()])
+    return costs.tolist()
 
 
 def _per_cost(keys, value) -> list[Fraction]:
@@ -469,9 +445,9 @@ def curvature_all_edges(g: Graph) -> CurvatureTable:
     """Lin-Lu-Yau curvature of every edge of a connected regular graph.
 
     The edges the graph has not kept yet are certified in one `_kappa_lly`
-    batch, one `certify_assignments` call per zone size, and kept only once
-    the whole batch has passed; the table then reads each edge through
-    `lly_curvature`.
+    batch, one `certify_assignments` call per zone size of each chunk, and
+    kept only once the whole batch has passed; the table then reads each
+    edge through `lly_curvature`.
     """
     if not g.is_connected():
         raise CurvatureError("curvature_all_edges requires a connected graph")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -213,7 +213,6 @@ class AmplyParams:
     alpha: int
     beta: Optional[int]
     girth: Optional[int]
-    connected: bool = True
 
 
 @dataclass(frozen=True)
@@ -362,3 +361,23 @@ def edge_partition(g: Graph, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise GraphError(f"({x}, {y}) is not an edge")
     near_x, near_y = dx == 1, dy == 1
     return near_x & (dy == 2), near_x & near_y, near_y & (dx == 2)
+
+
+EDGE_CHUNK = 64
+"""Edges that one edge-local pass splits, builds and checks together (`edge_chunks`).
+It bounds the (chunk, 2, n) endpoint distances of `edge_partition` and each
+pass's (chunk, ...) temporaries."""
+
+
+def edge_chunks(g: Graph, edges) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, ...]]]:
+    """``(lo, xy, edge_partition(g, xy))`` for each run of `EDGE_CHUNK` edges from ``edges[lo]``.
+
+    ``xy`` is the run as an (m, 2) int64 array. Every edge-local pass (the
+    transport passes of `curvature`, the witness pipeline and the dense
+    certificate) works through its edges by this one loop. Raises GraphError
+    as `edge_partition` does, on reaching the chunk that holds the vertex or
+    pair at fault.
+    """
+    for lo in range(0, len(edges), EDGE_CHUNK):
+        xy = np.array(edges[lo:lo + EDGE_CHUNK], dtype=np.int64).reshape(-1, 2)
+        yield lo, xy, edge_partition(g, xy)

@@ -8,9 +8,10 @@ lower bound of 3/d. `witness_batches` runs every step of that construction
 on many edges at once, over whole arrays of distances (`Graph.distances`):
 each H is a boolean biadjacency, and one `konig_stack` call per chunk
 decomposes the H's not seen before. `edge_witness` runs it on one edge. A
-separate dense-matching certificate, also one chunk of edges at a time,
-pins the curvature to (2+alpha)/d when 2*beta - alpha >= d + 1. Both read
-each edge's N_x, Delta and N_y from `graph.edge_partition`.
+separate dense-matching certificate pins the curvature to (2+alpha)/d when
+2*beta - alpha >= d + 1. Both work through their edges one
+`graph.edge_chunks` chunk at a time, which gives each edge's N_x, Delta and
+N_y.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .curvature import lly_curvature
-from .graph import AmplyParams, Graph, edge_partition
+from .graph import AmplyParams, Graph, edge_chunks
 from .matching import Bipartite, MatchingError, dense_perfect_matchings, konig_decomposition, konig_stack
 
 # edge class indices (1-based, matching the construction below)
@@ -36,12 +37,6 @@ CLASS_NAMES = {
     7: "Delta to x'-copy",
     8: "x-copy to x'-copy",
 }
-
-WITNESS_CHUNK = 64
-"""Edges that `witness_batches` and `prop_3_1_certificate` build and check
-together. It bounds the (chunk, 2, n) endpoint distances, the (chunk, s, s)
-biadjacency and the (chunk, beta-1, |N_x|) chain temporaries."""
-
 
 class WitnessError(ValueError):
     """Unmet witness hypothesis or a failed internal certificate."""
@@ -256,16 +251,15 @@ class WitnessBatch:
                            certificate, self.certify_error[i])
 
 
-def _neighbourhoods(g: Graph, xy: np.ndarray, params: AmplyParams):
+def _neighbourhoods(xy: np.ndarray, sets, params: AmplyParams):
     """N_x, Delta and N_y of each edge as (m, p), (m, alpha), (m, p) arrays in sorted host order.
 
-    Split by `edge_partition`, which raises GraphError for a vertex outside
-    the graph or a pair that is not an edge. Raises WitnessError, naming the
-    first offending edge, for sizes other than p = d-1-alpha and alpha.
+    ``sets`` is the chunk's (m, n) masks from `graph.edge_chunks`. Raises
+    WitnessError, naming the first offending edge, for sizes other than
+    p = d-1-alpha and alpha.
     """
     m, a = len(xy), params.alpha
     p = params.d - 1 - a
-    sets = edge_partition(g, xy)
     sizes = np.stack([s.sum(axis=1) for s in sets], axis=1)
     wrong = (sizes != (p, a, p)).any(axis=1)
     if wrong.any():
@@ -412,14 +406,13 @@ def _certify(g: Graph, xy: np.ndarray, params: AmplyParams, delta: np.ndarray, w
     return z1, cost, kappa
 
 
-def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyParams,
+def _witness_chunk(g: Graph, xy: np.ndarray, sets, params: AmplyParams,
                    shared: dict[bytes, Bipartite]) -> WitnessBatch:
-    """`witness_batches` on at most ``WITNESS_CHUNK`` edges; ``shared`` holds the call's H's so far."""
+    """`witness_batches` on one `graph.edge_chunks` chunk; ``shared`` holds the call's H's so far."""
     a, copies = params.alpha, params.beta - params.alpha - 1
     p = params.d - 1 - a
-    xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
     m = len(xy)
-    nx, delta, ny = _neighbourhoods(g, xy, params)
+    nx, delta, ny = _neighbourhoods(xy, sets, params)
     left, right = np.concatenate([nx, delta], axis=1), np.concatenate([ny, delta], axis=1)
     h = _transport_h(g.distances(left[:, :, None], right[:, None, :]) == 1, p, copies)
 
@@ -469,14 +462,14 @@ def _witness_chunk(g: Graph, edges: Sequence[tuple[int, int]], params: AmplyPara
 
 def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
                     params: AmplyParams) -> Iterator[WitnessBatch]:
-    """Run the witness pipeline on ``edges``, ``WITNESS_CHUNK`` at a time: one `WitnessBatch` each.
+    """Run the witness pipeline on ``edges``, one `WitnessBatch` per `graph.edge_chunks` chunk.
 
     Requires detected parameters with beta present and beta > alpha >= 1.
-    Each chunk splits its edges' neighbourhoods into N_x, Delta and N_y once
-    (`edge_partition`, through the size check of `_neighbourhoods`), and
-    builds every H (`_transport_h`) from one block of distances between
-    N_x + Delta and N_y + Delta. Equal H's of one call share one
-    `Bipartite`. The H's new to the call are decomposed by one `konig_stack`
+    Each chunk's split of its edges' neighbourhoods into N_x, Delta and N_y
+    passes the size check of `_neighbourhoods`, and the chunk builds every
+    H (`_transport_h`) from one block of distances between N_x + Delta and
+    N_y + Delta. Equal H's of one call share one `Bipartite`. The H's new
+    to the call are decomposed by one `konig_stack`
     call per chunk, one batched matching call per round (beta - 1 rounds on
     regular H's), and each `Bipartite` keeps its classes or its failure
     message.
@@ -494,8 +487,8 @@ def witness_batches(g: Graph, edges: Sequence[tuple[int, int]],
             f"construction requires beta > alpha >= 1, got alpha={params.alpha}, beta={params.beta}"
         )
     shared: dict[bytes, Bipartite] = {}  # each distinct H of this call, by its biadjacency
-    for lo in range(0, len(edges), WITNESS_CHUNK):
-        yield _witness_chunk(g, edges[lo:lo + WITNESS_CHUNK], params, shared)
+    for _, xy, sets in edge_chunks(g, edges):
+        yield _witness_chunk(g, xy, sets, params, shared)
 
 
 def edge_witness(g: Graph, x: int, y: int, params: AmplyParams) -> EdgeWitness:
@@ -508,8 +501,8 @@ def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Seq
     """Exact-curvature certificates of ``edges``, for the regime 2*beta - alpha >= d + 1.
 
     ``kappas`` holds each edge's exact curvature, as the curvature table
-    gives it. The edges are taken ``WITNESS_CHUNK`` at a time: N_x and N_y
-    come through the witness's size check (`_neighbourhoods`), and each
+    gives it. The edges are taken a `graph.edge_chunks` chunk at a time: N_x
+    and N_y come through the witness's size check (`_neighbourhoods`), and each
     edge's host edges between them form a bipartite graph; the chunk's
     graphs are checked against the dense degree condition and matched by
     one `dense_perfect_matchings` call; then kappa = (2+alpha)/d is
@@ -525,11 +518,10 @@ def prop_3_1_certificate(g: Graph, edges: Sequence[tuple[int, int]], kappas: Seq
         )
     upper = Fraction(2 + params.alpha, params.d)
     results: list[Union[tuple[int, ...], str]] = []
-    for lo in range(0, len(edges), WITNESS_CHUNK):
-        xy = np.array(edges[lo:lo + WITNESS_CHUNK], dtype=np.int64).reshape(-1, 2)
-        nx, _, ny = _neighbourhoods(g, xy, params)
+    for lo, xy, sets in edge_chunks(g, edges):
+        nx, _, ny = _neighbourhoods(xy, sets, params)
         host = g.distances(nx[:, :, None], ny[:, None, :]) == 1
-        for matching, kappa in zip(dense_perfect_matchings(host), kappas[lo:lo + WITNESS_CHUNK]):
+        for matching, kappa in zip(dense_perfect_matchings(host), kappas[lo:lo + len(xy)]):
             results.append(matching if isinstance(matching, str) or kappa == upper
                            else f"exact curvature {kappa} differs from (2+alpha)/d = {upper}")
     return results

@@ -31,7 +31,7 @@ from arcurv import (
 
 import arcurv.curvature as curvature_module
 import arcurv.witness as witness_module
-from arcurv.curvature import ASSIGNMENT_CHUNK
+from arcurv.graph import EDGE_CHUNK
 from arcurv.witness import edge_witness
 from conftest import (
     brute_regular_wasserstein,
@@ -572,10 +572,10 @@ class TestBatchedAssignments:
 
     def test_more_edges_than_one_chunk(self, monkeypatch):
         g = gen_hamming(3, 3)
-        assert g.num_edges() > ASSIGNMENT_CHUNK and g.num_edges() % ASSIGNMENT_CHUNK
+        assert g.num_edges() > EDGE_CHUNK and g.num_edges() % EDGE_CHUNK
         expected = _sorted_edges_kappa_p(g, Fraction(1, 14))
         assert kappa_p_all_edges(g, Fraction(1, 14)) == expected
-        monkeypatch.setattr("arcurv.curvature.ASSIGNMENT_CHUNK", 5)  # 81 = 16 * 5 + 1
+        monkeypatch.setattr("arcurv.graph.EDGE_CHUNK", 5)  # 81 = 16 * 5 + 1
         assert kappa_p_all_edges(g, Fraction(1, 14)) == expected
 
     def test_disconnected_regular_graph(self):

@@ -41,6 +41,7 @@ GRAPHS = {
     "paley29": lambda: gen_paley(29),
     "q3": lambda: gen_hypercube(3),
     "clebsch-k2": lambda: gen_product(gen_clebsch(), gen_complete(2)),
+    "paley13-k2": lambda: gen_product(gen_paley(13), gen_complete(2)),
 }
 
 ALL_KINDS = (
@@ -60,6 +61,9 @@ KINDS = {
     "q3": ("verify.txt", "verify.json", "verify.csv", "curvature.json", "curvature-p0.json"),
     # Clebsch x K2 (32,6,0,2) is not distance-regular: the one golden on the Bareiss route.
     "clebsch-k2": ("verify.txt", "verify.json"),
+    # Paley(13) x K2 is regular, not amply regular: 91 edges, two edge chunks, each holding
+    # B-zones of both sizes, 4 on the 78 Paley edges and 6 on the 13 rungs.
+    "paley13-k2": ("curvature.json", "curvature-p0.json", "curvature-p1_2.json"),
 }
 
 # `search` tuples (n, d, alpha, beta): seven hits, among them the Petersen
@@ -182,6 +186,8 @@ def test_shared_checks_are_encoded_once_into_the_same_json(name):
     lists = {id(row["checks"]) for row in encoded["edges"]}
     assert len(tuples) == len(lists) == 1 and len(report.edges) > 1
 
+
+def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
     cwd = os.getcwd()

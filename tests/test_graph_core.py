@@ -20,9 +20,11 @@ from arcurv import (
     gen_hamming,
     gen_hypercube,
     gen_paley,
+    gen_product,
     gen_shrikhande,
     load_edge_list,
 )
+from arcurv.graph import EDGE_CHUNK, edge_chunks
 
 import reference_witness
 from conftest import (
@@ -380,6 +382,18 @@ class TestEdgePartition:
         got = [tuple(tuple(np.flatnonzero(mask[i]).tolist()) for mask in masks)
                for i in range(len(edges))]
         assert got == [reference_witness.edge_partition(g, x, y) for x, y in edges]
+
+    def test_edge_chunks_split_the_edges_a_chunk_at_a_time(self):
+        # Paley(13) x K2's 91 edges: one full chunk, then the other 27
+        g = gen_product(gen_paley(13), gen_complete(2))
+        edges = g.edges()
+        chunks = list(edge_chunks(g, edges))
+        assert EDGE_CHUNK == 64
+        assert [(lo, len(xy)) for lo, xy, _ in chunks] == [(0, 64), (64, 27)]
+        for lo, xy, sets in chunks:
+            assert xy.dtype == np.int64 and xy.tolist() == [list(e) for e in edges[lo:lo + len(xy)]]
+            assert all((got == want).all() for got, want in zip(sets, edge_partition(g, xy)))
+        assert list(edge_chunks(g, [])) == []
 
 
 class TestDistances:

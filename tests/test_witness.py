@@ -20,12 +20,11 @@ from arcurv import (
     lly_curvature,
 )
 from arcurv.cli import _hgraph_payload
-from arcurv.graph import Graph
+from arcurv.graph import EDGE_CHUNK, Graph
 from arcurv.matching import Bipartite, MatchingError, konig_decomposition
 from arcurv.report import WitnessSummary, _witness_summary, verify_graph
 from arcurv.witness import (
     CLASS_NAMES,
-    WITNESS_CHUNK,
     WitnessCertificate,
     WitnessError,
     edge_witness,
@@ -99,13 +98,13 @@ def _pi0_plan(cert, d):
 
 
 def _fresh_chunks(g, params) -> int:
-    """The chunks of ``g``'s edges, ``WITNESS_CHUNK`` at a time, that hold an H of no earlier edge."""
+    """The chunks of ``g``'s edges, ``EDGE_CHUNK`` at a time, that hold an H of no earlier edge."""
     seen, chunks = set(), set()
     for i, (x, y) in enumerate(g.edges()):
         key = build_transport_bipartite(g, x, y, params).b.biadjacency.tobytes()
         if key not in seen:
             seen.add(key)
-            chunks.add(i // WITNESS_CHUNK)
+            chunks.add(i // EDGE_CHUNK)
     return len(chunks)
 
 
@@ -271,6 +270,25 @@ class TestConstruction:
         for bad in (9, -1):
             with pytest.raises(GraphError, match=rf"^vertex {bad} out of range 0\.\.8$"):
                 list(witness_batches(g, [(0, 4), (0, 1), (1, bad)], detect_amply_params(g)))
+
+    def test_a_non_edge_past_the_first_chunk_is_refused(self):
+        # cocktail(8), kappa = 1 on all 112 edges, with a non-edge at index EDGE_CHUNK + 3:
+        # the witness pass yields the first chunk, and both edge-local passes refuse the
+        # second, naming the pair
+        from arcurv import GraphError
+
+        g = gen_cocktail(8)
+        params = detect_amply_params(g)
+        x, y = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.is_edge(u, v))
+        edges = g.edges()
+        edges.insert(EDGE_CHUNK + 3, (x, y))
+        refused = rf"^\({x}, {y}\) is not an edge$"
+        batches = witness_batches(g, edges, params)
+        assert next(batches).edges == tuple(edges[:EDGE_CHUNK])
+        with pytest.raises(GraphError, match=refused):
+            next(batches)
+        with pytest.raises(GraphError, match=refused):
+            prop_3_1_certificate(g, edges, [Fraction(1)] * len(edges), params)
 
 
 class TestRegularity:
@@ -566,25 +584,25 @@ class TestCertificateOnBuiltH:
         params = detect_amply_params(g)
         m = g.num_edges()
         fresh = _fresh_chunks(g, params)
-        names = ["edge_partition", "_transport_h", "_walk", "_certify", "konig_decomposition",
+        names = ["_neighbourhoods", "_transport_h", "_walk", "_certify", "konig_decomposition",
                  "lly_curvature"]
         counts = _count_calls(monkeypatch, [(witness_module, n) for n in names]
                               + [(matching_module, "perfect_matchings")])
         report = verify_graph(g, graph_id="g")
         assert report.witness is not None and report.witness.passed
-        chunks = -(-m // WITNESS_CHUNK)
+        chunks = -(-m // EDGE_CHUNK)
         # each chunk splits the neighbourhoods, builds its H's, walks and certifies once; each
         # edge reads its classes twice, for its walks and its certificate, and its curvature
         # once; each chunk with fresh H's decomposes them in beta - 1 matching calls
         assert counts == {
-            "edge_partition": chunks, "_transport_h": chunks, "_walk": chunks, "_certify": chunks,
+            "_neighbourhoods": chunks, "_transport_h": chunks, "_walk": chunks, "_certify": chunks,
             "konig_decomposition": 2 * m, "lly_curvature": m,
             "perfect_matchings": (params.beta - 1) * fresh,
         }
 
     def test_hgraph_builds_each_witness_fact_once(self, monkeypatch):
         g = gen_paley(13)
-        names = ["edge_partition", "_transport_h", "_walk", "konig_decomposition"]
+        names = ["_neighbourhoods", "_transport_h", "_walk", "konig_decomposition"]
         counts = _count_calls(
             monkeypatch,
             [(cli_module, "detect_amply_params")] + [(witness_module, n) for n in names]
@@ -593,7 +611,7 @@ class TestCertificateOnBuiltH:
         _hgraph_payload(g, *g.edges()[0])
         # paley13 has beta = 3: two Konig rounds, read twice
         assert counts == {
-            "detect_amply_params": 1, "edge_partition": 1, "_transport_h": 1, "_walk": 1,
+            "detect_amply_params": 1, "_neighbourhoods": 1, "_transport_h": 1, "_walk": 1,
             "konig_decomposition": 2, "perfect_matchings": 2,
         }
 
@@ -618,7 +636,7 @@ class TestCertificateOnBuiltH:
         # finds every H kept, so only the first chunk calls konig_stack
         g = gen_paley(29)  # (29, 14, 6, 7)
         params = detect_amply_params(g)
-        chunk = g.edges()[:WITNESS_CHUNK]
+        chunk = g.edges()[:EDGE_CHUNK]
         counts = _count_calls(monkeypatch, [(witness_module, "konig_stack")])
         calls, hopcroft_karp = [], matching_module._hopcroft_karp
         monkeypatch.setattr(matching_module, "_hopcroft_karp",
@@ -761,7 +779,7 @@ class TestVerifyCountsFailedWitnessSteps:
         # that edge's chain, pi0 and lower-bound steps fail
         make, m = self.GRAPHS[name]
         g = make()
-        edge = g.edges()[min(m - 1, WITNESS_CHUNK + 5)]
+        edge = g.edges()[min(m - 1, EDGE_CHUNK + 5)]
         hit = _reverse_ny(monkeypatch, only=_build(g, *edge))
         report = verify_graph(g, graph_id="g")
         assert len(hit) == 1
@@ -826,7 +844,7 @@ class TestVerifyCountsFailedWitnessSteps:
         m = g.num_edges()
         assert _witness_summary(g, detect_amply_params(g)) == WitnessSummary(
             m, m, 0, 0, 0, 0, 0, passed=False)
-        assert counts == {"perfect_matchings": -(-m // WITNESS_CHUNK)}
+        assert counts == {"perfect_matchings": -(-m // EDGE_CHUNK)}
 
     def test_a_matching_fault_in_the_dense_stage_is_an_uncertified_edge(self, monkeypatch,
                                                                         tmp_path, capsys):
@@ -969,14 +987,14 @@ class TestDenseMatchCertificate:
         # cocktail(8)'s 112 edges in one call: split as witness_batches splits them
         sizes, split = [], witness_module._neighbourhoods
 
-        def recording(g, xy, params):
+        def recording(xy, sets, params):
             sizes.append(len(xy))
-            return split(g, xy, params)
+            return split(xy, sets, params)
 
         monkeypatch.setattr(witness_module, "_neighbourhoods", recording)
         g = gen_cocktail(8)
         results = _dense_table(g)
-        assert sizes == [WITNESS_CHUNK, g.num_edges() - WITNESS_CHUNK]
+        assert sizes == [EDGE_CHUNK, g.num_edges() - EDGE_CHUNK]
         assert len(results) == g.num_edges() and not any(isinstance(r, str) for r in results)
 
     def test_one_matching_call_per_chunk(self, monkeypatch):
@@ -989,7 +1007,7 @@ class TestDenseMatchCertificate:
         results = _dense_table(g)
         p = 14 - 1 - 12
         assert counts == {"dense_perfect_matchings": 2}
-        assert calls == [(WITNESS_CHUNK, p, p), (g.num_edges() - WITNESS_CHUNK, p, p)]
+        assert calls == [(EDGE_CHUNK, p, p), (g.num_edges() - EDGE_CHUNK, p, p)]
         assert not any(isinstance(r, str) for r in results)
 
     def test_min_degree_meets_dense_condition(self, monkeypatch):
